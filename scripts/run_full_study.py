@@ -35,30 +35,24 @@ from tcsmfd import (
     preset_spec,
     save_scenario,
     simulate,
-    stability_check,
     sweep_charges,
     total_emission,
     total_travel_time,
     uniqueness_check,
 )
+from tcsmfd.cli import (
+    dichotomy_table,
+    gains_table,
+    parse_taus,
+    stability_runs,
+    stability_table,
+    sweep_tables,
+    write_csv,
+)
 
 
 def log(msg: str) -> None:
     print(msg, flush=True)
-
-
-def write_csv(path: Path, rows) -> None:
-    path.write_text(
-        "\n".join(",".join(str(c) for c in row) for row in rows) + "\n",
-        encoding="utf-8",
-    )
-
-
-def parse_taus(spec: str) -> list:
-    if ":" in spec:
-        start, stop, step = (float(p) for p in spec.split(":"))
-        return list(np.arange(start, stop, step))
-    return [float(p) for p in spec.split(",") if p]
 
 
 def main(argv=None) -> int:
@@ -112,26 +106,8 @@ def main(argv=None) -> int:
 
     # --- charge sweep -------------------------------------------------------
     rows = sweep_charges(scenario, params, taus, workers=args.workers)
-    header = (
-        "tau_credits", "price_eur_per_credit", "toll_equivalent_eur",
-        "car_users_persons", "car_share", "ttt_h", "emission_t",
-        "emission_g_per_km", "cap_slack_credits", "converged", "iterations",
-    )
-    write_csv(out / "sweep.csv", [header] + [
-        (r.tau, repr(r.price), repr(r.toll_equivalent), repr(r.car_users),
-         repr(r.car_share), repr(r.ttt_h), repr(r.emission_t),
-         repr(r.emission_g_per_km), repr(r.cap_slack), int(r.converged),
-         r.iterations)
-        for r in rows
-    ])
-    write_csv(out / "ttt_vs_tau.csv",
-              [("tau_credits", "ttt_h")] + [(r.tau, repr(r.ttt_h)) for r in rows])
-    write_csv(out / "emission_vs_tau.csv",
-              [("tau_credits", "emission_t")]
-              + [(r.tau, repr(r.emission_t)) for r in rows])
-    write_csv(out / "pareto_ttt_vs_emission.csv",
-              [("ttt_h", "emission_t", "tau_credits")]
-              + [(repr(r.ttt_h), repr(r.emission_t), r.tau) for r in rows])
+    for name, table in sweep_tables(rows).items():
+        write_csv(out / name, table)
     binding = [r.tau for r in rows if r.price > 0]
     log(f"[4/8] sweep: {len(rows)} charges, cap binds from tau="
         f"{binding[0]:.0f}" if binding else f"[4/8] sweep: cap never binds")
@@ -142,15 +118,7 @@ def main(argv=None) -> int:
     for objective in ("ttt", "mixed"):
         res = optimize_charge(scenario, params, objective=objective, lo=lo, hi=hi)
         best[objective] = res
-        write_csv(out / f"dichotomy_{objective}.csv", [
-            ("tau_credits", "lo", "hi", "derivative", "flat_cap",
-             "ttt_h", "emission_t", "objective_eur", "converged")
-        ] + [
-            (s.tau, s.lo, s.hi, repr(s.derivative), int(s.flat_cap),
-             repr(s.ttt_h), repr(s.emission_t), repr(s.objective),
-             int(s.converged))
-            for s in res.steps
-        ])
+        write_csv(out / f"dichotomy_{objective}.csv", dichotomy_table(res))
         log(f"[5/8] optimize {objective}: tau*={res.tau_star:.0f} "
             f"({res.n_solves} equilibrium solves)")
 
@@ -178,13 +146,7 @@ def main(argv=None) -> int:
     p_star = replace(params, tau=float(best["ttt"].tau_star))
     ref_star = equilibrium_solve(scenario, p_star, tcs=False, p_init=0.0)
     gains = group_gains(ref_star.state, best["ttt"].report.state, scenario, p_star)
-    write_csv(out / "gains.csv", [
-        ("group", "gamma_persons", "trade_eur", "time_gain_s", "net_eur")
-    ] + [
-        (i, repr(float(g[i])), repr(float(gains.trade_eur[i])),
-         repr(float(gains.time_gain_s[i])), repr(float(gains.net_eur[i])))
-        for i in range(scenario.n)
-    ])
+    write_csv(out / "gains.csv", gains_table(scenario, gains))
     winners = float(g[gains.net_eur > 0].sum() / g.sum())
     log(f"[6/8] gains at tau*={best['ttt'].tau_star:.0f}: "
         f"{winners:.1%} of travelers better off, "
@@ -197,21 +159,10 @@ def main(argv=None) -> int:
         f"({'positive' if uni.positive else 'NOT positive'})")
 
     # --- stability along the sweep ------------------------------------------
-    stab_rows = [("tau_credits", "price_eur_per_credit", "spectral_abscissa",
-                  "stable", "eig_converged")]
-    worst = None
-    for tau in taus:
-        p_tau = replace(params, tau=float(tau))
-        rep = equilibrium_solve(scenario, p_tau)
-        if rep.state.p <= 0:
-            stab_rows.append((tau, repr(rep.state.p), "", "", ""))
-            continue
-        st = stability_check(scenario, p_tau, rep.state)
-        stab_rows.append((tau, repr(rep.state.p), repr(st.spectral_abscissa),
-                          int(st.stable), int(st.eig_converged)))
-        if worst is None or st.spectral_abscissa > worst:
-            worst = st.spectral_abscissa
-    write_csv(out / "stability.csv", stab_rows)
+    runs = stability_runs(scenario, params, taus)
+    write_csv(out / "stability.csv", stability_table(runs))
+    worst = max((st.spectral_abscissa for _, _, st in runs if st is not None),
+                default=None)
     log(f"[8/8] stability: worst spectral abscissa "
         + (f"{worst:.4f}" if worst is not None else "n/a (cap never binds)"))
 

@@ -19,7 +19,7 @@ from .analysis import (
     stability_jacobian,
     uniqueness_check,
 )
-from .eig import EigResult, eig_values, hessenberg_reduce
+from .eig import EigResult, eig_values
 from .equilibrium import (
     EquilibriumReport,
     ModalState,
@@ -104,7 +104,6 @@ __all__ = [
     "generate_synthetic",
     "grad_speed",
     "group_gains",
-    "hessenberg_reduce",
     "histogram_rows",
     "j_value",
     "load_scenario",

@@ -23,7 +23,6 @@ from . import __version__
 from .analysis import histogram_rows, stability_check, uniqueness_check
 from .equilibrium import equilibrium_solve, msa_solve
 from .objectives import (
-    EmissionModel,
     group_gains,
     optimize_charge,
     sweep_charges,
@@ -40,7 +39,16 @@ from .scenario import (
 )
 from .simulator import simulate
 
-__all__ = ["main", "cli_main"]
+__all__ = [
+    "main",
+    "parse_taus",
+    "write_csv",
+    "sweep_tables",
+    "dichotomy_table",
+    "gains_table",
+    "stability_runs",
+    "stability_table",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +65,7 @@ def _write_json(path: Path, obj) -> None:
     _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, rows) -> None:
+def write_csv(path: Path, rows) -> None:
     _atomic_write(path, "\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
 
 
@@ -151,7 +159,7 @@ def _scenario_inputs(args) -> tuple:
     return scenario, inputs
 
 
-def _parse_taus(spec: str) -> list:
+def parse_taus(spec: str) -> list:
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
@@ -179,6 +187,82 @@ def _equilibrium_payload(rep) -> dict:
         "tcs": rep.tcs,
         "message": rep.message,
     }
+
+
+# ---------------------------------------------------------------------------
+# tables shared with scripts/run_full_study.py
+
+
+def sweep_tables(rows) -> dict:
+    """CSV tables of a charge sweep by file name: the full sweep and the plot views."""
+    header = (
+        "tau_credits", "price_eur_per_credit", "toll_equivalent_eur",
+        "car_users_persons", "car_share", "ttt_h", "emission_t",
+        "emission_g_per_km", "cap_slack_credits", "converged", "iterations",
+    )
+    return {
+        "sweep.csv": [header] + [
+            (r.tau, repr(r.price), repr(r.toll_equivalent), repr(r.car_users),
+             repr(r.car_share), repr(r.ttt_h), repr(r.emission_t),
+             repr(r.emission_g_per_km), repr(r.cap_slack), int(r.converged),
+             r.iterations)
+            for r in rows
+        ],
+        "ttt_vs_tau.csv":
+            [("tau_credits", "ttt_h")] + [(r.tau, repr(r.ttt_h)) for r in rows],
+        "emission_vs_tau.csv":
+            [("tau_credits", "emission_t")] + [(r.tau, repr(r.emission_t)) for r in rows],
+        "pareto_ttt_vs_emission.csv":
+            [("ttt_h", "emission_t", "tau_credits")]
+            + [(repr(r.ttt_h), repr(r.emission_t), r.tau) for r in rows],
+    }
+
+
+def dichotomy_table(res) -> list:
+    """One row per step of a charge search."""
+    return [("tau_credits", "lo", "hi", "derivative", "flat_cap", "ttt_h",
+             "emission_t", "objective_eur", "converged")] + [
+        (s.tau, s.lo, s.hi, repr(s.derivative), int(s.flat_cap),
+         repr(s.ttt_h), repr(s.emission_t), repr(s.objective), int(s.converged))
+        for s in res.steps
+    ]
+
+
+def gains_table(scenario, gains) -> list:
+    """One row per group of the welfare split."""
+    g = scenario.gammas
+    return [("group", "gamma_persons", "trade_eur", "time_gain_s", "net_eur")] + [
+        (i, repr(float(g[i])), repr(float(gains.trade_eur[i])),
+         repr(float(gains.time_gain_s[i])), repr(float(gains.net_eur[i])))
+        for i in range(scenario.n)
+    ]
+
+
+def stability_runs(scenario, params: TcsParams, taus) -> list:
+    """(tau, equilibrium report, stability report) per charge.
+
+    The stability report is None where the cap is slack (zero price).
+    """
+    runs = []
+    for tau in taus:
+        p_tau = replace(params, tau=tau)
+        rep = equilibrium_solve(scenario, p_tau)
+        st = stability_check(scenario, p_tau, rep.state) if rep.state.p > 0 else None
+        runs.append((tau, rep, st))
+    return runs
+
+
+def stability_table(runs) -> list:
+    """One row per charge of ``stability_runs``; blank verdicts where the cap is slack."""
+    rows = [("tau_credits", "price_eur_per_credit", "spectral_abscissa",
+             "stable", "eig_converged", "equilibrium_converged")]
+    for tau, rep, st in runs:
+        if st is None:
+            rows.append((tau, repr(rep.state.p), "", "", "", int(rep.converged)))
+        else:
+            rows.append((tau, repr(rep.state.p), repr(st.spectral_abscissa),
+                         int(st.stable), int(st.eig_converged), int(rep.converged)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +340,10 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     scenario, inputs = _scenario_inputs(args)
     params = _params_from_args(args)
-    taus = _parse_taus(args.taus)
+    taus = parse_taus(args.taus)
     rows = sweep_charges(scenario, params, taus, workers=args.workers)
-    header = (
-        "tau_credits", "price_eur_per_credit", "toll_equivalent_eur",
-        "car_users_persons", "car_share", "ttt_h", "emission_t",
-        "emission_g_per_km", "cap_slack_credits", "converged", "iterations",
-    )
-    csv_rows = [header] + [
-        (r.tau, repr(r.price), repr(r.toll_equivalent), repr(r.car_users),
-         repr(r.car_share), repr(r.ttt_h), repr(r.emission_t),
-         repr(r.emission_g_per_km), repr(r.cap_slack), int(r.converged),
-         r.iterations)
-        for r in rows
-    ]
-    _write_csv(out / "sweep.csv", csv_rows)
-    _write_csv(out / "ttt_vs_tau.csv",
-               [("tau_credits", "ttt_h")] + [(r.tau, repr(r.ttt_h)) for r in rows])
-    _write_csv(out / "emission_vs_tau.csv",
-               [("tau_credits", "emission_t")] + [(r.tau, repr(r.emission_t)) for r in rows])
-    _write_csv(out / "pareto_ttt_vs_emission.csv",
-               [("ttt_h", "emission_t", "tau_credits")]
-               + [(repr(r.ttt_h), repr(r.emission_t), r.tau) for r in rows])
+    for name, table in sweep_tables(rows).items():
+        write_csv(out / name, table)
     _write_json(out / "manifest.json",
                 _manifest(args, "sweep", params, inputs,
                           {"taus": taus, "workers": args.workers}))
@@ -292,16 +358,7 @@ def _cmd_optimize(args) -> int:
     params = _params_from_args(args)
     res = optimize_charge(scenario, params, objective=args.objective,
                           lo=args.lo, hi=args.hi)
-    _write_csv(
-        out / "dichotomy_trace.csv",
-        [("tau_credits", "lo", "hi", "derivative", "flat_cap", "ttt_h",
-          "emission_t", "objective_eur", "converged")]
-        + [
-            (s.tau, s.lo, s.hi, repr(s.derivative), int(s.flat_cap),
-             repr(s.ttt_h), repr(s.emission_t), repr(s.objective), int(s.converged))
-            for s in res.steps
-        ],
-    )
+    write_csv(out / "dichotomy_trace.csv", dichotomy_table(res))
     _write_json(
         out / "optimize.json",
         {
@@ -336,7 +393,7 @@ def _cmd_uniqueness(args) -> int:
             "percentiles": {str(k): v for k, v in rep.percentiles.items()},
         },
     )
-    _write_csv(out / "dot_histogram.csv", histogram_rows(rep.dots))
+    write_csv(out / "dot_histogram.csv", histogram_rows(rep.dots))
     _write_json(out / "manifest.json",
                 _manifest(args, "uniqueness", None, inputs,
                           {"samples": args.samples, "max_pairs": args.max_pairs}))
@@ -349,22 +406,12 @@ def _cmd_stability(args) -> int:
     out = _out_dir(args)
     scenario, inputs = _scenario_inputs(args)
     params = _params_from_args(args)
-    taus = _parse_taus(args.taus) if args.taus else [params.tau]
-    rows = [("tau_credits", "price_eur_per_credit", "spectral_abscissa",
-             "stable", "eig_converged", "equilibrium_converged")]
-    for tau in taus:
-        p_tau = replace(params, tau=tau)
-        rep = equilibrium_solve(scenario, p_tau)
-        if rep.state.p <= 0:
-            rows.append((tau, repr(rep.state.p), "", "", "", int(rep.converged)))
-            continue
-        st = stability_check(scenario, p_tau, rep.state)
-        rows.append((tau, repr(rep.state.p), repr(st.spectral_abscissa),
-                     int(st.stable), int(st.eig_converged), int(rep.converged)))
-    _write_csv(out / "stability.csv", rows)
+    taus = parse_taus(args.taus) if args.taus else [params.tau]
+    runs = stability_runs(scenario, params, taus)
+    write_csv(out / "stability.csv", stability_table(runs))
     _write_json(out / "manifest.json",
                 _manifest(args, "stability", params, inputs, {"taus": taus}))
-    print(f"stability: {len(rows) - 1} charges analyzed")
+    print(f"stability: {len(runs)} charges analyzed")
     return 0
 
 
@@ -376,11 +423,7 @@ def _cmd_gains(args) -> int:
     tcs = equilibrium_solve(scenario, params)
     gains = group_gains(ref.state, tcs.state, scenario, params)
     g = scenario.gammas
-    rows = [("group", "gamma_persons", "trade_eur", "time_gain_s", "net_eur")]
-    for i in range(scenario.n):
-        rows.append((i, repr(float(g[i])), repr(float(gains.trade_eur[i])),
-                     repr(float(gains.time_gain_s[i])), repr(float(gains.net_eur[i]))))
-    _write_csv(out / "gains.csv", rows)
+    write_csv(out / "gains.csv", gains_table(scenario, gains))
     _write_json(
         out / "gains_summary.json",
         {
@@ -463,9 +506,6 @@ def main(argv=None) -> int:
     except (ScenarioError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-cli_main = main
 
 
 if __name__ == "__main__":

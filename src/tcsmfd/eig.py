@@ -1,167 +1,31 @@
-"""Dense real nonsymmetric eigenvalues: Hessenberg reduction followed by
-implicit double-shift QR iteration with deflation.
+"""Dense real nonsymmetric eigenvalues via LAPACK (``np.linalg.eigvals``).
 
-Only eigenvalues are needed (stability verdicts hinge on the spectral
-abscissa), so Schur vectors are never accumulated.  The implementation is
-the textbook Francis iteration: reduce to upper Hessenberg form with
-Householder reflections, then chase 3x3 bulges down the active block with
-double shifts taken from the trailing 2x2, deflating whenever a subdiagonal
-entry becomes negligible.  Stagnant blocks get the classic exceptional
-shift every ten sweeps.
+Only eigenvalues are needed: stability verdicts hinge on the spectral
+abscissa.  A LAPACK failure (non-finite input or no convergence) is a
+flagged result, not an error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EigResult", "hessenberg_reduce", "eig_values"]
-
-_EPS = np.finfo(float).eps
+__all__ = ["EigResult", "eig_values"]
 
 
 @dataclass
 class EigResult:
     values: np.ndarray       # complex, length n
     converged: bool
-    sweeps: int
 
 
-def _house(x: np.ndarray):
-    # reflection v, beta with (I - beta v v') x along +-e1, cancellation-safe
-    sigma = float(np.linalg.norm(x))
-    if sigma == 0.0:
-        return np.zeros_like(x), 0.0
-    alpha = -math.copysign(sigma, x[0]) if x[0] != 0.0 else -sigma
-    v = x.copy()
-    v[0] -= alpha
-    vv = float(v @ v)
-    if vv == 0.0:
-        return np.zeros_like(x), 0.0
-    return v, 2.0 / vv
-
-
-def hessenberg_reduce(a: np.ndarray) -> np.ndarray:
-    """Orthogonal similarity reduction to upper Hessenberg form."""
-    h = np.array(a, dtype=float, copy=True)
-    n = h.shape[0]
-    if h.shape != (n, n):
-        raise ValueError("matrix must be square")
-    for k in range(n - 2):
-        v, beta = _house(h[k + 1 :, k].copy())
-        if beta == 0.0:
-            continue
-        h[k + 1 :, k:] -= beta * np.outer(v, v @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= beta * np.outer(h[:, k + 1 :] @ v, v)
-        h[k + 2 :, k] = 0.0
-    return h
-
-
-def _eig2(a, b, c, d):
-    # eigenvalues of [[a, b], [c, d]], stable against cancellation
-    half_tr = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = half_tr * half_tr - det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        l1 = half_tr + s if half_tr >= 0.0 else half_tr - s
-        l2 = det / l1 if l1 != 0.0 else half_tr - math.copysign(s, half_tr)
-        return complex(l1), complex(l2)
-    s = math.sqrt(-disc)
-    return complex(half_tr, s), complex(half_tr, -s)
-
-
-def _francis_step(h, l, m, exceptional):
-    n = h.shape[0]
-    if exceptional:
-        # LAPACK-style ad-hoc shift from the last two subdiagonals
-        s = abs(h[m, m - 1]) + abs(h[m - 1, m - 2])
-        h11 = 0.75 * s + h[m, m]
-        h12 = -0.4375 * s
-        h21 = s
-        h22 = h11
-        tr = h11 + h22
-        det = h11 * h22 - h12 * h21
-    else:
-        tr = h[m - 1, m - 1] + h[m, m]
-        det = h[m - 1, m - 1] * h[m, m] - h[m - 1, m] * h[m, m - 1]
-
-    # first column of (H - s1)(H - s2) restricted to the leading 3 rows
-    x = h[l, l] * h[l, l] + h[l, l + 1] * h[l + 1, l] - tr * h[l, l] + det
-    y = h[l + 1, l] * (h[l, l] + h[l + 1, l + 1] - tr)
-    z = h[l + 2, l + 1] * h[l + 1, l]
-
-    for k in range(l, m - 1):
-        v, beta = _house(np.array([x, y, z]))
-        if beta != 0.0:
-            q = max(l, k - 1)
-            rows = slice(k, k + 3)
-            h[rows, q:] -= beta * np.outer(v, v @ h[rows, q:])
-            r = min(k + 4, m + 1)
-            h[:r, rows] -= beta * np.outer(h[:r, rows] @ v, v)
-        x = h[k + 1, k]
-        y = h[k + 2, k]
-        z = h[k + 3, k] if k < m - 2 else 0.0
-
-    v, beta = _house(np.array([x, y]))
-    if beta != 0.0:
-        rows = slice(m - 1, m + 1)
-        h[rows, m - 2 :] -= beta * np.outer(v, v @ h[rows, m - 2 :])
-        h[: m + 1, rows] -= beta * np.outer(h[: m + 1, rows] @ v, v)
-
-
-def eig_values(a: np.ndarray, max_sweeps_per_block: int = 60) -> EigResult:
-    """All eigenvalues of a real square matrix.
-
-    Non-convergence of a block returns the eigenvalues found so far plus the
-    diagonal estimates of the stuck block, flagged via ``converged=False``.
-    """
+def eig_values(a: np.ndarray) -> EigResult:
+    """All eigenvalues of a real square matrix; NaNs flagged unconverged on failure."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return EigResult(values=np.array([], dtype=complex), converged=True, sweeps=0)
-    h = hessenberg_reduce(a)
-    hnorm = max(float(np.max(np.abs(h))), _EPS)
-    values: list[complex] = []
-    total_sweeps = 0
-    m = n - 1
-    block_iters = 0
-    converged = True
-
-    while m >= 0:
-        # deflate negligible subdiagonals inside the active range
-        l = m
-        while l > 0:
-            s = abs(h[l - 1, l - 1]) + abs(h[l, l])
-            if s == 0.0:
-                s = hnorm
-            if abs(h[l, l - 1]) <= _EPS * s:
-                h[l, l - 1] = 0.0
-                break
-            l -= 1
-
-        if l == m:
-            values.append(complex(h[m, m]))
-            m -= 1
-            block_iters = 0
-        elif l == m - 1:
-            values.extend(_eig2(h[l, l], h[l, m], h[m, l], h[m, m]))
-            m -= 2
-            block_iters = 0
-        else:
-            block_iters += 1
-            total_sweeps += 1
-            if block_iters > max_sweeps_per_block:
-                # give up on this block: report its diagonal as the estimate
-                converged = False
-                for i in range(l, m + 1):
-                    values.append(complex(h[i, i]))
-                m = l - 1
-                block_iters = 0
-                continue
-            _francis_step(h, l, m, exceptional=(block_iters % 10 == 0))
-
-    vals = np.array(values, dtype=complex)
-    return EigResult(values=vals, converged=converged, sweeps=total_sweeps)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    try:
+        return EigResult(values=np.linalg.eigvals(a).astype(complex), converged=True)
+    except np.linalg.LinAlgError:
+        return EigResult(values=np.full(a.shape[0], np.nan, dtype=complex), converged=False)

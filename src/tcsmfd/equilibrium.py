@@ -186,7 +186,7 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
             cap_coeffs[:n] = params.tau
             cap_rhs = params.kappa * n - params.tau * float(x0.sum())
         if cap_rhs < -1e-9 * max(1.0, abs(params.kappa) * g_tot):
-            raise AssertionError(
+            raise ValueError(
                 "starting point violates the credit cap: zero step infeasible"
             )
         cap_rhs = max(cap_rhs, 0.0)

@@ -18,7 +18,6 @@ N x N gradient matrix costs O(N^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "EventGradientRecursion",
     "grad_speed",
     "travel_time_gradient",
-    "gradient_dump_rows",
 ]
 
 # consecutive events closer than this are flagged: the realized order is
@@ -52,11 +50,6 @@ class GradientMatrix:
     event_time_grads: np.ndarray
     event_speed_grads: np.ndarray
     near_ties: bool
-
-    @cached_property
-    def cumulative_time_grads(self) -> np.ndarray:
-        """Running sums of event_time_grads: the event-time gradients."""
-        return np.cumsum(self.event_time_grads, axis=0)
 
 
 def grad_speed(scenario: Scenario, sim: SimResult, e: int) -> np.ndarray:
@@ -132,9 +125,6 @@ class EventGradientRecursion:
         self.next_e += 1
         return d_te
 
-    # alias matching the operation name
-    grad_inter_event = step
-
 
 def travel_time_gradient(scenario: Scenario, sim: SimResult) -> GradientMatrix:
     """Full N x N travel-time gradient for the realized event order."""
@@ -161,12 +151,3 @@ def travel_time_gradient(scenario: Scenario, sim: SimResult) -> GradientMatrix:
         event_speed_grads=d_ve_all,
         near_ties=near_ties,
     )
-
-
-def gradient_dump_rows(gm: GradientMatrix):
-    """Rows for the gradient export: group i, group j, dT_i/dx_j."""
-    yield ("group_i", "group_j", "dT_dx_s_per_share")
-    n = gm.dT.shape[0]
-    for i in range(n):
-        for j in range(n):
-            yield (i, j, repr(float(gm.dT[i, j])))

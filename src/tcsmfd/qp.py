@@ -175,13 +175,13 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
     upper = np.asarray(upper, dtype=float)
     n = len(q)
     if np.any(lower > 0.0) or np.any(upper < 0.0):
-        raise AssertionError("zero step must be inside the box")
+        raise ValueError("zero step must be inside the box")
     if a is not None:
         a = np.asarray(a, dtype=float)
         if np.any(a < 0.0):
             raise ValueError("cap row must have non-negative coefficients")
         if b < 0.0:
-            raise AssertionError("zero step must satisfy the cap row")
+            raise ValueError("zero step must satisfy the cap row")
 
     Pc, shift, _ = _convexify(P)
 

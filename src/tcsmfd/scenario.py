@@ -23,8 +23,6 @@ __all__ = [
     "Scenario",
     "TcsParams",
     "GeneratorSpec",
-    "mfd_speed",
-    "mfd_dspeed",
     "load_scenario",
     "save_scenario",
     "scenario_to_text",
@@ -210,16 +208,6 @@ class MfdCurve:
                 raise ScenarioError("tabulated mfd needs 'samples_n_v'")
             return cls.tabulated(d["samples_n_v"], floor)
         raise ScenarioError(f"unknown MFD form {form!r}")
-
-
-def mfd_speed(curve: MfdCurve, n):
-    """V(n) for a curve; scalar in, scalar out."""
-    return curve.speed(n)
-
-
-def mfd_dspeed(curve: MfdCurve, n):
-    """dV/dn for a curve; 0 where the floor is active."""
-    return curve.dspeed(n)
 
 
 # ---------------------------------------------------------------------------

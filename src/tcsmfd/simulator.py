@@ -12,13 +12,12 @@ gradients defined on the boundary of the share box.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
 from .scenario import Scenario
 
-__all__ = ["EventRecord", "SimResult", "HorizonError", "simulate", "event_trace_rows"]
+__all__ = ["SimResult", "HorizonError", "simulate", "event_trace_rows"]
 
 ENTRY = 0
 EXIT = 1
@@ -28,26 +27,6 @@ _KIND_NAMES = ("entry", "exit")
 
 class HorizonError(RuntimeError):
     """Simulation ran past the sanity horizon (stuck trips)."""
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One simulation event and the inter-event period that precedes it.
-
-    ``dur_prev`` and ``dist_prev`` are the duration T_e of the period ending
-    at this event and the distance a virtual traveler covered during it;
-    ``active_set`` lists the groups present during that period.
-    """
-
-    index: int
-    time: float
-    kind: str
-    group: int
-    n_after: float
-    v_after: float
-    dur_prev: float
-    dist_prev: float
-    active_set: tuple[int, ...]
 
 
 class SimResult:
@@ -88,7 +67,6 @@ class SimResult:
                 for i in range(scenario.n)
             ]
         )
-        self.cum_distance = np.cumsum(distances)
 
     @property
     def n_events(self) -> int:
@@ -97,24 +75,6 @@ class SimResult:
     def active_mask(self, e: int) -> np.ndarray:
         """Groups traveling during the period that ends at event e."""
         return (self.entry_index < e) & (e <= self.exit_index)
-
-    def event(self, e: int) -> EventRecord:
-        ids = np.nonzero(self.active_mask(e))[0]
-        return EventRecord(
-            index=e,
-            time=float(self.times[e]),
-            kind=_KIND_NAMES[self.kinds[e]],
-            group=int(self.event_groups[e]),
-            n_after=float(self.n_after[e]),
-            v_after=float(self.v_after[e]),
-            dur_prev=float(self.durations[e]),
-            dist_prev=float(self.distances[e]),
-            active_set=tuple(int(i) for i in ids),
-        )
-
-    def events(self):
-        for e in range(self.n_events):
-            yield self.event(e)
 
 
 def simulate(scenario: Scenario, x) -> SimResult:

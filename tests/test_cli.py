@@ -1,12 +1,14 @@
 """CLI subcommands: outputs, manifests, reproducibility, error paths."""
 
 import json
+import runpy
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
-from tcsmfd.cli import _parse_taus, main
+from tcsmfd.cli import parse_taus, main
 
 
 @pytest.fixture(scope="module")
@@ -27,17 +29,17 @@ def read_json(path):
 
 class TestParseTaus:
     def test_range_form(self):
-        assert _parse_taus("100:200:50") == [100.0, 150.0]
+        assert parse_taus("100:200:50") == [100.0, 150.0]
 
     def test_comma_form(self):
-        assert _parse_taus("100,150.5") == [100.0, 150.5]
+        assert parse_taus("100,150.5") == [100.0, 150.5]
 
     def test_single(self):
-        assert _parse_taus("240") == [240.0]
+        assert parse_taus("240") == [240.0]
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
-            _parse_taus("100:200")
+            parse_taus("100:200")
 
 
 class TestGenerate:
@@ -209,6 +211,44 @@ class TestGains:
         assert 0.0 <= summary["winners_fraction"] <= 1.0
         lines = (tmp_path / "gains.csv").read_text().strip().splitlines()
         assert len(lines) == 7   # header + 6 groups
+
+
+class TestStudyScript:
+    def test_tables_match_subcommands(self, tmp_path):
+        """The study script and the subcommands render identical tables."""
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_full_study.py"
+        study = tmp_path / "study"
+        rc = runpy.run_path(str(script))["main"]([
+            "--preset", "small", "--samples", "20", "--taus", "100,200,300",
+            "-o", str(study),
+        ])
+        assert rc == 0
+        scenario = str(study / "scenario.json")
+        tau_star = read_json(study / "summary.json")["optima"]["ttt"]["tau_star"]
+        runs = {
+            "sweep": ["sweep", "--taus", "100,200,300"],
+            "ttt": ["optimize", "--objective", "ttt", "--lo", "100", "--hi", "300"],
+            "mixed": ["optimize", "--objective", "mixed", "--lo", "100", "--hi", "300"],
+            "gains": ["gains", "--tau", str(tau_star)],
+            "uniqueness": ["uniqueness", "--samples", "20"],
+            "stability": ["stability", "--taus", "100,200,300"],
+        }
+        for out, argv in runs.items():
+            rc = main(argv + ["--scenario", scenario, "-o", str(tmp_path / out)])
+            assert rc == 0
+        shared = {
+            "sweep.csv": "sweep/sweep.csv",
+            "ttt_vs_tau.csv": "sweep/ttt_vs_tau.csv",
+            "emission_vs_tau.csv": "sweep/emission_vs_tau.csv",
+            "pareto_ttt_vs_emission.csv": "sweep/pareto_ttt_vs_emission.csv",
+            "dichotomy_ttt.csv": "ttt/dichotomy_trace.csv",
+            "dichotomy_mixed.csv": "mixed/dichotomy_trace.csv",
+            "gains.csv": "gains/gains.csv",
+            "dot_histogram.csv": "uniqueness/dot_histogram.csv",
+            "stability.csv": "stability/stability.csv",
+        }
+        for name, cli_name in shared.items():
+            assert (study / name).read_bytes() == (tmp_path / cli_name).read_bytes(), name
 
 
 def test_console_script_installed():

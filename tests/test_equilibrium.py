@@ -139,7 +139,7 @@ class TestBuildQp:
         gamma = np.array([100.0])
         psi0 = np.array([0.5])
         grad = logit_gradient(psi0, np.array([[10.0]]), params)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             build_qp(np.array([0.9]), 0.01, psi0, grad, gamma, params, k=1)
 
     def test_iteration_index_validated(self):

@@ -125,9 +125,9 @@ class TestSolver:
             assert sol.objective <= 1e-12
 
     def test_rejects_infeasible_zero(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             solve_qp(np.eye(2), np.zeros(2), np.array([0.5, -1.0]), np.ones(2))
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             solve_qp(np.eye(2), np.zeros(2), -np.ones(2), np.ones(2),
                      np.ones(2), -1.0)
 
