@@ -233,6 +233,8 @@ class EquilibriumReport:
     cap_constraint: str = "gamma-weighted"
     tcs: bool = True
     message: str = ""
+    qp_unconverged: int = 0   # outer iterations whose inner QP hit max_iter
+    near_ties: int = 0        # outer iterations whose gradient saw near ties
 
     @property
     def j_final(self) -> float:
@@ -291,6 +293,8 @@ def equilibrium_solve(
     mcc_trace: list[float] = []
     best = None  # (j, x, p, psi, t_car)
     converged = False
+    qp_unconverged = 0
+    near_ties = 0
     k = 0
     psi = np.zeros(n)
     t_car = np.zeros(n)
@@ -310,10 +314,17 @@ def equilibrium_solve(
             converged = True
             break
 
+        # each dense array is dropped once read, so the next iteration's
+        # gradient does not allocate on top of this one's
         gm = travel_time_gradient(scenario, sim)
+        near_ties += gm.near_ties
         grad_psi = logit_gradient(psi, gm.dT, params)
+        del gm
         prob = build_qp(x, p, psi, grad_psi, gammas, params, k, tcs=tcs)
+        del grad_psi
         sol = prob.solve(tol=qp_tol)
+        del prob
+        qp_unconverged += not sol.converged
         x = np.clip(x + sol.z[:n], 0.0, 1.0)
         p = max(p + float(sol.z[n]), 0.0)
 
@@ -340,6 +351,8 @@ def equilibrium_solve(
         cap_constraint=params.cap_constraint,
         tcs=tcs,
         message="" if converged else "hit max_iters; returning best-J iterate",
+        qp_unconverged=qp_unconverged,
+        near_ties=near_ties,
     )
 
 

@@ -12,6 +12,22 @@ by shifting its spectrum up by max(0, -lambda_min + delta) with
 delta = 1e-8 * ||P||; the shift magnitude is reported.  Feasibility of the
 returned point is exact because every iterate is produced by projection
 arithmetic (clipping, plus an exact 1-D dual solve for the cap row).
+
+The refinement candidates are memoized per active partition for the length
+of one ``solve_qp`` call, because the active face usually stays put across
+many refinements and each miss costs two dense solves on the free block.
+The memo is exact, not an approximation: inside one call the candidates are
+a pure function of (at lower bound, at upper bound, cap near tight), since
+
+- the free block of the matrix depends only on the free mask;
+- the reduced right-hand sides read the iterate only at fixed coordinates,
+  which are set exactly to the constant ``lower`` or ``upper``;
+- the free solve overwrites every other coordinate;
+- the final projection is deterministic.
+
+A memo hit therefore returns the very vector a fresh solve would.  ``P @ y``
+is likewise computed once per iterate and shared by the objective and the
+next gradient.
 """
 
 from __future__ import annotations
@@ -113,34 +129,64 @@ def _convexify(P):
     return Ps, shift, max(lips, 1e-12)
 
 
-def _active_set_refine(Pc, q, z, lower, upper, a, b, atol):
+def _quadratic(P, q, y):
+    """(P @ y, 0.5 y'Py + q'y); the caller reuses the product as the
+    gradient's first term instead of computing it a second time."""
+    Py = P @ y
+    return Py, float(0.5 * y @ Py + q @ y)
+
+
+def _active_set_refine(Pc, q, z, lower, upper, a, b, atol, memo):
     """Equality-constrained solves on the currently free coordinates.
 
     Fixes coordinates sitting on their bounds and solves the reduced system,
     once treating the cap row as inactive and (if it is anywhere near tight)
     once as an equality; every candidate is projected back to the feasible
-    set.  Returns the list of candidates."""
+    set.  Returns the list of (candidate, Pc @ candidate, objective) triples.
+
+    The candidates depend on ``z`` only through the active partition
+    (``at_lo``, ``at_hi``, ``cap_near``): the free block and the reduced
+    right-hand sides read ``z`` only at fixed coordinates, which ``base``
+    sets exactly to the constant bounds, and the solve overwrites the rest.
+    So the list is cached in ``memo`` under that partition and a repeat
+    visit costs no solve.  Every hit shares the same arrays, so they are
+    returned read-only."""
     at_lo = z - lower <= atol
     at_hi = upper - z <= atol
+    cap_near = a is not None and bool((b - a @ z) <= 1e-7 * (1.0 + abs(b)))
+    key = (at_lo.tobytes(), at_hi.tobytes(), cap_near)
+    if key not in memo:
+        entries = []
+        for c in _partition_candidates(Pc, q, at_lo, at_hi, cap_near,
+                                       lower, upper, a, b):
+            Pc_c, obj = _quadratic(Pc, q, c)
+            c.flags.writeable = Pc_c.flags.writeable = False
+            entries.append((c, Pc_c, obj))
+        memo[key] = entries
+    return memo[key]
+
+
+def _partition_candidates(Pc, q, at_lo, at_hi, cap_near, lower, upper, a, b):
+    """The projected refinement candidates of one active partition."""
     fixed = at_lo | at_hi
     free = ~fixed
-    base = np.where(at_hi, upper, np.where(at_lo, lower, z))
+    base = np.where(at_hi, upper, np.where(at_lo, lower, 0.0))
     if not free.any():
         return [project_box_halfspace(base, lower, upper, a, b)]
     Pff = Pc[np.ix_(free, free)]
     rhs = -(q[free] + Pc[np.ix_(free, fixed)] @ base[fixed])
     candidates = []
 
-    def _solve_free():
-        zf = base.copy()
-        try:
-            zf[free] = np.linalg.solve(Pff, rhs)
-        except np.linalg.LinAlgError:
-            zf[free] = np.linalg.lstsq(Pff, rhs, rcond=None)[0]
-        return zf
-
-    candidates.append(_solve_free())
-    cap_near = a is not None and (b - a @ z) <= 1e-7 * (1.0 + abs(b))
+    # numpy's own LAPACK on purpose: scipy.linalg loads a second OpenBLAS
+    # beside numpy's, and on 2 CPUs their two thread pools contend (a cached
+    # scipy LU factor was just as exact, but took the congested_policy
+    # benchmark from 14 s to 23 s, and its import adds about 60 ms)
+    zf = base.copy()
+    try:
+        zf[free] = np.linalg.solve(Pff, rhs)
+    except np.linalg.LinAlgError:
+        zf[free] = np.linalg.lstsq(Pff, rhs, rcond=None)[0]
+    candidates.append(zf)
     if cap_near and np.any(a[free] != 0.0):
         af = a[free]
         k = Pff.shape[0]
@@ -202,16 +248,15 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
     def orig_obj(z):
         return float(0.5 * z @ (P @ z) + q @ z)
 
-    def conv_obj_y(y):
-        return float(0.5 * y @ (Py @ y) + qy @ y)
-
     y = np.zeros(n)
+    Pyy, obj = _quadratic(Py, qy, y)
     best_y = y.copy()
-    best_obj = conv_obj_y(y)
+    best_obj = obj
+    refined = {}  # active partition -> refinement candidates, this call only
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        g = Py @ y + qy
+        g = Pyy + qy
         scale = max(1.0, float(np.max(np.abs(y))))
         res = float(np.max(np.abs(
             project_box_halfspace(y - g, low_y, up_y, a_y, b) - y)))
@@ -226,19 +271,20 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
         else:
             t = 1.0
         y = y + t * d
+        Pyy, obj = _quadratic(Py, qy, y)
         if it % 5 == 0 or res <= 100.0 * tol * scale:
-            for cand in _active_set_refine(
+            for cand, Pyc, obj_c in _active_set_refine(
                 Py, qy, y, low_y, up_y, a_y, b,
                 atol=1e-10 * (1.0 + float(np.max(up_y - low_y))),
+                memo=refined,
             ):
-                if conv_obj_y(cand) <= conv_obj_y(y):
-                    y = cand
-        cur = conv_obj_y(y)
-        if cur < best_obj:
-            best_obj = cur
+                if obj_c <= obj:
+                    y, Pyy, obj = cand, Pyc, obj_c
+        if obj < best_obj:
+            best_obj = obj
             best_y = y.copy()
 
-    if not converged and conv_obj_y(y) > best_obj:
+    if not converged and obj > best_obj:
         y = best_y
 
     # back to original coordinates; the final projection restores exact

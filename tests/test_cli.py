@@ -1,9 +1,11 @@
 """CLI subcommands: outputs, manifests, reproducibility, error paths."""
 
 import json
+import os
 import runpy
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -255,5 +257,14 @@ def test_console_script_installed():
     exe = shutil.which("tcsmfd")
     assert exe, "console script should be on PATH after editable install"
     out = subprocess.run([exe, "--help"], capture_output=True, text=True)
+    assert out.returncode == 0
+    assert "equilibrium" in out.stdout
+
+
+def test_python_m_runs_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-m", "tcsmfd", "--help"],
+                         capture_output=True, text=True, env=env)
     assert out.returncode == 0
     assert "equilibrium" in out.stdout

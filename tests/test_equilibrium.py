@@ -9,11 +9,13 @@ from tcsmfd import (
     TcsParams,
     build_qp,
     equilibrium_solve,
+    generate_synthetic,
     j_value,
     logit_choice,
     logit_costs,
     logit_gradient,
     msa_solve,
+    preset_spec,
     simulate,
 )
 
@@ -237,6 +239,24 @@ class TestEquilibriumSolver:
         assert len(rep.j_trace) == rep.iterations
         assert len(rep.residual_trace) == rep.iterations
         assert len(rep.mcc_trace) == rep.iterations
+
+    def test_unconverged_inner_qp_is_counted(self):
+        scenario = generate_synthetic(0, preset_spec("small"))
+        params = TcsParams()
+        assert equilibrium_solve(scenario, params).qp_unconverged == 0
+        # a zero tolerance cannot be met, so every inner QP hits max_iter
+        rep = equilibrium_solve(scenario, params, qp_tol=0.0)
+        assert rep.qp_unconverged >= 1
+
+    def test_near_ties_are_counted(self):
+        # two groups entering at the same instant tie at every iterate
+        scenario = make_scenario(
+            [(20.0, 0.0, 500.0, 200.0), (15.0, 0.0, 600.0, 250.0)]
+        )
+        rep = equilibrium_solve(scenario, TcsParams())
+        assert rep.near_ties >= 1
+        # one gradient per outer iteration, except the one that converged
+        assert rep.near_ties == rep.iterations - int(rep.converged)
 
     def test_printed_cap_variant_runs(self, small_scenario):
         params = TcsParams(cap_constraint="printed")
