@@ -186,6 +186,8 @@ def _equilibrium_payload(rep) -> dict:
         "cap_constraint": rep.cap_constraint,
         "tcs": rep.tcs,
         "message": rep.message,
+        "qp_unconverged": rep.qp_unconverged,
+        "near_ties": rep.near_ties,
     }
 
 

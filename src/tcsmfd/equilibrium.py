@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import expit
 
 from .gradients import travel_time_gradient
-from .qp import QpSolution, solve_qp
+from .qp import solve_qp
 from .scenario import Scenario, TcsParams
 from .simulator import simulate
 
@@ -108,14 +108,6 @@ class QpProblem:
     upper: np.ndarray
     cap_coeffs: np.ndarray | None
     cap_rhs: float | None
-    eps_x: float
-    eps_p: float
-
-    def solve(self, tol=1e-10, max_iter=500) -> QpSolution:
-        return solve_qp(
-            self.P, self.q, self.lower, self.upper,
-            a=self.cap_coeffs, b=self.cap_rhs, tol=tol, max_iter=max_iter,
-        )
 
 
 def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
@@ -141,9 +133,10 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
         raise ValueError("iteration index starts at 1")
 
     G = grad_psi.copy()
-    G[:, :n] -= np.eye(n)
+    G[np.diag_indices(n)] -= 1.0
     P = G.T @ G
     q = G.T @ (psi0 - x0)
+    del G
 
     g_tot = float(gammas.sum())
     if tcs:
@@ -153,24 +146,20 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
             w = np.full(n, 1.0 / n)
         else:
             w = gammas / g_tot
-        ip_vec = np.zeros(n + 1)
-        ip_vec[:n] = -w * params.tau * p0
-        ip_vec[n] = float(w @ (params.kappa - params.tau * x0))
-        q = q + params.eta * ip_vec
-        Ip = np.zeros((n + 1, n + 1))
-        Ip[:n, n] = -w * params.tau
-        Ip[n, :n] = -w * params.tau
-        P = P + params.eta * Ip
+        q[:n] += params.eta * (-w * params.tau * p0)
+        q[n] += params.eta * float(w @ (params.kappa - params.tau * x0))
+        border = params.eta * (-w * params.tau)
+        P[:n, n] += border
+        P[n, :n] += border
 
-    eps_x = params.eps_value(k)
-    eps_p = params.eps_value(k)
+    eps = params.eps_value(k)
     lower = np.empty(n + 1)
     upper = np.empty(n + 1)
-    lower[:n] = np.maximum(-x0, -eps_x)
-    upper[:n] = np.minimum(1.0 - x0, eps_x)
+    lower[:n] = np.maximum(-x0, -eps)
+    upper[:n] = np.minimum(1.0 - x0, eps)
     if tcs:
-        lower[n] = max(-p0, -eps_p)
-        upper[n] = eps_p
+        lower[n] = max(-p0, -eps)
+        upper[n] = eps
     else:
         lower[n] = 0.0
         upper[n] = 0.0
@@ -193,7 +182,7 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
 
     return QpProblem(
         P=P, q=q, lower=lower, upper=upper,
-        cap_coeffs=cap_coeffs, cap_rhs=cap_rhs, eps_x=eps_x, eps_p=eps_p,
+        cap_coeffs=cap_coeffs, cap_rhs=cap_rhs,
     )
 
 
@@ -322,7 +311,8 @@ def equilibrium_solve(
         del gm
         prob = build_qp(x, p, psi, grad_psi, gammas, params, k, tcs=tcs)
         del grad_psi
-        sol = prob.solve(tol=qp_tol)
+        sol = solve_qp(prob.P, prob.q, prob.lower, prob.upper,
+                       a=prob.cap_coeffs, b=prob.cap_rhs, tol=qp_tol)
         del prob
         qp_unconverged += not sol.converged
         x = np.clip(x + sol.z[:n], 0.0, 1.0)

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import Scenario
-from .simulator import ENTRY, EXIT, SimResult
+from .simulator import ENTRY, SimResult
 
 __all__ = [
     "GradientMatrix",
-    "EventGradientRecursion",
     "grad_speed",
     "travel_time_gradient",
 ]
@@ -69,79 +68,48 @@ def grad_speed(scenario: Scenario, sim: SimResult, e: int) -> np.ndarray:
     return out
 
 
-class EventGradientRecursion:
-    """Stateful, strictly time-ascending evaluation of the period gradients.
-
-    ``step(e)`` must be called for e = 0, 1, 2, ... in order; each call
-    returns the gradient of T_e (an N-vector) and updates the running sums
-    the later cases rely on.
-    """
-
-    def __init__(self, scenario: Scenario, sim: SimResult):
-        self.scenario = scenario
-        self.sim = sim
-        self.next_e = 0
-        self._grad_t = np.zeros(scenario.n)  # gradient of the current event time
-        self._flow_sum = np.zeros(scenario.n)  # running sum of dT_g*V_g + T_g*dV_g
-        self._flow_at_entry: dict[int, np.ndarray] = {}
-
-    def step(self, e: int, speed_grad=None) -> np.ndarray:
-        if e != self.next_e:
-            raise RuntimeError(
-                f"events must be processed in order: expected {self.next_e}, got {e}"
-            )
-        sim = self.sim
-        n = self.scenario.n
-        gid = int(sim.event_groups[e])
-
-        if e == 0:
-            d_te = np.zeros(n)
-            d_ve = np.zeros(n)
-        else:
-            d_ve = grad_speed(self.scenario, sim, e) if speed_grad is None else speed_grad
-            t_e = sim.durations[e]
-            if sim.kinds[e] == ENTRY:
-                if sim.kinds[e - 1] == ENTRY:
-                    d_te = np.zeros(n)  # both period ends are fixed departures
-                else:
-                    d_te = -self._grad_t
-            else:
-                v_e = sim.v_after[e - 1]
-                window = self._flow_sum - self._flow_at_entry[gid]
-                d_te = -(t_e * d_ve + window) / v_e
-
-        if e == 0:
-            v_e = 0.0
-            t_e = 0.0
-        else:
-            v_e = sim.v_after[e - 1]
-            t_e = sim.durations[e]
-        self._flow_sum = self._flow_sum + d_te * v_e + t_e * d_ve
-        self._grad_t = self._grad_t + d_te
-        if sim.kinds[e] == ENTRY:
-            self._flow_at_entry[gid] = self._flow_sum.copy()
-        else:
-            self._flow_at_entry.pop(gid, None)
-        self.next_e += 1
-        return d_te
-
-
 def travel_time_gradient(scenario: Scenario, sim: SimResult) -> GradientMatrix:
-    """Full N x N travel-time gradient for the realized event order."""
+    """Full N x N travel-time gradient for the realized event order.
+
+    One pass over the events in time order.  ``grad_t`` is the gradient of
+    the current event time and ``flow`` the running sum of
+    dT_g * V_g + T_g * dV_g over the periods so far.  Each entry keeps a
+    reference to ``flow`` (it is rebound, never updated in place); the
+    group's exit closes its trip length against it.  ``grad_t`` is exactly
+    zero at every entry, a fixed departure instant, so at the exit it is
+    the group's row of dT.
+    """
     n = scenario.n
     n_events = sim.n_events
-    d_te_all = np.empty((n_events, n))
+    d_te_all = np.zeros((n_events, n))
     d_ve_all = np.empty((n_events, n))
-
-    rec = EventGradientRecursion(scenario, sim)
-    for e in range(n_events):
-        d_ve_all[e] = grad_speed(scenario, sim, e)
-        d_te_all[e] = rec.step(e, speed_grad=d_ve_all[e])
-
-    cum = np.vstack([np.zeros(n), np.cumsum(d_te_all, axis=0)])
     dT = np.empty((n, n))
-    for i in range(n):
-        dT[i] = cum[sim.exit_index[i] + 1] - cum[sim.entry_index[i] + 1]
+
+    # event 0 is the first entry: nothing moves yet
+    d_ve_all[0] = grad_speed(scenario, sim, 0)
+    grad_t = np.zeros(n)
+    flow = np.zeros(n)
+    flow_at_entry = {int(sim.event_groups[0]): flow}
+    for e in range(1, n_events):
+        gid = int(sim.event_groups[e])
+        d_ve = d_ve_all[e] = grad_speed(scenario, sim, e)
+        t_e = sim.durations[e]
+        v_e = sim.v_after[e - 1]
+        if sim.kinds[e] == ENTRY:
+            if sim.kinds[e - 1] == ENTRY:
+                d_te = np.zeros(n)  # both period ends are fixed departures
+            else:
+                d_te = -grad_t  # back to zero, exactly
+        else:
+            window = flow - flow_at_entry.pop(gid)
+            d_te = -(t_e * d_ve + window) / v_e
+        d_te_all[e] = d_te
+        flow = flow + d_te * v_e + t_e * d_ve
+        grad_t = grad_t + d_te
+        if sim.kinds[e] == ENTRY:
+            flow_at_entry[gid] = flow
+        else:
+            dT[gid] = grad_t
 
     gaps = np.diff(sim.times)
     near_ties = bool(np.any(gaps < TIE_GAP_S))

@@ -295,7 +295,6 @@ def optimize_charge(
     lo: int = 100,
     hi: int = 500,
     model: EmissionModel = EmissionModel(),
-    solver_kwargs: dict | None = None,
     _cache: dict | None = None,
 ) -> OptimizeResult:
     """Dichotomy on the sign of the estimated objective derivative.
@@ -311,7 +310,6 @@ def optimize_charge(
     hi = int(hi)
     if not (params.kappa <= lo <= hi):
         raise ValueError("need kappa <= lo <= hi")
-    solver_kwargs = solver_kwargs or {}
     cache: dict = _cache if _cache is not None else {}
 
     n_solves = 0
@@ -320,7 +318,7 @@ def optimize_charge(
         nonlocal n_solves
         if tau not in cache:
             p = replace(params, tau=float(tau))
-            cache[tau] = (p, equilibrium_solve(scenario, p, **solver_kwargs))
+            cache[tau] = (p, equilibrium_solve(scenario, p))
             n_solves += 1
         return cache[tau]
 
@@ -408,7 +406,6 @@ def sweep_charges(
     taus,
     model: EmissionModel = EmissionModel(),
     workers: int = 1,
-    solver_kwargs: dict | None = None,
 ) -> list[SweepRow]:
     """Independent equilibrium solves over a list of charges.
 
@@ -419,7 +416,7 @@ def sweep_charges(
     for t in taus:
         if t < params.kappa:
             raise ValueError(f"tau={t} is below kappa={params.kappa}")
-    args = [(scenario, params, t, model, solver_kwargs or {}) for t in taus]
+    args = [(scenario, params, t, model) for t in taus]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -429,9 +426,9 @@ def sweep_charges(
 
 
 def _sweep_one(arg) -> SweepRow:
-    scenario, params, tau, model, solver_kwargs = arg
+    scenario, params, tau, model = arg
     p_tau = replace(params, tau=tau)
-    rep = equilibrium_solve(scenario, p_tau, **solver_kwargs)
+    rep = equilibrium_solve(scenario, p_tau)
     sim = simulate(scenario, rep.state.x)
     g = scenario.gammas
     car_users = float(g @ rep.state.x)

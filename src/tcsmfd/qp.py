@@ -117,16 +117,16 @@ def project_box_halfspace(y, lower, upper, a=None, b=None):
 
 
 def _convexify(P):
-    Ps = 0.5 * (P + P.T)
+    Ps = P + P.T
+    Ps *= 0.5
     eigs = np.linalg.eigvalsh(Ps)
     lam_min = float(eigs[0])
     norm = float(max(abs(eigs[0]), abs(eigs[-1])))
     delta = 1e-8 * norm if norm > 0 else 1e-12
     shift = max(0.0, -lam_min + delta)
     if shift > 0.0:
-        Ps = Ps + shift * np.eye(Ps.shape[0])
-    lips = float(eigs[-1]) + shift
-    return Ps, shift, max(lips, 1e-12)
+        Ps[np.diag_indices_from(Ps)] += shift
+    return Ps, shift
 
 
 def _quadratic(P, q, y):
@@ -229,7 +229,7 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
         if b < 0.0:
             raise ValueError("zero step must satisfy the cap row")
 
-    Pc, shift, _ = _convexify(P)
+    Pc, shift = _convexify(P)
 
     diag = np.diag(Pc).copy()
     dmax = float(diag.max()) if n else 1.0

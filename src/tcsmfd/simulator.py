@@ -117,10 +117,9 @@ def simulate(scenario: Scenario, x) -> SimResult:
     t = float(departs[entry_order[0]])
     next_entry = 0
     n_cur = 0.0
+    v_period = curve.speed(n_cur)  # speed of the period ending at event e
 
     for e in range(n_events):
-        v_period = curve.speed(n_cur)
-
         # candidate exit: smallest remaining distance wins, id breaks ties
         exit_gid = -1
         if active:
@@ -173,6 +172,7 @@ def simulate(scenario: Scenario, x) -> SimResult:
         durations[e] = dt if e > 0 else 0.0
         distances[e] = (dt * v_period) if e > 0 else 0.0
         t = t_ev
+        v_period = v_after[e]
 
     return SimResult(
         scenario, x, times, kinds, event_groups, n_after, v_after,

@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from tcsmfd import save_scenario
 from tcsmfd.cli import parse_taus, main
+
+from conftest import make_scenario
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +110,20 @@ class TestEquilibrium:
         assert man["params"]["tau"] == 250.0
         assert man["params"]["alpha"] == pytest.approx(14.4 / 3600.0)
         assert man["params"]["eps_schedule"] == "inverse"
+
+    def test_failure_counts_in_payload(self, tmp_path):
+        # two groups entering at the same instant tie at every iterate
+        path = tmp_path / "tie.json"
+        save_scenario(
+            make_scenario([(20.0, 0.0, 500.0, 200.0), (15.0, 0.0, 600.0, 250.0)]),
+            path,
+        )
+        rc = main(["equilibrium", "--scenario", str(path), "-o", str(tmp_path)])
+        assert rc == 0
+        eq = read_json(tmp_path / "equilibrium.json")
+        assert eq["qp_unconverged"] == 0
+        # one gradient per outer iteration, except the one that converged
+        assert eq["near_ties"] == eq["iterations"] - int(eq["converged"]) >= 1
 
     def test_invalid_params_exit_2(self, scenario_file, tmp_path, capsys):
         rc = main([

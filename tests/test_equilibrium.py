@@ -117,6 +117,30 @@ class TestBuildQp:
         np.testing.assert_allclose(prob.cap_coeffs, [200.0 * 800.0, 0.0])
         assert prob.cap_rhs == pytest.approx(100.0 * 800.0 - 200.0 * 800.0 * 0.42)
 
+    @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
+    def test_three_group_matches_dense_assembly(self, cap):
+        params = TcsParams(cap_constraint=cap, eta=1.7)
+        gamma = np.array([120.0, 340.0, 75.0])
+        x0 = np.array([0.2, 0.45, 0.3])
+        psi0 = np.array([0.35, 0.5, 0.1])
+        p0 = 0.006
+        dT = np.random.default_rng(11).normal(scale=40.0, size=(3, 3))
+        grad = logit_gradient(psi0, dT, params)
+        before = grad.copy()
+        prob = build_qp(x0, p0, psi0, grad, gamma, params, k=1)
+
+        G = grad - np.hstack([np.eye(3), np.zeros((3, 1))])
+        if cap == "gamma-weighted":
+            w = gamma / gamma.sum()
+        else:
+            w = np.full(3, 1.0 / 3)
+        Ip = np.zeros((4, 4))
+        Ip[:3, 3] = Ip[3, :3] = -w * params.tau
+        ip = np.append(-w * params.tau * p0, w @ (params.kappa - params.tau * x0))
+        np.testing.assert_array_equal(prob.P, G.T @ G + params.eta * Ip)
+        np.testing.assert_array_equal(prob.q, G.T @ (psi0 - x0) + params.eta * ip)
+        assert grad.tobytes() == before.tobytes()
+
     def test_cap_variants(self):
         params = TcsParams(cap_constraint="printed")
         gamma = np.array([100.0, 300.0])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tcsmfd import MfdCurve, simulate, travel_time_gradient
-from tcsmfd.gradients import EventGradientRecursion, grad_speed
+from tcsmfd.gradients import grad_speed
 
 from conftest import fd_gradient, make_scenario, small_random_scenario, three_group_scenario
 
@@ -110,13 +110,26 @@ class TestStructure:
 
 
 class TestRecursion:
-    def test_step_must_be_sequential(self):
-        sc = three_group_scenario()
-        sim = simulate(sc, np.array([0.5, 0.8, 0.75]))
-        rec = EventGradientRecursion(sc, sim)
-        rec.step(0)
-        with pytest.raises(RuntimeError):
-            rec.step(2)
+    @pytest.mark.parametrize("sc,x", [
+        (three_group_scenario(), np.array([0.0, 1.0, 0.75])),
+        (three_group_scenario(), np.array([1.0, 0.0, 1.0])),
+        (small_random_scenario(3, n_groups=16),
+         np.array([0.0, 1.0, 0.4, 1.0, 0.0, 0.7, 1.0, 0.2,
+                   0.0, 0.9, 1.0, 0.5, 0.0, 1.0, 0.3, 0.6])),
+    ])
+    def test_rows_are_running_sum_differences(self, sc, x):
+        # each row of dT is the running gradient of the event time at the
+        # group's exit minus the one at its entry, bit for bit as a cumsum
+        sim = simulate(sc, x)
+        kinds = sim.kinds.tolist()
+        assert [1, 0] in [kinds[e:e + 2] for e in range(len(kinds) - 1)]
+        gm = travel_time_gradient(sc, sim)
+        cum = np.cumsum(gm.event_time_grads, axis=0)
+        want = cum[sim.exit_index] - cum[sim.entry_index]
+        assert np.any(want != 0.0)
+        # entries are fixed departures: their running gradient is exactly 0
+        assert not np.any(cum[sim.entry_index])
+        assert gm.dT.tobytes() == want.tobytes()
 
     def test_speed_gradient_rows(self):
         sc = three_group_scenario()
