@@ -201,13 +201,14 @@ def sweep_tables(rows) -> dict:
         "tau_credits", "price_eur_per_credit", "toll_equivalent_eur",
         "car_users_persons", "car_share", "ttt_h", "emission_t",
         "emission_g_per_km", "cap_slack_credits", "converged", "iterations",
+        "qp_unconverged", "near_ties",
     )
     return {
         "sweep.csv": [header] + [
             (r.tau, repr(r.price), repr(r.toll_equivalent), repr(r.car_users),
              repr(r.car_share), repr(r.ttt_h), repr(r.emission_t),
              repr(r.emission_g_per_km), repr(r.cap_slack), int(r.converged),
-             r.iterations)
+             r.iterations, r.qp_unconverged, r.near_ties)
             for r in rows
         ],
         "ttt_vs_tau.csv":
@@ -223,9 +224,11 @@ def sweep_tables(rows) -> dict:
 def dichotomy_table(res) -> list:
     """One row per step of a charge search."""
     return [("tau_credits", "lo", "hi", "derivative", "flat_cap", "ttt_h",
-             "emission_t", "objective_eur", "converged")] + [
+             "emission_t", "objective_eur", "converged", "qp_unconverged",
+             "near_ties")] + [
         (s.tau, s.lo, s.hi, repr(s.derivative), int(s.flat_cap),
-         repr(s.ttt_h), repr(s.emission_t), repr(s.objective), int(s.converged))
+         repr(s.ttt_h), repr(s.emission_t), repr(s.objective), int(s.converged),
+         s.qp_unconverged, s.near_ties)
         for s in res.steps
     ]
 

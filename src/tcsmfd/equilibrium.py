@@ -93,7 +93,7 @@ def logit_gradient(psi0, dT, params: TcsParams) -> np.ndarray:
     n = len(psi0)
     w = psi0 * (psi0 - 1.0) * params.theta
     out = np.empty((n, n + 1))
-    out[:, :n] = (w * params.alpha)[:, None] * dT
+    np.multiply((w * params.alpha)[:, None], dT, out=out[:, :n])
     out[:, n] = w * params.tau
     return out
 
@@ -222,7 +222,7 @@ class EquilibriumReport:
     cap_constraint: str = "gamma-weighted"
     tcs: bool = True
     message: str = ""
-    qp_unconverged: int = 0   # outer iterations whose inner QP hit max_iter
+    qp_unconverged: int = 0   # outer iterations whose inner QP stopped unconverged
     near_ties: int = 0        # outer iterations whose gradient saw near ties
 
     @property
@@ -311,12 +311,16 @@ def equilibrium_solve(
         del gm
         prob = build_qp(x, p, psi, grad_psi, gammas, params, k, tcs=tcs)
         del grad_psi
-        sol = solve_qp(prob.P, prob.q, prob.lower, prob.upper,
+        # without the scheme the price is frozen: its coordinate is dropped,
+        # since its column would leave the QP's matrix singular
+        m = n + 1 if tcs else n
+        sol = solve_qp(prob.P[:m, :m], prob.q[:m], prob.lower[:m], prob.upper[:m],
                        a=prob.cap_coeffs, b=prob.cap_rhs, tol=qp_tol)
         del prob
         qp_unconverged += not sol.converged
         x = np.clip(x + sol.z[:n], 0.0, 1.0)
-        p = max(p + float(sol.z[n]), 0.0)
+        if tcs:
+            p = max(p + float(sol.z[n]), 0.0)
 
     if not converged and best is not None:
         _, x, p, psi, t_car = best

@@ -265,6 +265,8 @@ class OptimizeStep:
     emission_t: float
     objective: float
     converged: bool
+    qp_unconverged: int     # outer iterations of its equilibrium whose inner QP stopped unconverged
+    near_ties: int          # outer iterations of its equilibrium whose gradient saw near ties
 
 
 @dataclass
@@ -360,6 +362,8 @@ def optimize_charge(
                 ttt_h=ttt_h, emission_t=em_t,
                 objective=_objective_value(objective, ttt_h, em_t, params),
                 converged=rep.converged,
+                qp_unconverged=rep.qp_unconverged,
+                near_ties=rep.near_ties,
             )
         )
     tau_star = a
@@ -374,6 +378,8 @@ def optimize_charge(
                 ttt_h=ttt_h, emission_t=em_t,
                 objective=_objective_value(objective, ttt_h, em_t, params),
                 converged=rep_star.converged,
+                qp_unconverged=rep_star.qp_unconverged,
+                near_ties=rep_star.near_ties,
             )
         )
     return OptimizeResult(
@@ -398,6 +404,8 @@ class SweepRow:
     cap_slack: float
     converged: bool
     iterations: int
+    qp_unconverged: int      # outer iterations whose inner QP stopped unconverged
+    near_ties: int           # outer iterations whose gradient saw near ties
 
 
 def sweep_charges(
@@ -447,6 +455,8 @@ def _sweep_one(arg) -> SweepRow:
         cap_slack=rep.cap_slack,
         converged=rep.converged,
         iterations=rep.iterations,
+        qp_unconverged=rep.qp_unconverged,
+        near_ties=rep.near_ties,
     )
 
 

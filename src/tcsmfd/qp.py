@@ -5,33 +5,41 @@ subject to  lower <= z <= upper,  a'z <= b   (a >= 0 componentwise)
 
 This is exactly the shape of the per-iteration subproblem of the equilibrium
 solver: per-coordinate trust bounds plus the aggregate credit-cap row.  The
-solver is projected gradient with exact line search, accelerated by an
-active-set refinement pass (an equality-constrained solve on the free
-coordinates) once the active face stabilizes.  An indefinite P is convexified
-by shifting its spectrum up by max(0, -lambda_min + delta) with
-delta = 1e-8 * ||P||; the shift magnitude is reported.  Feasibility of the
-returned point is exact because every iterate is produced by projection
+solver is a primal-dual active-set method, i.e. semismooth Newton
+(Hintermüller, Ito & Kunisch 2002, SIAM J. Optim. 13(3)), globalized by a
+projected search (Moré & Toraldo 1991, SIAM J. Optim. 1(1)), in the Jacobi
+scaling y = s z, s_i = sqrt(|P_ii|) clipped below, that gives the matrix a
+unit diagonal.
+
+- Step.  The multiplier test with c = 1 guesses the active set: a bound,
+  or the cap row, is active where the projection of y - grad f(y) puts the
+  point on it (the cap's multiplier is that projection's dual).  The
+  equality system is solved exactly on the free block, bordered by the cap
+  row when it is active.
+- Safeguard.  The projected Newton point is accepted only if it lowers the
+  objective by a sufficient decrease, and the next guess is made at the
+  Newton point.  Otherwise a projected search backtracks along the Newton
+  path, or, where that path does not descend, along the projected-gradient
+  path, and the next guess is the face it reaches.  As every accepted point
+  lowers the objective, a repeated active set is never accepted twice.
+- Convexity.  One Cholesky factorization of the scaled matrix plus delta*I,
+  delta = 1e-8 times its Frobenius norm (an upper bound on its 2-norm),
+  tests convexity.  When it succeeds, that ridged matrix is minimized, every
+  free block is positive definite by interlacing, and ``spectral_shift`` is
+  delta.  Only an indefinite P has its eigenvalues computed; on top of the
+  ridge it is then shifted by ``spectral_shift`` * I, the shift that alone
+  gives it a smallest eigenvalue of 1e-8 ||P||.
+- Convergence.  ``converged`` means that the KKT residual of the ridged
+  problem in original coordinates, ||proj(z - grad f(z)) - z||_inf, is at
+  most tol * max(1, ||z||_inf).
+
+The returned point is exactly feasible: it comes out of projection
 arithmetic (clipping, plus an exact 1-D dual solve for the cap row).
-
-The refinement candidates are memoized per active partition for the length
-of one ``solve_qp`` call, because the active face usually stays put across
-many refinements and each miss costs two dense solves on the free block.
-The memo is exact, not an approximation: inside one call the candidates are
-a pure function of (at lower bound, at upper bound, cap near tight), since
-
-- the free block of the matrix depends only on the free mask;
-- the reduced right-hand sides read the iterate only at fixed coordinates,
-  which are set exactly to the constant ``lower`` or ``upper``;
-- the free solve overwrites every other coordinate;
-- the final projection is deterministic.
-
-A memo hit therefore returns the very vector a fresh solve would.  ``P @ y``
-is likewise computed once per iterate and shared by the objective and the
-next gradient.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +53,19 @@ class QpSolution:
     objective: float            # value of the original (unshifted) objective
     iterations: int
     converged: bool
-    spectral_shift: float
-    residual: float             # projected-gradient stationarity residual
+    spectral_shift: float       # convexifying ridge (see the module docstring)
+    residual: float             # KKT residual in original coordinates
 
 
-def _project_halfspace_dual(y, lower, upper, a, b):
-    # smallest lam >= 0 with a' clip(y - lam a) = b; the map is piecewise
-    # linear and non-increasing in lam because a >= 0
+def _project(y, lower, upper, a, b):
+    """Projection onto {lower <= z <= upper, a'z <= b} and the cap row's
+    dual: the smallest lam >= 0 with a' clip(y - lam a) <= b."""
+    z = np.clip(y, lower, upper)
+    if a is None or a @ z <= b:
+        return z, 0.0
+    # the map lam -> a' clip(y - lam a) is piecewise linear and
+    # non-increasing because a >= 0: find the segment between breakpoints
+    # where it crosses b
     pos = a > 0
     ap = a[pos]
     yp = y[pos]
@@ -61,24 +75,14 @@ def _project_halfspace_dual(y, lower, upper, a, b):
     def g(lam):
         return float(a @ np.clip(y - lam * a, lower, upper))
 
-    # locate the segment [left, right] that brackets g = b
-    lo_i, hi_i = 0, len(brk) - 1
-    left = 0.0
-    right = brk[-1] if len(brk) else 0.0
-    if len(brk) == 0 or g(right) > b:
+    i = bisect_left(brk, True, key=lambda lam: g(lam) <= b)
+    if i == len(brk):
         # all positive-a coordinates clamped at lower and still above b:
-        # only possible within rounding noise of an (assumed feasible) b
-        lam = right
+        # only possible within rounding noise of an intersecting b
+        lam = brk[-1] if len(brk) else 0.0
     else:
-        while lo_i <= hi_i:
-            mid = (lo_i + hi_i) // 2
-            if g(brk[mid]) <= b:
-                hi_i = mid - 1
-            else:
-                lo_i = mid + 1
-        # brk[lo_i] is the first breakpoint with g <= b
-        left = brk[lo_i - 1] if lo_i > 0 else 0.0
-        right = brk[lo_i]
+        left = brk[i - 1] if i > 0 else 0.0
+        right = brk[i]
         lam_mid = 0.5 * (left + right)
         inside = (y - lam_mid * a > lower) & (y - lam_mid * a < upper) & pos
         s2 = float(a[inside] @ a[inside])
@@ -88,9 +92,11 @@ def _project_halfspace_dual(y, lower, upper, a, b):
             lam = lam_mid + (g(lam_mid) - b) / s2
             lam = min(max(lam, left), right)
     z = np.clip(y - lam * a, lower, upper)
-    # nudge lam upward until the half-space holds exactly in floating point;
-    # the bump doubles so even a near-flat final segment terminates quickly
-    bump = max(float(np.spacing(max(lam, 1.0))), 5e-324)
+    # nudge lam upward until the half-space holds exactly in floating point.
+    # The first bump is the correction for the rounding excess, so that a
+    # steep row (large a) moves the point by no more than that excess; the
+    # bump doubles so even a near-flat final segment terminates quickly
+    bump = max((float(a @ z) - b) / float(a @ a), float(np.spacing(lam)))
     guard = 0
     while a @ z > b:
         lam += bump
@@ -99,121 +105,111 @@ def _project_halfspace_dual(y, lower, upper, a, b):
         guard += 1
         if guard > 300:
             raise AssertionError("cap projection failed to reach feasibility")
-    return z
+    return z, lam
 
 
 def project_box_halfspace(y, lower, upper, a=None, b=None):
     """Euclidean projection onto {lower <= z <= upper, a'z <= b}.
 
-    ``a`` must be componentwise non-negative and the intersection non-empty
-    (guaranteed by construction for cap rows built from a feasible point).
+    ``a`` must be componentwise non-negative.  Raises ``ValueError`` when
+    the box and the half-space do not intersect (``a @ lower > b``).
     """
-    z = np.clip(y, lower, upper)
-    if a is None:
-        return z
-    if a @ z <= b:
-        return z
-    return _project_halfspace_dual(y, lower, upper, a, b)
+    if a is not None and a @ lower > b:
+        raise ValueError("box and half-space do not intersect")
+    return _project(y, lower, upper, a, b)[0]
 
 
-def _convexify(P):
-    Ps = P + P.T
-    Ps *= 0.5
-    eigs = np.linalg.eigvalsh(Ps)
-    lam_min = float(eigs[0])
-    norm = float(max(abs(eigs[0]), abs(eigs[-1])))
-    delta = 1e-8 * norm if norm > 0 else 1e-12
-    shift = max(0.0, -lam_min + delta)
-    if shift > 0.0:
-        Ps[np.diag_indices_from(Ps)] += shift
-    return Ps, shift
+def _convexify(P, s):
+    """The Jacobi-scaled symmetric part of P plus the ridge that makes it
+    positive definite, built in one new array: (matrix, ridge)."""
+    r = 1.0 / s
+    H = P + P.T
+    H *= (0.5 * r)[:, None]
+    H *= r
+    norm = float(np.linalg.norm(H))   # Frobenius, >= the 2-norm
+    delta = 1e-8 * norm if norm > 0.0 else 1e-12
+    diag = np.diag_indices_from(H)
+    H[diag] += delta
+    try:
+        np.linalg.cholesky(H)
+        return H, delta
+    except np.linalg.LinAlgError:
+        pass
+    # indefinite: shift P itself until its smallest eigenvalue is
+    # 1e-8 * ||P||.  A uniform shift of P damps the steps of the coordinates
+    # of small curvature and leaves the steep ones (the price) nearly exact.
+    eigs = np.linalg.eigvalsh(0.5 * (P + P.T))
+    shift = 1e-8 * float(max(-eigs[0], eigs[-1])) - float(eigs[0])
+    H[diag] += shift * r * r
+    return H, shift
 
 
-def _quadratic(P, q, y):
-    """(P @ y, 0.5 y'Py + q'y); the caller reuses the product as the
-    gradient's first term instead of computing it a second time."""
-    Py = P @ y
-    return Py, float(0.5 * y @ Py + q @ y)
-
-
-def _active_set_refine(Pc, q, z, lower, upper, a, b, atol, memo):
-    """Equality-constrained solves on the currently free coordinates.
-
-    Fixes coordinates sitting on their bounds and solves the reduced system,
-    once treating the cap row as inactive and (if it is anywhere near tight)
-    once as an equality; every candidate is projected back to the feasible
-    set.  Returns the list of (candidate, Pc @ candidate, objective) triples.
-
-    The candidates depend on ``z`` only through the active partition
-    (``at_lo``, ``at_hi``, ``cap_near``): the free block and the reduced
-    right-hand sides read ``z`` only at fixed coordinates, which ``base``
-    sets exactly to the constant bounds, and the solve overwrites the rest.
-    So the list is cached in ``memo`` under that partition and a repeat
-    visit costs no solve.  Every hit shares the same arrays, so they are
-    returned read-only."""
-    at_lo = z - lower <= atol
-    at_hi = upper - z <= atol
-    cap_near = a is not None and bool((b - a @ z) <= 1e-7 * (1.0 + abs(b)))
-    key = (at_lo.tobytes(), at_hi.tobytes(), cap_near)
-    if key not in memo:
-        entries = []
-        for c in _partition_candidates(Pc, q, at_lo, at_hi, cap_near,
-                                       lower, upper, a, b):
-            Pc_c, obj = _quadratic(Pc, q, c)
-            c.flags.writeable = Pc_c.flags.writeable = False
-            entries.append((c, Pc_c, obj))
-        memo[key] = entries
-    return memo[key]
-
-
-def _partition_candidates(Pc, q, at_lo, at_hi, cap_near, lower, upper, a, b):
-    """The projected refinement candidates of one active partition."""
-    fixed = at_lo | at_hi
-    free = ~fixed
-    base = np.where(at_hi, upper, np.where(at_lo, lower, 0.0))
+def _newton_point(H, q, at_lo, at_hi, cap_on, lower, upper, a, b):
+    """Minimizer of the quadratic with the guessed active set as equalities:
+    fixed coordinates at their bounds and, with ``cap_on``, a'y = b."""
+    y = np.where(at_hi, upper, np.where(at_lo, lower, 0.0))
+    free = ~(at_lo | at_hi)
     if not free.any():
-        return [project_box_halfspace(base, lower, upper, a, b)]
-    Pff = Pc[np.ix_(free, free)]
-    rhs = -(q[free] + Pc[np.ix_(free, fixed)] @ base[fixed])
-    candidates = []
-
+        return y
+    rhs = -(q + H @ y)[free]
+    Hff = H if free.all() else H[np.ix_(free, free)]
     # numpy's own LAPACK on purpose: scipy.linalg loads a second OpenBLAS
     # beside numpy's, and on 2 CPUs their two thread pools contend (a cached
     # scipy LU factor was just as exact, but took the congested_policy
     # benchmark from 14 s to 23 s, and its import adds about 60 ms)
-    zf = base.copy()
-    try:
-        zf[free] = np.linalg.solve(Pff, rhs)
-    except np.linalg.LinAlgError:
-        zf[free] = np.linalg.lstsq(Pff, rhs, rcond=None)[0]
-    candidates.append(zf)
-    if cap_near and np.any(a[free] != 0.0):
-        af = a[free]
-        k = Pff.shape[0]
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = Pff
-        kkt[:k, k] = af
-        kkt[k, :k] = af
-        zf = base.copy()
-        try:
-            sol = np.linalg.solve(kkt, np.concatenate([rhs, [b - a[fixed] @ base[fixed]]]))
-            zf[free] = sol[:k]
-            candidates.append(zf)
-        except np.linalg.LinAlgError:
-            pass
-    return [project_box_halfspace(c, lower, upper, a, b) for c in candidates]
+    if cap_on and np.any(a[free] > 0.0):
+        # the cap row as one more equation: the bordered KKT block, whose
+        # pivoted LU stays exact where block elimination of it cancels
+        k = len(rhs)
+        kkt = np.empty((k + 1, k + 1))
+        kkt[:k, :k] = Hff
+        kkt[:k, k] = kkt[k, :k] = a[free]
+        kkt[k, k] = 0.0
+        y[free] = np.linalg.solve(kkt, np.append(rhs, b - a @ y))[:k]
+    else:
+        y[free] = np.linalg.solve(Hff, rhs)
+    return y
+
+
+def _projected_search(H, q, y, Hy, direction, lower, upper, a, b):
+    """Moré-Toraldo projected search along y(t) = proj(y + t direction).
+
+    Takes the first t = 1, ... at which f falls with the sufficient decrease
+    f(y(t)) - f(y) <= 1e-4 g'(y(t) - y), g the gradient at y; each
+    backtrack minimizes the quadratic along the chord to y(t), kept within
+    [t/10, t/2].  Returns (point, H @ point, cap dual of its projection, t),
+    or None when the path does not descend from y."""
+    g = Hy + q
+    t = 1.0
+    for _ in range(60):
+        yt, lam = _project(y + t * direction, lower, upper, a, b)
+        d = yt - y
+        gd = float(g @ d)
+        Hyt = H @ yt
+        # the objective change, in a form exact up to rounding in the step
+        change = gd + 0.5 * float(d @ (Hyt - Hy))
+        if change < 0.0 and change <= 1e-4 * gd:
+            return yt, Hyt, lam, t
+        if gd >= 0.0:
+            return None
+        t *= min(0.5, max(0.1, -gd / (2.0 * (change - gd))))
+    return None
+
+
+def _face(w, lam, lower, upper):
+    """Active set (at lower, at upper, cap on) of a projected point ``w``
+    whose projection had cap dual ``lam``."""
+    at_lo = w <= lower
+    return at_lo, (w >= upper) & ~at_lo, lam > 0.0
 
 
 def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpSolution:
     """Solve the box + half-space QP.  Starts at 0, which must be feasible.
 
-    Internally the problem is Jacobi-preconditioned (each variable divided
-    by the square root of its diagonal curvature) so that wildly different
-    variable scales, e.g. a price column orders of magnitude steeper than
-    the share columns, do not stall the gradient iteration.  The returned
-    objective never exceeds the objective at the zero step and the returned
-    point is exactly feasible.  Non-convergence within ``max_iter`` returns
-    the best iterate found, flagged.
+    The returned objective never exceeds the objective at the zero step and
+    the returned point is exactly feasible.  Stopping after ``max_iter``
+    iterations, or where no step lowers the objective before the KKT
+    residual meets ``tol``, returns the last iterate, flagged.
     """
     P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -229,73 +225,52 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
         if b < 0.0:
             raise ValueError("zero step must satisfy the cap row")
 
-    Pc, shift = _convexify(P)
-
-    diag = np.diag(Pc).copy()
-    dmax = float(diag.max()) if n else 1.0
-    if dmax <= 0.0:
-        s = np.ones(n)
-    else:
-        s = np.sqrt(np.clip(diag, dmax * 1e-12, None))
-    Py = Pc / np.outer(s, s)
+    d = np.abs(np.diagonal(P))
+    dmax = float(d.max()) if n else 0.0
+    s = np.sqrt(np.maximum(d, 1e-12 * dmax)) if dmax > 0.0 else np.ones(n)
+    H, shift = _convexify(P, s)
     qy = q / s
-    low_y = lower * s
-    up_y = upper * s
-    a_y = a / s if a is not None else None
-    eig_y = np.linalg.eigvalsh(Py)
-    lips = max(float(eig_y[-1]), 1e-12)
+    lo = lower * s
+    up = upper * s
+    ay = a / s if a is not None else None
 
-    def orig_obj(z):
-        return float(0.5 * z @ (P @ z) + q @ z)
+    def kkt(y, Hy):
+        # the iterate in original coordinates, its KKT residual, converged
+        z = _project(y / s, lower, upper, a, b)[0]
+        dz = _project(z - (Hy + qy) * s, lower, upper, a, b)[0] - z
+        res = float(np.max(np.abs(dz), initial=0.0))
+        return z, res, res <= tol * max(1.0, float(np.max(np.abs(z), initial=0.0)))
 
     y = np.zeros(n)
-    Pyy, obj = _quadratic(Py, qy, y)
-    best_y = y.copy()
-    best_obj = obj
-    refined = {}  # active partition -> refinement candidates, this call only
-    converged = False
+    Hy = np.zeros(n)
+    face = _face(*_project(-qy, lo, up, ay, b), lo, up)   # the multiplier test at 0
     it = 0
     for it in range(1, max_iter + 1):
-        g = Pyy + qy
-        scale = max(1.0, float(np.max(np.abs(y))))
-        res = float(np.max(np.abs(
-            project_box_halfspace(y - g, low_y, up_y, a_y, b) - y)))
-        if res <= tol * scale:
-            converged = True
+        z, res, converged = kkt(y, Hy)
+        if converged:
             break
-        yt = project_box_halfspace(y - g / lips, low_y, up_y, a_y, b)
-        d = yt - y
-        dPd = float(d @ (Py @ d))
-        if dPd > 0.0:
-            t = min(max(-float(g @ d) / dPd, 0.0), 1.0)
-        else:
-            t = 1.0
-        y = y + t * d
-        Pyy, obj = _quadratic(Py, qy, y)
-        if it % 5 == 0 or res <= 100.0 * tol * scale:
-            for cand, Pyc, obj_c in _active_set_refine(
-                Py, qy, y, low_y, up_y, a_y, b,
-                atol=1e-10 * (1.0 + float(np.max(up_y - low_y))),
-                memo=refined,
-            ):
-                if obj_c <= obj:
-                    y, Pyy, obj = cand, Pyc, obj_c
-        if obj < best_obj:
-            best_obj = obj
-            best_y = y.copy()
-
-    if not converged and obj > best_obj:
-        y = best_y
-
-    # back to original coordinates; the final projection restores exact
-    # feasibility lost to the rescale rounding (moves the point by ulps)
-    z = project_box_halfspace(y / s, lower, upper, a, b)
-    g = Pc @ z + q
-    res = float(np.max(np.abs(project_box_halfspace(z - g, lower, upper, a, b) - z)))
+        yn = _newton_point(H, qy, *face, lo, up, ay, b)
+        step = _projected_search(H, qy, y, Hy, yn - y, lo, up, ay, b)
+        if step is not None and step[3] == 1.0:
+            # the projected Newton point: guess the next active set by the
+            # multiplier test at the Newton point
+            y, Hy = step[:2]
+            face = _face(*_project(yn - (H @ yn + qy), lo, up, ay, b), lo, up)
+            continue
+        if step is None:
+            # the Newton path does not descend from y
+            step = _projected_search(H, qy, y, Hy, -(Hy + qy), lo, up, ay, b)
+            if step is None:
+                break
+        # the next guess is the face the search reached
+        y, Hy, lam, _ = step
+        face = _face(y, lam, lo, up)
+    else:
+        z, res, converged = kkt(y, Hy)
 
     return QpSolution(
         z=z,
-        objective=orig_obj(z),
+        objective=float(0.5 * z @ (P @ z) + q @ z),
         iterations=it,
         converged=converged,
         spectral_shift=shift,

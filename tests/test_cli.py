@@ -167,7 +167,10 @@ class TestSweep:
             assert (tmp_path / name).exists()
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert lines[0].startswith("tau_credits,price_eur_per_credit")
+        assert lines[0].endswith(",iterations,qp_unconverged,near_ties")
         assert len(lines) == 3
+        for line in lines[1:]:
+            assert [int(c) for c in line.split(",")[-2:]] == [0, 0]
         man = read_json(tmp_path / "manifest.json")
         assert man["options"]["taus"] == [180.0, 260.0]
 
@@ -192,7 +195,10 @@ class TestOptimize:
         assert res["n_solves"] <= 6   # ceil(log2(32)) + 1
         trace = (tmp_path / "dichotomy_trace.csv").read_text().strip().splitlines()
         assert trace[0].startswith("tau_credits,lo,hi")
+        assert trace[0].endswith(",converged,qp_unconverged,near_ties")
         assert len(trace) >= 2
+        for line in trace[1:]:
+            assert [int(c) for c in line.split(",")[-2:]] == [0, 0]
 
 
 class TestUniqueness:

@@ -67,6 +67,17 @@ class TestProjection:
             z2 = project_box_halfspace(z, lower, upper, a, b)
             np.testing.assert_allclose(z, z2, atol=1e-12)
 
+    def test_empty_intersection_raises_value_error(self):
+        # a >= 0, so the half-space misses the box exactly when a'lower > b
+        lower = np.array([0.5, -1.0, 0.2])
+        upper = np.array([1.0, 1.0, 1.0])
+        a = np.array([1.0, 0.0, 2.0])
+        with pytest.raises(ValueError):
+            project_box_halfspace(np.zeros(3), lower, upper, a, 0.8)
+        # touching at the corner is not empty
+        z = project_box_halfspace(np.zeros(3), lower, upper, a, 0.9)
+        np.testing.assert_array_equal(z, [0.5, 0.0, 0.2])
+
 
 class TestSolver:
     def test_matches_oracle_on_seeded_instances(self):
