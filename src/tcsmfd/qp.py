@@ -19,9 +19,12 @@ unit diagonal.
 - Safeguard.  The projected Newton point is accepted only if it lowers the
   objective by a sufficient decrease, and the next guess is made at the
   Newton point.  Otherwise a projected search backtracks along the Newton
-  path, or, where that path does not descend, along the projected-gradient
-  path, and the next guess is the face it reaches.  As every accepted point
-  lowers the objective, a repeated active set is never accepted twice.
+  path.  Where that path does not descend, the search tries instead the
+  point where the way to the Newton point meets its first bound, if the
+  iterate lies on the guessed face (f falls up to there), or else runs
+  along the projected-gradient path; the next guess is the face it
+  reaches.  As every accepted point lowers the objective, a repeated active
+  set is never accepted twice.
 - Convexity.  One Cholesky factorization of the scaled matrix plus delta*I,
   delta = 1e-8 times its Frobenius norm (an upper bound on its 2-norm),
   tests convexity.  When it succeeds, that ridged matrix is minimized, every
@@ -89,23 +92,20 @@ def _project(y, lower, upper, a, b):
         if s2 <= 0.0:
             lam = right
         else:
-            lam = lam_mid + (g(lam_mid) - b) / s2
-            lam = min(max(lam, left), right)
+            lam = min(max(lam_mid + (g(lam_mid) - b) / s2, left), right)
     z = np.clip(y - lam * a, lower, upper)
     # nudge lam upward until the half-space holds exactly in floating point.
     # The first bump is the correction for the rounding excess, so that a
     # steep row (large a) moves the point by no more than that excess; the
     # bump doubles so even a near-flat final segment terminates quickly
     bump = max((float(a @ z) - b) / float(a @ a), float(np.spacing(lam)))
-    guard = 0
-    while a @ z > b:
+    for _ in range(301):
+        if a @ z <= b:
+            return z, lam
         lam += bump
         bump *= 2.0
         z = np.clip(y - lam * a, lower, upper)
-        guard += 1
-        if guard > 300:
-            raise AssertionError("cap projection failed to reach feasibility")
-    return z, lam
+    raise AssertionError("cap projection failed to reach feasibility")
 
 
 def project_box_halfspace(y, lower, upper, a=None, b=None):
@@ -196,6 +196,16 @@ def _projected_search(H, q, y, Hy, direction, lower, upper, a, b):
     return None
 
 
+def _to_first_bound(y, d, lower, upper, a, b):
+    """The longest part t d of d, t <= 1, along which y + t d is feasible."""
+    room = np.divide(np.where(d > 0.0, upper - y, lower - y), d,
+                     out=np.ones_like(d), where=d != 0.0)
+    t = float(np.min(room, initial=1.0))
+    if a is not None and a @ d > 0.0:
+        t = min(t, max(float(b - a @ y), 0.0) / float(a @ d))
+    return t * d
+
+
 def _face(w, lam, lower, upper):
     """Active set (at lower, at upper, cap on) of a projected point ``w``
     whose projection had cap dual ``lam``."""
@@ -241,9 +251,9 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
         res = float(np.max(np.abs(dz), initial=0.0))
         return z, res, res <= tol * max(1.0, float(np.max(np.abs(z), initial=0.0)))
 
-    y = np.zeros(n)
-    Hy = np.zeros(n)
+    y, Hy = np.zeros(n), np.zeros(n)
     face = _face(*_project(-qy, lo, up, ay, b), lo, up)   # the multiplier test at 0
+    on_face = False
     it = 0
     for it in range(1, max_iter + 1):
         z, res, converged = kkt(y, Hy)
@@ -256,7 +266,13 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
             # multiplier test at the Newton point
             y, Hy = step[:2]
             face = _face(*_project(yn - (H @ yn + qy), lo, up, ay, b), lo, up)
+            on_face = False
             continue
+        if step is None and on_face:
+            # y lies on the guessed face, so f falls towards the Newton point
+            # up to the first bound on the way (the projected path can climb)
+            step = _projected_search(H, qy, y, Hy, _to_first_bound(y, yn - y, lo, up, ay, b),
+                                     lo, up, ay, b)
         if step is None:
             # the Newton path does not descend from y
             step = _projected_search(H, qy, y, Hy, -(Hy + qy), lo, up, ay, b)
@@ -265,6 +281,7 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
         # the next guess is the face the search reached
         y, Hy, lam, _ = step
         face = _face(y, lam, lo, up)
+        on_face = True
     else:
         z, res, converged = kkt(y, Hy)
 

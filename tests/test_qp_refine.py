@@ -1,8 +1,12 @@
-"""The QP's per-partition memo of active-set refinement candidates.
+"""The QP's active-set refinement: one Newton solve per guessed partition,
+no state carried between calls, and exact answers on singular blocks.
 
-The memo must be invisible: a solve with it returns bit for bit what a solve
-with a fresh refinement at every step returns, and the dense free-block
-solves it saves are exactly the repeat visits to a partition.
+The per-partition memo these tests were written for is gone with the
+projected-gradient solver.  Each pass of the active-set solver now solves
+the free block of the partition (active set) it guesses, once, so the
+tests count those solves, check that a solve is a function of its inputs
+alone, and keep the instances: a binding cap, an interior optimum and an
+indefinite P, ill-conditioned so the solver has to change faces.
 """
 
 import numpy as np
@@ -16,7 +20,7 @@ from kkt_oracle import enumerate_qp
 def instance(rng, n, kind):
     """Box QP in [-1, 1]^n; ``kind`` picks a binding cap, an interior
     optimum or an indefinite P.  The PSD kinds are ill-conditioned so the
-    projected gradient takes many steps and revisits partitions."""
+    solver takes several steps and changes partitions."""
     m = rng.normal(size=(n, n))
     lower, upper = -np.ones(n), np.ones(n)
     a = b = None
@@ -36,64 +40,61 @@ def instance(rng, n, kind):
 
 
 CASES = [(kind, seed, 30) for kind in ("cap", "interior", "indefinite") for seed in range(3)]
-# visits one bound partition both with the cap slack and with it near tight,
-# so a memo keyed on the bounds alone would drop the cap-row candidate
+# visits one bound partition both with the cap slack and with it near tight
 CASES.append(("cap", 12, 10))
 
 
-def recording_refine(monkeypatch, fresh_memo=False):
-    """Wrap ``_active_set_refine``; return the list of the memo each call
-    saw.  ``fresh_memo`` hands every call an empty memo, which defeats the
-    cache."""
-    orig = qp._active_set_refine
-    log = []
-
-    def wrapped(*args, memo, **kwargs):
-        if fresh_memo:
-            memo = {}
-        out = orig(*args, memo=memo, **kwargs)
-        log.append(memo)
-        return out
-
-    monkeypatch.setattr(qp, "_active_set_refine", wrapped)
-    return log
-
-
-def counting(monkeypatch, name, fail=None):
+def counting(monkeypatch, name):
     """Count calls of ``np.linalg.<name>``, recording whether each matrix
     was a KKT matrix (zero bottom-right corner; the free block's diagonal
-    is positive after convexification).  ``fail`` raises LinAlgError for
-    matrices it accepts, as LAPACK does for an exactly singular one."""
+    is positive after convexification)."""
     orig = getattr(np.linalg, name)
     calls = []
 
     def wrapped(M, *args, **kwargs):
         calls.append("kkt" if M[-1, -1] == 0.0 else "free")
-        if fail is not None and fail(M):
-            raise np.linalg.LinAlgError("Singular matrix")
         return orig(M, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, name, wrapped)
     return calls
 
 
-@pytest.mark.parametrize("kind,seed,n", CASES)
-def test_memo_is_bit_identical_to_fresh_refinement(monkeypatch, kind, seed, n):
-    P, q, lower, upper, a, b = instance(np.random.default_rng(seed), n, kind)
-    log = recording_refine(monkeypatch)
-    memo_sol = solve_qp(P, q, lower, upper, a, b)
-    memos = {id(m) for m in log}
-    assert len(memos) == 1          # one memo, for this call only
-    monkeypatch.undo()
-    recording_refine(monkeypatch, fresh_memo=True)
-    fresh_sol = solve_qp(P, q, lower, upper, a, b)
+def recording_partitions(monkeypatch):
+    """Wrap ``_newton_point``; return the list of the partitions it was
+    asked to solve, as (has a free coordinate, cap row bordered)."""
+    orig = qp._newton_point
+    log = []
 
-    assert np.array_equal(memo_sol.z, fresh_sol.z)
-    assert memo_sol.objective == fresh_sol.objective
-    assert memo_sol.iterations == fresh_sol.iterations
-    assert memo_sol.converged == fresh_sol.converged
-    assert memo_sol.spectral_shift == fresh_sol.spectral_shift
-    assert memo_sol.residual == fresh_sol.residual
+    def wrapped(H, q, at_lo, at_hi, cap_on, lower, upper, a, b):
+        free = ~(at_lo | at_hi)
+        log.append((bool(free.any()), bool(cap_on and np.any(a[free] > 0.0))))
+        return orig(H, q, at_lo, at_hi, cap_on, lower, upper, a, b)
+
+    monkeypatch.setattr(qp, "_newton_point", wrapped)
+    return log
+
+
+@pytest.mark.parametrize("kind,seed,n", CASES)
+def test_memo_is_bit_identical_to_fresh_refinement(kind, seed, n):
+    # nothing survives a call and no input is written (P is scaled in a
+    # copy): solving twice on the same arrays gives bit for bit what a
+    # solve on fresh copies gives
+    P, q, lower, upper, a, b = instance(np.random.default_rng(seed), n, kind)
+    inputs = [x.copy() for x in (P, q, lower, upper) + ((a,) if a is not None else ())]
+    first = solve_qp(P, q, lower, upper, a, b)
+    again = solve_qp(P, q, lower, upper, a, b)
+    fresh = solve_qp(P.copy(), q.copy(), lower.copy(), upper.copy(),
+                     None if a is None else a.copy(), b)
+    for x, x0 in zip((P, q, lower, upper, a), inputs):
+        assert np.array_equal(x, x0)
+
+    for sol in (again, fresh):
+        assert np.array_equal(first.z, sol.z)
+        assert first.objective == sol.objective
+        assert first.iterations == sol.iterations
+        assert first.converged == sol.converged
+        assert first.spectral_shift == sol.spectral_shift
+        assert first.residual == sol.residual
 
 
 def test_cases_cover_their_kinds():
@@ -111,74 +112,36 @@ def test_cases_cover_their_kinds():
 
 @pytest.mark.parametrize("kind,seed,n", CASES)
 def test_one_free_solve_per_distinct_partition(monkeypatch, kind, seed, n):
+    # one dense solve per partition guessed (bordered by the cap row exactly
+    # when the cap is on one of its free coordinates), at most one guess
+    # per iteration, one Cholesky per call, and eigenvalues only for an
+    # indefinite P
     P, q, lower, upper, a, b = instance(np.random.default_rng(seed), n, kind)
-    log = recording_refine(monkeypatch)
+    log = recording_partitions(monkeypatch)
     solves = counting(monkeypatch, "solve")
-    solve_qp(P, q, lower, upper, a, b)
-    memo = log[-1]
-    with_free = [
-        key for key in memo
-        if not np.all(np.frombuffer(key[0], bool) | np.frombuffer(key[1], bool))
-    ]
-    assert solves.count("free") == len(with_free)
-    assert solves.count("kkt") <= len(with_free)
+    factorizations = counting(monkeypatch, "cholesky")
+    spectra = counting(monkeypatch, "eigvalsh")
+    sol = solve_qp(P, q, lower, upper, a, b)
 
-
-def test_memo_hits_on_revisited_partitions(monkeypatch):
-    # the claim of the memo is only tested if partitions do repeat
-    revisits = 0
-    for kind, seed, n in CASES:
-        P, q, lower, upper, a, b = instance(np.random.default_rng(seed), n, kind)
-        log = recording_refine(monkeypatch)
-        solve_qp(P, q, lower, upper, a, b)
-        revisits += len(log) - len(log[-1])
-        monkeypatch.undo()
-    assert revisits >= 10
-
-
-def test_memoized_candidates_are_read_only():
-    P, q, lower, upper, a, b = instance(np.random.default_rng(0), 30, "cap")
-    memo = {}
-    entries = qp._active_set_refine(P, q, np.zeros(30), lower, upper, a, b,
-                                    atol=1e-12, memo=memo)
-    assert qp._active_set_refine(P, q, np.zeros(30), lower, upper, a, b,
-                                 atol=1e-12, memo=memo) is entries
-    for cand, P_cand, _ in entries:
-        with pytest.raises(ValueError):
-            cand += 1.0
-        with pytest.raises(ValueError):
-            P_cand += 1.0
-
-
-def test_singular_free_block_takes_lstsq_fallback(monkeypatch):
-    rng = np.random.default_rng(4)
-    for trial in range(12):
-        n = int(rng.integers(2, 7))
-        P, q, lower, upper, a, b = instance(rng, n, ("cap", "interior")[trial % 2])
-        fallbacks = counting(monkeypatch, "lstsq")
-        counting(monkeypatch, "solve", fail=lambda M: M[-1, -1] != 0.0)
-        sol = solve_qp(P, q, lower, upper, a, b)
-        monkeypatch.undo()
-        assert fallbacks, "no refinement reached the free solve"
-        _, obj_ref = enumerate_qp(P, q, lower, upper, a, b)
-        assert abs(sol.objective - obj_ref) <= 1e-6 * max(1.0, abs(obj_ref))
-        assert np.all(sol.z >= lower) and np.all(sol.z <= upper)
-        if a is not None:
-            assert a @ sol.z <= b
+    assert sol.converged
+    assert 0 < len(log) <= sol.iterations
+    assert solves.count("free") == sum(free and not cap for free, cap in log)
+    assert solves.count("kkt") == sum(cap for _, cap in log)
+    assert len(factorizations) == 1
+    assert len(spectra) == (kind == "indefinite")
 
 
 def test_exactly_singular_block_uses_least_squares():
-    # LAPACK itself rejects this block; the minimum-norm solution of the
-    # consistent reduced system is the candidate
+    # LAPACK rejects the block itself; the ridge the convexity test adds
+    # makes the solve a Tikhonov-regularized least-squares problem, whose
+    # solution is the minimum-norm minimizer up to the ridge
     Pc = np.array([[1.0, 1.0], [1.0, 1.0]])
     q = np.array([-0.5, -0.5])
     lower, upper = -np.ones(2), np.ones(2)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(Pc, -q)
-    memo = {}
-    (cand, Pc_cand, obj), = qp._active_set_refine(
-        Pc, q, np.zeros(2), lower, upper, None, None, atol=1e-12, memo=memo)
-    np.testing.assert_allclose(cand, [0.25, 0.25], atol=1e-15)
-    assert np.array_equal(Pc_cand, Pc @ cand)
-    assert obj == float(0.5 * cand @ (Pc @ cand) + q @ cand)
-    assert len(memo) == 1
+    sol = solve_qp(Pc, q, lower, upper)
+    assert sol.converged
+    np.testing.assert_allclose(sol.z, [0.25, 0.25], atol=1e-8)
+    _, obj_ref = enumerate_qp(Pc, q, lower, upper)
+    assert abs(sol.objective - obj_ref) <= 1e-12
