@@ -12,7 +12,6 @@ part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -30,6 +29,8 @@ __all__ = [
     "stability_check",
     "histogram_rows",
 ]
+
+_BLOCK_ELEMENTS = 1 << 16  # pair differences per block in uniqueness_check
 
 
 @dataclass
@@ -69,9 +70,8 @@ def uniqueness_check(
         times[s] = simulate(scenario, xs[s]).car_times
 
     n_all = n_samples * (n_samples - 1) // 2
-    g = scenario.gammas
     if n_all <= max_pairs:
-        pairs = np.array(list(combinations(range(n_samples), 2)))
+        pairs = np.column_stack(np.triu_indices(n_samples, k=1))  # i < j, row-major
         all_pairs = True
     else:
         rng = np.random.default_rng(seed)
@@ -81,10 +81,19 @@ def uniqueness_check(
         pairs = np.stack([i[keep], j[keep]], axis=1)[:max_pairs]
         all_pairs = False
 
-    dx = xs[pairs[:, 0]] - xs[pairs[:, 1]]
-    dt = times[pairs[:, 0]] - times[pairs[:, 1]]
-    distinct = np.any(dx != 0.0, axis=1)  # identical share vectors are excluded
-    dots = ((dt * dx) @ g)[distinct]
+    # the (pairs x N) differences are formed one block of pairs at a time:
+    # all at once they take three such arrays for one number per pair
+    g = scenario.gammas
+    block = max(1, _BLOCK_ELEMENTS // scenario.n)
+    dots = []
+    for start in range(0, len(pairs), block):
+        a, b = pairs[start : start + block].T
+        dx = xs[a] - xs[b]
+        dt = times[a] - times[b]
+        distinct = np.any(dx != 0.0, axis=1)  # identical share vectors are excluded
+        dt *= dx
+        dots.append((dt @ g)[distinct])
+    dots = np.concatenate(dots)
 
     qs = (0.0, 1.0, 5.0, 25.0, 50.0, 100.0)
     return UniquenessReport(

@@ -37,7 +37,7 @@ from .scenario import (
     preset_spec,
     save_scenario,
 )
-from .simulator import simulate
+from .simulator import HorizonError, simulate
 
 __all__ = [
     "main",
@@ -508,7 +508,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
+    except (ScenarioError, ValueError, FileNotFoundError, HorizonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

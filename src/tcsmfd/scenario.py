@@ -157,7 +157,14 @@ class MfdCurve:
         return np.where((n <= ns[0]) | (n >= ns[-1]), 0.0, out)
 
     def speed(self, n):
-        """Mean network speed V(n), m/s.  n may be a scalar or an array."""
+        """Mean network speed V(n), m/s.  n may be a scalar or an array.
+
+        A float takes a scalar path that returns bitwise the value of the
+        array path."""
+        if isinstance(n, float):
+            if not (n >= 0.0 and math.isfinite(n)):
+                raise ValueError("accumulation must be finite and >= 0")
+            return max(float(self._raw(n)), self.v_floor)
         arr = np.asarray(n, dtype=float)
         if np.any(arr < 0) or np.any(~np.isfinite(arr)):
             raise ValueError("accumulation must be finite and >= 0")
@@ -166,6 +173,10 @@ class MfdCurve:
 
     def dspeed(self, n):
         """dV/dn, exactly 0 wherever the v_floor clamp is active."""
+        if isinstance(n, float):
+            if not (n >= 0.0 and math.isfinite(n)):
+                raise ValueError("accumulation must be finite and >= 0")
+            return float(self._raw_d(n)) if self._raw(n) > self.v_floor else 0.0
         arr = np.asarray(n, dtype=float)
         if np.any(arr < 0) or np.any(~np.isfinite(arr)):
             raise ValueError("accumulation must be finite and >= 0")

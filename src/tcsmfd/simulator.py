@@ -7,11 +7,19 @@ A group's exit fires once the integral of speed over its trip covers its
 trip length.  Groups with x_i = 0 still trace their trajectory (entry and
 exit events at zero accumulation weight), which keeps travel times and their
 gradients defined on the boundary of the share box.
+
+The event loop follows the virtual-distance form of the trip-based model
+(Mariotte, Leclercq & Laval 2017): the network's cumulative distance D is
+the one running total, a trip exits when D reaches its value at entry plus
+the trip length, and trips on the road wait in a heap keyed on that target,
+so each event costs O(log N).  D, the targets and the accumulation are kept
+as compensated (hi, lo) float pairs, which holds every remaining distance
+and accumulation to rounding level however large D grows.
 """
 
 from __future__ import annotations
 
-import bisect
+import heapq
 
 import numpy as np
 
@@ -77,12 +85,22 @@ class SimResult:
         return (self.entry_index < e) & (e <= self.exit_index)
 
 
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """a + b as an unevaluated pair (s, err) with s = fl(a + b), exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
 def simulate(scenario: Scenario, x) -> SimResult:
     """Run the trip-based model at car shares x (one entry per group).
 
     Exact between events: speeds are constant over inter-event periods, exit
     instants solve remaining_distance / V in closed form.  Event ties order
-    deterministically (time, exits first, then group id).
+    deterministically (time, exits first, then smallest remaining distance,
+    then group id).  The heap is keyed on (target, group id); its top is the
+    next exit, with target - D of distance left.  A plain float D would round
+    at ulp(D) and jitter the remaining distance of every trip as D grows.
     """
     x = np.asarray(x, dtype=float)
     n = scenario.n
@@ -91,46 +109,45 @@ def simulate(scenario: Scenario, x) -> SimResult:
     if np.any(~np.isfinite(x)) or np.any(x < 0) or np.any(x > 1):
         raise ValueError("shares must be finite and within [0, 1]")
 
-    gammas = scenario.gammas
-    departs = scenario.departs
-    curve = scenario.mfd
+    departs = scenario.departs.tolist()
+    trip_lens = scenario.trip_lens.tolist()
+    weights = (scenario.gammas * x).tolist()  # gamma_i * x_i
+    speed = scenario.mfd.speed
 
-    horizon = float(departs.max()) + 10.0 * float(
-        scenario.trip_lens.max() / curve.v_floor
+    horizon = max(departs) + 10.0 * float(
+        scenario.trip_lens.max() / scenario.mfd.v_floor
     )
 
     entry_order = sorted(range(n), key=lambda i: (departs[i], i))
     n_events = 2 * n
 
-    times = np.empty(n_events)
-    kinds = np.empty(n_events, dtype=np.int8)
-    event_groups = np.empty(n_events, dtype=np.int64)
-    n_after = np.empty(n_events)
-    v_after = np.empty(n_events)
-    durations = np.empty(n_events)
-    distances = np.empty(n_events)
-    entry_index = np.full(n, -1, dtype=np.int64)
-    exit_index = np.full(n, -1, dtype=np.int64)
+    times = [0.0] * n_events
+    kinds = [ENTRY] * n_events
+    event_groups = [0] * n_events
+    n_after = [0.0] * n_events
+    v_after = [0.0] * n_events
+    durations = [0.0] * n_events
+    distances = [0.0] * n_events
+    entry_index = [-1] * n
+    exit_index = [-1] * n
 
-    remaining = scenario.trip_lens.copy()
-    active: list[int] = []  # kept sorted by group id
-    t = float(departs[entry_order[0]])
+    road: list[tuple[float, float, int]] = []  # heap of (target hi, lo, gid)
+    d_hi = d_lo = 0.0  # cumulative distance D
+    n_hi = n_lo = 0.0  # accumulation
+    t = departs[entry_order[0]]
     next_entry = 0
-    n_cur = 0.0
-    v_period = curve.speed(n_cur)  # speed of the period ending at event e
+    v_period = speed(0.0)  # speed of the period ending at event e
 
     for e in range(n_events):
-        # candidate exit: smallest remaining distance wins, id breaks ties
-        exit_gid = -1
-        if active:
-            act = np.asarray(active)
-            rem = remaining[act]
-            j = int(np.argmin(rem))  # argmin returns the first minimum: id order
-            exit_gid = int(act[j])
-            t_exit = t + rem[j] / v_period
+        # candidate exit: smallest target wins, id breaks ties
+        if road:
+            tgt_hi, tgt_lo, exit_gid = road[0]
+            t_exit = t + ((tgt_hi - d_hi) + (tgt_lo - d_lo)) / v_period
+        else:
+            exit_gid = -1
         if next_entry < n:
             entry_gid = entry_order[next_entry]
-            t_entry = float(departs[entry_gid])
+            t_entry = departs[entry_gid]
         else:
             entry_gid = -1
 
@@ -149,34 +166,44 @@ def simulate(scenario: Scenario, x) -> SimResult:
         if dt < 0:
             dt = 0.0  # guards float noise; entries are processed in order
             t_ev = t
-        if active and dt > 0:
-            act = np.asarray(active)
-            remaining[act] -= dt * v_period
+        dist = dt * v_period
+        d_hi, err = _two_sum(d_hi, dist)
+        d_lo += err
 
         if kind == EXIT:
-            remaining[gid] = 0.0
-            active.remove(gid)
+            heapq.heappop(road)
             exit_index[gid] = e
+            w = -weights[gid]
         else:
-            bisect.insort(active, gid)  # keep id order
+            # target D + L, renormalized so that the tuples order as the sums
+            tgt_hi, err = _two_sum(d_hi, trip_lens[gid])
+            tgt_hi, tgt_lo = _two_sum(tgt_hi, err + d_lo)
+            heapq.heappush(road, (tgt_hi, tgt_lo, gid))
             entry_index[gid] = e
             next_entry += 1
+            w = weights[gid]
 
-        n_cur = float(gammas[active] @ x[active]) if active else 0.0
+        if road:
+            n_hi, err = _two_sum(n_hi, w)
+            n_lo += err
+            n_cur = max(n_hi + n_lo, 0.0)
+        else:
+            n_hi = n_lo = n_cur = 0.0
 
         times[e] = t_ev
         kinds[e] = kind
         event_groups[e] = gid
         n_after[e] = n_cur
-        v_after[e] = curve.speed(n_cur)
-        durations[e] = dt if e > 0 else 0.0
-        distances[e] = (dt * v_period) if e > 0 else 0.0
+        v_after[e] = v_period = speed(n_cur)
+        durations[e] = dt  # 0 for the first event, which starts the clock
+        distances[e] = dist
         t = t_ev
-        v_period = v_after[e]
 
     return SimResult(
-        scenario, x, times, kinds, event_groups, n_after, v_after,
-        durations, distances, entry_index, exit_index,
+        scenario, x, np.array(times), np.array(kinds, dtype=np.int8),
+        np.array(event_groups, dtype=np.int64), np.array(n_after),
+        np.array(v_after), np.array(durations), np.array(distances),
+        np.array(entry_index, dtype=np.int64), np.array(exit_index, dtype=np.int64),
     )
 
 

@@ -1,14 +1,19 @@
 """Uniqueness sampling and day-to-day stability diagnostics."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
+from tcsmfd import analysis
 from tcsmfd import (
     MfdCurve,
     ModalState,
     TcsParams,
     equilibrium_solve,
     histogram_rows,
+    simulate,
     stability_check,
     stability_jacobian,
     uniqueness_check,
@@ -56,6 +61,55 @@ class TestUniqueness:
         a = uniqueness_check(sc, n_samples=15, seed=5)
         b = uniqueness_check(sc, n_samples=15, seed=5)
         np.testing.assert_array_equal(a.dots, b.dots)
+
+    @pytest.mark.parametrize("block_elements", [None, 7 * 8])
+    @pytest.mark.parametrize("max_pairs", [1_000_000, 300])
+    def test_blocked_dots_match_full_formula(self, monkeypatch, block_elements, max_pairs):
+        # the full formula forms every pair difference at once; the blocked
+        # one may round differently (BLAS blocking), never by more than 1e-12
+        if block_elements is not None:  # 7 pairs per block on 8 groups
+            monkeypatch.setattr(analysis, "_BLOCK_ELEMENTS", block_elements)
+        sc = small_random_scenario(0)
+        n_samples, seed = 40, 3
+        rep = uniqueness_check(sc, n_samples=n_samples, seed=seed, max_pairs=max_pairs)
+
+        xs = qmc.LatinHypercube(d=sc.n, seed=seed).random(n=n_samples)
+        times = np.array([simulate(sc, x).car_times for x in xs])
+        all_pairs = max_pairs >= n_samples * (n_samples - 1) // 2
+        if all_pairs:
+            pairs = np.array(list(combinations(range(n_samples), 2)))
+        else:
+            rng = np.random.default_rng(seed)
+            i = rng.integers(0, n_samples, size=2 * max_pairs)
+            j = rng.integers(0, n_samples, size=2 * max_pairs)
+            keep = i < j
+            pairs = np.stack([i[keep], j[keep]], axis=1)[:max_pairs]
+        dx = xs[pairs[:, 0]] - xs[pairs[:, 1]]
+        dt = times[pairs[:, 0]] - times[pairs[:, 1]]
+        want = ((dt * dx) @ sc.gammas)[np.any(dx != 0.0, axis=1)]
+
+        assert rep.all_pairs == all_pairs
+        assert rep.dots.shape == want.shape
+        np.testing.assert_allclose(rep.dots, want, rtol=1e-12, atol=0.0)
+
+    def test_identical_share_vectors_excluded(self, monkeypatch):
+        # samples 0, 2 and 5 coincide: 3 of the 28 pairs have nothing to compare
+        class Repeating:
+            def __init__(self, d, seed):
+                self.d = d
+
+            def random(self, n):
+                xs = np.random.default_rng(0).uniform(0.0, 1.0, (n, self.d))
+                xs[[2, 5]] = xs[0]
+                return xs
+
+        monkeypatch.setattr(qmc, "LatinHypercube", Repeating)
+        monkeypatch.setattr(analysis, "_BLOCK_ELEMENTS", 5 * 4)  # 5 pairs per block
+        sc = small_random_scenario(2, n_groups=4)
+        rep = uniqueness_check(sc, n_samples=8, seed=0)
+        assert rep.all_pairs
+        assert rep.n_pairs == 28 - 3 == len(rep.dots)
+        assert np.all(rep.dots != 0.0)
 
 
 class TestStabilityJacobian:

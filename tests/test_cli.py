@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from tcsmfd import save_scenario
+from tcsmfd import equilibrium, save_scenario
 from tcsmfd.cli import parse_taus, main
+from tcsmfd.simulator import HorizonError
 
 from conftest import make_scenario
 
@@ -140,6 +141,17 @@ class TestEquilibrium:
         ])
         assert rc == 2
         capsys.readouterr()
+
+    def test_horizon_overrun_exits_2(self, scenario_file, tmp_path, capsys, monkeypatch):
+        def stuck(scenario, x):
+            raise HorizonError("event time 1e9s exceeds sanity horizon 5e4s")
+
+        monkeypatch.setattr(equilibrium, "simulate", stuck)
+        rc = main(["equilibrium", "--scenario", str(scenario_file), "-o", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: event time 1e9s exceeds sanity horizon")
+        assert "Traceback" not in err
 
 
 class TestMsa:

@@ -1,6 +1,6 @@
 """QP solver versus brute-force KKT enumeration.
 
-The production solver (projected gradient + active-set polish) and the
+The production solver (globalized Newton active-set) and the
 oracle (enumerate every bound/cap pattern, solve, screen by KKT signs)
 share no code; agreement on seeded instances is the correctness evidence.
 """

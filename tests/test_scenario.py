@@ -79,6 +79,51 @@ class TestMfdCurve:
                 assert c2.speed(n) == pytest.approx(c.speed(n), abs=1e-12)
 
 
+# Each curve is sampled inside and past its range: the floor of 2 m/s is
+# active past n = 1733 (greenshields), 675 (piecewise) and 678 (tabulated),
+# and the last two curves are held flat beyond n = 800 and 900.
+SCALAR_CURVES = {
+    "greenshields": MfdCurve.greenshields(15.0, 2000.0, v_floor=2.0),
+    "piecewise": MfdCurve.piecewise_linear(
+        [(0.0, 12.0), (100.0, 8.0), (300.0, 5.0), (800.0, 1.0)], v_floor=2.0
+    ),
+    "tabulated": MfdCurve.tabulated(
+        [(0.0, 14.0), (200.0, 11.0), (500.0, 3.0), (900.0, 1.5)], v_floor=2.0
+    ),
+}
+SCALAR_POINTS = np.concatenate(
+    [[0.0, -0.0, 1e-300, 100.0, 300.0, 800.0, 900.0, 5e4, 1e9],
+     np.random.default_rng(0).uniform(0.0, 2500.0, 200)]
+)
+
+
+class TestMfdScalarPath:
+    @pytest.mark.parametrize("name", sorted(SCALAR_CURVES))
+    @pytest.mark.parametrize("method", ["speed", "dspeed"])
+    def test_scalar_equals_array_bitwise(self, name, method):
+        fn = getattr(SCALAR_CURVES[name], method)
+        array = fn(SCALAR_POINTS)
+        for k, n in enumerate(SCALAR_POINTS.tolist()):
+            got = fn(n)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == array[k].tobytes(), (n, got, array[k])
+            assert np.float64(fn(np.float64(n))).tobytes() == array[k].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CURVES))
+    def test_points_cover_floor_and_flat_tail(self, name):
+        mfd = SCALAR_CURVES[name]
+        floored = mfd.speed(SCALAR_POINTS) == mfd.v_floor
+        assert floored.any() and (~floored).any()
+        assert mfd.dspeed(1e9) == 0.0
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CURVES))
+    @pytest.mark.parametrize("method", ["speed", "dspeed"])
+    @pytest.mark.parametrize("bad", [-1e-12, -5.0, float("nan"), float("inf")])
+    def test_scalar_rejects_bad_accumulation(self, name, method, bad):
+        with pytest.raises(ValueError):
+            getattr(SCALAR_CURVES[name], method)(bad)
+
+
 class TestParams:
     def test_defaults_valid(self):
         p = TcsParams()
