@@ -110,8 +110,9 @@ def stability_jacobian(grad_psi: np.ndarray, gammas: np.ndarray, tau: float) -> 
     """Jacobian of the day-to-day dynamics at an equilibrium.
 
     State (x, p) with dx_i/dt = psi_i - x_i and
-    dp/dt = sum(gamma_i (tau psi_i - kappa)); rows are built directly from
-    the logit Jacobian ``grad_psi`` (shape N x (N+1))."""
+    dp/dt = sum(c_i (tau psi_i - kappa)), c = ``gammas`` the cap weights;
+    rows are built directly from the logit Jacobian ``grad_psi`` (shape
+    N x (N+1))."""
     n = grad_psi.shape[0]
     a = np.empty((n + 1, n + 1))
     a[:n, :] = grad_psi
@@ -140,7 +141,7 @@ def stability_check(scenario: Scenario, params: TcsParams, state) -> StabilityRe
     psi = logit_choice(sim.car_times, scenario.pt_times, state.p, params)
     gm = travel_time_gradient(scenario, sim)
     grad_psi = logit_gradient(psi, gm.dT, params)
-    jac = stability_jacobian(grad_psi, scenario.gammas, params.tau)
+    jac = stability_jacobian(grad_psi, params.cap_weights(scenario.gammas), params.tau)
     res = eig_values(jac)
     abscissa = float(np.max(res.values.real))
     return StabilityReport(

@@ -119,7 +119,6 @@ def _add_common(parser: argparse.ArgumentParser, scenario: bool = True) -> None:
     parser.add_argument("--cap-constraint", choices=("printed", "gamma-weighted"),
                         default=None, help="aggregate cap row variant")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--workers", type=int, default=1, help="worker pool size")
 
 
 def _params_from_args(args) -> TcsParams:
@@ -476,6 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="equilibria over a range of charges")
     _add_common(p)
     p.add_argument("--taus", required=True, help="start:stop:step or comma list")
+    p.add_argument("--workers", type=int, default=1, help="worker pool size")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="dichotomy search for the optimal charge")

@@ -9,13 +9,14 @@ At shares x and credit price p the generalized costs per traveler are
 (a car trip burns tau credits out of the kappa allowance; a PT traveler
 sells the allowance).  Demand follows a binary logit with sensitivity theta.
 An equilibrium is a fixed point x = psi(x, p) together with market clearing:
-the cap tau*sum(gamma x) <= kappa*sum(gamma) holds, p >= 0, and
-p * sum(gamma (kappa - tau x)) = 0.
+the cap tau*sum(c x) <= kappa*sum(c) holds, p >= 0, and
+p * sum(c (kappa - tau x)) = 0.  The cap weights c are the travelers per
+group, or ones under the "printed" variant (``TcsParams.cap_weights``).
 
 The solver linearizes psi around the current iterate and minimizes
 
     J = 0.5 * || (grad_psi - I_x) dz + psi0 - x0 ||^2
-        + eta * p * mean_gamma(kappa - tau * x)
+        + eta * p * mean_c(kappa - tau * x)
 
 over a trust box (plus the cap row), which is a QP in dz = (dx, dp).
 """
@@ -100,7 +101,8 @@ def logit_gradient(psi0, dT, params: TcsParams) -> np.ndarray:
 
 @dataclass
 class QpProblem:
-    """One linearized subproblem in the step variable dz = (dx_1..dx_N, dp)."""
+    """One linearized subproblem in the step variable dz = (dx_1..dx_N, dp),
+    or dx alone without the scheme."""
 
     P: np.ndarray
     q: np.ndarray
@@ -119,89 +121,83 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
         P = G'G + eta * I_p,   q = G'(psi0 - x0) + eta * i_p
 
     where the I_p / i_p blocks come from expanding the market-clearing term
-    eta * p * mean_gamma(kappa - tau x) in the step variable.  Trust bounds
-    are intersected with the feasibility box; the aggregate cap row is either
-    gamma-weighted (default) or the unweighted variant, per
-    ``params.cap_constraint``.  With ``tcs=False`` the price coordinate is
-    frozen and the cap row dropped (plain congestion-pricing / SUE mode).
+    eta * p * mean_c(kappa - tau x) in the step variable, with market
+    weights w = c / sum(c) and c = ``params.cap_weights(gammas)``.  Trust
+    bounds are intersected with the feasibility box, and the cap row is
+    tau * c'dx <= kappa * sum(c) - tau * c'x0.  With ``tcs=False`` there is
+    no price coordinate: the QP has N coordinates, built from the share
+    columns of ``grad_psi``, with neither market term nor cap row (plain
+    congestion-pricing / SUE mode).
     """
     x0 = np.asarray(x0, dtype=float)
     psi0 = np.asarray(psi0, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
     n = len(x0)
     if k < 1:
         raise ValueError("iteration index starts at 1")
+    m = n + 1 if tcs else n
 
-    G = grad_psi.copy()
+    G = grad_psi[:, :m].copy()
     G[np.diag_indices(n)] -= 1.0
     P = G.T @ G
     q = G.T @ (psi0 - x0)
     del G
 
-    g_tot = float(gammas.sum())
-    if tcs:
-        # market-term weights must match the cap variant, else the QP model
-        # is stationary where the objective is not
-        if params.cap_constraint == "printed":
-            w = np.full(n, 1.0 / n)
-        else:
-            w = gammas / g_tot
-        q[:n] += params.eta * (-w * params.tau * p0)
-        q[n] += params.eta * float(w @ (params.kappa - params.tau * x0))
-        border = params.eta * (-w * params.tau)
-        P[:n, n] += border
-        P[n, :n] += border
-
     eps = params.eps_value(k)
-    lower = np.empty(n + 1)
-    upper = np.empty(n + 1)
+    lower = np.empty(m)
+    upper = np.empty(m)
     lower[:n] = np.maximum(-x0, -eps)
     upper[:n] = np.minimum(1.0 - x0, eps)
-    if tcs:
-        lower[n] = max(-p0, -eps)
-        upper[n] = eps
-    else:
-        lower[n] = 0.0
-        upper[n] = 0.0
+    if not tcs:
+        return QpProblem(P=P, q=q, lower=lower, upper=upper,
+                         cap_coeffs=None, cap_rhs=None)
 
-    cap_coeffs = None
-    cap_rhs = None
-    if tcs:
-        cap_coeffs = np.zeros(n + 1)
-        if params.cap_constraint == "gamma-weighted":
-            cap_coeffs[:n] = params.tau * gammas
-            cap_rhs = params.kappa * g_tot - params.tau * float(gammas @ x0)
-        else:
-            cap_coeffs[:n] = params.tau
-            cap_rhs = params.kappa * n - params.tau * float(x0.sum())
-        if cap_rhs < -1e-9 * max(1.0, abs(params.kappa) * g_tot):
-            raise ValueError(
-                "starting point violates the credit cap: zero step infeasible"
-            )
-        cap_rhs = max(cap_rhs, 0.0)
+    # market-term weights must match the cap, else the QP model is
+    # stationary where the objective is not
+    c = params.cap_weights(gammas)
+    w = c / float(c.sum())
+    q[:n] += params.eta * (-w * params.tau * p0)
+    q[n] += params.eta * float(w @ (params.kappa - params.tau * x0))
+    border = params.eta * (-w * params.tau)
+    P[:n, n] += border
+    P[n, :n] += border
+    lower[n] = max(-p0, -eps)
+    upper[n] = eps
 
+    cap_coeffs = np.zeros(n + 1)
+    cap_coeffs[:n] = params.tau * c
+    cap_rhs = _credit_slack(x0, c, params)
+    if cap_rhs < -_cap_tolerance(c, params):
+        raise ValueError(
+            "starting point violates the credit cap: zero step infeasible"
+        )
     return QpProblem(
         P=P, q=q, lower=lower, upper=upper,
-        cap_coeffs=cap_coeffs, cap_rhs=cap_rhs,
+        cap_coeffs=cap_coeffs, cap_rhs=max(cap_rhs, 0.0),
     )
 
 
-def _mean_slack(x, gammas, params: TcsParams) -> float:
-    # Per-capita credit slack under the active cap variant.  The
-    # "printed" variant counts groups, not travelers.
-    if params.cap_constraint == "printed":
-        n = x.shape[0]
-        return float(params.kappa * n - params.tau * float(np.sum(x))) / n
-    return float(gammas @ (params.kappa - params.tau * x)) / float(gammas.sum())
+def _credit_slack(x, c, params: TcsParams) -> float:
+    # unused credits kappa * sum(c) - tau * c'x; >= 0 when the cap holds
+    return params.kappa * float(c.sum()) - params.tau * float(c @ x)
+
+
+def _cap_tolerance(c, params: TcsParams) -> float:
+    # rounding allowance, in credits, before a start counts as infeasible
+    return 1e-9 * max(1.0, params.kappa * float(c.sum()))
+
+
+def _mean_slack(x, c, params: TcsParams) -> float:
+    # credit slack per unit of cap weight
+    return float(c @ (params.kappa - params.tau * x)) / float(c.sum())
 
 
 def j_value(x, p, psi, gammas, params: TcsParams, tcs: bool = True) -> float:
     """Objective J at a point, zero step: equilibrium gap plus the
-    market-clearing product (per-capita)."""
+    market-clearing product (per unit of cap weight)."""
     gap = float(0.5 * np.sum((psi - x) ** 2))
     if not tcs:
         return gap
-    return gap + params.eta * p * _mean_slack(x, gammas, params)
+    return gap + params.eta * p * _mean_slack(x, params.cap_weights(gammas), params)
 
 
 @dataclass
@@ -234,11 +230,6 @@ class EquilibriumReport:
         return self.residual_trace[-1] if self.residual_trace else float("nan")
 
 
-def _mcc_residual(p, x, gammas, params):
-    # |p * slack| per capita, slack in the units of the active cap variant
-    return abs(p * _mean_slack(x, gammas, params))
-
-
 def equilibrium_solve(
     scenario: Scenario,
     params: TcsParams,
@@ -259,7 +250,7 @@ def equilibrium_solve(
     """
     n = scenario.n
     gammas = scenario.gammas
-    g_tot = float(gammas.sum())
+    c = params.cap_weights(gammas)
     x = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
     if x.shape != (n,) or np.any(x < 0) or np.any(x > 1):
         raise ValueError("x_init must be N shares within [0, 1]")
@@ -269,13 +260,8 @@ def equilibrium_solve(
         p = float(p_init)
     if p < 0:
         raise ValueError("p_init must be >= 0")
-    if tcs:
-        if params.cap_constraint == "printed":
-            used, supply = params.tau * float(np.sum(x)), params.kappa * n
-        else:
-            used, supply = params.tau * float(gammas @ x), params.kappa * g_tot
-        if used > supply + 1e-9 * max(supply, 1.0):
-            raise ValueError("x_init violates the credit cap")
+    if tcs and _credit_slack(x, c, params) < -_cap_tolerance(c, params):
+        raise ValueError("x_init violates the credit cap")
 
     j_trace: list[float] = []
     res_trace: list[float] = []
@@ -296,7 +282,7 @@ def equilibrium_solve(
         res = float(np.max(np.abs(psi - x)))
         j_trace.append(j)
         res_trace.append(res)
-        mcc_trace.append(_mcc_residual(p, x, gammas, params) if tcs else 0.0)
+        mcc_trace.append(abs(p * _mean_slack(x, c, params)) if tcs else 0.0)
         if best is None or j < best[0]:
             best = (j, x.copy(), float(p), psi.copy(), t_car.copy())
         if j < params.j_goal and res < x_tol:
@@ -311,10 +297,7 @@ def equilibrium_solve(
         del gm
         prob = build_qp(x, p, psi, grad_psi, gammas, params, k, tcs=tcs)
         del grad_psi
-        # without the scheme the price is frozen: its coordinate is dropped,
-        # since its column would leave the QP's matrix singular
-        m = n + 1 if tcs else n
-        sol = solve_qp(prob.P[:m, :m], prob.q[:m], prob.lower[:m], prob.upper[:m],
+        sol = solve_qp(prob.P, prob.q, prob.lower, prob.upper,
                        a=prob.cap_coeffs, b=prob.cap_rhs, tol=qp_tol)
         del prob
         qp_unconverged += not sol.converged
@@ -326,10 +309,6 @@ def equilibrium_solve(
         _, x, p, psi, t_car = best
 
     c_car, c_pt = logit_costs(t_car, scenario.pt_times, p, params)
-    if params.cap_constraint == "printed":
-        slack = params.kappa * n - params.tau * float(np.sum(x))
-    else:
-        slack = params.kappa * g_tot - params.tau * float(gammas @ x)
     return EquilibriumReport(
         state=ModalState(x=x, p=p),
         converged=converged,
@@ -337,7 +316,7 @@ def equilibrium_solve(
         j_trace=j_trace,
         residual_trace=res_trace,
         mcc_trace=mcc_trace,
-        cap_slack=slack,
+        cap_slack=_credit_slack(x, c, params),
         car_times=t_car,
         psis=psi,
         cost_car=c_car,
@@ -359,8 +338,8 @@ class MsaReport:
     iterations: int
     residual_trace: list
     cap_violated: bool
-    car_credits: float     # tau * sum(gamma x)
-    credit_supply: float   # kappa * sum(gamma)
+    car_credits: float     # tau * c'x, c the cap weights
+    credit_supply: float   # kappa * sum(c)
 
     @property
     def residual_final(self) -> float:
@@ -389,9 +368,9 @@ def msa_solve(scenario: Scenario, params: TcsParams, p_fixed: float,
         psi = logit_choice(sim.car_times, scenario.pt_times, p_fixed, params)
         residuals.append(float(np.max(np.abs(psi - x))))
         x = x + (psi - x) / k
-    gammas = scenario.gammas
-    used = params.tau * float(gammas @ x)
-    supply = params.kappa * float(gammas.sum())
+    c = params.cap_weights(scenario.gammas)
+    used = params.tau * float(c @ x)
+    supply = params.kappa * float(c.sum())
     # 1% dead band: a binding-cap equilibrium lands on the cap up to MSA
     # rounding, which must not read as a violation.
     return MsaReport(

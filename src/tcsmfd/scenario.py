@@ -341,6 +341,17 @@ class TcsParams:
     def alpha_eur_per_h(self) -> float:
         return self.alpha * 3600.0
 
+    def cap_weights(self, gammas) -> np.ndarray:
+        """Weights c of the credit cap tau * c'x <= kappa * sum(c).
+
+        c is the travelers per group, or one per group under the
+        ``printed`` variant (which counts groups, not travelers).
+        """
+        gammas = np.asarray(gammas, dtype=float)
+        if self.cap_constraint == "printed":
+            return np.ones(len(gammas))
+        return gammas
+
     def eps_value(self, k: int) -> float:
         """Trust-region half-width for iteration k (k >= 1)."""
         if k < 1:

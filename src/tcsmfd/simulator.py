@@ -68,10 +68,11 @@ class SimResult:
         self.distances = distances
         self.entry_index = entry_index
         self.exit_index = exit_index
-        # same arithmetic path as the per-trip decomposition checks
+        # same bits as np.sum per trip (the decomposition checks' path),
+        # without np.sum's dispatch
         self.car_times = np.array(
             [
-                float(np.sum(durations[entry_index[i] + 1 : exit_index[i] + 1]))
+                np.add.reduce(durations[entry_index[i] + 1 : exit_index[i] + 1])
                 for i in range(scenario.n)
             ]
         )

@@ -13,9 +13,12 @@ from tcsmfd import (
     TcsParams,
     equilibrium_solve,
     histogram_rows,
+    logit_choice,
+    logit_gradient,
     simulate,
     stability_check,
     stability_jacobian,
+    travel_time_gradient,
     uniqueness_check,
 )
 
@@ -137,6 +140,17 @@ class TestStabilityCheck:
         state = ModalState(x=np.full(small_scenario.n, 0.3), p=0.0)
         with pytest.raises(ValueError, match="p > 0"):
             stability_check(small_scenario, TcsParams(), state)
+
+    def test_printed_price_row_counts_groups(self, small_scenario):
+        n = small_scenario.n
+        params = TcsParams(cap_constraint="printed")
+        state = ModalState(x=np.full(n, 0.3), p=0.005)
+        st = stability_check(small_scenario, params, state)
+        sim = simulate(small_scenario, state.x)
+        psi = logit_choice(sim.car_times, small_scenario.pt_times, state.p, params)
+        grad_psi = logit_gradient(psi, travel_time_gradient(small_scenario, sim).dT, params)
+        want = stability_jacobian(grad_psi, np.ones(n), params.tau)
+        np.testing.assert_array_equal(st.jacobian, want)
 
     def test_binding_equilibrium_is_stable(self, small_scenario):
         params = TcsParams()

@@ -184,7 +184,16 @@ class TestSweep:
         for line in lines[1:]:
             assert [int(c) for c in line.split(",")[-2:]] == [0, 0]
         man = read_json(tmp_path / "manifest.json")
-        assert man["options"]["taus"] == [180.0, 260.0]
+        assert man["options"] == {"taus": [180.0, 260.0], "workers": 1}
+
+    def test_workers_only_on_sweep(self, scenario_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "equilibrium", "--scenario", str(scenario_file), "-o", str(tmp_path),
+                "--workers", "2",
+            ])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_bad_taus_exit_2(self, scenario_file, tmp_path, capsys):
         rc = main([

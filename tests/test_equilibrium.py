@@ -139,6 +139,13 @@ class TestBuildQp:
         ip = np.append(-w * params.tau * p0, w @ (params.kappa - params.tau * x0))
         np.testing.assert_array_equal(prob.P, G.T @ G + params.eta * Ip)
         np.testing.assert_array_equal(prob.q, G.T @ (psi0 - x0) + params.eta * ip)
+        # without the scheme: the share block of the same assembly.  BLAS
+        # orders a matrix-vector sum by the column count, so q matches the
+        # N-column product exactly and the (N+1)-column one to rounding
+        free = build_qp(x0, p0, psi0, grad, gamma, params, k=1, tcs=False)
+        np.testing.assert_array_equal(free.P, (G.T @ G)[:3, :3])
+        np.testing.assert_array_equal(free.q, G[:, :3].T @ (psi0 - x0))
+        np.testing.assert_allclose(free.q, (G.T @ (psi0 - x0))[:3], rtol=1e-15, atol=0)
         assert grad.tobytes() == before.tobytes()
 
     def test_cap_variants(self):
@@ -151,14 +158,30 @@ class TestBuildQp:
         np.testing.assert_allclose(prob.cap_coeffs[:2], [200.0, 200.0])
         assert prob.cap_rhs == pytest.approx(100.0 * 2 - 200.0 * 0.5)
 
-    def test_no_tcs_freezes_price(self):
+    def test_no_tcs_freezes_price(self, small_scenario):
         params = TcsParams()
         gamma = np.array([50.0])
         psi0 = np.array([0.5])
         grad = logit_gradient(psi0, np.array([[10.0]]), params)
         prob = build_qp(np.array([0.4]), 0.0, psi0, grad, gamma, params, k=1, tcs=False)
-        assert prob.lower[1] == prob.upper[1] == 0.0
-        assert prob.cap_coeffs is None
+        # no price coordinate and no cap row
+        assert prob.P.shape == (1, 1)
+        assert len(prob.lower) == len(prob.upper) == 1
+        assert prob.cap_coeffs is None and prob.cap_rhs is None
+        rep = equilibrium_solve(small_scenario, params, tcs=False, p_init=0.004)
+        assert rep.state.p == 0.004
+
+    def test_printed_cap_tolerance_counts_groups(self):
+        # 1e-3 credits over the printed cap of kappa * N = 200 credits: beyond
+        # the rounding allowance 1e-9 * kappa * N, though far inside
+        # 1e-9 * kappa * sum(gamma) = 0.2 credits
+        params = TcsParams(cap_constraint="printed")
+        gamma = np.array([1e6, 1e6])
+        x0 = np.array([0.5, 0.5 + 1e-3 / params.tau])
+        psi0 = np.array([0.5, 0.5])
+        grad = logit_gradient(psi0, np.zeros((2, 2)), params)
+        with pytest.raises(ValueError, match="credit cap"):
+            build_qp(x0, 0.01, psi0, grad, gamma, params, k=1)
 
     def test_infeasible_start_rejected(self):
         params = TcsParams()
@@ -311,6 +334,16 @@ class TestMsa:
         msa = msa_solve(small_scenario, params, p_fixed=0.0)
         assert msa.cap_violated
         assert msa.car_credits > msa.credit_supply
+
+    def test_printed_totals_count_groups(self, small_scenario):
+        n = small_scenario.n
+        params = TcsParams(cap_constraint="printed")
+        msa = msa_solve(small_scenario, params, p_fixed=0.005, iters=20)
+        base = msa_solve(small_scenario, TcsParams(), p_fixed=0.005, iters=20)
+        np.testing.assert_array_equal(msa.x, base.x)
+        assert msa.credit_supply == params.kappa * n
+        assert msa.car_credits == params.tau * float(np.ones(n) @ msa.x)
+        assert msa.cap_violated == (msa.car_credits > 1.01 * msa.credit_supply)
 
     def test_residual_shrinks(self, small_scenario):
         msa = msa_solve(small_scenario, TcsParams(), p_fixed=0.005, iters=40)

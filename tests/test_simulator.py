@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcsmfd import MfdCurve, simulate
+from tcsmfd import MfdCurve, generate_synthetic, preset_spec, simulate
 from tcsmfd.simulator import event_trace_rows
 
 from conftest import make_scenario, small_random_scenario, three_group_scenario
@@ -194,3 +194,15 @@ def test_simulation_properties(seed, n, xseed):
     for i in range(n):
         assert sim.times[sim.entry_index[i]] == sc.departs[i]
         assert abs(per_trip_distance(sim, i) - sc.trip_lens[i]) < 1e-6
+
+
+@pytest.mark.parametrize("preset", ["small", "congested"])
+def test_car_times_match_per_trip_sum(preset):
+    sc = generate_synthetic(0, preset_spec(preset))
+    for x in (np.random.default_rng(5).uniform(0.0, 1.0, sc.n), np.zeros(sc.n), np.ones(sc.n)):
+        sim = simulate(sc, x)
+        want = np.array([
+            float(np.sum(sim.durations[sim.entry_index[i] + 1 : sim.exit_index[i] + 1]))
+            for i in range(sc.n)
+        ])
+        assert sim.car_times.tobytes() == want.tobytes()
