@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Alternating base/change pairs of the perfbench end-to-end metrics.
+
+Runs ``perfbench/run.py --trace 0`` in two trees, one after the other, and
+swaps which tree goes first in every other pair, so slow drift of a shared
+machine falls on both sides alike.  Prints every run's metrics, then per
+metric each side's median and quartiles and the number of pairs the change
+wins (ties count for neither side).  The last line is one JSON object with
+every run.
+
+    python3 scripts/bench_pairs.py --base HEAD --workload congested_policy
+    python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium
+
+The change tree is the working tree this script sits in.  The base tree is
+the committed files of ``--base``, unpacked with ``git archive`` into a
+temporary directory that is removed afterwards: the files a commit is
+benchmarked on, with no worktree left registered.  The script refuses to
+run when the working tree has no change against ``--base``.  Every run uses
+seed 0 and the run length ``run_seconds`` of BENCHMARK.json.  Each tree's
+own ``perfbench/run.py`` measures that tree's ``src/``; this script only
+starts it and reads its last output line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("citywide_equilibrium", "congested_policy", "congested_diagnostics")
+
+
+SEED = 0
+
+
+def unpack(rev: str, dest: Path) -> Path:
+    """Committed files of ``rev`` under ``dest``; no worktree is registered."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        check=True, capture_output=True,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter exists from Python 3.12 and the 3.10.12/3.11.4
+        # backports; the archive is this repository's own files either way
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return dest
+
+
+def run_once(tree: Path, workload: str, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    values = {k: v["value"] for k, v in result["metrics"].items()}
+    return {"correct": result["correct"], "failed": result["failed"], **values}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--base", required=True, help="git revision of the base tree")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    diff = subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", args.base, "--"])
+    if diff.returncode == 0:
+        ap.error(f"the working tree has no change against {args.base}")
+    if diff.returncode != 1:
+        ap.error(f"git diff against {args.base} failed")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        trees = {"base": unpack(args.base, Path(tmp)), "change": ROOT}
+        print(f"workload {args.workload}: base {args.base} against change {ROOT}, "
+              f"{args.pairs} pairs, --seconds {seconds:g} --seed {SEED}",
+              flush=True)
+
+        runs = {"base": [], "change": []}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                runs[side].append(run_once(trees[side], args.workload, seconds))
+            cells = "  ".join(
+                f"{m} {runs['base'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}"
+                for m in metrics
+            )
+            ok = runs["base"][-1]["correct"] and runs["change"][-1]["correct"]
+            print(f"pair {i + 1} ({order[0]} first){'' if ok else ' INCORRECT'}: {cells}",
+                  flush=True)
+
+    for m, better in metrics.items():
+        b = [r[m] for r in runs["base"]]
+        c = [r[m] for r in runs["change"]]
+        sign = 1.0 if better == "lower" else -1.0
+        wins = sum(sign * (cb - cc) > 0 for cb, cc in zip(b, c))
+        (b1, b2, b3), (c1, c2, c3) = quartiles(b), quartiles(c)
+        print(f"{m} ({better} is better): base median {b2:.4g} [{b1:.4g}, {b3:.4g}], "
+              f"change median {c2:.4g} [{c1:.4g}, {c3:.4g}], "
+              f"change wins {wins} of {len(b)}")
+    all_correct = all(r["correct"] for side in runs.values() for r in side)
+    print(f"every run correct: {all_correct}")
+    print(json.dumps({"workload": args.workload, "base": args.base, "runs": runs}))
+    return 0 if all_correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -289,12 +289,15 @@ def equilibrium_solve(
             converged = True
             break
 
-        # each dense array is dropped once read, so the next iteration's
-        # gradient does not allocate on top of this one's
+        # each dense array is dropped once read: the per-event gradient
+        # blocks before the logit block is allocated, the rest before the
+        # next iteration's gradient
         gm = travel_time_gradient(scenario, sim)
         near_ties += gm.near_ties
-        grad_psi = logit_gradient(psi, gm.dT, params)
+        dT = gm.dT
         del gm
+        grad_psi = logit_gradient(psi, dT, params)
+        del dT
         prob = build_qp(x, p, psi, grad_psi, gammas, params, k, tcs=tcs)
         del grad_psi
         sol = solve_qp(prob.P, prob.q, prob.lower, prob.upper,
