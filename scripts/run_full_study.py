@@ -34,7 +34,6 @@ from tcsmfd import (
     optimize_charge,
     preset_spec,
     save_scenario,
-    simulate,
     sweep_charges,
     total_emission,
     total_travel_time,
@@ -63,7 +62,6 @@ def main(argv=None) -> int:
                     help="charge grid, start:stop:step or comma list")
     ap.add_argument("--samples", type=int, default=200,
                     help="share vectors for the monotonicity check")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("-o", "--out", required=True)
     args = ap.parse_args(argv)
 
@@ -82,9 +80,8 @@ def main(argv=None) -> int:
 
     # --- no-scheme reference ----------------------------------------------
     ref = equilibrium_solve(scenario, params, tcs=False, p_init=0.0)
-    ref_sim = simulate(scenario, ref.state.x)
-    ref_ttt = total_travel_time(scenario, ref.state, ref_sim)
-    ref_em = total_emission(ref_sim)
+    ref_ttt = total_travel_time(scenario, ref.state, ref.sim)
+    ref_em = total_emission(ref.sim)
     g = scenario.gammas
     ref_share = float(g @ ref.state.x / g.sum())
     log(f"[2/8] no scheme: car share {ref_share:.3f}, "
@@ -92,9 +89,8 @@ def main(argv=None) -> int:
 
     # --- scheme at the default charge --------------------------------------
     eq = equilibrium_solve(scenario, params)
-    eq_sim = simulate(scenario, eq.state.x)
-    eq_ttt = total_travel_time(scenario, eq.state, eq_sim)
-    eq_em = total_emission(eq_sim)
+    eq_ttt = total_travel_time(scenario, eq.state, eq.sim)
+    eq_em = total_emission(eq.sim)
     log(f"[3/8] scheme at tau={params.tau:.0f}: p={eq.state.p:.5g} EUR/credit, "
         f"{eq.iterations} iterations, TTT {eq_ttt:.1f} h, emissions {eq_em:.3f} t")
 
@@ -105,7 +101,7 @@ def main(argv=None) -> int:
         + (" (cap violated)" if msa.cap_violated else ""))
 
     # --- charge sweep -------------------------------------------------------
-    rows = sweep_charges(scenario, params, taus, workers=args.workers)
+    rows = sweep_charges(scenario, params, taus)
     for name, table in sweep_tables(rows).items():
         write_csv(out / name, table)
     binding = [r.tau for r in rows if r.price > 0]
@@ -125,9 +121,8 @@ def main(argv=None) -> int:
     # outcomes at the optima, relative to the no-scheme reference
     savings = {}
     for objective, res in best.items():
-        sim = simulate(scenario, res.report.state.x)
-        ttt = total_travel_time(scenario, res.report.state, sim)
-        em = total_emission(sim)
+        ttt = total_travel_time(scenario, res.report.state, res.report.sim)
+        em = total_emission(res.report.sim)
         savings[objective] = {
             "tau_star": res.tau_star,
             "price_eur_per_credit": res.report.state.p,

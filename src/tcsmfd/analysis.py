@@ -74,11 +74,14 @@ def uniqueness_check(
         pairs = np.column_stack(np.triu_indices(n_samples, k=1))  # i < j, row-major
         all_pairs = True
     else:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n_samples, size=2 * max_pairs)
-        j = rng.integers(0, n_samples, size=2 * max_pairs)
-        keep = i < j
-        pairs = np.stack([i[keep], j[keep]], axis=1)[:max_pairs]
+        # max_pairs distinct ranks in the row-major order of the pairs i < j,
+        # mapped back to (i, j) by where each row ends (row i holds
+        # n_samples - 1 - i pairs)
+        ranks = _distinct_ranks(np.random.default_rng(seed), n_all, max_pairs)
+        row_end = np.cumsum(np.arange(n_samples - 1, 0, -1))
+        i = np.searchsorted(row_end, ranks, side="right")
+        j = ranks - row_end[i] + n_samples
+        pairs = np.column_stack([i, j])
         all_pairs = False
 
     # the (pairs x N) differences are formed one block of pairs at a time:
@@ -104,6 +107,22 @@ def uniqueness_check(
         percentiles={q: float(np.percentile(dots, q)) for q in qs},
         dots=dots,
     )
+
+
+def _distinct_ranks(rng, n: int, k: int) -> np.ndarray:
+    """k distinct integers drawn uniformly from [0, n), sorted, in O(k) memory.
+
+    ``rng.choice(n, k, replace=False)`` allocates all n candidates once k
+    exceeds n / 50; n is the pair count here, which subsampling exists not
+    to allocate."""
+    if 2 * k > n:
+        return np.sort(rng.permutation(n)[:k])  # n < 2k: the range itself is O(k)
+    ranks = np.empty(0, dtype=np.int64)
+    while len(ranks) < k:  # each fresh draw is new with probability >= 1/2
+        fresh = rng.integers(0, n, size=k - len(ranks))
+        ranks = np.sort(np.concatenate([ranks, fresh]))
+        ranks = ranks[np.r_[True, ranks[1:] != ranks[:-1]]]
+    return ranks
 
 
 def stability_jacobian(grad_psi: np.ndarray, gammas: np.ndarray, tau: float) -> np.ndarray:

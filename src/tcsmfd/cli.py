@@ -37,7 +37,7 @@ from .scenario import (
     preset_spec,
     save_scenario,
 )
-from .simulator import HorizonError, simulate
+from .simulator import HorizonError
 
 __all__ = [
     "main",
@@ -178,7 +178,7 @@ def _equilibrium_payload(rep) -> dict:
         "residual_trace": rep.residual_trace,
         "mcc_trace": rep.mcc_trace,
         "cap_slack_credits": rep.cap_slack,
-        "car_time_s": [float(v) for v in rep.car_times],
+        "car_time_s": [float(v) for v in rep.sim.car_times],
         "psi": [float(v) for v in rep.psis],
         "cost_car_eur": [float(v) for v in rep.cost_car],
         "cost_pt_eur": [float(v) for v in rep.cost_pt],
@@ -276,12 +276,8 @@ def stability_table(runs) -> list:
 def _cmd_generate(args) -> int:
     out = _out_dir(args)
     spec = preset_spec(args.preset)
-    if args.n_groups is not None or args.total_travelers is not None:
-        spec = replace(
-            spec,
-            n_groups=args.n_groups or spec.n_groups,
-            total_travelers=args.total_travelers or spec.total_travelers,
-        )
+    overrides = {"n_groups": args.n_groups, "total_travelers": args.total_travelers}
+    spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     scenario = generate_synthetic(args.seed, spec)
     save_scenario(scenario, out / "scenario.json")
     _write_json(
@@ -301,10 +297,9 @@ def _cmd_equilibrium(args) -> int:
     scenario, inputs = _scenario_inputs(args)
     params = _params_from_args(args)
     rep = equilibrium_solve(scenario, params, tcs=not args.no_tcs)
-    sim = simulate(scenario, rep.state.x)
     payload = _equilibrium_payload(rep)
-    payload["ttt_h"] = total_travel_time(scenario, rep.state, sim)
-    payload["emission_t"] = total_emission(sim)
+    payload["ttt_h"] = total_travel_time(scenario, rep.state, rep.sim)
+    payload["emission_t"] = total_emission(rep.sim)
     _write_json(out / "equilibrium.json", payload)
     _write_json(out / "manifest.json",
                 _manifest(args, "equilibrium", params, inputs,
@@ -345,12 +340,11 @@ def _cmd_sweep(args) -> int:
     scenario, inputs = _scenario_inputs(args)
     params = _params_from_args(args)
     taus = parse_taus(args.taus)
-    rows = sweep_charges(scenario, params, taus, workers=args.workers)
+    rows = sweep_charges(scenario, params, taus)
     for name, table in sweep_tables(rows).items():
         write_csv(out / name, table)
     _write_json(out / "manifest.json",
-                _manifest(args, "sweep", params, inputs,
-                          {"taus": taus, "workers": args.workers}))
+                _manifest(args, "sweep", params, inputs, {"taus": taus}))
     bad = sum(1 for r in rows if not r.converged)
     print(f"sweep done: {len(rows)} charges, {bad} non-converged")
     return 0
@@ -475,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="equilibria over a range of charges")
     _add_common(p)
     p.add_argument("--taus", required=True, help="start:stop:step or comma list")
-    p.add_argument("--workers", type=int, default=1, help="worker pool size")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimize", help="dichotomy search for the optimal charge")

@@ -31,7 +31,7 @@ from scipy.special import expit
 from .gradients import travel_time_gradient
 from .qp import solve_qp
 from .scenario import Scenario, TcsParams
-from .simulator import simulate
+from .simulator import SimResult, simulate
 
 __all__ = [
     "ModalState",
@@ -211,7 +211,7 @@ class EquilibriumReport:
     residual_trace: list = field(default_factory=list)
     mcc_trace: list = field(default_factory=list)
     cap_slack: float = float("nan")   # credits, >= 0 when the cap holds
-    car_times: np.ndarray | None = None
+    sim: SimResult | None = None      # simulation of ``state.x``
     psis: np.ndarray | None = None
     cost_car: np.ndarray | None = None
     cost_pt: np.ndarray | None = None
@@ -266,25 +266,23 @@ def equilibrium_solve(
     j_trace: list[float] = []
     res_trace: list[float] = []
     mcc_trace: list[float] = []
-    best = None  # (j, x, p, psi, t_car)
+    best = None  # (j, x, p, psi, sim)
     converged = False
     qp_unconverged = 0
     near_ties = 0
     k = 0
     psi = np.zeros(n)
-    t_car = np.zeros(n)
 
     for k in range(1, params.max_iters + 1):
         sim = simulate(scenario, x)
-        t_car = sim.car_times
-        psi = logit_choice(t_car, scenario.pt_times, p, params)
+        psi = logit_choice(sim.car_times, scenario.pt_times, p, params)
         j = j_value(x, p, psi, gammas, params, tcs=tcs)
         res = float(np.max(np.abs(psi - x)))
         j_trace.append(j)
         res_trace.append(res)
         mcc_trace.append(abs(p * _mean_slack(x, c, params)) if tcs else 0.0)
         if best is None or j < best[0]:
-            best = (j, x.copy(), float(p), psi.copy(), t_car.copy())
+            best = (j, x.copy(), float(p), psi.copy(), sim)
         if j < params.j_goal and res < x_tol:
             converged = True
             break
@@ -309,9 +307,9 @@ def equilibrium_solve(
             p = max(p + float(sol.z[n]), 0.0)
 
     if not converged and best is not None:
-        _, x, p, psi, t_car = best
+        _, x, p, psi, sim = best
 
-    c_car, c_pt = logit_costs(t_car, scenario.pt_times, p, params)
+    c_car, c_pt = logit_costs(sim.car_times, scenario.pt_times, p, params)
     return EquilibriumReport(
         state=ModalState(x=x, p=p),
         converged=converged,
@@ -320,7 +318,7 @@ def equilibrium_solve(
         residual_trace=res_trace,
         mcc_trace=mcc_trace,
         cap_slack=_credit_slack(x, c, params),
-        car_times=t_car,
+        sim=sim,
         psis=psi,
         cost_car=c_car,
         cost_pt=c_pt,

@@ -290,6 +290,16 @@ def _objective_value(objective: str, ttt_h: float, emission_t: float,
     return ttt_cost + params.gamma_emission * params.p_carbon * emission_t
 
 
+def _solve_at(scenario: Scenario, params: TcsParams, tau: float,
+              model: EmissionModel):
+    """Equilibrium at charge tau: (params at tau, report, TTT in h, CO2 in t),
+    both totals read off the report's own simulation."""
+    p_tau = replace(params, tau=float(tau))
+    rep = equilibrium_solve(scenario, p_tau)
+    ttt_h = total_travel_time(scenario, rep.state, rep.sim)
+    return p_tau, rep, ttt_h, total_emission(rep.sim, model)
+
+
 def optimize_charge(
     scenario: Scenario,
     params: TcsParams,
@@ -297,7 +307,6 @@ def optimize_charge(
     lo: int = 100,
     hi: int = 500,
     model: EmissionModel = EmissionModel(),
-    _cache: dict | None = None,
 ) -> OptimizeResult:
     """Dichotomy on the sign of the estimated objective derivative.
 
@@ -312,82 +321,62 @@ def optimize_charge(
     hi = int(hi)
     if not (params.kappa <= lo <= hi):
         raise ValueError("need kappa <= lo <= hi")
-    cache: dict = _cache if _cache is not None else {}
 
-    n_solves = 0
+    solved: dict = {}   # tau -> _solve_at(tau)
 
     def solve_at(tau: int):
-        nonlocal n_solves
-        if tau not in cache:
-            p = replace(params, tau=float(tau))
-            cache[tau] = (p, equilibrium_solve(scenario, p))
-            n_solves += 1
-        return cache[tau]
+        if tau not in solved:
+            solved[tau] = _solve_at(scenario, params, tau, model)
+        return solved[tau]
 
-    steps: list[OptimizeStep] = []
-
-    def derivative_at(tau: int):
-        p_tau, rep = solve_at(tau)
-        sim = simulate(scenario, rep.state.x)
-        ttt_h = total_travel_time(scenario, rep.state, sim)
-        emission_t = total_emission(sim, model)
-        flat = False
+    def derivative_at(tau: int) -> tuple[float, bool]:
+        """(d objective / d tau, cap slack) at tau."""
+        p_tau, rep, _, _ = solve_at(tau)
         try:
             _require_cap_active(rep.state)   # skip aggregates when slack
-            agg = compute_aggregates(scenario, rep.state, sim, p_tau, model)
-            d = params.alpha * ttt_charge_gradient(agg, rep.state, p_tau)
-            if objective == "mixed":
-                d += (
-                    params.gamma_emission
-                    * params.p_carbon
-                    * emission_charge_gradient(agg, rep.state, p_tau, model)
-                )
         except CapInactiveError:
             # slack cap: the scheme is not binding yet, push the charge up
-            flat = True
-            d = -math.inf
-        return d, flat, ttt_h, emission_t, rep
+            return -math.inf, True
+        agg = compute_aggregates(scenario, rep.state, rep.sim, p_tau, model)
+        d = params.alpha * ttt_charge_gradient(agg, rep.state, p_tau)
+        if objective == "mixed":
+            d += (
+                params.gamma_emission
+                * params.p_carbon
+                * emission_charge_gradient(agg, rep.state, p_tau, model)
+            )
+        return d, False
 
+    def step(tau: int, a: int, c: int, derivative: float, flat_cap: bool):
+        _, rep, ttt_h, em_t = solve_at(tau)
+        return OptimizeStep(
+            tau=tau, lo=a, hi=c, derivative=derivative, flat_cap=flat_cap,
+            ttt_h=ttt_h, emission_t=em_t,
+            objective=_objective_value(objective, ttt_h, em_t, params),
+            converged=rep.converged,
+            qp_unconverged=rep.qp_unconverged,
+            near_ties=rep.near_ties,
+        )
+
+    steps: list[OptimizeStep] = []
     a, c = lo, hi
     while a < c:
         mid = (a + c) // 2
-        d, flat, ttt_h, em_t, rep = derivative_at(mid)
+        d, flat = derivative_at(mid)
         if d < 0:
             a = mid + 1
         else:
             c = mid
-        steps.append(
-            OptimizeStep(
-                tau=mid, lo=a, hi=c, derivative=d, flat_cap=flat,
-                ttt_h=ttt_h, emission_t=em_t,
-                objective=_objective_value(objective, ttt_h, em_t, params),
-                converged=rep.converged,
-                qp_unconverged=rep.qp_unconverged,
-                near_ties=rep.near_ties,
-            )
-        )
+        steps.append(step(mid, a, c, d, flat))
     tau_star = a
-    p_star, rep_star = solve_at(tau_star)
-    sim = simulate(scenario, rep_star.state.x)
-    ttt_h = total_travel_time(scenario, rep_star.state, sim)
-    em_t = total_emission(sim, model)
     if not steps or steps[-1].tau != tau_star:
-        steps.append(
-            OptimizeStep(
-                tau=tau_star, lo=a, hi=c, derivative=float("nan"), flat_cap=False,
-                ttt_h=ttt_h, emission_t=em_t,
-                objective=_objective_value(objective, ttt_h, em_t, params),
-                converged=rep_star.converged,
-                qp_unconverged=rep_star.qp_unconverged,
-                near_ties=rep_star.near_ties,
-            )
-        )
+        steps.append(step(tau_star, a, c, float("nan"), False))
     return OptimizeResult(
         tau_star=float(tau_star),
         objective=objective,
         steps=steps,
-        n_solves=n_solves,
-        report=rep_star,
+        n_solves=len(solved),
+        report=solve_at(tau_star)[1],
     )
 
 
@@ -413,35 +402,24 @@ def sweep_charges(
     params: TcsParams,
     taus,
     model: EmissionModel = EmissionModel(),
-    workers: int = 1,
 ) -> list[SweepRow]:
     """Independent equilibrium solves over a list of charges.
 
-    Rows keep the order of ``taus`` regardless of the worker count; a
-    non-converged solve is flagged in its row and the sweep continues.
+    Rows keep the order of ``taus``; a non-converged solve is flagged in its
+    row and the sweep continues.
     """
     taus = [float(t) for t in taus]
     for t in taus:
         if t < params.kappa:
             raise ValueError(f"tau={t} is below kappa={params.kappa}")
-    args = [(scenario, params, t, model) for t in taus]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_one, args))
-    return [_sweep_one(a) for a in args]
+    return [_sweep_row(scenario, params, t, model) for t in taus]
 
 
-def _sweep_one(arg) -> SweepRow:
-    scenario, params, tau, model = arg
-    p_tau = replace(params, tau=tau)
-    rep = equilibrium_solve(scenario, p_tau)
-    sim = simulate(scenario, rep.state.x)
+def _sweep_row(scenario: Scenario, params: TcsParams, tau: float,
+               model: EmissionModel) -> SweepRow:
+    _, rep, ttt_h, em_t = _solve_at(scenario, params, tau, model)
     g = scenario.gammas
     car_users = float(g @ rep.state.x)
-    ttt_h = total_travel_time(scenario, rep.state, sim)
-    em_t = total_emission(sim, model)
     len_total_km = float(g @ (rep.state.x * scenario.trip_lens)) * M_TO_KM
     return SweepRow(
         tau=tau,

@@ -51,8 +51,34 @@ class TestUniqueness:
         sc = small_random_scenario(1, n_groups=5)
         rep = uniqueness_check(sc, n_samples=30, seed=2, max_pairs=50)
         assert not rep.all_pairs
-        assert 0 < rep.n_pairs <= 50
-        assert rep.dots.shape == (rep.n_pairs,)
+        assert rep.n_pairs == 50
+        assert rep.dots.shape == (50,)
+        # same samples, all 435 pairs: each drawn dot is a different pair's
+        full = uniqueness_check(sc, n_samples=30, seed=2)
+        assert full.all_pairs
+        idx = [int(np.argmin(np.abs(full.dots - d))) for d in rep.dots]
+        assert len(set(idx)) == 50
+        np.testing.assert_allclose(rep.dots, full.dots[idx], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (4, 3), (1000, 100), (1000, 501)])
+    def test_distinct_ranks(self, n, k):
+        ranks = analysis._distinct_ranks(np.random.default_rng(0), n, k)
+        assert len(ranks) == k
+        assert np.all(np.diff(ranks) > 0)  # sorted and distinct
+        assert 0 <= ranks[0] and ranks[-1] < n
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_distinct_ranks_uniform(self, k):
+        # every k-subset of range(4) is about equally likely, on both branches
+        rng = np.random.default_rng(1)
+        counts = {}
+        for _ in range(6000):
+            key = tuple(analysis._distinct_ranks(rng, 4, k))
+            counts[key] = counts.get(key, 0) + 1
+        n_subsets = len(list(combinations(range(4), k)))
+        assert len(counts) == n_subsets
+        want = 6000 / n_subsets
+        assert all(abs(c - want) < 0.1 * want for c in counts.values()), counts
 
     def test_needs_two_samples(self):
         sc = small_random_scenario(0)
@@ -78,15 +104,12 @@ class TestUniqueness:
 
         xs = qmc.LatinHypercube(d=sc.n, seed=seed).random(n=n_samples)
         times = np.array([simulate(sc, x).car_times for x in xs])
-        all_pairs = max_pairs >= n_samples * (n_samples - 1) // 2
-        if all_pairs:
-            pairs = np.array(list(combinations(range(n_samples), 2)))
-        else:
+        n_all = n_samples * (n_samples - 1) // 2
+        all_pairs = max_pairs >= n_all
+        pairs = np.array(list(combinations(range(n_samples), 2)))  # row-major
+        if not all_pairs:
             rng = np.random.default_rng(seed)
-            i = rng.integers(0, n_samples, size=2 * max_pairs)
-            j = rng.integers(0, n_samples, size=2 * max_pairs)
-            keep = i < j
-            pairs = np.stack([i[keep], j[keep]], axis=1)[:max_pairs]
+            pairs = pairs[analysis._distinct_ranks(rng, n_all, max_pairs)]
         dx = xs[pairs[:, 0]] - xs[pairs[:, 1]]
         dt = times[pairs[:, 0]] - times[pairs[:, 1]]
         want = ((dt * dx) @ sc.gammas)[np.any(dx != 0.0, axis=1)]

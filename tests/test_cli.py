@@ -63,6 +63,15 @@ class TestGenerate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--n-groups", "--total-travelers"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_override_exits_2(self, tmp_path, capsys, flag, value):
+        # a zero override is an override, not a fall-back to the preset
+        rc = main(["generate", "--preset", "small", flag, value, "-o", str(tmp_path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.json").exists()
+
 
 class TestEquilibrium:
     def test_run_and_payload(self, scenario_file, tmp_path):
@@ -184,16 +193,18 @@ class TestSweep:
         for line in lines[1:]:
             assert [int(c) for c in line.split(",")[-2:]] == [0, 0]
         man = read_json(tmp_path / "manifest.json")
-        assert man["options"] == {"taus": [180.0, 260.0], "workers": 1}
+        assert man["options"] == {"taus": [180.0, 260.0]}
 
     def test_workers_only_on_sweep(self, scenario_file, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "equilibrium", "--scenario", str(scenario_file), "-o", str(tmp_path),
-                "--workers", "2",
-            ])
-        assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        # no subcommand takes --workers any more, sweep included
+        for command in ("equilibrium", "sweep"):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    command, "--scenario", str(scenario_file), "-o", str(tmp_path),
+                    "--taus", "180", "--workers", "2",
+                ])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
     def test_bad_taus_exit_2(self, scenario_file, tmp_path, capsys):
         rc = main([

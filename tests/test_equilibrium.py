@@ -305,6 +305,22 @@ class TestEquilibriumSolver:
         # one gradient per outer iteration, except the one that converged
         assert rep.near_ties == rep.iterations - int(rep.converged)
 
+    @pytest.mark.parametrize("case", ["tcs", "no_tcs", "max_iters"])
+    def test_report_sim_is_the_simulation_of_its_state(self, small_scenario, case):
+        if case == "max_iters":
+            # x_tol=0 never converges; J bottoms out before the last iterate
+            rep = equilibrium_solve(small_scenario, TcsParams(max_iters=6), x_tol=0.0)
+            assert not rep.converged
+            assert int(np.argmin(rep.j_trace)) < rep.iterations - 1
+        else:
+            rep = equilibrium_solve(small_scenario, TcsParams(), tcs=case == "tcs")
+            assert rep.converged
+        fresh = simulate(small_scenario, rep.state.x)
+        for name in ("x", "times", "kinds", "event_groups", "n_after", "v_after",
+                     "durations", "distances", "entry_index", "exit_index",
+                     "car_times"):
+            assert getattr(rep.sim, name).tobytes() == getattr(fresh, name).tobytes(), name
+
     def test_printed_cap_variant_runs(self, small_scenario):
         params = TcsParams(cap_constraint="printed")
         rep = equilibrium_solve(small_scenario, params)

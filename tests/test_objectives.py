@@ -233,15 +233,6 @@ class TestOptimizeCharge:
         assert res.steps
         assert np.isfinite(res.final_objective)
 
-    def test_cache_reuse(self, small_scenario):
-        cache = {}
-        res1 = optimize_charge(small_scenario, TcsParams(), lo=100, hi=500,
-                               _cache=cache)
-        res2 = optimize_charge(small_scenario, TcsParams(), lo=100, hi=500,
-                               _cache=cache)
-        assert res2.n_solves == 0
-        assert res2.tau_star == res1.tau_star
-
     def test_flat_cap_pushes_up(self):
         # PT dominant: the cap never binds on this range, search climbs to hi
         sc = make_scenario(
@@ -272,14 +263,6 @@ class TestSweep:
                 r.car_users / small_scenario.total_travelers, rel=1e-12
             )
             assert r.cap_slack >= -1e-6
-
-    def test_workers_deterministic(self, small_scenario):
-        params = TcsParams()
-        taus = [160.0, 220.0, 300.0]
-        seq = sweep_charges(small_scenario, params, taus, workers=1)
-        par = sweep_charges(small_scenario, params, taus, workers=2)
-        for a, b in zip(seq, par):
-            assert a == b   # bit-identical rows regardless of worker count
 
 
 class TestGroupGains:
