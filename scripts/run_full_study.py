@@ -65,10 +65,13 @@ def main(argv=None) -> int:
     ap.add_argument("-o", "--out", required=True)
     args = ap.parse_args(argv)
 
+    try:
+        taus = parse_taus(args.taus)
+    except ValueError as exc:
+        ap.error(str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     params = TcsParams()
-    taus = parse_taus(args.taus)
     t_start = time.perf_counter()
 
     # --- scenario ---------------------------------------------------------

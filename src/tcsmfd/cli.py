@@ -159,13 +159,22 @@ def _scenario_inputs(args) -> tuple:
 
 
 def parse_taus(spec: str) -> list:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
+    """Charges from "a,b,..." or "start:stop:step" (stop excluded); a
+    non-finite value, a non-positive step or an empty grid is a ValueError."""
+    is_range = ":" in spec
+    values = [float(p) for p in spec.split(":" if is_range else ",") if p]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"tau grid {spec!r} is not finite")
+    if is_range:
+        if len(values) != 3:
             raise ValueError("tau range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        return list(np.arange(start, stop, step))
-    return [float(p) for p in spec.split(",") if p]
+        start, stop, step = values
+        if step <= 0.0:
+            raise ValueError(f"tau range step must be positive, got {step:g}")
+        values = list(np.arange(start, stop, step))
+    if not values:
+        raise ValueError(f"empty tau grid {spec!r}")
+    return values
 
 
 def _equilibrium_payload(rep) -> dict:

@@ -25,12 +25,10 @@ import numpy as np
 
 from .scenario import Scenario
 
-__all__ = ["SimResult", "HorizonError", "simulate", "event_trace_rows"]
+__all__ = ["SimResult", "HorizonError", "simulate"]
 
 ENTRY = 0
 EXIT = 1
-
-_KIND_NAMES = ("entry", "exit")
 
 
 class HorizonError(RuntimeError):
@@ -206,19 +204,3 @@ def simulate(scenario: Scenario, x) -> SimResult:
         np.array(v_after), np.array(durations), np.array(distances),
         np.array(entry_index, dtype=np.int64), np.array(exit_index, dtype=np.int64),
     )
-
-
-def event_trace_rows(sim: SimResult):
-    """Rows for the event-trace export: one per event, header with units."""
-    yield ("e", "t_s", "kind", "group", "n_after_veh", "v_after_ms", "T_e_s", "l_e_m")
-    for e in range(sim.n_events):
-        yield (
-            e,
-            repr(float(sim.times[e])),
-            _KIND_NAMES[sim.kinds[e]],
-            int(sim.event_groups[e]),
-            repr(float(sim.n_after[e])),
-            repr(float(sim.v_after[e])),
-            repr(float(sim.durations[e])),
-            repr(float(sim.distances[e])),
-        )

@@ -47,6 +47,12 @@ class TestParseTaus:
         with pytest.raises(ValueError):
             parse_taus("100:200")
 
+    @pytest.mark.parametrize("spec", ["100:500:0", "500:100:20", "100:500:-20", "",
+                                      ",", "100:inf:20", "100:200:nan", "100,inf", "nan"])
+    def test_degenerate_grid(self, spec):
+        with pytest.raises(ValueError):
+            parse_taus(spec)
+
 
 class TestGenerate:
     def test_outputs(self, scenario_file):
@@ -213,6 +219,16 @@ class TestSweep:
         ])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("spec", ["100:500:0", "500:100:20", "100:500:-20", "", "nan"])
+    def test_degenerate_taus_exit_2(self, scenario_file, tmp_path, capsys, spec):
+        rc = main([
+            "sweep", "--scenario", str(scenario_file), "-o", str(tmp_path),
+            "--taus", spec,
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestOptimize:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcsmfd import project_box_halfspace, solve_qp
+from tcsmfd import project_box_halfspace, qp, solve_qp
 
 from kkt_oracle import enumerate_qp
 
@@ -122,7 +122,6 @@ class TestSolver:
         upper = np.array([0.5, 0.5])
         sol = solve_qp(np.zeros((2, 2)), q, lower, upper)
         np.testing.assert_allclose(sol.z, [-0.5, 0.5], atol=1e-9)
-        assert sol.spectral_shift > 0.0
 
     def test_indefinite_is_shifted_and_objective_never_worse_than_zero(self):
         rng = np.random.default_rng(5)
@@ -146,6 +145,44 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_qp(np.eye(2), np.zeros(2), -np.ones(2), np.ones(2),
                      np.array([1.0, -1.0]), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["P", "q", "y", "lower", "upper", "a", "b"])
+    def test_rejects_non_finite_input(self, where, bad):
+        # solve_qp takes P and q, the projection y, and both the rest
+        args = {"P": np.eye(2), "q": np.array([1.0, -1.0]), "y": np.zeros(2),
+                "lower": -np.ones(2), "upper": np.ones(2), "a": np.ones(2), "b": 1.0}
+        args[where] = bad if where == "b" else np.where([True, False], bad, args[where])
+        rest = [args[k] for k in ("lower", "upper", "a", "b")]
+        if where != "y":
+            with pytest.raises(ValueError, match=f"^{where} must be finite"):
+                solve_qp(args["P"], args["q"], *rest)
+        if where not in ("P", "q"):
+            with pytest.raises(ValueError, match=f"^{where} must be finite"):
+                project_box_halfspace(args["y"], *rest)
+
+    def test_negative_curvature_steps_to_the_bound(self, monkeypatch):
+        # the face of the multiplier test at zero is the whole box, and its
+        # first conjugate direction, along z1, has curvature -1: the face
+        # solve steps down to the bound z1 = -1, the global minimizer
+        P = np.diag([-1.0, 1.0])
+        q = np.array([0.5, 0.0])
+        lower, upper = -np.ones(2), np.ones(2)
+        newton_points = []
+        orig = qp._newton_point
+
+        def recording(*args):
+            newton_points.append(orig(*args))
+            return newton_points[-1]
+
+        monkeypatch.setattr(qp, "_newton_point", recording)
+        sol = solve_qp(P, q, lower, upper)
+        np.testing.assert_array_equal(newton_points[0], [-1.0, 0.0])
+        assert sol.converged
+        np.testing.assert_array_equal(sol.z, [-1.0, 0.0])
+        assert sol.objective == -1.0
+        _, obj_ref = enumerate_qp(P, q, lower, upper)
+        assert sol.objective == pytest.approx(obj_ref, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

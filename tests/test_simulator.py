@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcsmfd import MfdCurve, generate_synthetic, preset_spec, simulate
-from tcsmfd.simulator import event_trace_rows
 
 from conftest import make_scenario, small_random_scenario, three_group_scenario
 
@@ -170,12 +169,6 @@ class TestInvariants:
             simulate(sc, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             simulate(sc, np.array([0.5, 1.5, 0.2]))
-
-    def test_trace_rows_shape(self):
-        sc = three_group_scenario()
-        rows = list(event_trace_rows(simulate(sc, X3)))
-        assert rows[0][0] == "e"
-        assert len(rows) == 7
 
 
 @settings(max_examples=25, deadline=None)
