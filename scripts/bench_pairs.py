@@ -5,11 +5,12 @@ Runs ``perfbench/run.py --trace 0`` in two trees, one after the other, and
 swaps which tree goes first in every other pair, so slow drift of a shared
 machine falls on both sides alike.  Prints every run's metrics, then per
 metric each side's median and quartiles and the number of pairs the change
-wins (ties count for neither side).  The last line is one JSON object with
-every run.
+wins (ties count for neither side).  ``--workload`` takes one or more
+workloads, or ``all``; they run one after the other, each with its own
+summary.  The last line is one JSON object with every workload's runs.
 
-    python3 scripts/bench_pairs.py --base HEAD --workload congested_policy
-    python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium
+    python3 scripts/bench_pairs.py --base HEAD --workload all
+    python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
 
 The change tree is the working tree this script sits in.  The base tree is
 the committed files of ``--base``, unpacked with ``git archive`` into a
@@ -72,14 +73,43 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def run_pairs(trees: dict, workload: str, pairs: int, metrics: dict, seconds: float) -> dict:
+    """Alternating pairs of one workload; prints each pair and the summary."""
+    runs = {"base": [], "change": []}
+    for i in range(pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append(run_once(trees[side], workload, seconds))
+        cells = "  ".join(
+            f"{m} {runs['base'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}"
+            for m in metrics
+        )
+        ok = runs["base"][-1]["correct"] and runs["change"][-1]["correct"]
+        print(f"{workload} pair {i + 1} ({order[0]} first){'' if ok else ' INCORRECT'}: "
+              f"{cells}", flush=True)
+
+    for m, better in metrics.items():
+        b = [r[m] for r in runs["base"]]
+        c = [r[m] for r in runs["change"]]
+        sign = 1.0 if better == "lower" else -1.0
+        wins = sum(sign * (cb - cc) > 0 for cb, cc in zip(b, c))
+        (b1, b2, b3), (c1, c2, c3) = quartiles(b), quartiles(c)
+        print(f"{workload} {m} ({better} is better): base median {b2:.4g} [{b1:.4g}, {b3:.4g}], "
+              f"change median {c2:.4g} [{c1:.4g}, {c3:.4g}], "
+              f"change wins {wins} of {len(b)}", flush=True)
+    return runs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", required=True, nargs="+", choices=WORKLOADS + ("all",),
+                    help="one or more workloads, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--base", required=True, help="git revision of the base tree")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    workloads = WORKLOADS if "all" in args.workload else tuple(dict.fromkeys(args.workload))
     diff = subprocess.run(["git", "-C", str(ROOT), "diff", "--quiet", args.base, "--"])
     if diff.returncode == 0:
         ap.error(f"the working tree has no change against {args.base}")
@@ -91,35 +121,14 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         trees = {"base": unpack(args.base, Path(tmp)), "change": ROOT}
-        print(f"workload {args.workload}: base {args.base} against change {ROOT}, "
-              f"{args.pairs} pairs, --seconds {seconds:g} --seed {SEED}",
+        print(f"workloads {' '.join(workloads)}: base {args.base} against change {ROOT}, "
+              f"{args.pairs} pairs each, --seconds {seconds:g} --seed {SEED}",
               flush=True)
+        runs = {w: run_pairs(trees, w, args.pairs, metrics, seconds) for w in workloads}
 
-        runs = {"base": [], "change": []}
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                runs[side].append(run_once(trees[side], args.workload, seconds))
-            cells = "  ".join(
-                f"{m} {runs['base'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}"
-                for m in metrics
-            )
-            ok = runs["base"][-1]["correct"] and runs["change"][-1]["correct"]
-            print(f"pair {i + 1} ({order[0]} first){'' if ok else ' INCORRECT'}: {cells}",
-                  flush=True)
-
-    for m, better in metrics.items():
-        b = [r[m] for r in runs["base"]]
-        c = [r[m] for r in runs["change"]]
-        sign = 1.0 if better == "lower" else -1.0
-        wins = sum(sign * (cb - cc) > 0 for cb, cc in zip(b, c))
-        (b1, b2, b3), (c1, c2, c3) = quartiles(b), quartiles(c)
-        print(f"{m} ({better} is better): base median {b2:.4g} [{b1:.4g}, {b3:.4g}], "
-              f"change median {c2:.4g} [{c1:.4g}, {c3:.4g}], "
-              f"change wins {wins} of {len(b)}")
-    all_correct = all(r["correct"] for side in runs.values() for r in side)
+    all_correct = all(r["correct"] for w in runs.values() for side in w.values() for r in side)
     print(f"every run correct: {all_correct}")
-    print(json.dumps({"workload": args.workload, "base": args.base, "runs": runs}))
+    print(json.dumps({"base": args.base, "runs": runs}))
     return 0 if all_correct else 1
 
 

@@ -99,12 +99,44 @@ def logit_gradient(psi0, dT, params: TcsParams) -> np.ndarray:
     return out
 
 
+class GaussNewtonMatrix:
+    """The QP matrix P = G'G + border, applied as G'(G v) and never formed.
+
+    ``border`` is the market term's coupling of the shares with the price,
+    the last coordinate: P[:N, N] and P[N, :N] (None without the scheme).
+    It has no diagonal entry, so diag(P) is the squared column norms of G,
+    which are finite exactly when G is (up to overflow, which P would
+    share).  A non-finite G or border raises ``ValueError``.
+    """
+
+    def __init__(self, G, border=None):
+        self.G = G
+        self.border = border
+        self.shape = (G.shape[1], G.shape[1])
+        self._diag = np.einsum("ij,ij->j", G, G)
+        if not (np.all(np.isfinite(self._diag))
+                and (border is None or np.all(np.isfinite(border)))):
+            raise ValueError("P must be finite")
+
+    def diagonal(self) -> np.ndarray:
+        return self._diag
+
+    def __matmul__(self, v):
+        out = self.G.T @ (self.G @ v)
+        if self.border is not None:
+            n = len(self.border)
+            out[:n] += self.border * v[n]
+            out[n] += self.border @ v[:n]
+        return out
+
+
 @dataclass
 class QpProblem:
     """One linearized subproblem in the step variable dz = (dx_1..dx_N, dp),
-    or dx alone without the scheme."""
+    or dx alone without the scheme.  ``P`` is applied through the Jacobian,
+    never formed."""
 
-    P: np.ndarray
+    P: GaussNewtonMatrix
     q: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -122,7 +154,10 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
 
     where the I_p / i_p blocks come from expanding the market-clearing term
     eta * p * mean_c(kappa - tau x) in the step variable, with market
-    weights w = c / sum(c) and c = ``params.cap_weights(gammas)``.  Trust
+    weights w = c / sum(c) and c = ``params.cap_weights(gammas)``.  P is
+    never formed: it is applied as G'(G v) plus the border eta * I_p v, and
+    its diagonal is the squared column norms of G.  A non-finite
+    ``grad_psi`` entry in the QP's columns raises ``ValueError``.  Trust
     bounds are intersected with the feasibility box, and the cap row is
     tau * c'dx <= kappa * sum(c) - tau * c'x0.  With ``tcs=False`` there is
     no price coordinate: the QP has N coordinates, built from the share
@@ -138,9 +173,7 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
 
     G = grad_psi[:, :m].copy()
     G[np.diag_indices(n)] -= 1.0
-    P = G.T @ G
     q = G.T @ (psi0 - x0)
-    del G
 
     eps = params.eps_value(k)
     lower = np.empty(m)
@@ -148,7 +181,7 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
     lower[:n] = np.maximum(-x0, -eps)
     upper[:n] = np.minimum(1.0 - x0, eps)
     if not tcs:
-        return QpProblem(P=P, q=q, lower=lower, upper=upper,
+        return QpProblem(P=GaussNewtonMatrix(G), q=q, lower=lower, upper=upper,
                          cap_coeffs=None, cap_rhs=None)
 
     # market-term weights must match the cap, else the QP model is
@@ -157,9 +190,7 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
     w = c / float(c.sum())
     q[:n] += params.eta * (-w * params.tau * p0)
     q[n] += params.eta * float(w @ (params.kappa - params.tau * x0))
-    border = params.eta * (-w * params.tau)
-    P[:n, n] += border
-    P[n, :n] += border
+    P = GaussNewtonMatrix(G, params.eta * (-w * params.tau))
     lower[n] = max(-p0, -eps)
     upper[n] = eps
 
@@ -288,8 +319,9 @@ def equilibrium_solve(
             break
 
         # each dense array is dropped once read: the per-event gradient
-        # blocks before the logit block is allocated, the rest before the
-        # next iteration's gradient
+        # blocks before the logit block is allocated, the logit block once
+        # build_qp has copied it into G.  G lives in prob.P through the QP
+        # (P itself is never formed) and goes before the next gradient
         gm = travel_time_gradient(scenario, sim)
         near_ties += gm.near_ties
         dT = gm.dT

@@ -1,16 +1,20 @@
-"""Dense quadratic programming over a box intersected with one half-space.
+"""Quadratic programming over a box intersected with one half-space.
 
 minimize    0.5 z'Pz + q'z
 subject to  lower <= z <= upper,  a'z <= b   (a >= 0 componentwise)
 
-P must be symmetric; it need not be definite.  Every input must be finite.
+P is a symmetric array, or a symmetric operator with ``P @ v``,
+``P.diagonal()`` and ``shape`` that checks its own entries finite (the
+equilibrium's Gauss-Newton matrix, never formed).  It need not be definite.
+Every input must be finite.
 This is exactly the shape of the per-iteration subproblem of the equilibrium
 solver: per-coordinate trust bounds plus the aggregate credit-cap row.  The
 solver is a primal-dual active-set method, i.e. semismooth Newton
 (Hintermüller, Ito & Kunisch 2002, SIAM J. Optim. 13(3)), globalized by a
 projected search (Moré & Toraldo 1991, SIAM J. Optim. 1(1)), in the Jacobi
 scaling y = s z, s_i = sqrt(|P_ii|) clipped below, that gives the matrix a
-unit diagonal.  P enters only through its diagonal and products P @ v.
+unit diagonal.  The solver reads P only through its diagonal and products
+P @ v.
 
 - Step.  The multiplier test with c = 1 guesses the active set: a bound,
   or the cap row, is active where the projection of y - grad f(y) puts the
@@ -58,6 +62,7 @@ class QpSolution:
     iterations: int
     converged: bool
     residual: float             # KKT residual in original coordinates
+    cg_iterations: int          # CG products, summed over the face solves
 
 
 def _project(y, lower, upper, a, b):
@@ -131,11 +136,11 @@ def _newton_point(hv, q, at_lo, at_hi, cap_on, lower, upper, a, b):
     """Minimizer of the quadratic with the guessed active set as equalities:
     fixed coordinates at their bounds and, with ``cap_on``, a'y = b; or, on
     non-positive curvature, the first bound downhill.  ``hv`` is the product
-    with the matrix."""
+    with the matrix.  Returns the point and its number of CG iterations."""
     y = np.where(at_hi, upper, np.where(at_lo, lower, 0.0))
     free = ~(at_lo | at_hi)
     if not free.any():
-        return y
+        return y, 0
     row = a * free if cap_on and np.any(a[free] > 0.0) else None
     if row is not None:
         y += (b - a @ y) / (row @ row) * row
@@ -152,22 +157,24 @@ def _newton_point(hv, q, at_lo, at_hi, cap_on, lower, upper, a, b):
     g = project(hv(y) + q)
     gg = gg0 = float(g @ g)
     d = -g
-    for _ in range(5 * int(free.sum())):
+    limit = 5 * int(free.sum())
+    for it in range(limit):
         if gg <= 1e-28 * gg0:
-            break
+            return y, it
         Hd = hv(d)
         curv = float(d @ Hd)
         if curv <= 0.0:
             # f falls without bound along d: stretched across the widest
             # side of the box, d reaches a bound (on the cap row, along it)
             far = d * (float(np.max(upper - lower)) / float(np.max(np.abs(d))))
-            return y + _to_first_bound(y, far, lower, upper, a if row is None else None, b)
+            step = _to_first_bound(y, far, lower, upper, a if row is None else None, b)
+            return y + step, it + 1
         alpha = gg / curv
         y += alpha * d
         g = project(g + alpha * Hd)
         gg_prev, gg = gg, float(g @ g)
         d = gg / gg_prev * d - g
-    return y
+    return y, limit
 
 
 def _projected_search(hv, q, y, Hy, direction, lower, upper, a, b):
@@ -221,12 +228,15 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
     iterations, or where no step lowers the objective before the KKT
     residual meets ``tol``, returns the last iterate, flagged.
     """
-    P = np.asarray(P, dtype=float)
+    # an operator is read as it is; it checked its own entries
+    operator = hasattr(P, "diagonal") and not isinstance(P, np.ndarray)
+    if not operator:
+        P = np.asarray(P, dtype=float)
     q = np.asarray(q, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n = len(q)
-    _require_finite(P=P, q=q, lower=lower, upper=upper, a=a, b=b)
+    _require_finite(P=None if operator else P, q=q, lower=lower, upper=upper, a=a, b=b)
     if np.any(lower > 0.0) or np.any(upper < 0.0):
         raise ValueError("zero step must be inside the box")
     if a is not None:
@@ -236,7 +246,7 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
         if b < 0.0:
             raise ValueError("zero step must satisfy the cap row")
 
-    d = np.abs(np.diagonal(P))
+    d = np.abs(P.diagonal())
     dmax = float(d.max()) if n else 0.0
     s = np.sqrt(np.maximum(d, 1e-12 * dmax)) if dmax > 0.0 else np.ones(n)
 
@@ -259,12 +269,13 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
     y, Hy = np.zeros(n), np.zeros(n)
     face = _face(*_project(-qy, lo, up, ay, b), lo, up)   # the multiplier test at 0
     on_face = False
-    it = 0
+    it = cg_iterations = 0
     for it in range(1, max_iter + 1):
         z, res, converged = kkt(y, Hy)
         if converged:
             break
-        yn = _newton_point(hv, qy, *face, lo, up, ay, b)
+        yn, cg = _newton_point(hv, qy, *face, lo, up, ay, b)
+        cg_iterations += cg
         step = _projected_search(hv, qy, y, Hy, yn - y, lo, up, ay, b)
         if step is not None and step[3] == 1.0:
             # the projected Newton point: guess the next active set by the
@@ -296,4 +307,5 @@ def solve_qp(P, q, lower, upper, a=None, b=None, tol=1e-10, max_iter=500) -> QpS
         iterations=it,
         converged=converged,
         residual=res,
+        cg_iterations=cg_iterations,
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,27 @@ from tcsmfd import (
     msa_solve,
     preset_spec,
     simulate,
+    solve_qp,
 )
+import tcsmfd.equilibrium
 
 from conftest import make_scenario, small_random_scenario
+
+
+def assert_operator_matches(P, dense, same_order=None, rtol=1e-14):
+    """The never-formed QP matrix ``P`` against an assembled ``dense``:
+    products with every unit vector and with seeded random vectors, the
+    diagonal and the shape, to ``rtol``; bit for bit against
+    ``same_order(v)``, a reference with the operator's order of operations,
+    where given."""
+    m = dense.shape[0]
+    assert P.shape == (m, m)
+    vectors = list(np.eye(m)) + list(np.random.default_rng(5).normal(size=(4, m)))
+    for v in vectors:
+        np.testing.assert_allclose(P @ v, dense @ v, rtol=rtol, atol=0)
+        if same_order is not None:
+            np.testing.assert_array_equal(P @ v, same_order(v))
+    np.testing.assert_allclose(P.diagonal(), np.diagonal(dense), rtol=rtol, atol=0)
 
 
 class TestLogit:
@@ -109,7 +128,7 @@ class TestBuildQp:
         q_hand[0] += 1.0 * (-200.0 * p0)
         q_hand[1] += 1.0 * (100.0 - 200.0 * 0.42)
 
-        np.testing.assert_allclose(prob.P, P_hand, rtol=1e-14)
+        assert_operator_matches(prob.P, P_hand)
         np.testing.assert_allclose(prob.q, q_hand, rtol=1e-14)
         # trust region at k=2 is 0.5, wider than the remaining headroom up
         np.testing.assert_allclose(prob.lower, [-0.42, -0.004])
@@ -137,13 +156,20 @@ class TestBuildQp:
         Ip = np.zeros((4, 4))
         Ip[:3, 3] = Ip[3, :3] = -w * params.tau
         ip = np.append(-w * params.tau * p0, w @ (params.kappa - params.tau * x0))
-        np.testing.assert_array_equal(prob.P, G.T @ G + params.eta * Ip)
+        # the border as build_qp scales it, eta * (-w tau), so that its
+        # products round as the operator's do
+        border = np.zeros((4, 4))
+        border[:3, 3] = border[3, :3] = params.eta * (-w * params.tau)
+        assert_operator_matches(prob.P, G.T @ G + params.eta * Ip,
+                                same_order=lambda v: G.T @ (G @ v) + border @ v)
         np.testing.assert_array_equal(prob.q, G.T @ (psi0 - x0) + params.eta * ip)
         # without the scheme: the share block of the same assembly.  BLAS
         # orders a matrix-vector sum by the column count, so q matches the
         # N-column product exactly and the (N+1)-column one to rounding
         free = build_qp(x0, p0, psi0, grad, gamma, params, k=1, tcs=False)
-        np.testing.assert_array_equal(free.P, (G.T @ G)[:3, :3])
+        Gx = G[:, :3]
+        assert_operator_matches(free.P, (G.T @ G)[:3, :3],
+                                same_order=lambda v: Gx.T @ (Gx @ v))
         np.testing.assert_array_equal(free.q, G[:, :3].T @ (psi0 - x0))
         np.testing.assert_allclose(free.q, (G.T @ (psi0 - x0))[:3], rtol=1e-15, atol=0)
         assert grad.tobytes() == before.tobytes()
@@ -164,8 +190,9 @@ class TestBuildQp:
         psi0 = np.array([0.5])
         grad = logit_gradient(psi0, np.array([[10.0]]), params)
         prob = build_qp(np.array([0.4]), 0.0, psi0, grad, gamma, params, k=1, tcs=False)
-        # no price coordinate and no cap row
-        assert prob.P.shape == (1, 1)
+        # no price coordinate and no cap row: P is the 1x1 block g^2
+        g = grad[0, 0] - 1.0
+        assert_operator_matches(prob.P, np.array([[g * g]]))
         assert len(prob.lower) == len(prob.upper) == 1
         assert prob.cap_coeffs is None and prob.cap_rhs is None
         rep = equilibrium_solve(small_scenario, params, tcs=False, p_init=0.004)
@@ -196,6 +223,87 @@ class TestBuildQp:
         with pytest.raises(ValueError):
             build_qp(np.array([0.1]), 0.0, np.array([0.5]),
                      np.zeros((1, 2)), np.array([1.0]), params, k=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("tcs,entry", [
+        (True, (1, 0)), (True, (2, 2)), (True, (0, 3)),   # column 3: the price
+        (False, (1, 0)), (False, (2, 2)),
+    ])
+    def test_non_finite_jacobian_rejected(self, tcs, entry, bad):
+        # P is never formed, so build_qp itself refuses a Jacobian that would
+        # make it non-finite, before any solve sees the problem
+        params = TcsParams()
+        gamma = np.array([120.0, 340.0, 75.0])
+        x0 = np.array([0.2, 0.45, 0.3])
+        psi0 = np.array([0.35, 0.5, 0.1])
+        dT = np.random.default_rng(11).normal(scale=40.0, size=(3, 3))
+        grad = logit_gradient(psi0, dT, params)
+        grad[entry] = bad
+        with pytest.raises(ValueError, match="^P must be finite"):
+            build_qp(x0, 0.006, psi0, grad, gamma, params, k=1, tcs=tcs)
+
+
+@pytest.fixture(scope="module")
+def congested_qps():
+    """The build_qp calls of one congested seed-0 equilibrium with the
+    scheme and one without: (tcs, build_qp arguments, its problem)."""
+    scenario = generate_synthetic(0, preset_spec("congested"))
+    params = TcsParams()
+    calls = []
+
+    def recording(*args, tcs=True):
+        calls.append((tcs, args, build_qp(*args, tcs=tcs)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tcsmfd.equilibrium, "build_qp", recording)
+        for tcs in (True, False):
+            assert equilibrium_solve(scenario, params, tcs=tcs).converged
+    assert {tcs for tcs, _, _ in calls} == {True, False}
+    return calls
+
+
+def dense_p(args, tcs):
+    """P = G'G + border assembled from build_qp's arguments."""
+    x0, _, _, grad_psi, gammas, params, _ = args
+    n = len(x0)
+    m = n + 1 if tcs else n
+    G = grad_psi[:, :m] - np.eye(n, m)
+    P = G.T @ G
+    if tcs:
+        c = params.cap_weights(gammas)
+        border = params.eta * (-c / c.sum() * params.tau)
+        P[:n, n] += border
+        P[n, :n] += border
+    return P
+
+
+class TestNeverFormedP:
+    def test_operator_solves_as_the_dense_matrix(self, congested_qps):
+        for tcs, args, prob in congested_qps:
+            bounds = (prob.q, prob.lower, prob.upper, prob.cap_coeffs, prob.cap_rhs)
+            op = solve_qp(prob.P, *bounds)
+            dense = solve_qp(dense_p(args, tcs), *bounds)
+            assert op.iterations == dense.iterations
+            assert op.converged == dense.converged
+            np.testing.assert_allclose(op.z, dense.z, rtol=0, atol=1e-10)
+            assert op.objective == pytest.approx(dense.objective, rel=1e-12, abs=0)
+
+    def test_build_and_solve_never_hold_p(self, congested_qps):
+        # the N x (N+1) copy G is the one matrix-sized allocation; forming
+        # P = G'G as well would double the peak
+        _, args, _ = next(call for call in congested_qps if call[0])
+        n = len(args[0])
+        g_bytes = n * (n + 1) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prob = build_qp(*args)
+            solve_qp(prob.P, prob.q, prob.lower, prob.upper, prob.cap_coeffs, prob.cap_rhs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert g_bytes <= peak < 1.5 * g_bytes
 
 
 def test_j_value_hand_case():

@@ -172,8 +172,9 @@ class TestSolver:
         orig = qp._newton_point
 
         def recording(*args):
-            newton_points.append(orig(*args))
-            return newton_points[-1]
+            point, cg = orig(*args)
+            newton_points.append(point)
+            return point, cg
 
         monkeypatch.setattr(qp, "_newton_point", recording)
         sol = solve_qp(P, q, lower, upper)
@@ -183,6 +184,32 @@ class TestSolver:
         assert sol.objective == -1.0
         _, obj_ref = enumerate_qp(P, q, lower, upper)
         assert sol.objective == pytest.approx(obj_ref, abs=1e-12)
+
+
+    def test_cg_iterations_count_the_face_products(self, monkeypatch):
+        # each face solve takes one product at its start point, then one per
+        # CG iteration; the count is the second kind, summed over the solves
+        P, q, lower, upper, a, b = random_instance(np.random.default_rng(3), 30)
+        loop_products = []
+        orig = qp._newton_point
+
+        def counting(hv, *rest):
+            calls = []
+
+            def counted(v):
+                calls.append(v)
+                return hv(v)
+
+            out = orig(counted, *rest)
+            loop_products.append(max(len(calls) - 1, 0))
+            return out
+
+        monkeypatch.setattr(qp, "_newton_point", counting)
+        sol = solve_qp(P, q, lower, upper, a, b)
+        monkeypatch.undo()
+        assert len(loop_products) == sol.iterations - 1 >= 2
+        assert sol.cg_iterations == sum(loop_products) > 0
+        assert solve_qp(P, q, lower, upper, a, b).cg_iterations == sol.cg_iterations
 
 
 @settings(max_examples=40, deadline=None)
