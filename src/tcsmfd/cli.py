@@ -1,10 +1,15 @@
 """Command-line interface.
 
 Every subcommand writes its outputs plus a ``manifest.json`` into the
-directory given by ``-o``; the manifest pins inputs (paths and content
-hashes), parameters and the package version, so a rerun with the same
-manifest inputs reproduces the outputs byte for byte.  Writes are atomic
-(temp file + rename) and never clobber a file with a partial write.
+directory given by ``-o``.  The manifest pins the inputs (paths and content
+hashes), the options, the ``TcsParams`` fields the command reads, the seed
+where the command reads one, and the package version, so a rerun with the
+same manifest inputs reproduces the outputs byte for byte.  Writes are
+atomic (temp file + rename), never clobber a file with a partial write, and
+the manifest is written last.
+
+A subcommand accepts only the parameter flags of the fields it reads
+(``_PARAM_FLAGS`` and ``_READS``); any other flag is an argparse error.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .scenario import (
     generate_synthetic,
     load_scenario,
     preset_spec,
-    save_scenario,
+    scenario_to_text,
 )
 from .simulator import HorizonError
 
@@ -61,101 +66,76 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(rows) -> str:
+    return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
 
 
 def write_csv(path: Path, rows) -> None:
-    _atomic_write(path, "\n".join(",".join(str(c) for c in row) for row in rows) + "\n")
+    _atomic_write(path, _csv_text(rows))
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _manifest(args, command: str, params: TcsParams | None, inputs: dict,
-              options: dict) -> dict:
-    man = {
-        "command": command,
-        "package": "tcsmfd",
-        "version": __version__,
-        "inputs": inputs,
-        "options": options,
-    }
-    if params is not None:
-        man["params"] = asdict(params)
-    if getattr(args, "seed", None) is not None:
-        man["seed"] = args.seed
-    return man
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# parameter plumbing
+# parameter flags
 
 
-def _add_common(parser: argparse.ArgumentParser, scenario: bool = True) -> None:
-    if scenario:
-        parser.add_argument("--scenario", required=True, help="scenario file (JSON)")
-    parser.add_argument("-o", "--out", required=True, help="output directory")
-    parser.add_argument("--tau", type=float, default=None, help="credit charge per car trip")
-    parser.add_argument("--kappa", type=float, default=None, help="credit allowance per traveler")
-    parser.add_argument("--alpha-eur-per-h", type=float, default=None, help="value of time, EUR/h")
-    parser.add_argument("--theta", type=float, default=None, help="logit sensitivity, 1/EUR")
-    parser.add_argument("--eta", type=float, default=None, help="market-clearing weight")
-    parser.add_argument("--j-goal", type=float, default=None, help="objective convergence goal")
-    parser.add_argument("--max-iters", type=int, default=None, help="equilibrium iteration cap")
-    parser.add_argument("--eps", default=None,
-                        help="trust-region schedule: 'inv' or 'const:<v>'")
-    parser.add_argument("--p0", type=float, default=None, help="initial credit price")
-    parser.add_argument("--gamma-emission", type=float, default=None,
-                        help="emission weight of the mixed objective")
-    parser.add_argument("--p-carbon", type=float, default=None, help="carbon price, EUR/tonne")
-    parser.add_argument("--cap-constraint", choices=("printed", "gamma-weighted"),
-                        default=None, help="aggregate cap row variant")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
+def _eur_per_s(text: str) -> float:
+    return float(text) / 3600.0
 
 
-def _params_from_args(args) -> TcsParams:
-    params = TcsParams()
-    updates = {}
-    if args.tau is not None:
-        updates["tau"] = args.tau
-    if args.kappa is not None:
-        updates["kappa"] = args.kappa
-    if args.alpha_eur_per_h is not None:
-        updates["alpha"] = args.alpha_eur_per_h / 3600.0
-    if args.theta is not None:
-        updates["theta"] = args.theta
-    if args.eta is not None:
-        updates["eta"] = args.eta
-    if args.j_goal is not None:
-        updates["j_goal"] = args.j_goal
-    if args.max_iters is not None:
-        updates["max_iters"] = args.max_iters
-    if args.eps is not None:
-        updates["eps_schedule"] = "inverse" if args.eps == "inv" else args.eps
-    if args.p0 is not None:
-        updates["p0"] = args.p0
-    if args.gamma_emission is not None:
-        updates["gamma_emission"] = args.gamma_emission
-    if args.p_carbon is not None:
-        updates["p_carbon"] = args.p_carbon
-    if args.cap_constraint is not None:
-        updates["cap_constraint"] = args.cap_constraint
-    return replace(params, **updates) if updates else params
+def _eps_schedule(text: str) -> str:
+    return "inverse" if text == "inv" else text
 
 
-def _scenario_inputs(args) -> tuple:
-    path = Path(args.scenario)
-    scenario = load_scenario(path)
-    inputs = {"scenario_path": str(path), "scenario_sha256": _sha256(path)}
-    return scenario, inputs
+# TcsParams field -> (flag, argparse keywords); ``type`` converts the flag's
+# text to the field's value
+_PARAM_FLAGS = {
+    "tau": ("--tau", dict(type=float, help="credit charge per car trip")),
+    "kappa": ("--kappa", dict(type=float, help="credit allowance per traveler")),
+    "alpha": ("--alpha-eur-per-h", dict(type=_eur_per_s, help="value of time, EUR/h")),
+    "theta": ("--theta", dict(type=float, help="logit sensitivity, 1/EUR")),
+    "eta": ("--eta", dict(type=float, help="market-clearing weight")),
+    "j_goal": ("--j-goal", dict(type=float, help="objective convergence goal")),
+    "max_iters": ("--max-iters", dict(type=int, help="equilibrium iteration cap")),
+    "eps_schedule": ("--eps", dict(type=_eps_schedule,
+                                   help="trust-region schedule: 'inv' or 'const:<v>'")),
+    "p0": ("--p0", dict(type=float, help="initial credit price")),
+    "gamma_emission": ("--gamma-emission",
+                       dict(type=float, help="emission weight of the mixed objective")),
+    "p_carbon": ("--p-carbon", dict(type=float, help="carbon price, EUR/tonne")),
+    "cap_constraint": ("--cap-constraint", dict(choices=("printed", "gamma-weighted"),
+                                                help="aggregate cap row variant")),
+}
+
+_SOLVER = ("kappa", "alpha", "theta", "eta", "j_goal", "max_iters", "eps_schedule",
+           "p0", "cap_constraint")
+
+# the TcsParams fields each scenario subcommand reads: its flags and its
+# manifest's params
+_READS = {
+    "equilibrium": ("tau",) + _SOLVER,
+    "stability": ("tau",) + _SOLVER,
+    "gains": ("tau",) + _SOLVER,
+    "sweep": _SOLVER,                      # the charges come from --taus
+    "optimize": _SOLVER + ("gamma_emission", "p_carbon"),   # and from --lo/--hi
+    "msa": ("tau", "kappa", "alpha", "theta", "cap_constraint"),
+    "uniqueness": (),
+}
+
+
+def _params(args, fields) -> TcsParams:
+    values = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
+    if "tau" not in fields:
+        # the command sets the charge of each solve; build at one the allowance admits
+        values["tau"] = max(values.get("kappa", TcsParams.kappa), TcsParams.tau)
+    return TcsParams(**values)
 
 
 def parse_taus(spec: str) -> list:
@@ -279,169 +259,143 @@ def stability_table(runs) -> list:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (outputs as {file name: text}, manifest entries,
+# summary line) and leaves the writing to _run
 
 
-def _cmd_generate(args) -> int:
-    out = _out_dir(args)
+def _cmd_generate(args, scenario, params):
     spec = preset_spec(args.preset)
     overrides = {"n_groups": args.n_groups, "total_travelers": args.total_travelers}
     spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
     scenario = generate_synthetic(args.seed, spec)
-    save_scenario(scenario, out / "scenario.json")
-    _write_json(
-        out / "manifest.json",
-        _manifest(
-            args, "generate", None,
-            inputs={"preset": args.preset, "generator_spec": asdict(spec)},
-            options={"n_groups": scenario.n, "total_travelers": scenario.total_travelers},
-        ),
-    )
-    print(f"wrote {out / 'scenario.json'} ({scenario.n} groups)")
-    return 0
+    recorded = {
+        "inputs": {"preset": args.preset, "generator_spec": asdict(spec)},
+        "options": {"n_groups": scenario.n, "total_travelers": scenario.total_travelers},
+    }
+    return ({"scenario.json": scenario_to_text(scenario)}, recorded,
+            f"wrote {Path(args.out) / 'scenario.json'} ({scenario.n} groups)")
 
 
-def _cmd_equilibrium(args) -> int:
-    out = _out_dir(args)
-    scenario, inputs = _scenario_inputs(args)
-    params = _params_from_args(args)
+def _cmd_equilibrium(args, scenario, params):
     rep = equilibrium_solve(scenario, params, tcs=not args.no_tcs)
     payload = _equilibrium_payload(rep)
     payload["ttt_h"] = total_travel_time(scenario, rep.state, rep.sim)
     payload["emission_t"] = total_emission(rep.sim)
-    _write_json(out / "equilibrium.json", payload)
-    _write_json(out / "manifest.json",
-                _manifest(args, "equilibrium", params, inputs,
-                          {"no_tcs": bool(args.no_tcs)}))
     status = "converged" if rep.converged else "NOT CONVERGED"
-    print(f"equilibrium {status}: p={rep.state.p:.6g} EUR/credit, "
-          f"J={rep.j_final:.3g}, {rep.iterations} iterations")
-    return 0
+    return ({"equilibrium.json": _json_text(payload)},
+            {"options": {"no_tcs": bool(args.no_tcs)}},
+            f"equilibrium {status}: p={rep.state.p:.6g} EUR/credit, "
+            f"J={rep.j_final:.3g}, {rep.iterations} iterations")
 
 
-def _cmd_msa(args) -> int:
-    out = _out_dir(args)
-    scenario, inputs = _scenario_inputs(args)
-    params = _params_from_args(args)
+def _cmd_msa(args, scenario, params):
     rep = msa_solve(scenario, params, p_fixed=args.price, iters=args.iters)
-    _write_json(
-        out / "msa.json",
-        {
-            "x": [float(v) for v in rep.x],
-            "p": rep.p,
-            "iterations": rep.iterations,
-            "residual_trace": rep.residual_trace,
-            "cap_violated": rep.cap_violated,
-            "car_credits": rep.car_credits,
-            "credit_supply": rep.credit_supply,
-        },
-    )
-    _write_json(out / "manifest.json",
-                _manifest(args, "msa", params, inputs,
-                          {"price": args.price, "iters": args.iters}))
+    payload = {
+        "x": [float(v) for v in rep.x],
+        "p": rep.p,
+        "iterations": rep.iterations,
+        "residual_trace": rep.residual_trace,
+        "cap_violated": rep.cap_violated,
+        "car_credits": rep.car_credits,
+        "credit_supply": rep.credit_supply,
+    }
     flag = " (cap violated)" if rep.cap_violated else ""
-    print(f"msa done: residual={rep.residual_final:.3g}{flag}")
-    return 0
+    return ({"msa.json": _json_text(payload)},
+            {"options": {"price": args.price, "iters": args.iters}},
+            f"msa done: residual={rep.residual_final:.3g}{flag}")
 
 
-def _cmd_sweep(args) -> int:
-    out = _out_dir(args)
-    scenario, inputs = _scenario_inputs(args)
-    params = _params_from_args(args)
+def _cmd_sweep(args, scenario, params):
     taus = parse_taus(args.taus)
     rows = sweep_charges(scenario, params, taus)
-    for name, table in sweep_tables(rows).items():
-        write_csv(out / name, table)
-    _write_json(out / "manifest.json",
-                _manifest(args, "sweep", params, inputs, {"taus": taus}))
     bad = sum(1 for r in rows if not r.converged)
-    print(f"sweep done: {len(rows)} charges, {bad} non-converged")
-    return 0
+    return ({name: _csv_text(table) for name, table in sweep_tables(rows).items()},
+            {"options": {"taus": taus}},
+            f"sweep done: {len(rows)} charges, {bad} non-converged")
 
 
-def _cmd_optimize(args) -> int:
-    out = _out_dir(args)
-    scenario, inputs = _scenario_inputs(args)
-    params = _params_from_args(args)
+def _cmd_optimize(args, scenario, params):
     res = optimize_charge(scenario, params, objective=args.objective,
                           lo=args.lo, hi=args.hi)
-    write_csv(out / "dichotomy_trace.csv", dichotomy_table(res))
-    _write_json(
-        out / "optimize.json",
-        {
-            "objective": res.objective,
-            "tau_star": res.tau_star,
-            "n_solves": res.n_solves,
-            "price_at_star": res.report.state.p,
-            "final_objective_eur": res.final_objective,
-        },
-    )
-    _write_json(out / "manifest.json",
-                _manifest(args, "optimize", params, inputs,
-                          {"objective": args.objective, "lo": args.lo, "hi": args.hi}))
-    print(f"optimal charge ({args.objective}): tau*={res.tau_star:.0f} "
-          f"after {res.n_solves} solves")
-    return 0
+    summary = {
+        "objective": res.objective,
+        "tau_star": res.tau_star,
+        "n_solves": res.n_solves,
+        "price_at_star": res.report.state.p,
+        "final_objective_eur": res.final_objective,
+    }
+    return ({"dichotomy_trace.csv": _csv_text(dichotomy_table(res)),
+             "optimize.json": _json_text(summary)},
+            {"options": {"objective": args.objective, "lo": args.lo, "hi": args.hi}},
+            f"optimal charge ({args.objective}): tau*={res.tau_star:.0f} "
+            f"after {res.n_solves} solves")
 
 
-def _cmd_uniqueness(args) -> int:
-    out = _out_dir(args)
-    scenario, inputs = _scenario_inputs(args)
+def _cmd_uniqueness(args, scenario, params):
     rep = uniqueness_check(scenario, n_samples=args.samples, seed=args.seed,
                            max_pairs=args.max_pairs)
-    _write_json(
-        out / "uniqueness.json",
-        {
-            "n_samples": rep.n_samples,
-            "n_pairs": rep.n_pairs,
-            "all_pairs": rep.all_pairs,
-            "min_dot": rep.min_dot,
-            "positive": rep.positive,
-            "percentiles": {str(k): v for k, v in rep.percentiles.items()},
-        },
-    )
-    write_csv(out / "dot_histogram.csv", histogram_rows(rep.dots))
-    _write_json(out / "manifest.json",
-                _manifest(args, "uniqueness", None, inputs,
-                          {"samples": args.samples, "max_pairs": args.max_pairs}))
-    print(f"uniqueness: min dot {rep.min_dot:.6g} over {rep.n_pairs} pairs "
-          f"({'positive' if rep.positive else 'NOT positive'})")
-    return 0
+    summary = {
+        "n_samples": rep.n_samples,
+        "n_pairs": rep.n_pairs,
+        "all_pairs": rep.all_pairs,
+        "min_dot": rep.min_dot,
+        "positive": rep.positive,
+        "percentiles": {str(k): v for k, v in rep.percentiles.items()},
+    }
+    return ({"uniqueness.json": _json_text(summary),
+             "dot_histogram.csv": _csv_text(histogram_rows(rep.dots))},
+            {"options": {"samples": args.samples, "max_pairs": args.max_pairs}},
+            f"uniqueness: min dot {rep.min_dot:.6g} over {rep.n_pairs} pairs "
+            f"({'positive' if rep.positive else 'NOT positive'})")
 
 
-def _cmd_stability(args) -> int:
-    out = _out_dir(args)
-    scenario, inputs = _scenario_inputs(args)
-    params = _params_from_args(args)
+def _cmd_stability(args, scenario, params):
     taus = parse_taus(args.taus) if args.taus else [params.tau]
     runs = stability_runs(scenario, params, taus)
-    write_csv(out / "stability.csv", stability_table(runs))
-    _write_json(out / "manifest.json",
-                _manifest(args, "stability", params, inputs, {"taus": taus}))
-    print(f"stability: {len(runs)} charges analyzed")
-    return 0
+    return ({"stability.csv": _csv_text(stability_table(runs))},
+            {"options": {"taus": taus}},
+            f"stability: {len(runs)} charges analyzed")
 
 
-def _cmd_gains(args) -> int:
-    out = _out_dir(args)
-    scenario, inputs = _scenario_inputs(args)
-    params = _params_from_args(args)
+def _cmd_gains(args, scenario, params):
     ref = equilibrium_solve(scenario, params, tcs=False, p_init=0.0)
     tcs = equilibrium_solve(scenario, params)
     gains = group_gains(ref.state, tcs.state, scenario, params)
     g = scenario.gammas
-    write_csv(out / "gains.csv", gains_table(scenario, gains))
-    _write_json(
-        out / "gains_summary.json",
-        {
-            "price_eur_per_credit": tcs.state.p,
-            "weighted_trade_total_eur": gains.weighted_trade_total(g),
-            "weighted_net_total_eur": float(g @ gains.net_eur),
-            "winners_fraction": float(g[gains.net_eur > 0].sum() / g.sum()),
-        },
-    )
-    _write_json(out / "manifest.json", _manifest(args, "gains", params, inputs, {}))
-    print(f"gains written for {scenario.n} groups")
+    summary = {
+        "price_eur_per_credit": tcs.state.p,
+        "weighted_trade_total_eur": gains.weighted_trade_total(g),
+        "weighted_net_total_eur": float(g @ gains.net_eur),
+        "winners_fraction": float(g[gains.net_eur > 0].sum() / g.sum()),
+    }
+    return ({"gains.csv": _csv_text(gains_table(scenario, gains)),
+             "gains_summary.json": _json_text(summary)},
+            {"options": {}},
+            f"gains written for {scenario.n} groups")
+
+
+def _run(args) -> int:
+    """Shared work of every subcommand around its ``_cmd_*`` function."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = {"command": args.command, "package": "tcsmfd", "version": __version__}
+    scenario = params = None
+    if "scenario" in args:
+        path = Path(args.scenario)
+        scenario = load_scenario(path)
+        manifest["inputs"] = {"scenario_path": str(path), "scenario_sha256": _sha256(path)}
+    fields = _READS.get(args.command)
+    if fields:
+        params = _params(args, fields)
+        manifest["params"] = {f: getattr(params, f) for f in fields}
+    outputs, recorded, summary = args.func(args, scenario, params)
+    manifest.update(recorded)
+    if "seed" in args:
+        manifest["seed"] = args.seed
+    for name, text in outputs.items():
+        _atomic_write(out / name, text)
+    _atomic_write(out / "manifest.json", _json_text(manifest))
+    print(summary)
     return 0
 
 
@@ -455,53 +409,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic scenario")
+    def command(name, func, summary):
+        # no abbreviations: a dropped flag such as sweep's --tau must not
+        # resolve to a kept one such as --taus
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        if name in _READS:
+            p.add_argument("--scenario", required=True, help="scenario file (JSON)")
+        p.add_argument("-o", "--out", required=True, help="output directory")
+        for field in _READS.get(name, ()):
+            flag, kwargs = _PARAM_FLAGS[field]
+            p.add_argument(flag, dest=field, default=None, **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", _cmd_generate, "write a synthetic scenario")
     p.add_argument("--preset", default="small", help="preset name")
     p.add_argument("--n-groups", type=int, default=None)
     p.add_argument("--total-travelers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=_cmd_generate)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("equilibrium", help="solve the market equilibrium")
-    _add_common(p)
+    p = command("equilibrium", _cmd_equilibrium, "solve the market equilibrium")
     p.add_argument("--no-tcs", action="store_true",
                    help="plain logit equilibrium without the credit market")
-    p.set_defaults(func=_cmd_equilibrium)
 
-    p = sub.add_parser("msa", help="successive-averages benchmark at a fixed price")
-    _add_common(p)
+    p = command("msa", _cmd_msa, "successive-averages benchmark at a fixed price")
     p.add_argument("--price", type=float, required=True)
     p.add_argument("--iters", type=int, default=50)
-    p.set_defaults(func=_cmd_msa)
 
-    p = sub.add_parser("sweep", help="equilibria over a range of charges")
-    _add_common(p)
+    p = command("sweep", _cmd_sweep, "equilibria over a range of charges")
     p.add_argument("--taus", required=True, help="start:stop:step or comma list")
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("optimize", help="dichotomy search for the optimal charge")
-    _add_common(p)
+    p = command("optimize", _cmd_optimize, "dichotomy search for the optimal charge")
     p.add_argument("--objective", choices=("ttt", "mixed"), default="mixed")
     p.add_argument("--lo", type=int, default=100)
     p.add_argument("--hi", type=int, default=500)
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("uniqueness", help="monotonicity sampling diagnostic")
-    _add_common(p)
+    p = command("uniqueness", _cmd_uniqueness, "monotonicity sampling diagnostic")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--max-pairs", type=int, default=1_000_000)
-    p.set_defaults(func=_cmd_uniqueness)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    p = sub.add_parser("stability", help="eigenvalue stability at equilibria")
-    _add_common(p)
+    p = command("stability", _cmd_stability, "eigenvalue stability at equilibria")
     p.add_argument("--taus", default=None, help="start:stop:step or comma list")
-    p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("gains", help="per-group welfare decomposition")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gains)
-
+    command("gains", _cmd_gains, "per-group welfare decomposition")
     return parser
 
 
@@ -509,7 +460,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ScenarioError, ValueError, FileNotFoundError, HorizonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@
 import json
 import os
 import runpy
+import shlex
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,22 @@ from pathlib import Path
 
 import pytest
 
-from tcsmfd import equilibrium, save_scenario
-from tcsmfd.cli import parse_taus, main
+from tcsmfd import (
+    TcsParams,
+    equilibrium,
+    load_scenario,
+    optimize_charge,
+    save_scenario,
+    sweep_charges,
+)
+from tcsmfd.cli import (
+    _build_parser,
+    dichotomy_table,
+    main,
+    parse_taus,
+    sweep_tables,
+    write_csv,
+)
 from tcsmfd.simulator import HorizonError
 
 from conftest import make_scenario
@@ -220,6 +235,18 @@ class TestSweep:
         assert rc == 2
         capsys.readouterr()
 
+    def test_allowance_above_the_default_charge(self, scenario_file, tmp_path):
+        rc = main([
+            "sweep", "--scenario", str(scenario_file), "-o", str(tmp_path / "cli"),
+            "--kappa", "250", "--taus", "300,400",
+        ])
+        assert rc == 0
+        rows = sweep_charges(load_scenario(scenario_file),
+                             TcsParams(kappa=250.0, tau=300.0), [300.0, 400.0])
+        write_csv(tmp_path / "lib.csv", sweep_tables(rows)["sweep.csv"])
+        assert (tmp_path / "cli" / "sweep.csv").read_bytes() == \
+            (tmp_path / "lib.csv").read_bytes()
+
     @pytest.mark.parametrize("spec", ["100:500:0", "500:100:20", "100:500:-20", "", "nan"])
     def test_degenerate_taus_exit_2(self, scenario_file, tmp_path, capsys, spec):
         rc = main([
@@ -247,6 +274,18 @@ class TestOptimize:
         assert len(trace) >= 2
         for line in trace[1:]:
             assert [int(c) for c in line.split(",")[-2:]] == [0, 0]
+
+    def test_allowance_above_the_default_charge(self, scenario_file, tmp_path):
+        rc = main([
+            "optimize", "--scenario", str(scenario_file), "-o", str(tmp_path / "cli"),
+            "--kappa", "250", "--lo", "300", "--hi", "302",
+        ])
+        assert rc == 0
+        res = optimize_charge(load_scenario(scenario_file),
+                              TcsParams(kappa=250.0, tau=300.0), lo=300, hi=302)
+        write_csv(tmp_path / "lib.csv", dichotomy_table(res))
+        assert (tmp_path / "cli" / "dichotomy_trace.csv").read_bytes() == \
+            (tmp_path / "lib.csv").read_bytes()
 
 
 class TestUniqueness:
@@ -284,6 +323,108 @@ class TestGains:
         assert 0.0 <= summary["winners_fraction"] <= 1.0
         lines = (tmp_path / "gains.csv").read_text().strip().splitlines()
         assert len(lines) == 7   # header + 6 groups
+
+
+# every parameter flag with a value that differs from its default
+PERTURBED = {
+    "--tau": "250", "--kappa": "120", "--alpha-eur-per-h": "14.4", "--theta": "0.5",
+    "--eta": "2", "--j-goal": "1e-30", "--max-iters": "2", "--eps": "const:0.25",
+    "--p0": "0.05", "--gamma-emission": "80", "--p-carbon": "40",
+    "--cap-constraint": "printed", "--seed": "4",
+}
+SOLVER_FLAGS = ["--kappa", "--alpha-eur-per-h", "--theta", "--eta", "--j-goal",
+                "--max-iters", "--eps", "--p0", "--cap-constraint"]
+# the flags each scenario subcommand reads, and so accepts
+ACCEPTS = {
+    "equilibrium": ["--tau"] + SOLVER_FLAGS,
+    "stability": ["--tau"] + SOLVER_FLAGS,
+    "gains": ["--tau"] + SOLVER_FLAGS,
+    "sweep": SOLVER_FLAGS,
+    "optimize": SOLVER_FLAGS + ["--gamma-emission", "--p-carbon"],
+    "msa": ["--tau", "--kappa", "--alpha-eur-per-h", "--theta", "--cap-constraint"],
+    "uniqueness": ["--seed"],
+}
+# short runs that every perturbed value above keeps valid
+BASE_ARGS = {
+    "equilibrium": [], "stability": [], "gains": [],
+    "sweep": ["--taus", "180,260"],
+    "optimize": ["--lo", "130", "--hi", "146"],
+    "msa": ["--price", "0.004", "--iters", "20"],
+    "uniqueness": ["--samples", "12"],
+}
+
+
+def outputs_of(out):
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.fixture(scope="module")
+def base_run(scenario_file, tmp_path_factory):
+    """Output directory of each subcommand's run at the default parameters."""
+    runs = {}
+
+    def run(command):
+        if command not in runs:
+            out = tmp_path_factory.mktemp(command)
+            rc = main([command, "--scenario", str(scenario_file), "-o", str(out),
+                       *BASE_ARGS[command]])
+            assert rc == 0
+            runs[command] = out
+        return runs[command]
+
+    return run
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("command", list(ACCEPTS))
+    def test_manifest_records_what_is_read(self, base_run, command):
+        man = read_json(base_run(command) / "manifest.json")
+        n_params = len([f for f in ACCEPTS[command] if f != "--seed"])
+        assert len(man.get("params", {})) == n_params
+        assert ("seed" in man) == ("--seed" in ACCEPTS[command])
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in ACCEPTS.items() for flag in flags
+    ])
+    def test_accepted_flag_reaches_an_output(self, scenario_file, base_run, tmp_path,
+                                             command, flag):
+        rc = main([command, "--scenario", str(scenario_file), "-o", str(tmp_path),
+                   *BASE_ARGS[command], flag, PERTURBED[flag]])
+        assert rc == 0
+        base = outputs_of(base_run(command))
+        assert outputs_of(tmp_path).keys() == base.keys()
+        assert outputs_of(tmp_path) != base
+
+    @pytest.mark.parametrize("command,flag,value", [
+        (command, flag, PERTURBED[flag]) for command in ACCEPTS for flag in PERTURBED
+        if flag not in ACCEPTS[command]
+    ] + [
+        ("optimize", "--tau", "999"), ("uniqueness", "--theta", "-3"),
+        ("msa", "--max-iters", "0"), ("equilibrium", "--seed", "1"),
+    ])
+    def test_unread_flag_is_rejected(self, scenario_file, tmp_path, capsys,
+                                     command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(scenario_file), "-o", str(tmp_path),
+                  *BASE_ARGS[command], flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    lines = [line.strip() for block in blocks if block.startswith("sh\n")
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.strip().startswith("tcsmfd ")]
+    assert len(lines) >= 9
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 class TestStudyScript:

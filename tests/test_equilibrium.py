@@ -386,6 +386,16 @@ class TestEquilibriumSolver:
         assert rep.state.p == pytest.approx(0.0, abs=1e-9)
         np.testing.assert_allclose(rep.state.x, ref.state.x, atol=1e-4)
 
+    def test_no_scheme_solve_ignores_the_charge(self):
+        # scripts/run_full_study.py reuses one no-scheme reference at every charge
+        scenario = generate_synthetic(0, preset_spec("small"))
+        a, b = (equilibrium_solve(scenario, TcsParams(tau=tau), tcs=False, p_init=0.0)
+                for tau in (200.0, 300.0))
+        assert a.iterations == b.iterations
+        assert np.array(a.j_trace).tobytes() == np.array(b.j_trace).tobytes()
+        assert a.state.x.tobytes() == b.state.x.tobytes()
+        assert a.sim.car_times.tobytes() == b.sim.car_times.tobytes()
+
     def test_infeasible_x_init_rejected(self, small_scenario):
         n = small_scenario.n
         with pytest.raises(ValueError):
