@@ -158,7 +158,7 @@ def stability_check(scenario: Scenario, params: TcsParams, state) -> StabilityRe
         raise ValueError("stability analysis needs a binding cap (p > 0)")
     sim = simulate(scenario, state.x)
     psi = logit_choice(sim.car_times, scenario.pt_times, state.p, params)
-    dT = travel_time_gradient(scenario, sim).dT  # per-event blocks freed here
+    dT = travel_time_gradient(scenario, sim).dT  # its per-event blocks are never built
     grad_psi = logit_gradient(psi, dT, params)
     jac = stability_jacobian(grad_psi, params.cap_weights(scenario.gammas), params.tau)
     res = eig_values(jac)

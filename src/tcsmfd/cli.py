@@ -132,8 +132,9 @@ _READS = {
 
 def _params(args, fields) -> TcsParams:
     values = {f: getattr(args, f) for f in fields if getattr(args, f) is not None}
-    if "tau" not in fields:
-        # the command sets the charge of each solve; build at one the allowance admits
+    if "tau" not in fields or getattr(args, "taus", None):
+        # the command sets the charge of each solve (stability does so when
+        # given --taus, and then ignores --tau); build at one the allowance admits
         values["tau"] = max(values.get("kappa", TcsParams.kappa), TcsParams.tau)
     return TcsParams(**values)
 

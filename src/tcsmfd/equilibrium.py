@@ -318,10 +318,11 @@ def equilibrium_solve(
             converged = True
             break
 
-        # each dense array is dropped once read: the per-event gradient
-        # blocks before the logit block is allocated, the logit block once
-        # build_qp has copied it into G.  G lives in prob.P through the QP
-        # (P itself is never formed) and goes before the next gradient
+        # each dense array is dropped once read: dT (the gradient's only
+        # N x N array; its per-event blocks are never built here) once the
+        # logit block is formed, the logit block once build_qp has copied it
+        # into G.  G lives in prob.P through the QP (P itself is never
+        # formed) and goes before the next gradient
         gm = travel_time_gradient(scenario, sim)
         near_ties += gm.near_ties
         dT = gm.dT

@@ -12,17 +12,21 @@ cases arise for the marginal duration of the period ending at event e:
   duration to every speed perturbation since i entered.
 
 The speed gradient of period e is gamma_j * dV/dn(n_{e-1}) for every group
-j on the road during it, else 0.  All of these rows come from one array
-``dspeed`` call over the event accumulations, written into the 2N x N block
-one group at a time through its entry/exit index window.  The recursion
-then walks the events with running sums kept in reused buffers, so each
-event costs O(1) numpy calls on O(N) data and the full N x N gradient
-matrix costs O(N^2).
+j on the road during it, else 0.  The recursion keeps gamma on the groups on
+the road in one running N-vector, set at each entry and cleared at each
+exit, and reads dV/dn from one array ``dspeed`` call over the event
+accumulations.  It walks the events with running sums kept in reused
+buffers, so each event costs O(1) numpy calls on O(N) data, and the full
+N x N gradient matrix costs O(N^2) time and memory: no per-event 2N x N
+array is formed.  The per-event blocks of period-duration and speed
+gradients are built only when ``GradientMatrix`` is asked for them, by the
+same recursion writing one row per event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,19 +48,31 @@ TIE_GAP_S = 1e-9
 class GradientMatrix:
     """dT[i][j] = d(car travel time of group i) / d(share of group j).
 
-    ``event_time_grads`` and ``event_speed_grads`` keep the per-event
-    building blocks, one N-vector per event: the gradients of the period
-    durations T_e and of the period speeds V_e.  The speed rows are filled
-    from one array ``dspeed`` call and the groups' entry/exit windows, and
-    the recursion spends O(1) numpy calls on O(N) data per event.
     ``near_ties`` warns that two events were closer than TIE_GAP_S so the
-    fixed-order derivative may sit on a kink.
+    fixed-order derivative may sit on a kink.  ``event_time_grads`` and
+    ``event_speed_grads`` are the per-event building blocks, one N-vector
+    per event: the gradients of the period durations T_e and of the period
+    speeds V_e.  They are 2N x N each, so they are built on first read, by
+    the recursion that computed ``dT`` rerun on the held scenario and
+    simulation, and the solver never reads them.
     """
 
     dT: np.ndarray
-    event_time_grads: np.ndarray
-    event_speed_grads: np.ndarray
     near_ties: bool
+    scenario: Scenario = field(repr=False)
+    sim: SimResult = field(repr=False)
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        return _per_event_blocks(self.scenario, self.sim)
+
+    @property
+    def event_time_grads(self) -> np.ndarray:
+        return self._blocks[0]
+
+    @property
+    def event_speed_grads(self) -> np.ndarray:
+        return self._blocks[1]
 
 
 def grad_speed(scenario: Scenario, sim: SimResult, e: int) -> np.ndarray:
@@ -77,82 +93,92 @@ def grad_speed(scenario: Scenario, sim: SimResult, e: int) -> np.ndarray:
     return out
 
 
-def _speed_grads(scenario: Scenario, sim: SimResult) -> np.ndarray:
-    """All rows grad_speed(e), e = 0 .. 2N-1, as one 2N x N array.
-
-    Row e is gamma * dV/dn(n_after[e-1]) on the groups with
-    entry_index < e <= exit_index and +0.0 elsewhere (row 0 is all zero),
-    so column j is gamma_j times the slice of dV/dn over j's trip window.
-    Writing the windows touches only the entries of trips on the road and
-    needs no 2N x N mask.
-    """
-    out = np.zeros((sim.n_events, scenario.n))
-    dv = scenario.mfd.dspeed(sim.n_after[:-1])
-    windows = zip(sim.entry_index.tolist(), sim.exit_index.tolist(),
-                  scenario.gammas.tolist())
-    for j, (entry, exit_, gamma) in enumerate(windows):
-        np.multiply(gamma, dv[entry:exit_], out=out[entry + 1 : exit_ + 1, j])
-    return out
-
-
-def travel_time_gradient(scenario: Scenario, sim: SimResult) -> GradientMatrix:
-    """Full N x N travel-time gradient for the realized event order.
+def _recursion(scenario: Scenario, sim: SimResult, blocks=None) -> np.ndarray:
+    """dT for the realized event order; fills ``blocks`` when it is given.
 
     One pass over the events in time order.  ``grad_t`` is the gradient of
     the current event time and ``flow`` the running sum of
     dT_g * V_g + T_g * dV_g over the periods so far, both updated in place.
-    Each entry stores a copy of ``flow``; the group's exit closes its trip
-    length against it.  ``grad_t`` is exactly zero at every entry, a fixed
+    ``on_road`` holds gamma on the groups traveling and +0.0 elsewhere, so
+    the period's speed term is (on_road * dV/dn(n_{e-1})) * T_e.  Off the
+    road that term is 0 * dV/dn * T_e, -0.0 on a falling curve; adding it
+    leaves ``flow`` and the trip windows bit for bit, since neither is ever
+    -0.0 (flow starts at +0.0 and x - x is +0.0).  Each entry
+    stores a copy of ``flow``; the group's exit closes its trip length
+    against it.  ``grad_t`` is exactly zero at every entry, a fixed
     departure instant, so at the exit it is the group's row of dT.
+
+    ``blocks`` is a pair of zeroed 2N x N arrays that receive each event's
+    d_te and its speed row.  A speed row is written only on the groups on
+    the road (every gamma is > 0, so they are ``on_road > 0``), as in
+    ``grad_speed``: elsewhere the running product is 0 * dV/dn, which is
+    -0.0 on a falling curve.
     """
     n = scenario.n
-    n_events = sim.n_events
-    # the results come first, so the per-entry flow copies are all the
-    # working set on top of them
-    dT = np.empty((n, n))
-    d_te_all = np.zeros((n_events, n))
-    d_ve_all = _speed_grads(scenario, sim)
-
+    gammas = scenario.gammas.tolist()
     kinds = sim.kinds.tolist()
     groups = sim.event_groups.tolist()
     durations = sim.durations.tolist()
     v_after = sim.v_after.tolist()
+    dv = scenario.mfd.dspeed(sim.n_after[:-1]).tolist()  # period e reads dv[e-1]
+    # the result comes first, so the per-entry flow copies are all the
+    # working set on top of it
+    dT = np.empty((n, n))
     grad_t = np.zeros(n)
     flow = np.zeros(n)
+    on_road = np.zeros(n)
+    d_te = np.empty(n)
     dist = np.empty(n)  # T_e * dV_e
     shift = np.empty(n)  # dT_e * V_e
     # event 0 is the first entry: nothing moves yet
-    flow_at_entry = {groups[0]: np.zeros(n)}
-    for e in range(1, n_events):
+    g0 = groups[0]
+    on_road[g0] = gammas[g0]
+    flow_at_entry = {g0: np.zeros(n)}
+    for e in range(1, len(kinds)):
         gid = groups[e]
-        d_te = d_te_all[e]
         v_e = v_after[e - 1]
-        np.multiply(d_ve_all[e], durations[e], out=dist)
+        np.multiply(on_road, dv[e - 1], out=dist)
+        if blocks is not None:
+            np.multiply(on_road, dv[e - 1], out=blocks[1][e], where=on_road > 0.0)
+        dist *= durations[e]
         if kinds[e] == ENTRY:
             if kinds[e - 1] != ENTRY:
                 # d_te = -grad_t takes the event time back to zero, exactly
                 np.negative(grad_t, out=d_te)
+                if blocks is not None:
+                    blocks[0][e] = d_te
                 flow += np.multiply(d_te, v_e, out=shift)
                 grad_t.fill(0.0)
             # after an entry both period ends are fixed departures: d_te = 0,
             # and adding its +0.0 shift is exact (flow is never -0.0)
             flow += dist
             flow_at_entry[gid] = flow.copy()
+            on_road[gid] = gammas[gid]
         else:
             window = flow_at_entry.pop(gid)
             np.subtract(flow, window, out=window)  # flow since the entry
             np.add(dist, window, out=d_te)
             np.divide(d_te, -v_e, out=d_te)  # the bits of -(...) / v_e
+            if blocks is not None:
+                blocks[0][e] = d_te
             flow += np.multiply(d_te, v_e, out=shift)
             flow += dist
             grad_t += d_te
             dT[gid] = grad_t
+            on_road[gid] = 0.0
+    return dT
 
-    gaps = np.diff(sim.times)
-    near_ties = bool(np.any(gaps < TIE_GAP_S))
-    return GradientMatrix(
-        dT=dT,
-        event_time_grads=d_te_all,
-        event_speed_grads=d_ve_all,
-        near_ties=near_ties,
-    )
+
+def _per_event_blocks(scenario: Scenario, sim: SimResult):
+    """The 2N x N blocks (d T_e, d V_e), one row per event, row 0 all zero."""
+    shape = (sim.n_events, scenario.n)
+    blocks = (np.zeros(shape), np.zeros(shape))
+    _recursion(scenario, sim, blocks)
+    return blocks
+
+
+def travel_time_gradient(scenario: Scenario, sim: SimResult) -> GradientMatrix:
+    """Full N x N travel-time gradient for the realized event order."""
+    dT = _recursion(scenario, sim)
+    near_ties = bool(np.any(np.diff(sim.times) < TIE_GAP_S))
+    return GradientMatrix(dT=dT, near_ties=near_ties, scenario=scenario, sim=sim)

@@ -5,20 +5,24 @@ row with ``grad_speed``, the per-event definition (a fresh O(N) active mask
 and a scalar ``dspeed`` call), and every update allocates a new N-vector
 (``flow`` is rebound, never written in place, so each entry can keep a
 plain reference to it).
-``tcsmfd.gradients.travel_time_gradient`` fills the speed rows with one
-array ``dspeed`` call and updates its buffers in place; the two must agree
-bit for bit.
+``tcsmfd.gradients.travel_time_gradient`` keeps gamma on the groups on
+the road in one running vector, reads dV/dn from one array ``dspeed`` call
+and updates its buffers in place; the two must agree bit for bit.  The
+result is a plain namespace with ``GradientMatrix``'s attribute names,
+because ``GradientMatrix`` builds its per-event blocks itself.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from tcsmfd.gradients import TIE_GAP_S, GradientMatrix, grad_speed
+from tcsmfd.gradients import TIE_GAP_S, grad_speed
 from tcsmfd.simulator import ENTRY
 
 __all__ = ["travel_time_gradient_reference"]
 
 
-def travel_time_gradient_reference(scenario, sim) -> GradientMatrix:
+def travel_time_gradient_reference(scenario, sim) -> SimpleNamespace:
     """Full N x N travel-time gradient for the realized event order.
 
     One pass over the events in time order.  ``grad_t`` is the gradient of
@@ -63,7 +67,7 @@ def travel_time_gradient_reference(scenario, sim) -> GradientMatrix:
 
     gaps = np.diff(sim.times)
     near_ties = bool(np.any(gaps < TIE_GAP_S))
-    return GradientMatrix(
+    return SimpleNamespace(
         dT=dT,
         event_time_grads=d_te_all,
         event_speed_grads=d_ve_all,

@@ -24,6 +24,8 @@ from tcsmfd.cli import (
     dichotomy_table,
     main,
     parse_taus,
+    stability_runs,
+    stability_table,
     sweep_tables,
     write_csv,
 )
@@ -311,6 +313,18 @@ class TestStability:
         lines = (tmp_path / "stability.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[0].startswith("tau_credits,")
+
+    def test_allowance_above_the_default_charge(self, scenario_file, tmp_path):
+        rc = main([
+            "stability", "--scenario", str(scenario_file), "-o", str(tmp_path / "cli"),
+            "--kappa", "250", "--taus", "300,400",
+        ])
+        assert rc == 0
+        runs = stability_runs(load_scenario(scenario_file),
+                              TcsParams(kappa=250.0, tau=300.0), [300.0, 400.0])
+        write_csv(tmp_path / "lib.csv", stability_table(runs))
+        assert (tmp_path / "cli" / "stability.csv").read_bytes() == \
+            (tmp_path / "lib.csv").read_bytes()
 
 
 class TestGains:

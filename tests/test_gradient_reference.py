@@ -1,20 +1,34 @@
 """Array-speed travel-time gradient against the frozen per-event loop.
 
-``travel_time_gradient`` fills the speed-gradient block from one array
-``dspeed`` call and the entry/exit windows, and runs the recursion in
-reused buffers; ``reference_gradient.travel_time_gradient_reference`` is the
-per-event loop it replaced.  The rewrite reorders no floating-point
-operation, so ``dT`` and both per-event blocks must agree bit for bit.
+``travel_time_gradient`` keeps gamma on the groups on the road in one
+running vector, reads dV/dn from one array ``dspeed`` call and runs the
+recursion in reused buffers; ``reference_gradient.travel_time_gradient_reference``
+is the per-event loop it replaced.  The rewrite reorders no floating-point
+operation, so ``dT`` and both per-event blocks must agree bit for bit.  The
+blocks are built on first read; the solver's paths never read them.
 """
 
 import dataclasses
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcsmfd import MfdCurve, generate_synthetic, preset_spec, simulate, travel_time_gradient
+from tcsmfd import (
+    MfdCurve,
+    TcsParams,
+    equilibrium_solve,
+    generate_synthetic,
+    preset_spec,
+    simulate,
+    stability_check,
+    travel_time_gradient,
+)
+from tcsmfd import gradients
 from tcsmfd.gradients import grad_speed
 
 from conftest import make_scenario, small_random_scenario, three_group_scenario
@@ -158,6 +172,64 @@ def test_peak_memory_bound(scenario):
         tracemalloc.stop()
     returned = sum(getattr(gm, name).nbytes for name in FIELDS)
     assert peak <= returned + on_road * sc.n * 8 + 2 * 2**20
+
+
+def memory_case(scenario):
+    if scenario == "congested":
+        sc = generate_synthetic(0, preset_spec("congested"))
+    else:
+        sc = small_random_scenario(4, n_groups=1000)
+    sim = simulate(sc, np.random.default_rng(0).uniform(0.2, 0.9, sc.n))
+    on_road = int(np.cumsum(np.where(sim.kinds == 0, 1, -1)).max())
+    return sc, sim, on_road
+
+
+@pytest.mark.parametrize("scenario", ["congested", "mid"])
+def test_peak_memory_without_blocks(scenario):
+    # the call may hold dT, one copy of the running flow per trip on the
+    # road, and at most 2 MB more: neither 2N x N per-event block fits
+    sc, sim, on_road = memory_case(scenario)
+    tracemalloc.start()
+    try:
+        gm = travel_time_gradient(sc, sim)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= gm.dT.nbytes + on_road * sc.n * 8 + 2 * 2**20
+
+
+def test_solver_paths_never_build_the_blocks(monkeypatch):
+    def refuse(scenario, sim):
+        raise AssertionError("per-event blocks built")
+
+    monkeypatch.setattr(gradients, "_per_event_blocks", refuse)
+    sc = generate_synthetic(0, preset_spec("small"))
+    params = TcsParams()
+    assert equilibrium_solve(sc, params, tcs=False).converged
+    rep = equilibrium_solve(sc, params)
+    assert rep.converged and rep.state.p > 0
+    assert stability_check(sc, params, rep.state).eig_converged
+    gm = travel_time_gradient(sc, rep.sim)
+    with pytest.raises(AssertionError, match="per-event blocks built"):
+        gm.event_time_grads
+
+
+def test_tracer_counts_the_returned_arrays(monkeypatch):
+    # perfbench's tracer reads the per-event blocks through the properties;
+    # its gradient counts are dT plus the two full 2N x N blocks
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their module through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    sc = generate_synthetic(0, preset_spec("small"))
+    sim = simulate(sc, np.random.default_rng(0).uniform(0.2, 0.9, sc.n))
+    gm = travel_time_gradient(sc, sim)
+    counts = tracer._gradient_counts(gm)
+    assert counts == {"bytes_computed": gm.dT.nbytes + gm.event_time_grads.nbytes
+                      + gm.event_speed_grads.nbytes}
+    assert counts["bytes_computed"] == (sc.n + 2 * sim.n_events) * sc.n * 8
 
 
 @settings(max_examples=40, deadline=None)
