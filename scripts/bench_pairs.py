@@ -5,9 +5,13 @@ Runs ``perfbench/run.py --trace 0`` in two trees, one after the other, and
 swaps which tree goes first in every other pair, so slow drift of a shared
 machine falls on both sides alike.  Prints every run's metrics, then per
 metric each side's median and quartiles and the number of pairs the change
-wins (ties count for neither side).  ``--workload`` takes one or more
+wins (ties count for neither side).  The same summary follows for each stage
+time the run reports on a ``stage <name> <seconds> s`` line (the workload's
+median per stage, ``stage.uniqueness_s`` and so on; lower is better), so a
+speed claim can name its layer.  ``--workload`` takes one or more
 workloads, or ``all``; they run one after the other, each with its own
-summary.  The last line is one JSON object with every workload's runs.
+summary.  The last line is one JSON object with every workload's runs and
+summaries.
 
     python3 scripts/bench_pairs.py --base HEAD --workload all
     python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -39,6 +44,7 @@ WORKLOADS = ("citywide_equilibrium", "congested_policy", "congested_diagnostics"
 
 
 SEED = 0
+STAGE_LINE = re.compile(r"stage (\S+) (\S+) s")
 
 
 def unpack(rev: str, dest: Path) -> Path:
@@ -61,9 +67,12 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     values = {k: v["value"] for k, v in result["metrics"].items()}
-    return {"correct": result["correct"], "failed": result["failed"], **values}
+    stages = {f"stage.{m[1]}": float(m[2])
+              for m in map(STAGE_LINE.fullmatch, lines[:-1]) if m}
+    return {"correct": result["correct"], "failed": result["failed"], **values, **stages}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -88,16 +97,22 @@ def run_pairs(trees: dict, workload: str, pairs: int, metrics: dict, seconds: fl
         print(f"{workload} pair {i + 1} ({order[0]} first){'' if ok else ' INCORRECT'}: "
               f"{cells}", flush=True)
 
-    for m, better in metrics.items():
+    # stages that every run of both sides reported, in the order of the first run
+    stages = [k for k in runs["base"][0] if k.startswith("stage.")
+              and all(k in r for side in runs.values() for r in side)]
+    summary = {}
+    for m, better in {**metrics, **dict.fromkeys(stages, "lower")}.items():
         b = [r[m] for r in runs["base"]]
         c = [r[m] for r in runs["change"]]
         sign = 1.0 if better == "lower" else -1.0
         wins = sum(sign * (cb - cc) > 0 for cb, cc in zip(b, c))
         (b1, b2, b3), (c1, c2, c3) = quartiles(b), quartiles(c)
+        summary[m] = {"better": better, "base_quartiles": [b1, b2, b3],
+                      "change_quartiles": [c1, c2, c3], "change_wins": wins}
         print(f"{workload} {m} ({better} is better): base median {b2:.4g} [{b1:.4g}, {b3:.4g}], "
               f"change median {c2:.4g} [{c1:.4g}, {c3:.4g}], "
               f"change wins {wins} of {len(b)}", flush=True)
-    return runs
+    return {"runs": runs, "summary": summary}
 
 
 def main(argv=None) -> int:
@@ -124,11 +139,14 @@ def main(argv=None) -> int:
         print(f"workloads {' '.join(workloads)}: base {args.base} against change {ROOT}, "
               f"{args.pairs} pairs each, --seconds {seconds:g} --seed {SEED}",
               flush=True)
-        runs = {w: run_pairs(trees, w, args.pairs, metrics, seconds) for w in workloads}
+        results = {w: run_pairs(trees, w, args.pairs, metrics, seconds) for w in workloads}
 
-    all_correct = all(r["correct"] for w in runs.values() for side in w.values() for r in side)
+    all_correct = all(r["correct"] for w in results.values()
+                      for side in w["runs"].values() for r in side)
     print(f"every run correct: {all_correct}")
-    print(json.dumps({"base": args.base, "runs": runs}))
+    print(json.dumps({"base": args.base,
+                      "runs": {w: res["runs"] for w, res in results.items()},
+                      "summary": {w: res["summary"] for w, res in results.items()}}))
     return 0 if all_correct else 1
 
 

@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     # --- welfare split at the TTT-optimal charge ----------------------------
     # the charge does not enter a no-scheme solve, so ref is the reference here too
     p_star = replace(params, tau=float(best["ttt"].tau_star))
-    gains = group_gains(ref.state, best["ttt"].report.state, scenario, p_star)
+    gains = group_gains(ref, best["ttt"].report, scenario, p_star)
     write_csv(out / "gains.csv", gains_table(scenario, gains))
     winners = float(g[gains.net_eur > 0].sum() / g.sum())
     log(f"[6/8] gains at tau*={best['ttt'].tau_star:.0f}: "

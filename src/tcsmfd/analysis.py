@@ -3,10 +3,14 @@
 Uniqueness rests on a monotonicity condition: for any two distinct share
 vectors the dot product (T(x1) - T(x2))' diag(gamma) (x1 - x2) should be
 strictly positive.  It is checked empirically over Latin-hypercube samples
-of the share box.  Stability linearizes the day-to-day adjustment (shares
-chase the logit response, the price reacts to excess credit demand) at an
-equilibrium and asks every eigenvalue of the Jacobian for a negative real
-part.
+of the share box, all simulated by one lockstep event loop
+(``simulator.simulate_car_times``): every sample advances one event per
+step through the scalar loop's own operations applied elementwise, so the
+travel times, and the dot products built from them, are bitwise those of
+one ``simulate`` call per sample.  Stability linearizes the day-to-day
+adjustment (shares chase the logit response, the price reacts to excess
+credit demand) at an equilibrium and asks every eigenvalue of the Jacobian
+for a negative real part.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .eig import eig_values
 from .equilibrium import logit_choice, logit_gradient
 from .gradients import travel_time_gradient
 from .scenario import Scenario, TcsParams
-from .simulator import simulate
+from .simulator import simulate, simulate_car_times
 
 __all__ = [
     "UniquenessReport",
@@ -53,7 +57,8 @@ def uniqueness_check(
     seed: int = 0,
     max_pairs: int = 1_000_000,
 ) -> UniquenessReport:
-    """Sample share vectors, simulate each, and scan pair dot products.
+    """Sample share vectors, simulate them in one batch, and scan pair dot
+    products.
 
     All pairs are used when their count stays within ``max_pairs``;
     otherwise a seeded random subset of exactly ``max_pairs`` pairs is drawn
@@ -65,9 +70,7 @@ def uniqueness_check(
 
     sampler = qmc.LatinHypercube(d=scenario.n, seed=seed)
     xs = sampler.random(n=n_samples)
-    times = np.empty((n_samples, scenario.n))
-    for s in range(n_samples):
-        times[s] = simulate(scenario, xs[s]).car_times
+    times = simulate_car_times(scenario, xs)
 
     n_all = n_samples * (n_samples - 1) // 2
     if n_all <= max_pairs:

@@ -361,7 +361,7 @@ def _cmd_stability(args, scenario, params):
 def _cmd_gains(args, scenario, params):
     ref = equilibrium_solve(scenario, params, tcs=False, p_init=0.0)
     tcs = equilibrium_solve(scenario, params)
-    gains = group_gains(ref.state, tcs.state, scenario, params)
+    gains = group_gains(ref, tcs, scenario, params)
     g = scenario.gammas
     summary = {
         "price_eur_per_credit": tcs.state.p,

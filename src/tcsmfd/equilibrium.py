@@ -317,6 +317,8 @@ def equilibrium_solve(
         if j < params.j_goal and res < x_tol:
             converged = True
             break
+        if k == params.max_iters:
+            break  # a step from here would never be simulated
 
         # each dense array is dropped once read: dT (the gradient's only
         # N x N array; its per-event blocks are never built here) once the

@@ -15,7 +15,9 @@ import numpy as np
 
 from .equilibrium import EquilibriumReport, ModalState, equilibrium_solve, logit_choice
 from .scenario import Scenario, TcsParams
-from .simulator import SimResult, simulate
+# not called here: perfbench/tracer.py rebinds objectives.simulate and
+# refuses to install without it
+from .simulator import SimResult, simulate  # noqa: F401
 
 __all__ = [
     "EmissionModel",
@@ -460,17 +462,20 @@ class GroupGains:
 
 
 def group_gains(
-    state_no_tcs: ModalState,
-    state_tcs: ModalState,
+    ref: EquilibriumReport,
+    tcs: EquilibriumReport,
     scenario: Scenario,
     params: TcsParams,
 ) -> GroupGains:
-    sim_ref = simulate(scenario, state_no_tcs.x)
-    sim_tcs = simulate(scenario, state_tcs.x)
+    """Gains of the scheme's equilibrium ``tcs`` against the reference
+    ``ref``, read from the car times of each report's ``sim``."""
+    if ref.sim is None or tcs.sim is None:
+        raise ValueError("group_gains needs reports that hold their simulation")
+    x_ref, x_tcs = ref.state.x, tcs.state.x
     t_pt = scenario.pt_times
-    exp_ref = state_no_tcs.x * sim_ref.car_times + (1.0 - state_no_tcs.x) * t_pt
-    exp_tcs = state_tcs.x * sim_tcs.car_times + (1.0 - state_tcs.x) * t_pt
-    trade = state_tcs.p * (params.kappa - state_tcs.x * params.tau)
+    exp_ref = x_ref * ref.sim.car_times + (1.0 - x_ref) * t_pt
+    exp_tcs = x_tcs * tcs.sim.car_times + (1.0 - x_tcs) * t_pt
+    trade = tcs.state.p * (params.kappa - x_tcs * params.tau)
     time_gain = exp_ref - exp_tcs
     return GroupGains(
         trade_eur=trade,

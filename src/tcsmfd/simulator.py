@@ -15,6 +15,22 @@ the trip length, and trips on the road wait in a heap keyed on that target,
 so each event costs O(log N).  D, the targets and the accumulation are kept
 as compensated (hi, lo) float pairs, which holds every remaining distance
 and accumulation to rounding level however large D grows.
+
+``simulate_car_times`` runs the same loop for many share vectors in
+lockstep: the samples share departures, trip lengths and the entry order,
+and each keeps its own clock, D, accumulation, entry pointer and speed in
+vectors of one entry per sample.  Every step advances each sample by one
+event with the operations of the scalar loop applied elementwise (the same
+``_two_sum``, the same comparisons, one array ``MfdCurve.speed`` call whose
+values are the scalar path's bits), so each sample's durations, and the
+per-trip sums taken over them in the same order, are bitwise those of
+``simulate``.  The road is a pair of (samples x groups) target arrays, +inf
+off the road; the next exit is their lexicographic minimum over (target hi,
+target lo, group id), the order the heap keeps.  A step scans those arrays
+twice, O(S N) for S samples where the heap pays O(S log N), but it makes a
+fixed number of numpy calls for all samples: on the 216-group ``congested``
+preset, 200 samples take about 0.1 s in one batch and 0.44 s in 200
+``simulate`` calls.
 """
 
 from __future__ import annotations
@@ -22,6 +38,7 @@ from __future__ import annotations
 import heapq
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .scenario import Scenario
 
@@ -204,3 +221,106 @@ def simulate(scenario: Scenario, x) -> SimResult:
         np.array(v_after), np.array(durations), np.array(distances),
         np.array(entry_index, dtype=np.int64), np.array(exit_index, dtype=np.int64),
     )
+
+
+def simulate_car_times(scenario: Scenario, xs) -> np.ndarray:
+    """Car travel times of ``simulate`` for each row of ``xs``, shape (S, N).
+
+    Row s is bitwise ``simulate(scenario, xs[s]).car_times``: one event loop
+    steps every sample at once, each through its own event sequence (module
+    docstring).  Raises ``HorizonError`` if any sample overruns the horizon.
+    """
+    xs = np.asarray(xs, dtype=float)
+    n = scenario.n
+    if xs.ndim != 2 or xs.shape[1] != n or len(xs) == 0:
+        raise ValueError(f"xs must have shape (S, {n}) with S >= 1")
+    if np.any(~np.isfinite(xs)) or np.any(xs < 0) or np.any(xs > 1):
+        raise ValueError("shares must be finite and within [0, 1]")
+
+    departs = scenario.departs
+    trip_lens = scenario.trip_lens
+    gammas = scenario.gammas
+    speed = scenario.mfd.speed
+    horizon = departs.max() + 10.0 * float(trip_lens.max() / scenario.mfd.v_floor)
+
+    order = np.argsort(departs, kind="stable")  # by (depart, id), as simulate
+    # one past the last entry: group 0 at t = inf, never picked
+    entry_gid = np.append(order, 0)
+    entry_t = np.append(departs[order], np.inf)
+
+    s_count = len(xs)
+    cells = s_count * n  # flat (sample, group) index s * n + i
+    rows = np.arange(0, cells, n)
+    x_flat = xs.reshape(-1)
+    tgt_hi = np.full(cells, np.inf)  # exit targets, +inf off the road
+    tgt_lo = np.zeros(cells)
+    hi_rows = tgt_hi.reshape(s_count, n)
+    events = np.empty(2 * cells, dtype=np.int32)  # entry events, then exit events
+    durations = np.empty((s_count, 2 * n))
+    t = np.full(s_count, departs[order[0]])
+    d_hi = np.zeros(s_count)
+    d_lo = np.zeros(s_count)
+    n_hi = np.zeros(s_count)
+    n_lo = np.zeros(s_count)
+    on_road = np.zeros(s_count, dtype=np.int64)
+    next_entry = np.zeros(s_count, dtype=np.int64)
+    v_period = np.full(s_count, speed(0.0))
+
+    for e in range(2 * n):
+        # candidate exit: argmin takes the smallest id among equal hi; rows
+        # where another target has the same hi compare lo, then id
+        cell = rows + hi_rows.argmin(axis=1)
+        exit_hi = tgt_hi[cell]
+        tgt_hi[cell] = np.inf
+        tied = np.flatnonzero(hi_rows.min(axis=1) == exit_hi)
+        tgt_hi[cell] = exit_hi
+        tied = tied[exit_hi[tied] < np.inf]
+        if tied.size:
+            lo = np.where(hi_rows[tied] == exit_hi[tied, None],
+                          tgt_lo.reshape(s_count, n)[tied], np.inf)
+            cell[tied] = rows[tied] + (lo == lo.min(axis=1)[:, None]).argmax(axis=1)
+        t_exit = t + ((exit_hi - d_hi) + (tgt_lo[cell] - d_lo)) / v_period
+        t_entry = entry_t[next_entry]  # inf once every group has entered
+
+        # exits precede entries on exact time ties
+        is_exit = t_exit <= t_entry
+        t_ev = np.where(is_exit, t_exit, t_entry)
+        if t_ev.max() > horizon:
+            raise HorizonError(
+                f"event time {t_ev.max():.1f}s exceeds sanity horizon {horizon:.1f}s"
+            )
+        t_ev = np.maximum(t_ev, t)  # guards float noise, as simulate
+        dt = t_ev - t
+        t = t_ev
+        d_hi, err = _two_sum(d_hi, dt * v_period)
+        d_lo += err
+
+        entry_gid_e = entry_gid[next_entry]
+        hi, err = _two_sum(d_hi, trip_lens[entry_gid_e])
+        hi, lo = _two_sum(hi, err + d_lo)
+        cell = np.where(is_exit, cell, rows + entry_gid_e)
+        tgt_hi[cell] = np.where(is_exit, np.inf, hi)
+        tgt_lo[cell] = lo  # read only while tgt_hi is finite
+        events[cell + is_exit * cells] = e
+        next_entry += ~is_exit
+        on_road += np.where(is_exit, -1, 1)
+
+        w = gammas[cell % n] * x_flat[cell]
+        n_hi, err = _two_sum(n_hi, np.where(is_exit, -w, w))
+        n_lo += err
+        on = on_road > 0
+        n_hi = np.where(on, n_hi, 0.0)
+        n_lo = np.where(on, n_lo, 0.0)
+        v_period = speed(np.maximum(n_hi + n_lo, 0.0))
+        durations[:, e] = dt
+
+    # each trip's np.add.reduce over its durations, one 2-D reduce per
+    # window length: the rows are summed as the 1-D windows are
+    entry = events[:cells]
+    length = events[cells:] - entry
+    car_times = np.empty(cells)
+    for n_periods in np.unique(length).tolist():
+        sel = np.flatnonzero(length == n_periods)
+        windows = sliding_window_view(durations, n_periods, axis=1)
+        car_times[sel] = np.add.reduce(windows[sel // n, entry[sel] + 1], axis=1)
+    return car_times.reshape(s_count, n)

@@ -426,7 +426,7 @@ def test_c12_market_clearing(congested, base_params, eq_tcs, ref_no_tcs):
         slack = float(g @ (base_params.kappa - base_params.tau * rep.state.x))
         allowance = base_params.kappa * float(g.sum())
         assert abs(slack) <= 1e-6 * allowance, f"slack {slack:.3g} credits"
-        gains = group_gains(ref_no_tcs["report"].state, rep.state,
+        gains = group_gains(ref_no_tcs["report"], rep,
                             congested, base_params)
         trade_total = gains.weighted_trade_total(g)
         assert abs(trade_total) <= 1e-6 * float(g.sum()), \

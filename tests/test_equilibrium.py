@@ -441,6 +441,20 @@ class TestEquilibriumSolver:
                      "car_times"):
             assert getattr(rep.sim, name).tobytes() == getattr(fresh, name).tobytes(), name
 
+    def test_last_iteration_builds_no_step(self, small_scenario, monkeypatch):
+        # the step of iteration max_iters would never be simulated
+        calls = {"travel_time_gradient": 0, "solve_qp": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(tcsmfd.equilibrium, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(tcsmfd.equilibrium, name, counted)
+        m = 4
+        rep = equilibrium_solve(small_scenario, TcsParams(max_iters=m), x_tol=0.0)
+        assert not rep.converged and rep.iterations == m
+        assert calls == {"travel_time_gradient": m - 1, "solve_qp": m - 1}
+
     def test_printed_cap_variant_runs(self, small_scenario):
         params = TcsParams(cap_constraint="printed")
         rep = equilibrium_solve(small_scenario, params)

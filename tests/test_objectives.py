@@ -9,6 +9,7 @@ from tcsmfd import (
     Aggregates,
     CapInactiveError,
     EmissionModel,
+    EquilibriumReport,
     MfdCurve,
     ModalState,
     TcsParams,
@@ -25,6 +26,7 @@ from tcsmfd import (
     total_travel_time,
     ttt_charge_gradient,
 )
+import tcsmfd.objectives
 
 from conftest import make_scenario
 
@@ -270,7 +272,7 @@ class TestGroupGains:
         params = TcsParams()
         ref = equilibrium_solve(small_scenario, params, tcs=False, p_init=0.0)
         rep = equilibrium_solve(small_scenario, params)
-        gains = group_gains(ref.state, rep.state, small_scenario, params)
+        gains = group_gains(ref, rep, small_scenario, params)
         g = small_scenario.gammas
         want_total = rep.state.p * float(
             g @ (params.kappa - params.tau * rep.state.x)
@@ -283,7 +285,9 @@ class TestGroupGains:
         params = TcsParams()
         x = np.full(small_scenario.n, 0.4)
         s = ModalState(x=x, p=0.02)
-        gains = group_gains(s, s, small_scenario, params)
+        rep = EquilibriumReport(state=s, converged=True, iterations=0,
+                                sim=simulate(small_scenario, x))
+        gains = group_gains(rep, rep, small_scenario, params)
         np.testing.assert_allclose(gains.time_gain_s, 0.0, atol=1e-12)
         np.testing.assert_allclose(
             gains.net_eur, gains.trade_eur, atol=1e-12
@@ -291,3 +295,24 @@ class TestGroupGains:
         np.testing.assert_allclose(
             gains.trade_eur, 0.02 * (params.kappa - params.tau * x), rtol=1e-12
         )
+
+    def test_reads_the_reports_simulations(self, small_scenario, monkeypatch):
+        params = TcsParams()
+        ref = equilibrium_solve(small_scenario, params, tcs=False, p_init=0.0)
+        rep = equilibrium_solve(small_scenario, params)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("group_gains simulated a known state")
+
+        monkeypatch.setattr(tcsmfd.objectives, "simulate", refuse)
+        gains = group_gains(ref, rep, small_scenario, params)
+        t_pt = small_scenario.pt_times
+        exp_ref, exp_tcs = (
+            r.state.x * simulate(small_scenario, r.state.x).car_times
+            + (1.0 - r.state.x) * t_pt
+            for r in (ref, rep)
+        )
+        assert gains.time_gain_s.tobytes() == (exp_ref - exp_tcs).tobytes()
+        with pytest.raises(ValueError, match="simulation"):
+            group_gains(EquilibriumReport(state=ref.state, converged=True,
+                                          iterations=0), rep, small_scenario, params)
