@@ -141,9 +141,11 @@ def main(argv=None) -> int:
         f"{s_m['emission_saving']:+.1%} emissions")
 
     # --- welfare split at the TTT-optimal charge ----------------------------
-    # the charge does not enter a no-scheme solve, so ref is the reference here too
+    # the charge does not enter a no-scheme solve, so ref is the reference here
+    # too; the scheme side is solved cold, as `tcsmfd gains --tau` does, not
+    # taken from the search's warm-started solve
     p_star = replace(params, tau=float(best["ttt"].tau_star))
-    gains = group_gains(ref, best["ttt"].report, scenario, p_star)
+    gains = group_gains(ref, equilibrium_solve(scenario, p_star), scenario, p_star)
     write_csv(out / "gains.csv", gains_table(scenario, gains))
     winners = float(g[gains.net_eur > 0].sum() / g.sum())
     log(f"[6/8] gains at tau*={best['ttt'].tau_star:.0f}: "

@@ -28,6 +28,7 @@ from . import __version__
 from .analysis import histogram_rows, stability_check, uniqueness_check
 from .equilibrium import equilibrium_solve, msa_solve
 from .objectives import (
+    _warm_solve,
     group_gains,
     optimize_charge,
     sweep_charges,
@@ -213,11 +214,11 @@ def sweep_tables(rows) -> dict:
 def dichotomy_table(res) -> list:
     """One row per step of a charge search."""
     return [("tau_credits", "lo", "hi", "derivative", "flat_cap", "ttt_h",
-             "emission_t", "objective_eur", "converged", "qp_unconverged",
-             "near_ties")] + [
+             "emission_t", "objective_eur", "converged", "iterations",
+             "qp_unconverged", "near_ties")] + [
         (s.tau, s.lo, s.hi, repr(s.derivative), int(s.flat_cap),
          repr(s.ttt_h), repr(s.emission_t), repr(s.objective), int(s.converged),
-         s.qp_unconverged, s.near_ties)
+         s.iterations, s.qp_unconverged, s.near_ties)
         for s in res.steps
     ]
 
@@ -235,12 +236,15 @@ def gains_table(scenario, gains) -> list:
 def stability_runs(scenario, params: TcsParams, taus) -> list:
     """(tau, equilibrium report, stability report) per charge.
 
-    The stability report is None where the cap is slack (zero price).
+    Each equilibrium starts from the nearest charge solved before it, as in
+    ``sweep_charges``.  The stability report is None where the cap is slack
+    (zero price).
     """
     runs = []
+    starts: dict = {}
     for tau in taus:
         p_tau = replace(params, tau=tau)
-        rep = equilibrium_solve(scenario, p_tau)
+        rep = _warm_solve(scenario, p_tau, starts)
         st = stability_check(scenario, p_tau, rep.state) if rep.state.p > 0 else None
         runs.append((tau, rep, st))
     return runs

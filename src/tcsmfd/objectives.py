@@ -267,6 +267,7 @@ class OptimizeStep:
     emission_t: float
     objective: float
     converged: bool
+    iterations: int         # outer iterations of its equilibrium
     qp_unconverged: int     # outer iterations of its equilibrium whose inner QP stopped unconverged
     near_ties: int          # outer iterations of its equilibrium whose gradient saw near ties
 
@@ -292,12 +293,36 @@ def _objective_value(objective: str, ttt_h: float, emission_t: float,
     return ttt_cost + params.gamma_emission * params.p_carbon * emission_t
 
 
+def _warm_solve(scenario: Scenario, p_tau: TcsParams, starts: dict) -> EquilibriumReport:
+    """Equilibrium at charge ``p_tau.tau``, started from the nearest charge in
+    ``starts`` (tau -> ModalState, ties to the lower tau), or cold when
+    ``starts`` is empty; the solved state is added to ``starts``.
+
+    The start keeps that state's price, and its shares scaled down onto this
+    charge's cap tau * c'x <= kappa * sum(c) when they exceed it.  The rule
+    depends only on the charges already solved, so reruns repeat every start.
+    """
+    tau = p_tau.tau
+    x = p = None
+    if starts:
+        near = starts[min(starts, key=lambda t: (abs(t - tau), t))]
+        c = p_tau.cap_weights(scenario.gammas)
+        supply = p_tau.kappa * float(c.sum())
+        used = tau * float(c @ near.x)
+        x = near.x * (supply / used) if used > supply else near.x
+        p = near.p
+    rep = equilibrium_solve(scenario, p_tau, x_init=x, p_init=p)
+    starts[tau] = rep.state
+    return rep
+
+
 def _solve_at(scenario: Scenario, params: TcsParams, tau: float,
-              model: EmissionModel):
-    """Equilibrium at charge tau: (params at tau, report, TTT in h, CO2 in t),
-    both totals read off the report's own simulation."""
+              model: EmissionModel, starts: dict):
+    """Equilibrium at charge tau, warm-started by ``_warm_solve``: (params at
+    tau, report, TTT in h, CO2 in t), both totals read off the report's own
+    simulation."""
     p_tau = replace(params, tau=float(tau))
-    rep = equilibrium_solve(scenario, p_tau)
+    rep = _warm_solve(scenario, p_tau, starts)
     ttt_h = total_travel_time(scenario, rep.state, rep.sim)
     return p_tau, rep, ttt_h, total_emission(rep.sim, model)
 
@@ -315,7 +340,9 @@ def optimize_charge(
     Integer charges only.  A negative derivative (or a slack cap, where the
     scheme has no bite yet) moves the lower bound up; a positive one moves
     the upper bound down; the search stops when the bounds meet, after at
-    most ceil(log2(hi - lo)) + 1 equilibrium solves.
+    most ceil(log2(hi - lo)) + 1 equilibrium solves.  Each solve starts from
+    the nearest charge the search has already solved (``_warm_solve``), so
+    its numbers agree with cold solves to the solver's ``x_tol``.
     """
     if objective not in ("ttt", "mixed"):
         raise ValueError("objective must be 'ttt' or 'mixed'")
@@ -325,10 +352,11 @@ def optimize_charge(
         raise ValueError("need kappa <= lo <= hi")
 
     solved: dict = {}   # tau -> _solve_at(tau)
+    starts: dict = {}   # float(tau) -> its equilibrium state
 
     def solve_at(tau: int):
         if tau not in solved:
-            solved[tau] = _solve_at(scenario, params, tau, model)
+            solved[tau] = _solve_at(scenario, params, tau, model, starts)
         return solved[tau]
 
     def derivative_at(tau: int) -> tuple[float, bool]:
@@ -356,6 +384,7 @@ def optimize_charge(
             ttt_h=ttt_h, emission_t=em_t,
             objective=_objective_value(objective, ttt_h, em_t, params),
             converged=rep.converged,
+            iterations=rep.iterations,
             qp_unconverged=rep.qp_unconverged,
             near_ties=rep.near_ties,
         )
@@ -405,8 +434,11 @@ def sweep_charges(
     taus,
     model: EmissionModel = EmissionModel(),
 ) -> list[SweepRow]:
-    """Independent equilibrium solves over a list of charges.
+    """Equilibrium solves over a list of charges, in the order given.
 
+    Each solve starts from the nearest charge solved before it in this call
+    (``_warm_solve``; the first one cold), so a row agrees with a cold solve
+    at its charge to the solver's ``x_tol`` and a rerun repeats it exactly.
     Rows keep the order of ``taus``; a non-converged solve is flagged in its
     row and the sweep continues.
     """
@@ -414,12 +446,13 @@ def sweep_charges(
     for t in taus:
         if t < params.kappa:
             raise ValueError(f"tau={t} is below kappa={params.kappa}")
-    return [_sweep_row(scenario, params, t, model) for t in taus]
+    starts: dict = {}   # tau -> its equilibrium state, for the later starts
+    return [_sweep_row(scenario, params, t, model, starts) for t in taus]
 
 
 def _sweep_row(scenario: Scenario, params: TcsParams, tau: float,
-               model: EmissionModel) -> SweepRow:
-    _, rep, ttt_h, em_t = _solve_at(scenario, params, tau, model)
+               model: EmissionModel, starts: dict) -> SweepRow:
+    _, rep, ttt_h, em_t = _solve_at(scenario, params, tau, model, starts)
     g = scenario.gammas
     car_users = float(g @ rep.state.x)
     len_total_km = float(g @ (rep.state.x * scenario.trip_lens)) * M_TO_KM

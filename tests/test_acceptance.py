@@ -29,6 +29,7 @@ from tcsmfd import (
     simulate,
     solve_qp,
     stability_check,
+    sweep_charges,
     total_emission,
     total_travel_time,
     travel_time_gradient,
@@ -333,6 +334,22 @@ def test_c08_dichotomy_and_sweep_structure(grid, opt_results, base_params):
             "toll equivalent must not decrease with the charge"
         details.append(f"grid binds from tau={GRID_TAUS[k_pos]}")
         info["detail"] = "; ".join(details)
+
+
+def test_warm_sweep_matches_cold_grid(grid, congested, base_params):
+    """sweep_charges warm-starts each charge from the nearest one solved; its
+    rows agree with the cold solves of the grid to the solver's x_tol, with
+    fewer outer iterations."""
+    rows = sweep_charges(congested, base_params, GRID_TAUS)
+    cold = [grid[t]["report"] for t in GRID_TAUS]
+    g = congested.gammas
+    for row, rep in zip(rows, cold):
+        assert row.converged
+        assert row.car_share == pytest.approx(
+            float(g @ rep.state.x) / float(g.sum()), abs=1e-6), row.tau
+        assert row.price == pytest.approx(rep.state.p, rel=1e-3), row.tau
+    assert [r.price == 0.0 for r in rows] == [rep.state.p == 0.0 for rep in cold]
+    assert sum(r.iterations for r in rows) < sum(rep.iterations for rep in cold)
 
 
 def test_c09_policy_improvements(ref_no_tcs, opt_results, congested):

@@ -272,10 +272,12 @@ class TestOptimize:
         assert res["n_solves"] <= 6   # ceil(log2(32)) + 1
         trace = (tmp_path / "dichotomy_trace.csv").read_text().strip().splitlines()
         assert trace[0].startswith("tau_credits,lo,hi")
-        assert trace[0].endswith(",converged,qp_unconverged,near_ties")
+        assert trace[0].endswith(",converged,iterations,qp_unconverged,near_ties")
         assert len(trace) >= 2
         for line in trace[1:]:
-            assert [int(c) for c in line.split(",")[-2:]] == [0, 0]
+            iterations, *failures = (int(c) for c in line.split(",")[-3:])
+            assert iterations >= 1
+            assert failures == [0, 0]
 
     def test_allowance_above_the_default_charge(self, scenario_file, tmp_path):
         rc = main([

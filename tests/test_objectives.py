@@ -267,6 +267,70 @@ class TestSweep:
             assert r.cap_slack >= -1e-6
 
 
+class TestWarmStart:
+    @staticmethod
+    def record_starts(monkeypatch):
+        """Route objectives.equilibrium_solve through a recorder of
+        (tau, x_init, p_init, report) per call."""
+        calls = []
+        solve = tcsmfd.objectives.equilibrium_solve
+
+        def recording(scenario, params, x_init=None, p_init=None, **kwargs):
+            rep = solve(scenario, params, x_init=x_init, p_init=p_init, **kwargs)
+            calls.append((params.tau, x_init, p_init, rep))
+            return rep
+
+        monkeypatch.setattr(tcsmfd.objectives, "equilibrium_solve", recording)
+        return calls
+
+    def test_reruns_are_byte_identical(self, small_scenario):
+        params = TcsParams()
+        taus = [260.0, 150.0, 300.0, 200.0]
+        assert repr(sweep_charges(small_scenario, params, taus)) == \
+            repr(sweep_charges(small_scenario, params, taus))
+        first, second = (optimize_charge(small_scenario, params, objective="mixed",
+                                         lo=150, hi=300) for _ in range(2))
+        assert repr(first.steps) == repr(second.steps)
+
+    @pytest.mark.parametrize("runner", ["sweep_charges", "stability_runs"])
+    def test_nearest_charge_ties_to_the_lower(self, small_scenario, monkeypatch,
+                                              runner):
+        from tcsmfd.cli import stability_runs
+
+        calls = self.record_starts(monkeypatch)
+        run = sweep_charges if runner == "sweep_charges" else stability_runs
+        run(small_scenario, TcsParams(), [200.0, 300.0, 250.0])
+        (t0, x0, p0, rep200), (t1, _, p1, rep300), (t2, x2, p2, _) = calls
+        assert (t0, t1, t2) == (200.0, 300.0, 250.0)
+        assert x0 is None and p0 is None          # the first solve is cold
+        assert p1 == rep200.state.p               # 300's nearest is 200
+        assert rep200.state.p != rep300.state.p
+        # 250 is 50 from both: the lower charge, 200, is the start
+        assert p2 == rep200.state.p
+        g = small_scenario.gammas
+        used = 250.0 * float(g @ rep200.state.x)
+        supply = 100.0 * float(g.sum())
+        want = rep200.state.x * min(1.0, supply / used)
+        np.testing.assert_array_equal(x2, want)
+
+    @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
+    def test_cap_scaled_start_is_accepted(self, small_scenario, monkeypatch, cap):
+        params = TcsParams(cap_constraint=cap)
+        calls = self.record_starts(monkeypatch)
+        rows = sweep_charges(small_scenario, params, [150.0, 400.0])
+        (_, _, _, rep150), (tau, x_init, p_init, _) = calls
+        c = params.cap_weights(small_scenario.gammas)
+        supply = params.kappa * float(c.sum())
+        # the start had to be scaled: 150's shares break the cap at 400
+        assert tau * float(c @ rep150.state.x) > supply
+        used = tau * float(c @ rep150.state.x)
+        np.testing.assert_array_equal(x_init, rep150.state.x * (supply / used))
+        np.testing.assert_allclose(tau * float(c @ x_init), supply, rtol=1e-12)
+        assert p_init == rep150.state.p
+        assert all(r.converged for r in rows)
+        assert rows[1].cap_slack >= -1e-9 * supply
+
+
 class TestGroupGains:
     def test_trade_identity(self, small_scenario):
         params = TcsParams()
