@@ -3,7 +3,9 @@
 Uniqueness rests on a monotonicity condition: for any two distinct share
 vectors the dot product (T(x1) - T(x2))' diag(gamma) (x1 - x2) should be
 strictly positive.  It is checked empirically over Latin-hypercube samples
-of the share box, all simulated by one lockstep event loop
+of the share box (``_latin_hypercube``, which draws scipy's
+``qmc.LatinHypercube`` samples bit for bit without importing scipy), all
+simulated by one lockstep event loop
 (``simulator.simulate_car_times``): every sample advances one event per
 step through the scalar loop's own operations applied elementwise, so the
 travel times, and the dot products built from them, are bitwise those of
@@ -66,10 +68,7 @@ def uniqueness_check(
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    from scipy.stats import qmc
-
-    sampler = qmc.LatinHypercube(d=scenario.n, seed=seed)
-    xs = sampler.random(n=n_samples)
+    xs = _latin_hypercube(scenario.n, n_samples, seed)
     times = simulate_car_times(scenario, xs)
 
     n_all = n_samples * (n_samples - 1) // 2
@@ -110,6 +109,23 @@ def uniqueness_check(
         percentiles={q: float(np.percentile(dots, q)) for q in qs},
         dots=dots,
     )
+
+
+def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
+    """n points of a random Latin hypercube in [0, 1)^d, shape (n, d).
+
+    Bit for bit ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)``
+    (its default design: scrambled, strength 1, no optimization), by the
+    same draws from the same generator: a uniform offset per cell, then one
+    shuffled row of strata per dimension.  Written out here so that the
+    package never imports scipy.stats, which takes longer to load than the
+    whole diagnostics pass takes to run."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - u) / n
 
 
 def _distinct_ranks(rng, n: int, k: int) -> np.ndarray:

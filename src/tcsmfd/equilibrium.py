@@ -23,10 +23,10 @@ over a trust box (plus the cap row), which is a QP in dz = (dx, dp).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .gradients import travel_time_gradient
 from .qp import solve_qp
@@ -67,13 +67,35 @@ def logit_choice(t_car, t_pt, p, params: TcsParams):
     """Car probability psi of the binary logit at the given travel times.
 
     Accepts scalars or arrays.  Uses the logistic form of the two-alternative
-    logit, which is stable for any cost magnitudes.
+    logit, psi = 1 / (1 + exp(theta * gap)) with gap = C_car - C_pt, which is
+    stable for any cost magnitudes.
+
+    The values are bit for bit those of ``scipy.special.expit(-theta * gap)``,
+    which computes the same formula with the C library's ``exp``.  ``math.exp``
+    is that ``exp``; it is used because importing scipy.special takes longer
+    than every logit evaluation of a policy study together.  ``np.exp`` is
+    not: its SIMD path differs from libm's by one ulp on some inputs.
     """
     t_car = np.asarray(t_car, dtype=float)
     t_pt = np.asarray(t_pt, dtype=float)
     cost_gap = params.alpha * (t_car - t_pt) + params.tau * p  # C_car - C_pt
-    out = expit(-params.theta * cost_gap)
+    w = params.theta * cost_gap  # exactly -(-theta * gap), expit's exp argument
+    args = w.ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, args), float, count=w.size)
+    except OverflowError:
+        e = np.fromiter(map(_exp, args), float, count=w.size)
+    out = 1.0 / (1.0 + e.reshape(w.shape))
     return float(out) if out.ndim == 0 else out
+
+
+def _exp(v: float) -> float:
+    """``math.exp`` with C's ``inf`` past the overflow edge, where Python
+    raises: expit gives 0.0 for a gap above log(DBL_MAX) / theta."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def logit_costs(t_car, t_pt, p, params: TcsParams):

@@ -1,5 +1,6 @@
 """Uniqueness sampling and day-to-day stability diagnostics."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -118,18 +119,23 @@ class TestUniqueness:
         assert rep.dots.shape == want.shape
         np.testing.assert_allclose(rep.dots, want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("d, n, seed", [(216, 200, 0), (216, 200, 7), (2163, 20, 0), (3, 2, 5)])
+    def test_latin_hypercube_is_scipys(self, d, n, seed):
+        # the package's own sampler draws scipy's samples bit for bit
+        with warnings.catch_warnings():
+            # scipy deprecates seed= in favour of rng=, which 1.10 lacks
+            warnings.simplefilter("ignore", DeprecationWarning)
+            want = qmc.LatinHypercube(d=d, seed=seed).random(n)
+        assert analysis._latin_hypercube(d, n, seed).tobytes() == want.tobytes()
+
     def test_identical_share_vectors_excluded(self, monkeypatch):
         # samples 0, 2 and 5 coincide: 3 of the 28 pairs have nothing to compare
-        class Repeating:
-            def __init__(self, d, seed):
-                self.d = d
+        def repeating(d, n, seed):
+            xs = np.random.default_rng(0).uniform(0.0, 1.0, (n, d))
+            xs[[2, 5]] = xs[0]
+            return xs
 
-            def random(self, n):
-                xs = np.random.default_rng(0).uniform(0.0, 1.0, (n, self.d))
-                xs[[2, 5]] = xs[0]
-                return xs
-
-        monkeypatch.setattr(qmc, "LatinHypercube", Repeating)
+        monkeypatch.setattr(analysis, "_latin_hypercube", repeating)
         monkeypatch.setattr(analysis, "_BLOCK_ELEMENTS", 5 * 4)  # 5 pairs per block
         sc = small_random_scenario(2, n_groups=4)
         rep = uniqueness_check(sc, n_samples=8, seed=0)

@@ -67,6 +67,41 @@ class TestLogit:
         assert psi.shape == (3,)
         assert np.all(np.diff(psi) < 0)
 
+    @pytest.mark.parametrize("theta", [1.0, 0.37])
+    def test_bitwise_expit(self, theta):
+        # libm's exp, as the package computes the logistic, against scipy's
+        # expit, which evaluates the same formula with the same exp; gaps span
+        # +-1e6 and both sides of the exp overflow edge log(DBL_MAX)
+        from scipy.special import expit
+
+        params = TcsParams(theta=theta)
+        rng = np.random.default_rng(0)
+        edge = math.log(np.finfo(float).max) / theta
+        near_edge = np.linspace(edge - 1e-6, edge + 1e-6, 401)
+        gaps = np.concatenate([
+            rng.uniform(-1e6, 1e6, 2000),
+            rng.uniform(-40.0, 40.0, 2000),
+            near_edge, -near_edge, [0.0, -0.0, 1e6, -1e6],
+        ])
+        t_car = gaps / params.alpha
+        t_pt = np.zeros(gaps.size)
+        t_pt[:4000] = rng.uniform(0.0, 5.0, 4000)
+        for p in (0.013, 0.0):
+            want = expit(-params.theta * (params.alpha * (t_car - t_pt) + params.tau * p))
+            assert logit_choice(t_car, t_pt, p, params).tobytes() == want.tobytes()
+            got_2d = logit_choice(t_car.reshape(-1, 2), t_pt.reshape(-1, 2), p, params)
+            assert got_2d.shape == (gaps.size // 2, 2)
+            assert got_2d.tobytes() == want.tobytes()
+            for i in range(0, gaps.size, 97):
+                for args in ((float(t_car[i]), float(t_pt[i])),
+                             (np.array(t_car[i]), np.array(t_pt[i]))):
+                    got = logit_choice(*args, p, params)
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == want[i].tobytes()
+        # at p = 0 the edge is crossed: a subnormal probability on one side,
+        # 0.0 on the other
+        assert np.any((want > 0.0) & (want < 1e-300)) and np.any(want == 0.0)
+
     def test_costs_hand_values(self):
         # alpha=0.003, tau=200, kappa=100, p=0.01:
         # car = 0.003*1000 + 100*0.01 = 4.0 ; pt = 0.003*800 - 100*0.01 = 1.4
