@@ -236,9 +236,9 @@ def gains_table(scenario, gains) -> list:
 def stability_runs(scenario, params: TcsParams, taus) -> list:
     """(tau, equilibrium report, stability report) per charge.
 
-    Each equilibrium starts from the nearest charge solved before it, as in
-    ``sweep_charges``.  The stability report is None where the cap is slack
-    (zero price).
+    Each equilibrium starts on the polynomial through the nearest charges
+    solved before it (``objectives._warm_solve``), as in ``sweep_charges``.
+    The stability report is None where the cap is slack (zero price).
     """
     runs = []
     starts: dict = {}
@@ -253,13 +253,13 @@ def stability_runs(scenario, params: TcsParams, taus) -> list:
 def stability_table(runs) -> list:
     """One row per charge of ``stability_runs``; blank verdicts where the cap is slack."""
     rows = [("tau_credits", "price_eur_per_credit", "spectral_abscissa",
-             "stable", "eig_converged", "equilibrium_converged")]
+             "stable", "eig_converged", "equilibrium_converged", "iterations",
+             "qp_unconverged", "near_ties")]
     for tau, rep, st in runs:
-        if st is None:
-            rows.append((tau, repr(rep.state.p), "", "", "", int(rep.converged)))
-        else:
-            rows.append((tau, repr(rep.state.p), repr(st.spectral_abscissa),
-                         int(st.stable), int(st.eig_converged), int(rep.converged)))
+        verdict = ("", "", "") if st is None else (
+            repr(st.spectral_abscissa), int(st.stable), int(st.eig_converged))
+        rows.append((tau, repr(rep.state.p), *verdict, int(rep.converged),
+                     rep.iterations, rep.qp_unconverged, rep.near_ties))
     return rows
 
 

@@ -293,26 +293,46 @@ def _objective_value(objective: str, ttt_h: float, emission_t: float,
     return ttt_cost + params.gamma_emission * params.p_carbon * emission_t
 
 
-def _warm_solve(scenario: Scenario, p_tau: TcsParams, starts: dict) -> EquilibriumReport:
-    """Equilibrium at charge ``p_tau.tau``, started from the nearest charge in
-    ``starts`` (tau -> ModalState, ties to the lower tau), or cold when
-    ``starts`` is empty; the solved state is added to ``starts``.
+def _predicted_start(scenario: Scenario, p_tau: TcsParams, starts: dict):
+    """Start (x, p) for the equilibrium at charge ``p_tau.tau`` from the
+    solved states ``starts`` (tau -> ModalState); (None, None), a cold start,
+    when there are none.
 
-    The start keeps that state's price, and its shares scaled down onto this
-    charge's cap tau * c'x <= kappa * sum(c) when they exceed it.  The rule
-    depends only on the charges already solved, so reruns repeat every start.
+    The Lagrange polynomial in tau through up to three of the nearest solved
+    charges (by distance, ties to the lower tau), taken only from the nearest
+    one's cap branch: all binding (p > 0) or all slack, since a slack state
+    does not move with tau.  One solved charge gives its own state.  The
+    shares are clipped to [0, 1], the price to >= 0, and the shares then
+    scaled down onto this charge's cap tau * c'x <= kappa * sum(c) when they
+    exceed it.  The start depends only on the charges already solved, so
+    reruns repeat it.
     """
+    if not starts:
+        return None, None
     tau = p_tau.tau
-    x = p = None
-    if starts:
-        near = starts[min(starts, key=lambda t: (abs(t - tau), t))]
-        c = p_tau.cap_weights(scenario.gammas)
-        supply = p_tau.kappa * float(c.sum())
-        used = tau * float(c @ near.x)
-        x = near.x * (supply / used) if used > supply else near.x
-        p = near.p
+    order = sorted(starts, key=lambda t: (abs(t - tau), t))
+    binding = starts[order[0]].p > 0
+    nodes = [t for t in order if (starts[t].p > 0) == binding][:3]
+    x = np.zeros(scenario.n)
+    p = 0.0
+    for tj in nodes:
+        w = math.prod((tau - tm) / (tj - tm) for tm in nodes if tm != tj)
+        x += w * starts[tj].x
+        p += w * starts[tj].p
+    x = np.clip(x, 0.0, 1.0)
+    c = p_tau.cap_weights(scenario.gammas)
+    supply = p_tau.kappa * float(c.sum())
+    used = tau * float(c @ x)
+    return (x * (supply / used) if used > supply else x), max(p, 0.0)
+
+
+def _warm_solve(scenario: Scenario, p_tau: TcsParams, starts: dict) -> EquilibriumReport:
+    """Equilibrium at charge ``p_tau.tau``, started on the polynomial through
+    the nearest charges in ``starts`` (``_predicted_start``), or cold when
+    ``starts`` is empty; the solved state is added to ``starts``."""
+    x, p = _predicted_start(scenario, p_tau, starts)
     rep = equilibrium_solve(scenario, p_tau, x_init=x, p_init=p)
-    starts[tau] = rep.state
+    starts[p_tau.tau] = rep.state
     return rep
 
 
@@ -340,9 +360,10 @@ def optimize_charge(
     Integer charges only.  A negative derivative (or a slack cap, where the
     scheme has no bite yet) moves the lower bound up; a positive one moves
     the upper bound down; the search stops when the bounds meet, after at
-    most ceil(log2(hi - lo)) + 1 equilibrium solves.  Each solve starts from
-    the nearest charge the search has already solved (``_warm_solve``), so
-    its numbers agree with cold solves to the solver's ``x_tol``.
+    most ceil(log2(hi - lo)) + 1 equilibrium solves.  Each solve starts on
+    the polynomial through the nearest charges the search has already solved
+    (``_warm_solve``), so its numbers agree with cold solves to the solver's
+    ``x_tol`` and a rerun repeats them exactly.
     """
     if objective not in ("ttt", "mixed"):
         raise ValueError("objective must be 'ttt' or 'mixed'")
@@ -436,9 +457,10 @@ def sweep_charges(
 ) -> list[SweepRow]:
     """Equilibrium solves over a list of charges, in the order given.
 
-    Each solve starts from the nearest charge solved before it in this call
-    (``_warm_solve``; the first one cold), so a row agrees with a cold solve
-    at its charge to the solver's ``x_tol`` and a rerun repeats it exactly.
+    Each solve starts on the polynomial through the nearest charges solved
+    before it in this call (``_warm_solve``; the first one cold), so a row
+    agrees with a cold solve at its charge to the solver's ``x_tol`` and a
+    rerun repeats it exactly, given the same order of ``taus``.
     Rows keep the order of ``taus``; a non-converged solve is flagged in its
     row and the sweep continues.
     """

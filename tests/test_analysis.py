@@ -103,7 +103,7 @@ class TestUniqueness:
         n_samples, seed = 40, 3
         rep = uniqueness_check(sc, n_samples=n_samples, seed=seed, max_pairs=max_pairs)
 
-        xs = qmc.LatinHypercube(d=sc.n, seed=seed).random(n=n_samples)
+        xs = analysis._latin_hypercube(sc.n, n_samples, seed)
         times = np.array([simulate(sc, x).car_times for x in xs])
         n_all = n_samples * (n_samples - 1) // 2
         all_pairs = max_pairs >= n_all

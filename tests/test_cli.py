@@ -314,7 +314,9 @@ class TestStability:
         assert rc == 0
         lines = (tmp_path / "stability.csv").read_text().strip().splitlines()
         assert len(lines) == 3
-        assert lines[0].startswith("tau_credits,")
+        assert lines[0] == ("tau_credits,price_eur_per_credit,spectral_abscissa,"
+                            "stable,eig_converged,equilibrium_converged,iterations,"
+                            "qp_unconverged,near_ties")
 
     def test_allowance_above_the_default_charge(self, scenario_file, tmp_path):
         rc = main([
@@ -339,6 +341,24 @@ class TestGains:
         assert 0.0 <= summary["winners_fraction"] <= 1.0
         lines = (tmp_path / "gains.csv").read_text().strip().splitlines()
         assert len(lines) == 7   # header + 6 groups
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--taus", "300,100,200,250,150"],
+    ["optimize", "--objective", "mixed", "--lo", "100", "--hi", "300"],
+    ["stability", "--taus", "300,200,250,150"],
+], ids=lambda argv: argv[0])
+def test_warm_started_reruns_byte_identical(scenario_file, tmp_path, argv):
+    """Each solve starts from the charges solved before it; a rerun repeats
+    every start, so every data file and the manifest repeat byte for byte."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert main(argv + ["--scenario", str(scenario_file), "-o", str(out)]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert "manifest.json" in names and len(names) > 1
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 # every parameter flag with a value that differs from its default

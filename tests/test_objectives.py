@@ -1,5 +1,6 @@
 """System objectives: emission curve, TTT, aggregates, charge search, gains."""
 
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -27,6 +28,7 @@ from tcsmfd import (
     ttt_charge_gradient,
 )
 import tcsmfd.objectives
+from tcsmfd.objectives import _predicted_start
 
 from conftest import make_scenario
 
@@ -299,19 +301,23 @@ class TestWarmStart:
 
         calls = self.record_starts(monkeypatch)
         run = sweep_charges if runner == "sweep_charges" else stability_runs
-        run(small_scenario, TcsParams(), [200.0, 300.0, 250.0])
-        (t0, x0, p0, rep200), (t1, _, p1, rep300), (t2, x2, p2, _) = calls
-        assert (t0, t1, t2) == (200.0, 300.0, 250.0)
-        assert x0 is None and p0 is None          # the first solve is cold
-        assert p1 == rep200.state.p               # 300's nearest is 200
-        assert rep200.state.p != rep300.state.p
-        # 250 is 50 from both: the lower charge, 200, is the start
-        assert p2 == rep200.state.p
-        g = small_scenario.gammas
-        used = 250.0 * float(g @ rep200.state.x)
-        supply = 100.0 * float(g.sum())
-        want = rep200.state.x * min(1.0, supply / used)
-        np.testing.assert_array_equal(x2, want)
+        params = TcsParams()
+        run(small_scenario, params, [200.0, 300.0, 250.0])
+        assert [t for t, _, _, _ in calls] == [200.0, 300.0, 250.0]
+        assert calls[0][1] is None and calls[0][2] is None   # the first solve is cold
+        assert calls[0][3].state.p != calls[1][3].state.p
+        # each start is the predictor's over the charges solved before it;
+        # 250 is 50 from both, so 200 leads the fit
+        solved = {}
+        for tau, x_init, p_init, rep in calls:
+            want_x, want_p = _predicted_start(small_scenario,
+                                              replace(params, tau=tau), solved)
+            if want_x is None:
+                assert x_init is None and p_init is None
+            else:
+                np.testing.assert_array_equal(x_init, want_x)
+                assert p_init == want_p
+            solved[tau] = rep.state
 
     @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
     def test_cap_scaled_start_is_accepted(self, small_scenario, monkeypatch, cap):
@@ -329,6 +335,97 @@ class TestWarmStart:
         assert p_init == rep150.state.p
         assert all(r.converged for r in rows)
         assert rows[1].cap_slack >= -1e-9 * supply
+
+    # _predicted_start on hand-built states.  kappa = 100 with shares below
+    # 0.4 keeps every start under the cap up to tau = 250, so no scaling.
+
+    @staticmethod
+    def path(taus, x_of, p_of):
+        return {float(t): ModalState(x=x_of(t), p=p_of(t)) for t in taus}
+
+    @staticmethod
+    def predict(scenario, tau, starts, kappa=100.0):
+        return _predicted_start(scenario, TcsParams(kappa=kappa, tau=float(tau)), starts)
+
+    def test_reproduces_linear_and_quadratic_paths(self, small_scenario):
+        n = small_scenario.n
+        a, b, c = (np.linspace(lo, hi, n) for lo, hi in
+                   ((0.1, 0.2), (0.05, -0.05), (0.02, -0.03)))
+
+        def x_of(t):
+            u = (t - 150.0) / 100.0
+            return a + b * u + c * u * u
+
+        def p_of(t):
+            u = (t - 150.0) / 100.0
+            return 0.004 + 0.003 * u - 0.001 * u * u
+
+        lines = (lambda t: a + b * (t - 150.0) / 100.0,
+                 lambda t: 0.004 + 0.003 * (t - 150.0) / 100.0)
+        cases = [(self.path([150, 200], *lines), lines),
+                 (self.path([150, 180, 200], *lines), lines),
+                 (self.path([150, 180, 200], x_of, p_of), (x_of, p_of))]
+        for starts, (want_x, want_p) in cases:
+            for tau in (170.0, 230.0, 250.0):   # inside and beyond the nodes
+                x, p = self.predict(small_scenario, tau, starts)
+                np.testing.assert_allclose(x, want_x(tau), rtol=1e-12, atol=1e-15)
+                assert p == pytest.approx(want_p(tau), rel=1e-12)
+
+    def test_clips_shares_and_price(self, small_scenario):
+        n = small_scenario.n
+        lo = np.full(n, 0.5)
+        lo[:2] = (0.2, 0.9)
+        hi = np.full(n, 0.5)
+        hi[:2] = (0.05, 0.95)
+        starts = {100.0: ModalState(x=lo, p=0.002), 200.0: ModalState(x=hi, p=0.001)}
+        # kappa = tau: the cap holds any shares, so only the clipping acts
+        x, p = self.predict(small_scenario, 400.0, starts, kappa=400.0)
+        assert x[0] == 0.0 and x[1] == 1.0      # -0.25 and 1.05 on the line
+        np.testing.assert_allclose(x[2:], 0.5, rtol=1e-12)
+        assert p == 0.0                          # -0.001 on the line
+
+    def test_fits_only_the_nearest_charges_cap_branch(self, small_scenario):
+        n = small_scenario.n
+        slack = np.full(n, 0.35)
+        starts = {160.0: ModalState(x=slack, p=0.0),
+                  180.0: ModalState(x=np.full(n, 0.3), p=0.004),
+                  200.0: ModalState(x=np.full(n, 0.2), p=0.006)}
+        # 180 is nearest and binding: the slack state at 160 stays out
+        x, p = self.predict(small_scenario, 190.0, starts)
+        np.testing.assert_allclose(x, 0.25, rtol=1e-12)
+        assert p == pytest.approx(0.005, rel=1e-12)
+        alone = self.predict(small_scenario, 190.0, {t: starts[t] for t in (180.0, 200.0)})
+        np.testing.assert_array_equal(x, alone[0])
+        assert p == alone[1]
+        # 160 is nearest and slack: the binding states stay out
+        x, p = self.predict(small_scenario, 150.0, starts)
+        np.testing.assert_array_equal(x, slack)
+        assert p == 0.0
+
+    def test_one_solved_charge_is_the_start_and_none_is_cold(self, small_scenario):
+        state = ModalState(x=np.linspace(0.1, 0.3, small_scenario.n), p=0.007)
+        x, p = self.predict(small_scenario, 250.0, {200.0: state})
+        np.testing.assert_array_equal(x, state.x)
+        assert p == state.p
+        assert self.predict(small_scenario, 250.0, {}) == (None, None)
+
+    def test_equidistant_charges_order_to_the_lower(self, small_scenario):
+        n = small_scenario.n
+        # not on one quadratic, so the three chosen charges show in the start
+        starts = {t: ModalState(x=np.full(n, s), p=0.001 * s)
+                  for t, s in ((150.0, 0.1), (200.0, 0.3), (300.0, 0.2), (350.0, 0.35))}
+        x, p = self.predict(small_scenario, 250.0, starts)
+        lower = {t: starts[t] for t in (150.0, 200.0, 300.0)}
+        upper = {t: starts[t] for t in (200.0, 300.0, 350.0)}
+        want_x, want_p = self.predict(small_scenario, 250.0, lower)
+        np.testing.assert_array_equal(x, want_x)
+        assert p == want_p
+        assert p != self.predict(small_scenario, 250.0, upper)[1]
+        # the nearest charge sets the branch, again ties to the lower
+        tie = {200.0: starts[200.0], 300.0: ModalState(x=np.full(n, 0.2), p=0.0)}
+        x, p = self.predict(small_scenario, 250.0, tie)
+        np.testing.assert_array_equal(x, starts[200.0].x)
+        assert p == starts[200.0].p
 
 
 class TestGroupGains:
