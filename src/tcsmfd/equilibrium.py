@@ -234,6 +234,14 @@ def _credit_slack(x, c, params: TcsParams) -> float:
     return params.kappa * float(c.sum()) - params.tau * float(c @ x)
 
 
+def _onto_cap(x, c, params: TcsParams) -> np.ndarray:
+    # x scaled down onto the cap tau * c'x <= kappa * sum(c) when it uses
+    # more credits than that; x itself otherwise
+    supply = params.kappa * float(c.sum())
+    used = params.tau * float(c @ x)
+    return x * (supply / used) if used > supply else x
+
+
 def _cap_tolerance(c, params: TcsParams) -> float:
     # rounding allowance, in credits, before a start counts as infeasible
     return 1e-9 * max(1.0, params.kappa * float(c.sum()))
@@ -300,11 +308,22 @@ def equilibrium_solve(
     and flagged.  With ``tcs=False`` the price is held at ``p_init`` and the
     cap/market-clearing machinery is disabled (plain logit SUE under a fixed
     price), which the same loop solves.
+
+    Without ``x_init`` the loop starts at the centre of the share box,
+    x = 1/2 for every group, scaled down onto the cap when the centre uses
+    more credits than the allowance supplies: x = min(1/2, kappa/tau) under
+    either cap variant, and 1/2 with ``tcs=False``.  The price starts at
+    ``p_init``, or ``params.p0`` (0 with ``tcs=False``).
     """
     n = scenario.n
     gammas = scenario.gammas
     c = params.cap_weights(gammas)
-    x = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
+    if x_init is None:
+        x = np.full(n, 0.5)
+        if tcs:
+            x = _onto_cap(x, c, params)
+    else:
+        x = np.asarray(x_init, dtype=float).copy()
     if x.shape != (n,) or np.any(x < 0) or np.any(x > 1):
         raise ValueError("x_init must be N shares within [0, 1]")
     if p_init is None:

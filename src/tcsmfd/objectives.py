@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import EquilibriumReport, ModalState, equilibrium_solve, logit_choice
+from .equilibrium import (
+    EquilibriumReport,
+    ModalState,
+    _onto_cap,
+    equilibrium_solve,
+    logit_choice,
+)
 from .scenario import Scenario, TcsParams
 # not called here: perfbench/tracer.py rebinds objectives.simulate and
 # refuses to install without it
@@ -319,11 +325,8 @@ def _predicted_start(scenario: Scenario, p_tau: TcsParams, starts: dict):
         w = math.prod((tau - tm) / (tj - tm) for tm in nodes if tm != tj)
         x += w * starts[tj].x
         p += w * starts[tj].p
-    x = np.clip(x, 0.0, 1.0)
-    c = p_tau.cap_weights(scenario.gammas)
-    supply = p_tau.kappa * float(c.sum())
-    used = tau * float(c @ x)
-    return (x * (supply / used) if used > supply else x), max(p, 0.0)
+    x = _onto_cap(np.clip(x, 0.0, 1.0), p_tau.cap_weights(scenario.gammas), p_tau)
+    return x, max(p, 0.0)
 
 
 def _warm_solve(scenario: Scenario, p_tau: TcsParams, starts: dict) -> EquilibriumReport:

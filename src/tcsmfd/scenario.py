@@ -156,6 +156,19 @@ class MfdCurve:
         out = np.asarray(self._pchip_d(np.clip(n, ns[0], ns[-1])), dtype=float)
         return np.where((n <= ns[0]) | (n >= ns[-1]), 0.0, out)
 
+    @cached_property
+    def _scalar_speed(self):
+        """V(n) of a float n that is finite and >= 0, unchecked: the scalar
+        path of ``speed``, bound once for loops whose accumulation is valid
+        by construction (``simulate``)."""
+        v_floor = self.v_floor
+        if self.form == _GREENSHIELDS:
+            # _raw's formula in float arithmetic, which rounds as numpy's
+            v_free, n_jam = self.params
+            return lambda n: max(v_free * (1.0 - n / n_jam), v_floor)
+        raw = self._raw
+        return lambda n: max(float(raw(n)), v_floor)
+
     def speed(self, n):
         """Mean network speed V(n), m/s.  n may be a scalar or an array.
 
@@ -164,7 +177,7 @@ class MfdCurve:
         if isinstance(n, float):
             if not (n >= 0.0 and math.isfinite(n)):
                 raise ValueError("accumulation must be finite and >= 0")
-            return max(float(self._raw(n)), self.v_floor)
+            return self._scalar_speed(n)
         arr = np.asarray(n, dtype=float)
         if np.any(arr < 0) or np.any(~np.isfinite(arr)):
             raise ValueError("accumulation must be finite and >= 0")

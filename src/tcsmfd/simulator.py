@@ -128,7 +128,8 @@ def simulate(scenario: Scenario, x) -> SimResult:
     departs = scenario.departs.tolist()
     trip_lens = scenario.trip_lens.tolist()
     weights = (scenario.gammas * x).tolist()  # gamma_i * x_i
-    speed = scenario.mfd.speed
+    # unchecked: the accumulation below is clamped >= 0 and a finite sum
+    speed = scenario.mfd._scalar_speed
 
     horizon = max(departs) + 10.0 * float(
         scenario.trip_lens.max() / scenario.mfd.v_floor

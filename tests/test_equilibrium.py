@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcsmfd import (
     MfdCurve,
     ModalState,
+    Scenario,
     TcsParams,
     build_qp,
     equilibrium_solve,
@@ -495,6 +497,83 @@ class TestEquilibriumSolver:
         rep = equilibrium_solve(small_scenario, params)
         assert rep.cap_constraint == "printed"
         assert rep.converged
+
+
+@pytest.fixture(scope="module")
+def congested():
+    return generate_synthetic(0, preset_spec("congested"))
+
+
+class TestColdStart:
+    @pytest.mark.parametrize("tau", [150.0, 300.0])
+    @pytest.mark.parametrize("case", ["gamma-weighted", "printed", "no_tcs"])
+    def test_starts_at_the_centre_scaled_onto_the_cap(self, small_scenario, monkeypatch,
+                                                      case, tau):
+        seen = []
+
+        def recording(scenario, x):
+            seen.append(np.array(x))
+            return simulate(scenario, x)
+
+        monkeypatch.setattr(tcsmfd.equilibrium, "simulate", recording)
+        tcs = case != "no_tcs"
+        params = TcsParams(tau=tau, cap_constraint=case if tcs else "gamma-weighted")
+        equilibrium_solve(small_scenario, params, tcs=tcs)
+        want = min(0.5, params.kappa / tau) if tcs else 0.5
+        np.testing.assert_allclose(seen[0], np.full(small_scenario.n, want),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("tau, tcs", [(120.0, True), (200.0, True), (300.0, True),
+                                          (200.0, False)])
+    def test_no_more_iterations_than_from_zero(self, congested, tau, tcs):
+        params = TcsParams(tau=tau)
+        p_init = None if tcs else 0.0
+        centre = equilibrium_solve(congested, params, tcs=tcs, p_init=p_init)
+        zero = equilibrium_solve(congested, params, tcs=tcs, p_init=p_init,
+                                 x_init=np.zeros(congested.n))
+        assert centre.converged and zero.converged
+        assert centre.iterations <= zero.iterations
+
+
+def _contract_curve(form, v_free, n_jam, v_floor):
+    if form == "greenshields":
+        return MfdCurve.greenshields(v_free, n_jam, v_floor)
+    points = [(0.0, v_free), (0.3 * n_jam, 0.7 * v_free),
+              (0.6 * n_jam, 0.35 * v_free), (n_jam, 0.05 * v_free)]
+    if form == "piecewise":
+        return MfdCurve.piecewise_linear(points, v_floor)
+    return MfdCurve.tabulated(points, v_floor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 8),
+    congestion=st.floats(0.3, 1.5),
+    form=st.sampled_from(["greenshields", "piecewise", "tabulated"]),
+    floor=st.booleans(),
+    cap=st.sampled_from(["gamma-weighted", "printed"]),
+    eps=st.sampled_from(["inverse", "const:0.3"]),
+    tau=st.floats(100.0, 400.0),
+)
+def test_converges_with_invariants_or_is_flagged(seed, n, congestion, form, floor, cap,
+                                                  eps, tau):
+    base = small_random_scenario(seed, n_groups=n, congestion=congestion)
+    v_free, n_jam = base.mfd.params
+    # a floor at 0.8 v_free binds above 0.2 n_jam on greenshields
+    v_floor = 0.8 * v_free if floor else 1.0
+    scenario = Scenario(groups=base.groups, mfd=_contract_curve(form, v_free, n_jam, v_floor))
+    params = TcsParams(tau=tau, cap_constraint=cap, eps_schedule=eps)
+    rep = equilibrium_solve(scenario, params)
+    x, p = rep.state.x, rep.state.p
+    assert np.all((x >= 0.0) & (x <= 1.0)) and p >= 0.0
+    if not rep.converged:
+        assert rep.message
+        return
+    c = params.cap_weights(scenario.gammas)
+    assert rep.cap_slack >= -tcsmfd.equilibrium._cap_tolerance(c, params)
+    assert rep.residual_final < 1e-4
+    assert float(np.max(np.abs(rep.psis - x))) < 1e-4
 
 
 class TestModalState:

@@ -148,11 +148,14 @@ def test_horizon_overrun_in_any_row_raises(monkeypatch):
 
     def crawl(self, n):
         # near-standstill above n_slow: only the full-share row gets there
-        v = real(self, n)
+        v = real(self, np.asarray(n))
         slow = np.asarray(n) > n_slow
         return np.where(slow, 1e-9, v) if np.ndim(v) else (1e-9 if slow else v)
 
     monkeypatch.setattr(MfdCurve, "speed", crawl)
+    # simulate binds the curve's scalar path once per run
+    monkeypatch.setattr(MfdCurve, "_scalar_speed",
+                        property(lambda self: lambda n: crawl(self, n)))
     xs = np.array([np.zeros(sc.n), np.ones(sc.n), np.full(sc.n, 0.1)])
     with pytest.raises(HorizonError):
         simulate(sc, xs[1])
