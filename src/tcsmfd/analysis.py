@@ -177,8 +177,10 @@ def stability_check(scenario: Scenario, params: TcsParams, state) -> StabilityRe
         raise ValueError("stability analysis needs a binding cap (p > 0)")
     sim = simulate(scenario, state.x)
     psi = logit_choice(sim.car_times, scenario.pt_times, state.p, params)
-    dT = travel_time_gradient(scenario, sim).dT  # its per-event blocks are never built
-    grad_psi = logit_gradient(psi, dT, params)
+    # the logit Jacobian is written over dT in the gradient's own storage;
+    # the gradient's per-event blocks are never built
+    gm = travel_time_gradient(scenario, sim)
+    grad_psi = logit_gradient(psi, gm.dT, params, out=gm.storage)
     jac = stability_jacobian(grad_psi, params.cap_weights(scenario.gammas), params.tau)
     res = eig_values(jac)
     abscissa = float(np.max(res.values.real))

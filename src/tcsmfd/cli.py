@@ -166,6 +166,8 @@ def _equilibrium_payload(rep) -> dict:
         "converged": rep.converged,
         "iterations": rep.iterations,
         "j_trace": rep.j_trace,
+        "qp_iterations": rep.qp_iterations,
+        "cg_iterations": rep.cg_iterations,
         "residual_trace": rep.residual_trace,
         "mcc_trace": rep.mcc_trace,
         "cap_slack_credits": rep.cap_slack,

@@ -105,17 +105,23 @@ def logit_costs(t_car, t_pt, p, params: TcsParams):
     return c_car, c_pt
 
 
-def logit_gradient(psi0, dT, params: TcsParams) -> np.ndarray:
+def logit_gradient(psi0, dT, params: TcsParams, out=None) -> np.ndarray:
     """Jacobian of psi wrt (x_1..x_N, p), shape (N, N+1).
 
     Share columns: psi0_i (psi0_i - 1) * theta * alpha * dT[i][j].
     Price column:  psi0_i (psi0_i - 1) * theta * tau.
     Saturated probabilities (exactly 0 or 1) produce an exactly zero row.
+
+    The result is written into ``out``, an N x (N+1) array, when it is
+    given, else into a new one.  ``out[:, :N]`` may be ``dT`` itself (as
+    ``GradientMatrix.storage`` holds it): the overlap is exact, so each
+    entry is scaled in place and the values are those of a fresh array.
     """
     psi0 = np.asarray(psi0, dtype=float)
     n = len(psi0)
     w = psi0 * (psi0 - 1.0) * params.theta
-    out = np.empty((n, n + 1))
+    if out is None:
+        out = np.empty((n, n + 1))
     np.multiply((w * params.alpha)[:, None], dT, out=out[:, :n])
     out[:, n] = w * params.tau
     return out
@@ -170,7 +176,9 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
              tcs: bool = True) -> QpProblem:
     """Assemble the QP of iteration k around (x0, p0).
 
-    G = grad_psi - I_x  with I_x = [I, 0].  Then
+    G = grad_psi - I_x  with I_x = [I, 0], formed in place: ``grad_psi`` is
+    consumed, and G is the whole array with the scheme and the view of its
+    first N columns without it.  Then
 
         P = G'G + eta * I_p,   q = G'(psi0 - x0) + eta * i_p
 
@@ -193,7 +201,7 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
         raise ValueError("iteration index starts at 1")
     m = n + 1 if tcs else n
 
-    G = grad_psi[:, :m].copy()
+    G = grad_psi[:, :m]
     G[np.diag_indices(n)] -= 1.0
     q = G.T @ (psi0 - x0)
 
@@ -281,6 +289,10 @@ class EquilibriumReport:
     message: str = ""
     qp_unconverged: int = 0   # outer iterations whose inner QP stopped unconverged
     near_ties: int = 0        # outer iterations whose gradient saw near ties
+    # per outer iteration that took a step: the QP's iterations and its CG
+    # products (``QpSolution.iterations`` and ``cg_iterations``)
+    qp_iterations: list = field(default_factory=list)
+    cg_iterations: list = field(default_factory=list)
 
     @property
     def j_final(self) -> float:
@@ -342,6 +354,8 @@ def equilibrium_solve(
     converged = False
     qp_unconverged = 0
     near_ties = 0
+    qp_iterations: list[int] = []
+    cg_iterations: list[int] = []
     k = 0
     psi = np.zeros(n)
 
@@ -361,23 +375,24 @@ def equilibrium_solve(
         if k == params.max_iters:
             break  # a step from here would never be simulated
 
-        # each dense array is dropped once read: dT (the gradient's only
-        # N x N array; its per-event blocks are never built here) once the
-        # logit block is formed, the logit block once build_qp has copied it
-        # into G.  G lives in prob.P through the QP (P itself is never
-        # formed) and goes before the next gradient
+        # one N x (N+1) array carries the linearization: dT fills its first
+        # N columns (the per-event blocks are never built here), the logit
+        # Jacobian is written over them with the price column beside, and
+        # build_qp turns that into G in place.  G lives in prob.P through
+        # the QP (P itself is never formed); every name on the array is
+        # dropped before the next gradient allocates its own
         gm = travel_time_gradient(scenario, sim)
         near_ties += gm.near_ties
-        dT = gm.dT
+        grad_psi = logit_gradient(psi, gm.dT, params, out=gm.storage)
         del gm
-        grad_psi = logit_gradient(psi, dT, params)
-        del dT
         prob = build_qp(x, p, psi, grad_psi, gammas, params, k, tcs=tcs)
         del grad_psi
         sol = solve_qp(prob.P, prob.q, prob.lower, prob.upper,
                        a=prob.cap_coeffs, b=prob.cap_rhs, tol=qp_tol)
         del prob
         qp_unconverged += not sol.converged
+        qp_iterations.append(sol.iterations)
+        cg_iterations.append(sol.cg_iterations)
         x = np.clip(x + sol.z[:n], 0.0, 1.0)
         if tcs:
             p = max(p + float(sol.z[n]), 0.0)
@@ -403,6 +418,8 @@ def equilibrium_solve(
         message="" if converged else "hit max_iters; returning best-J iterate",
         qp_unconverged=qp_unconverged,
         near_ties=near_ties,
+        qp_iterations=qp_iterations,
+        cg_iterations=cg_iterations,
     )
 
 

@@ -16,9 +16,10 @@ j on the road during it, else 0.  The recursion keeps gamma on the groups on
 the road in one running N-vector, set at each entry and cleared at each
 exit, and reads dV/dn from one array ``dspeed`` call over the event
 accumulations.  It walks the events with running sums kept in reused
-buffers, so each event costs O(1) numpy calls on O(N) data, and the full
-N x N gradient matrix costs O(N^2) time and memory: no per-event 2N x N
-array is formed.  The per-event blocks of period-duration and speed
+buffers and each trip's entry snapshot kept in its own row of the result,
+so each event costs O(1) numpy calls on O(N) data, and the full N x N
+gradient matrix costs O(N^2) time and one N x (N+1) array: no per-event
+2N x N array is formed.  The per-event blocks of period-duration and speed
 gradients are built only when ``GradientMatrix`` is asked for them, by the
 same recursion writing one row per event.
 """
@@ -49,18 +50,23 @@ class GradientMatrix:
     """dT[i][j] = d(car travel time of group i) / d(share of group j).
 
     ``near_ties`` warns that two events were closer than TIE_GAP_S so the
-    fixed-order derivative may sit on a kink.  ``event_time_grads`` and
-    ``event_speed_grads`` are the per-event building blocks, one N-vector
-    per event: the gradients of the period durations T_e and of the period
-    speeds V_e.  They are 2N x N each, so they are built on first read, by
-    the recursion that computed ``dT`` rerun on the held scenario and
-    simulation, and the solver never reads them.
+    fixed-order derivative may sit on a kink.  ``dT`` is the first N
+    columns of ``storage``, one N x (N+1) array: the logit Jacobian, which
+    has one more column for the price, can be written over it in place
+    (``logit_gradient(..., out=storage)``), so a linearization holds one
+    Jacobian-sized array.  ``event_time_grads`` and ``event_speed_grads``
+    are the per-event building blocks, one N-vector per event: the
+    gradients of the period durations T_e and of the period speeds V_e.
+    They are 2N x N each, so they are built on first read, by the recursion
+    that computed ``dT`` rerun on the held scenario and simulation, and the
+    solver never reads them.
     """
 
     dT: np.ndarray
     near_ties: bool
     scenario: Scenario = field(repr=False)
     sim: SimResult = field(repr=False)
+    storage: np.ndarray = field(repr=False)
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -103,10 +109,15 @@ def _recursion(scenario: Scenario, sim: SimResult, blocks=None) -> np.ndarray:
     the period's speed term is (on_road * dV/dn(n_{e-1})) * T_e.  Off the
     road that term is 0 * dV/dn * T_e, -0.0 on a falling curve; adding it
     leaves ``flow`` and the trip windows bit for bit, since neither is ever
-    -0.0 (flow starts at +0.0 and x - x is +0.0).  Each entry
-    stores a copy of ``flow``; the group's exit closes its trip length
-    against it.  ``grad_t`` is exactly zero at every entry, a fixed
-    departure instant, so at the exit it is the group's row of dT.
+    -0.0 (flow starts at +0.0 and x - x is +0.0).  Each entry writes
+    ``flow`` into the group's own row of dT, which nothing else touches
+    while the trip lasts; the group's exit closes its trip length against
+    that snapshot and then overwrites the row with ``grad_t``.  ``grad_t``
+    is exactly zero at every entry, a fixed departure instant, so at the
+    exit it is the group's row of dT.
+
+    dT is the first N columns of a fresh N x (N+1) array, which is
+    returned; its last column is left unset.
 
     ``blocks`` is a pair of zeroed 2N x N arrays that receive each event's
     d_te and its speed row.  A speed row is written only on the groups on
@@ -121,9 +132,10 @@ def _recursion(scenario: Scenario, sim: SimResult, blocks=None) -> np.ndarray:
     durations = sim.durations.tolist()
     v_after = sim.v_after.tolist()
     dv = scenario.mfd.dspeed(sim.n_after[:-1]).tolist()  # period e reads dv[e-1]
-    # the result comes first, so the per-entry flow copies are all the
-    # working set on top of it
-    dT = np.empty((n, n))
+    # the entry snapshots live in the rows of the result, so the working
+    # set on top of it is a few N-vectors
+    storage = np.empty((n, n + 1))
+    dT = storage[:, :n]
     grad_t = np.zeros(n)
     flow = np.zeros(n)
     on_road = np.zeros(n)
@@ -133,7 +145,7 @@ def _recursion(scenario: Scenario, sim: SimResult, blocks=None) -> np.ndarray:
     # event 0 is the first entry: nothing moves yet
     g0 = groups[0]
     on_road[g0] = gammas[g0]
-    flow_at_entry = {g0: np.zeros(n)}
+    dT[g0] = 0.0
     for e in range(1, len(kinds)):
         gid = groups[e]
         v_e = v_after[e - 1]
@@ -152,10 +164,10 @@ def _recursion(scenario: Scenario, sim: SimResult, blocks=None) -> np.ndarray:
             # after an entry both period ends are fixed departures: d_te = 0,
             # and adding its +0.0 shift is exact (flow is never -0.0)
             flow += dist
-            flow_at_entry[gid] = flow.copy()
+            dT[gid] = flow
             on_road[gid] = gammas[gid]
         else:
-            window = flow_at_entry.pop(gid)
+            window = dT[gid]  # flow at the entry, overwritten below
             np.subtract(flow, window, out=window)  # flow since the entry
             np.add(dist, window, out=d_te)
             np.divide(d_te, -v_e, out=d_te)  # the bits of -(...) / v_e
@@ -166,7 +178,7 @@ def _recursion(scenario: Scenario, sim: SimResult, blocks=None) -> np.ndarray:
             grad_t += d_te
             dT[gid] = grad_t
             on_road[gid] = 0.0
-    return dT
+    return storage
 
 
 def _per_event_blocks(scenario: Scenario, sim: SimResult):
@@ -179,6 +191,7 @@ def _per_event_blocks(scenario: Scenario, sim: SimResult):
 
 def travel_time_gradient(scenario: Scenario, sim: SimResult) -> GradientMatrix:
     """Full N x N travel-time gradient for the realized event order."""
-    dT = _recursion(scenario, sim)
+    storage = _recursion(scenario, sim)
     near_ties = bool(np.any(np.diff(sim.times) < TIE_GAP_S))
-    return GradientMatrix(dT=dT, near_ties=near_ties, scenario=scenario, sim=sim)
+    return GradientMatrix(dT=storage[:, :scenario.n], near_ties=near_ties,
+                          scenario=scenario, sim=sim, storage=storage)

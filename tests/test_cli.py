@@ -107,6 +107,8 @@ class TestEquilibrium:
         assert len(eq["x"]) == 6
         assert eq["p"] >= 0.0
         assert eq["iterations"] == len(eq["j_trace"])
+        # one QP per outer iteration that took a step: all but the last
+        assert len(eq["qp_iterations"]) == len(eq["cg_iterations"]) == eq["iterations"] - 1
         assert "ttt_h" in eq and "emission_t" in eq
         man = read_json(tmp_path / "manifest.json")
         assert man["params"]["tau"] == 200.0

@@ -21,6 +21,7 @@ from tcsmfd import (
     preset_spec,
     simulate,
     solve_qp,
+    travel_time_gradient,
 )
 import tcsmfd.equilibrium
 
@@ -182,10 +183,10 @@ class TestBuildQp:
         p0 = 0.006
         dT = np.random.default_rng(11).normal(scale=40.0, size=(3, 3))
         grad = logit_gradient(psi0, dT, params)
-        before = grad.copy()
+        G = grad - np.hstack([np.eye(3), np.zeros((3, 1))])
+        fresh = grad.copy()  # build_qp consumes its grad_psi
         prob = build_qp(x0, p0, psi0, grad, gamma, params, k=1)
 
-        G = grad - np.hstack([np.eye(3), np.zeros((3, 1))])
         if cap == "gamma-weighted":
             w = gamma / gamma.sum()
         else:
@@ -203,13 +204,17 @@ class TestBuildQp:
         # without the scheme: the share block of the same assembly.  BLAS
         # orders a matrix-vector sum by the column count, so q matches the
         # N-column product exactly and the (N+1)-column one to rounding
-        free = build_qp(x0, p0, psi0, grad, gamma, params, k=1, tcs=False)
+        free = build_qp(x0, p0, psi0, fresh, gamma, params, k=1, tcs=False)
         Gx = G[:, :3]
         assert_operator_matches(free.P, (G.T @ G)[:3, :3],
                                 same_order=lambda v: Gx.T @ (Gx @ v))
         np.testing.assert_array_equal(free.q, G[:, :3].T @ (psi0 - x0))
         np.testing.assert_allclose(free.q, (G.T @ (psi0 - x0))[:3], rtol=1e-15, atol=0)
-        assert grad.tobytes() == before.tobytes()
+        # G was formed in grad_psi's storage: all of it with the scheme, the
+        # share columns without it, the price column left as it was
+        assert grad.tobytes() == G.tobytes()
+        assert fresh[:, :3].tobytes() == G[:, :3].tobytes()
+        assert fresh[:, 3].tobytes() == G[:, 3].tobytes()
 
     def test_cap_variants(self):
         params = TcsParams(cap_constraint="printed")
@@ -226,9 +231,9 @@ class TestBuildQp:
         gamma = np.array([50.0])
         psi0 = np.array([0.5])
         grad = logit_gradient(psi0, np.array([[10.0]]), params)
+        g = grad[0, 0] - 1.0  # read first: build_qp consumes grad
         prob = build_qp(np.array([0.4]), 0.0, psi0, grad, gamma, params, k=1, tcs=False)
         # no price coordinate and no cap row: P is the 1x1 block g^2
-        g = grad[0, 0] - 1.0
         assert_operator_matches(prob.P, np.array([[g * g]]))
         assert len(prob.lower) == len(prob.upper) == 1
         assert prob.cap_coeffs is None and prob.cap_rhs is None
@@ -283,13 +288,15 @@ class TestBuildQp:
 @pytest.fixture(scope="module")
 def congested_qps():
     """The build_qp calls of one congested seed-0 equilibrium with the
-    scheme and one without: (tcs, build_qp arguments, its problem)."""
+    scheme and one without: (tcs, build_qp arguments, its problem).  The
+    recorded grad_psi is a copy taken before build_qp consumes it."""
     scenario = generate_synthetic(0, preset_spec("congested"))
     params = TcsParams()
     calls = []
 
     def recording(*args, tcs=True):
-        calls.append((tcs, args, build_qp(*args, tcs=tcs)))
+        recorded = args[:3] + (args[3].copy(),) + args[4:]
+        calls.append((tcs, recorded, build_qp(*args, tcs=tcs)))
         return calls[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -327,11 +334,13 @@ class TestNeverFormedP:
             assert op.objective == pytest.approx(dense.objective, rel=1e-12, abs=0)
 
     def test_build_and_solve_never_hold_p(self, congested_qps):
-        # the N x (N+1) copy G is the one matrix-sized allocation; forming
-        # P = G'G as well would double the peak
+        # G is formed in grad_psi's storage, so building and solving the QP
+        # allocates no matrix-sized array: not a copy of G, let alone
+        # P = G'G
         _, args, _ = next(call for call in congested_qps if call[0])
         n = len(args[0])
         g_bytes = n * (n + 1) * 8
+        args = args[:3] + (args[3].copy(),) + args[4:]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -340,7 +349,64 @@ class TestNeverFormedP:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert g_bytes <= peak < 1.5 * g_bytes
+        assert peak < 0.5 * g_bytes
+
+
+@pytest.mark.parametrize("tcs", [True, False])
+def test_in_place_linearization_matches_the_allocating_calls(congested, tcs):
+    # the logit Jacobian written over dT in the gradient's storage, and G
+    # formed in that storage, against a fresh logit Jacobian and a copy of
+    # its QP columns: the same bits in q, the bounds, the cap row and every
+    # product and diagonal of P
+    params = TcsParams()
+    n = congested.n
+    x, p = np.full(n, 0.4), 0.006
+    sim = simulate(congested, x)
+    psi = logit_choice(sim.car_times, congested.pt_times, p, params)
+    gm = travel_time_gradient(congested, sim)
+    fresh = logit_gradient(psi, gm.dT, params)
+    m = n + 1 if tcs else n
+    want = build_qp(x, p, psi, fresh[:, :m].copy(), congested.gammas, params, k=2, tcs=tcs)
+
+    grad_psi = logit_gradient(psi, gm.dT, params, out=gm.storage)
+    assert grad_psi is gm.storage
+    assert grad_psi.tobytes() == fresh.tobytes()
+    prob = build_qp(x, p, psi, grad_psi, congested.gammas, params, k=2, tcs=tcs)
+    assert np.shares_memory(prob.P.G, gm.storage)
+    for name in ("q", "lower", "upper"):
+        assert getattr(prob, name).tobytes() == getattr(want, name).tobytes(), name
+    if tcs:
+        assert prob.cap_coeffs.tobytes() == want.cap_coeffs.tobytes()
+        assert prob.cap_rhs == want.cap_rhs
+    else:
+        assert prob.cap_coeffs is None and prob.cap_rhs is None
+    assert prob.P.diagonal().tobytes() == want.P.diagonal().tobytes()
+    vectors = list(np.eye(m)[::7]) + list(np.random.default_rng(3).normal(size=(4, m)))
+    for v in vectors:
+        assert (prob.P @ v).tobytes() == (want.P @ v).tobytes()
+
+
+@pytest.fixture(scope="module")
+def citywide():
+    return generate_synthetic(0, preset_spec("citywide"))
+
+
+@pytest.mark.parametrize("tcs", [True, False])
+def test_solve_holds_one_jacobian_sized_array(citywide, tcs):
+    # each linearization lives in one N x (N+1) array, shared by dT, the
+    # logit Jacobian and G and dropped before the next gradient; a second
+    # one alive at any point would put the peak at twice that
+    n = citywide.n
+    g_bytes = n * (n + 1) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = equilibrium_solve(citywide, TcsParams(), tcs=tcs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and len(rep.qp_iterations) >= 2
+    assert peak < 1.5 * g_bytes
 
 
 def test_j_value_hand_case():
@@ -491,6 +557,25 @@ class TestEquilibriumSolver:
         rep = equilibrium_solve(small_scenario, TcsParams(max_iters=m), x_tol=0.0)
         assert not rep.converged and rep.iterations == m
         assert calls == {"travel_time_gradient": m - 1, "solve_qp": m - 1}
+
+    @pytest.mark.parametrize("case", ["converged", "max_iters"])
+    def test_qp_counts_per_step(self, small_scenario, monkeypatch, case):
+        solutions = []
+
+        def recording(*args, **kwargs):
+            solutions.append(solve_qp(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(tcsmfd.equilibrium, "solve_qp", recording)
+        if case == "converged":
+            rep = equilibrium_solve(small_scenario, TcsParams())
+        else:
+            rep = equilibrium_solve(small_scenario, TcsParams(max_iters=4), x_tol=0.0)
+        assert rep.converged == (case == "converged")
+        # neither exit takes a step from its last iterate
+        assert len(rep.qp_iterations) == len(rep.cg_iterations) == rep.iterations - 1
+        assert rep.qp_iterations == [sol.iterations for sol in solutions]
+        assert rep.cg_iterations == [sol.cg_iterations for sol in solutions]
 
     def test_printed_cap_variant_runs(self, small_scenario):
         params = TcsParams(cap_constraint="printed")

@@ -155,23 +155,19 @@ class TestNearTies:
 
 @pytest.mark.parametrize("scenario", ["congested", "mid"])
 def test_peak_memory_bound(scenario):
-    # the call may hold its three results, one copy of the running flow per
-    # trip on the road, and at most 2 MB more: no 2N x N temporary fits (an
-    # active mask over all events is 2 MB of bools at N = 1000)
-    if scenario == "congested":
-        sc = generate_synthetic(0, preset_spec("congested"))
-    else:
-        sc = small_random_scenario(4, n_groups=1000)
-    sim = simulate(sc, np.random.default_rng(0).uniform(0.2, 0.9, sc.n))
-    on_road = int(np.cumsum(np.where(sim.kinds == 0, 1, -1)).max())
+    # the call may hold its results (dT in its N x (N+1) storage, whose rows
+    # also hold the trips' entry snapshots, and the two blocks) and at most
+    # 2 MB more: no 2N x N temporary fits (an active mask over all events is
+    # 2 MB of bools at N = 1000)
+    sc, sim = memory_case(scenario)
     tracemalloc.start()
     try:
         gm = travel_time_gradient(sc, sim)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    returned = sum(getattr(gm, name).nbytes for name in FIELDS)
-    assert peak <= returned + on_road * sc.n * 8 + 2 * 2**20
+    returned = gm.storage.nbytes + gm.event_time_grads.nbytes + gm.event_speed_grads.nbytes
+    assert peak <= returned + 2 * 2**20
 
 
 def memory_case(scenario):
@@ -180,22 +176,22 @@ def memory_case(scenario):
     else:
         sc = small_random_scenario(4, n_groups=1000)
     sim = simulate(sc, np.random.default_rng(0).uniform(0.2, 0.9, sc.n))
-    on_road = int(np.cumsum(np.where(sim.kinds == 0, 1, -1)).max())
-    return sc, sim, on_road
+    return sc, sim
 
 
 @pytest.mark.parametrize("scenario", ["congested", "mid"])
 def test_peak_memory_without_blocks(scenario):
-    # the call may hold dT, one copy of the running flow per trip on the
-    # road, and at most 2 MB more: neither 2N x N per-event block fits
-    sc, sim, on_road = memory_case(scenario)
+    # the call may hold dT's N x (N+1) storage, whose rows also hold the
+    # trips' entry snapshots, and at most 2 MB more: neither 2N x N
+    # per-event block fits
+    sc, sim = memory_case(scenario)
     tracemalloc.start()
     try:
         gm = travel_time_gradient(sc, sim)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= gm.dT.nbytes + on_road * sc.n * 8 + 2 * 2**20
+    assert peak <= gm.storage.nbytes + 2 * 2**20
 
 
 def test_solver_paths_never_build_the_blocks(monkeypatch):
