@@ -154,7 +154,7 @@ def stability_jacobian(grad_psi: np.ndarray, gammas: np.ndarray, tau: float) -> 
     n = grad_psi.shape[0]
     a = np.empty((n + 1, n + 1))
     a[:n, :] = grad_psi
-    a[:n, :n] -= np.eye(n)
+    a[np.diag_indices(n)] -= 1.0  # no N x N identity alongside
     a[n, :] = tau * (gammas @ grad_psi)
     return a
 

@@ -12,16 +12,26 @@ cases arise for the marginal duration of the period ending at event e:
   duration to every speed perturbation since i entered.
 
 The speed gradient of period e is gamma_j * dV/dn(n_{e-1}) for every group
-j on the road during it, else 0.  The recursion keeps gamma on the groups on
-the road in one running N-vector, set at each entry and cleared at each
-exit, and reads dV/dn from one array ``dspeed`` call over the event
-accumulations.  It walks the events with running sums kept in reused
-buffers and each trip's entry snapshot kept in its own row of the result,
-so each event costs O(1) numpy calls on O(N) data, and the full N x N
-gradient matrix costs O(N^2) time and one N x (N+1) array: no per-event
-2N x N array is formed.  The per-event blocks of period-duration and speed
-gradients are built only when ``GradientMatrix`` is asked for them, by the
-same recursion writing one row per event.
+j on the road during it, else 0.  So nothing moves an event but the groups
+that entered before it: a group's travel time is exactly independent of the
+share of every group that enters after it exits.  The recursion keeps its
+running vectors over the groups entered so far, indexed by entry rank, and
+writes the result in event order (``Layout``): row r is the r-th group to
+exit, column 0 the price (left for the logit Jacobian) and share column
+1 + k the k-th group to enter.  Row r is then exactly zero past its first
+1 + m_r columns, m_r the number of groups entered before that exit.  The
+recursion writes a row no further than its extent rounded up to a multiple
+of ``_GROW`` share columns, +0.0 past the extent, and the solver reads the
+zeros only inside a block of rows, up to the block's widest extent.
+
+Each event costs O(1) numpy calls on O(m) data, with gamma on the groups on
+the road in one running vector and dV/dn from one array ``dspeed`` call
+over the event accumulations.  Each trip's entry snapshot is kept in its
+own row of the result, so the full gradient costs one N x (N+1) array and
+no per-event 2N x N array.  ``GradientMatrix.dT`` permutes that array in
+place to id order on first read; the per-event blocks of period-duration
+and speed gradients are built only when asked for, by the same recursion
+writing one row per event.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .simulator import ENTRY, SimResult
 
 __all__ = [
     "GradientMatrix",
+    "Layout",
     "grad_speed",
     "travel_time_gradient",
 ]
@@ -44,29 +55,84 @@ __all__ = [
 # then numerically fragile and one-sided derivatives may disagree
 TIE_GAP_S = 1e-9
 
+_PERMUTE_ROWS = 64  # rows per gather when the per-event blocks go to id order
+# columns the recursion's working vectors grow by.  Slicing them at every
+# entry cost more than the zeros a step carries: on 2 CPUs a congested
+# gradient took 3.84 ms so and 3.63 ms with this step (medians of 400
+# interleaved calls)
+_GROW = 32
+
+
+class Layout:
+    """Where the entries of a linearization sit in its N x (N+1) array.
+
+    Row r holds the row of group ``rows[r]``, and column j the derivative
+    with respect to coordinate ``cols[j]``: the share of that group, or the
+    price for N, which is the first or the last column.  Row r is exactly
+    zero past its first ``extents[r]`` columns, which include the row's own
+    share column.  The extents never fall from one row to the next, and the
+    last one spans every column.
+    """
+
+    __slots__ = ("rows", "cols", "extents")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, extents: np.ndarray):
+        self.rows = rows
+        self.cols = cols
+        self.extents = extents
+
+    @classmethod
+    def identity(cls, n: int, width: int) -> "Layout":
+        """Id order over ``width`` columns, the price last, all spanned."""
+        return cls(rows=np.arange(n), cols=np.arange(width), extents=np.full(n, width))
+
+    @property
+    def price_first(self) -> bool:
+        return self.cols[0] == len(self.rows)
+
+    def columns(self, price: bool) -> tuple[slice, np.ndarray, np.ndarray]:
+        """The array's columns with the price column or without it: their
+        slice, the coordinate each holds and each row's extent within them."""
+        n = len(self.rows)
+        if price:
+            return slice(None), self.cols, self.extents
+        if self.price_first:
+            return slice(1, None), self.cols[1:], self.extents - 1
+        return slice(0, n), self.cols[:n], np.minimum(self.extents, n)
+
 
 @dataclass
 class GradientMatrix:
     """dT[i][j] = d(car travel time of group i) / d(share of group j).
 
     ``near_ties`` warns that two events were closer than TIE_GAP_S so the
-    fixed-order derivative may sit on a kink.  ``dT`` is the first N
-    columns of ``storage``, one N x (N+1) array: the logit Jacobian, which
-    has one more column for the price, can be written over it in place
-    (``logit_gradient(..., out=storage)``), so a linearization holds one
-    Jacobian-sized array.  ``event_time_grads`` and ``event_speed_grads``
-    are the per-event building blocks, one N-vector per event: the
-    gradients of the period durations T_e and of the period speeds V_e.
-    They are 2N x N each, so they are built on first read, by the recursion
-    that computed ``dT`` rerun on the held scenario and simulation, and the
-    solver never reads them.
+    fixed-order derivative may sit on a kink.  ``storage`` is one N x (N+1)
+    array laid out as ``layout`` says: in event order as computed, with
+    column 0 left for the price, so the logit Jacobian can be written over
+    it in place and a linearization holds one Jacobian-sized array.  ``dT``
+    is in id order: its first read permutes ``storage`` in place to id
+    order, price column last, and sets ``layout`` to the identity; dT is
+    then the first N columns.  ``event_time_grads`` and
+    ``event_speed_grads`` are the per-event building blocks, one N-vector
+    per event: the gradients of the period durations T_e and of the period
+    speeds V_e.  They are 2N x N each, so they are built on first read, by
+    the recursion that computed ``dT`` rerun on the held scenario and
+    simulation, and the solver never reads them.
     """
 
-    dT: np.ndarray
+    storage: np.ndarray = field(repr=False)
+    layout: Layout = field(repr=False)
     near_ties: bool
     scenario: Scenario = field(repr=False)
     sim: SimResult = field(repr=False)
-    storage: np.ndarray = field(repr=False)
+
+    @property
+    def dT(self) -> np.ndarray:
+        n = self.scenario.n
+        if self.layout.price_first:
+            _to_id_order(self.storage, self.layout)
+            self.layout = Layout.identity(n, n + 1)
+        return self.storage[:, :n]
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -99,99 +165,175 @@ def grad_speed(scenario: Scenario, sim: SimResult, e: int) -> np.ndarray:
     return out
 
 
-def _recursion(scenario: Scenario, sim: SimResult, blocks=None) -> np.ndarray:
-    """dT for the realized event order; fills ``blocks`` when it is given.
+def _event_layout(sim: SimResult) -> Layout:
+    """Rows in exit order, the price first, then the shares in entry order.
 
-    One pass over the events in time order.  ``grad_t`` is the gradient of
-    the current event time and ``flow`` the running sum of
-    dT_g * V_g + T_g * dV_g over the periods so far, both updated in place.
-    ``on_road`` holds gamma on the groups traveling and +0.0 elsewhere, so
-    the period's speed term is (on_road * dV/dn(n_{e-1})) * T_e.  Off the
-    road that term is 0 * dV/dn * T_e, -0.0 on a falling curve; adding it
-    leaves ``flow`` and the trip windows bit for bit, since neither is ever
-    -0.0 (flow starts at +0.0 and x - x is +0.0).  Each entry writes
-    ``flow`` into the group's own row of dT, which nothing else touches
-    while the trip lasts; the group's exit closes its trip length against
-    that snapshot and then overwrites the row with ``grad_t``.  ``grad_t``
-    is exactly zero at every entry, a fixed departure instant, so at the
-    exit it is the group's row of dT.
+    The r-th exit is event e_r, after e_r - r entries; its row spans the
+    price column and those entrants' columns."""
+    exits = np.flatnonzero(sim.kinds != ENTRY)
+    n = len(exits)
+    return Layout(
+        rows=sim.event_groups[exits],
+        cols=np.concatenate(([n], sim.event_groups[sim.kinds == ENTRY])),
+        extents=1 + exits - np.arange(n),
+    )
 
-    dT is the first N columns of a fresh N x (N+1) array, which is
-    returned; its last column is left unset.
 
-    ``blocks`` is a pair of zeroed 2N x N arrays that receive each event's
-    d_te and its speed row.  A speed row is written only on the groups on
-    the road (every gamma is > 0, so they are ``on_road > 0``), as in
-    ``grad_speed``: elsewhere the running product is 0 * dV/dn, which is
-    -0.0 on a falling curve.
+def _recursion(scenario: Scenario, sim: SimResult, layout: Layout, blocks=None):
+    """dT in ``layout``'s event order, or the per-event blocks.
+
+    One pass over the events in time order.  The running vectors are
+    indexed by entry rank and span the first w ranks, w the number m of
+    groups entered so far rounded up to a multiple of ``_GROW``; they are
+    re-sliced only at the entries that push m past w.  ``grad_t`` is the
+    gradient of the current event time and ``flow`` the running sum of
+    dT_g * V_g + T_g * dV_g over the periods so far.  ``on_road`` holds
+    gamma on the groups traveling and +0.0 elsewhere, so the period's speed
+    term is (on_road * dV/dn(n_{e-1})) * T_e.  Off the road that term is
+    0 * dV/dn * T_e, -0.0 on a falling curve; adding it leaves ``flow`` and
+    the trip windows bit for bit, since neither is ever -0.0 (flow starts
+    at +0.0 and x - x is +0.0).  So on the ranks past m every running value
+    and every row entry written stays +0.0, as a zeroed row holds it.  Each
+    entry writes ``flow`` into the group's own row, which nothing else
+    touches while the trip lasts; the group's exit closes its trip length
+    against that snapshot and then overwrites the row with ``grad_t`` plus
+    the exit's d_te.  ``grad_t`` is exactly zero at every entry, a fixed
+    departure instant, so at the exit that sum is the group's row of dT,
+    and it stays ``grad_t`` until the next entry.  At an entry after an
+    exit, d_te = -grad_t takes the event time back to zero, and
+    ``flow - grad_t * v`` is bitwise ``flow + d_te * v``.
+
+    Without ``blocks`` the result is a fresh zeroed N x (N+1) array, which
+    is returned: each row is written over its first w share columns only,
+    and column 0 is left for the price.  ``blocks`` is a pair of zeroed
+    2N x N arrays that receive each event's d_te and its speed row instead,
+    in entry-rank columns; an exit's snapshot then lives in its d_te row,
+    which the exit overwrites.  Past the entrants an exit's or a
+    following entry's d_te is -0.0, as the full-width arithmetic gives it.
+    A speed row is written only on the groups on the road (every gamma is
+    > 0, so they are ``on_road > 0``), as in ``grad_speed``: elsewhere the
+    running product is 0 * dV/dn, which is -0.0 on a falling curve.
     """
     n = scenario.n
-    gammas = scenario.gammas.tolist()
+    entrants = layout.cols[1:]
+    gammas = scenario.gammas[entrants].tolist()  # by entry rank
+    rank = np.empty(n, dtype=np.intp)
+    rank[entrants] = np.arange(n)
+    rank = rank.tolist()
     kinds = sim.kinds.tolist()
     groups = sim.event_groups.tolist()
     durations = sim.durations.tolist()
     v_after = sim.v_after.tolist()
     dv = scenario.mfd.dspeed(sim.n_after[:-1]).tolist()  # period e reads dv[e-1]
-    # the entry snapshots live in the rows of the result, so the working
-    # set on top of it is a few N-vectors
-    storage = np.empty((n, n + 1))
-    dT = storage[:, :n]
-    grad_t = np.zeros(n)
-    flow = np.zeros(n)
-    on_road = np.zeros(n)
-    d_te = np.empty(n)
-    dist = np.empty(n)  # T_e * dV_e
-    shift = np.empty(n)  # dT_e * V_e
+    # each group's snapshot row, as 1-D views
+    snapshot = [None] * n
+    if blocks is None:
+        storage = np.zeros((n, n + 1))
+        rows = list(storage[:, 1:])
+        for r, g in enumerate(layout.rows.tolist()):
+            snapshot[g] = rows[r]
+    else:
+        storage = None
+        time_rows, speed_rows = list(blocks[0]), list(blocks[1])
+        for e, g in enumerate(groups):
+            if kinds[e] != ENTRY:
+                snapshot[g] = time_rows[e]
+    # the working set on top of the rows is a few N-vectors
+    flow_n, on_road_n, dist_n, d_te_n, grad_n = np.zeros((5, n))
+
     # event 0 is the first entry: nothing moves yet
-    g0 = groups[0]
-    on_road[g0] = gammas[g0]
-    dT[g0] = 0.0
+    on_road_n[0] = gammas[0]
+    m = 1
+    w = min(_GROW, n)
+    flow, on_road, dist, d_te = flow_n[:w], on_road_n[:w], dist_n[:w], d_te_n[:w]
+    grad_t = 0.0  # from an entry to the next exit
     for e in range(1, len(kinds)):
         gid = groups[e]
         v_e = v_after[e - 1]
         np.multiply(on_road, dv[e - 1], out=dist)
         if blocks is not None:
-            np.multiply(on_road, dv[e - 1], out=blocks[1][e], where=on_road > 0.0)
+            np.multiply(on_road, dv[e - 1], out=speed_rows[e][:w], where=on_road > 0.0)
         dist *= durations[e]
         if kinds[e] == ENTRY:
             if kinds[e - 1] != ENTRY:
-                # d_te = -grad_t takes the event time back to zero, exactly
-                np.negative(grad_t, out=d_te)
                 if blocks is not None:
-                    blocks[0][e] = d_te
-                flow += np.multiply(d_te, v_e, out=shift)
-                grad_t.fill(0.0)
+                    np.negative(grad_t, out=time_rows[e][:w])
+                    time_rows[e][w:] = -0.0  # -(+0.0) past the entrants
+                flow -= np.multiply(grad_t, v_e, out=d_te)
+                grad_t = 0.0
             # after an entry both period ends are fixed departures: d_te = 0,
             # and adding its +0.0 shift is exact (flow is never -0.0)
             flow += dist
-            dT[gid] = flow
-            on_road[gid] = gammas[gid]
+            snapshot[gid][:w] = flow
+            on_road_n[m] = gammas[m]
+            m += 1
+            if m > w:
+                w = min(w + _GROW, n)
+                flow = flow_n[:w]
+                on_road = on_road_n[:w]
+                dist = dist_n[:w]
+                d_te = d_te_n[:w]
         else:
-            window = dT[gid]  # flow at the entry, overwritten below
+            window = snapshot[gid][:w]  # flow at the entry, overwritten below
             np.subtract(flow, window, out=window)  # flow since the entry
             np.add(dist, window, out=d_te)
             np.divide(d_te, -v_e, out=d_te)  # the bits of -(...) / v_e
-            if blocks is not None:
-                blocks[0][e] = d_te
-            flow += np.multiply(d_te, v_e, out=shift)
+            if blocks is None:
+                grad_t = np.add(grad_t, d_te, out=window)
+            else:
+                grad_t = np.add(grad_t, d_te, out=grad_n[:w])
+                window[:] = d_te
+                time_rows[e][w:] = -0.0  # (+0.0 + +0.0) / -v_e past the entrants
+            flow += np.multiply(d_te, v_e, out=d_te)
             flow += dist
-            grad_t += d_te
-            dT[gid] = grad_t
-            on_road[gid] = 0.0
+            on_road_n[rank[gid]] = 0.0
     return storage
+
+
+def _to_id_order(storage: np.ndarray, layout: Layout) -> None:
+    """Permute ``storage`` from ``layout`` to id order, price last, in place.
+
+    Each id row gathers its columns from the event row that holds it,
+    following the cycles of the row permutation with one spare row."""
+    n = len(layout.rows)
+    gather = np.empty(n + 1, dtype=np.intp)  # event column of each id column
+    gather[layout.cols] = np.arange(n + 1)
+    source = np.empty(n, dtype=np.intp)  # event row of each group
+    source[layout.rows] = np.arange(n)
+    source = source.tolist()
+    done = [False] * n
+    for start in range(n):
+        if done[start]:
+            continue
+        first = storage[start][gather]
+        g = start
+        while source[g] != start:
+            storage[g] = storage[source[g]][gather]
+            done[g] = True
+            g = source[g]
+        storage[g] = first
+        done[g] = True
 
 
 def _per_event_blocks(scenario: Scenario, sim: SimResult):
     """The 2N x N blocks (d T_e, d V_e), one row per event, row 0 all zero."""
+    layout = _event_layout(sim)
     shape = (sim.n_events, scenario.n)
     blocks = (np.zeros(shape), np.zeros(shape))
-    _recursion(scenario, sim, blocks)
+    _recursion(scenario, sim, layout, blocks)
+    rank = np.empty(scenario.n, dtype=np.intp)
+    rank[layout.cols[1:]] = np.arange(scenario.n)
+    for block in blocks:  # entry-rank columns to id columns
+        for start in range(0, len(block), _PERMUTE_ROWS):
+            part = block[start:start + _PERMUTE_ROWS]
+            part[:] = part[:, rank]
     return blocks
 
 
 def travel_time_gradient(scenario: Scenario, sim: SimResult) -> GradientMatrix:
     """Full N x N travel-time gradient for the realized event order."""
-    storage = _recursion(scenario, sim)
+    layout = _event_layout(sim)
+    storage = _recursion(scenario, sim, layout)
     near_ties = bool(np.any(np.diff(sim.times) < TIE_GAP_S))
-    return GradientMatrix(dT=storage[:, :scenario.n], near_ties=near_ties,
-                          scenario=scenario, sim=sim, storage=storage)
+    return GradientMatrix(storage=storage, layout=layout, near_ties=near_ties,
+                          scenario=scenario, sim=sim)

@@ -1,5 +1,6 @@
 """Uniqueness sampling and day-to-day stability diagnostics."""
 
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -162,6 +163,23 @@ class TestStabilityJacobian:
     def test_shape(self):
         a = stability_jacobian(np.zeros((3, 4)), np.ones(3), 1.0)
         assert a.shape == (4, 4)
+
+    def test_peak_memory_is_the_result(self):
+        # the Jacobian is assembled in its own (N+1) x (N+1) array with no
+        # N x N identity alongside, and with the bits of subtracting one
+        n, tau = 300, 200.0
+        rng = np.random.default_rng(2)
+        grad_psi = rng.normal(size=(n, n + 1))
+        gammas = rng.uniform(10.0, 100.0, n)
+        tracemalloc.start()
+        try:
+            a = stability_jacobian(grad_psi, gammas, tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * a.nbytes
+        want = np.vstack([grad_psi - np.eye(n, n + 1), tau * (gammas @ grad_psi)])
+        assert a.tobytes() == want.tobytes()
 
 
 class TestStabilityCheck:

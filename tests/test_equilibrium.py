@@ -289,14 +289,15 @@ class TestBuildQp:
 def congested_qps():
     """The build_qp calls of one congested seed-0 equilibrium with the
     scheme and one without: (tcs, build_qp arguments, its problem).  The
-    recorded grad_psi is a copy taken before build_qp consumes it."""
+    recorded grad_psi is a copy taken before build_qp consumes it, and the
+    arguments end with the keywords: tcs and the gradient's layout."""
     scenario = generate_synthetic(0, preset_spec("congested"))
     params = TcsParams()
     calls = []
 
-    def recording(*args, tcs=True):
-        recorded = args[:3] + (args[3].copy(),) + args[4:]
-        calls.append((tcs, recorded, build_qp(*args, tcs=tcs)))
+    def recording(*args, tcs=True, layout=None):
+        recorded = args[:3] + (args[3].copy(),) + args[4:] + (tcs, layout)
+        calls.append((tcs, recorded, build_qp(*args, tcs=tcs, layout=layout)))
         return calls[-1][2]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -307,19 +308,23 @@ def congested_qps():
     return calls
 
 
-def dense_p(args, tcs):
-    """P = G'G + border assembled from build_qp's arguments."""
-    x0, _, _, grad_psi, gammas, params, _ = args
+def dense_p(args):
+    """P = G'G + border assembled from build_qp's arguments, in id order,
+    then ordered as the QP's coordinates."""
+    x0, _, _, grad_psi, gammas, params, _, tcs, layout = args
     n = len(x0)
     m = n + 1 if tcs else n
-    G = grad_psi[:, :m] - np.eye(n, m)
+    cols, coords, _ = layout.columns(price=tcs)
+    grad = np.empty((n, m))  # id order, price last
+    grad[np.ix_(layout.rows, coords)] = grad_psi[:, cols]
+    G = grad - np.eye(n, m)
     P = G.T @ G
     if tcs:
         c = params.cap_weights(gammas)
         border = params.eta * (-c / c.sum() * params.tau)
         P[:n, n] += border
         P[n, :n] += border
-    return P
+    return P[np.ix_(coords, coords)]
 
 
 class TestNeverFormedP:
@@ -327,7 +332,7 @@ class TestNeverFormedP:
         for tcs, args, prob in congested_qps:
             bounds = (prob.q, prob.lower, prob.upper, prob.cap_coeffs, prob.cap_rhs)
             op = solve_qp(prob.P, *bounds)
-            dense = solve_qp(dense_p(args, tcs), *bounds)
+            dense = solve_qp(dense_p(args), *bounds)
             assert op.iterations == dense.iterations
             assert op.converged == dense.converged
             np.testing.assert_allclose(op.z, dense.z, rtol=0, atol=1e-10)
@@ -340,11 +345,11 @@ class TestNeverFormedP:
         _, args, _ = next(call for call in congested_qps if call[0])
         n = len(args[0])
         g_bytes = n * (n + 1) * 8
-        args = args[:3] + (args[3].copy(),) + args[4:]
+        *args, tcs, layout = args[:3] + (args[3].copy(),) + args[4:]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            prob = build_qp(*args)
+            prob = build_qp(*args, tcs=tcs, layout=layout)
             solve_qp(prob.P, prob.q, prob.lower, prob.upper, prob.cap_coeffs, prob.cap_rhs)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:

@@ -155,18 +155,19 @@ class TestNearTies:
 
 @pytest.mark.parametrize("scenario", ["congested", "mid"])
 def test_peak_memory_bound(scenario):
-    # the call may hold its results (dT in its N x (N+1) storage, whose rows
-    # also hold the trips' entry snapshots, and the two blocks) and at most
-    # 2 MB more: no 2N x N temporary fits (an active mask over all events is
+    # the call and the blocks' first read may hold their results (dT in its
+    # N x (N+1) storage, whose rows also hold the trips' entry snapshots,
+    # and the two blocks) and at most 2 MB more: no 2N x N temporary and
+    # no second N x (N+1) array fits (an active mask over all events is
     # 2 MB of bools at N = 1000)
     sc, sim = memory_case(scenario)
     tracemalloc.start()
     try:
         gm = travel_time_gradient(sc, sim)
+        returned = gm.storage.nbytes + gm.event_time_grads.nbytes + gm.event_speed_grads.nbytes
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    returned = gm.storage.nbytes + gm.event_time_grads.nbytes + gm.event_speed_grads.nbytes
     assert peak <= returned + 2 * 2**20
 
 
