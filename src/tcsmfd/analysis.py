@@ -154,8 +154,16 @@ def stability_jacobian(grad_psi: np.ndarray, gammas: np.ndarray, tau: float) -> 
     n = grad_psi.shape[0]
     a = np.empty((n + 1, n + 1))
     a[:n, :] = grad_psi
-    a[np.diag_indices(n)] -= 1.0  # no N x N identity alongside
-    a[n, :] = tau * (gammas @ grad_psi)
+    return _closed(a, gammas, tau)
+
+
+def _closed(a: np.ndarray, gammas: np.ndarray, tau: float) -> np.ndarray:
+    """``a``, whose first N rows hold the logit Jacobian, completed in place
+    into the stability Jacobian: the price row from those rows, then -1 on
+    the share diagonal (no N x N identity alongside)."""
+    n = len(a) - 1
+    a[n, :] = tau * (gammas @ a[:n])
+    a[np.diag_indices(n)] -= 1.0
     return a
 
 
@@ -177,11 +185,14 @@ def stability_check(scenario: Scenario, params: TcsParams, state) -> StabilityRe
         raise ValueError("stability analysis needs a binding cap (p > 0)")
     sim = simulate(scenario, state.x)
     psi = logit_choice(sim.car_times, scenario.pt_times, state.p, params)
-    # the logit Jacobian is written over dT in the gradient's own storage;
-    # the gradient's per-event blocks are never built
-    gm = travel_time_gradient(scenario, sim)
-    grad_psi = logit_gradient(psi, gm.dT, params, out=gm.storage)
-    jac = stability_jacobian(grad_psi, params.cap_weights(scenario.gammas), params.tau)
+    # dT is gathered straight into the Jacobian's share block and the logit
+    # Jacobian written over it; the gradient's per-event blocks are never
+    # built
+    n = scenario.n
+    jac = np.zeros((n + 1, n + 1))
+    dT = travel_time_gradient(scenario, sim).gather(jac[:n, :n])
+    logit_gradient(psi, dT, params, out=jac[:n])
+    _closed(jac, params.cap_weights(scenario.gammas), params.tau)
     res = eig_values(jac)
     abscissa = float(np.max(res.values.real))
     return StabilityReport(

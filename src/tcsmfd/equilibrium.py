@@ -18,7 +18,12 @@ The solver linearizes psi around the current iterate and minimizes
     J = 0.5 * || (grad_psi - I_x) dz + psi0 - x0 ||^2
         + eta * p * mean_c(kappa - tau * x)
 
-over a trust box (plus the cap row), which is a QP in dz = (dx, dp).
+over a trust box (plus the cap row), which is a QP in dz = (dx, dp).  The
+linearization lives in the travel-time gradient's buffer: its rows in exit
+order, stored as blocks each cut at its widest extent (``gradients.Layout``).
+The logit Jacobian and then G = grad_psi - I_x are written over it in place,
+and the QP applies G block by block, so an outer iteration holds one such
+staircase and never an N x (N+1) rectangle.
 """
 
 from __future__ import annotations
@@ -114,8 +119,9 @@ def logit_gradient(psi0, dT, params: TcsParams, out=None) -> np.ndarray:
 
     The result is written into ``out``, an N x (N+1) array, when it is
     given, else into a new one.  ``out[:, :N]`` may be ``dT`` itself (as
-    ``GradientMatrix.dT`` returns it): the overlap is exact, so each entry
-    is scaled in place and the values are those of a fresh array.
+    ``stability_check`` gathers it into its Jacobian): the overlap is
+    exact, so each entry is scaled in place and the values are those of a
+    fresh array.
     """
     psi0 = np.asarray(psi0, dtype=float)
     n = len(psi0)
@@ -135,42 +141,22 @@ def _logit_in_place(psi0, storage: np.ndarray, layout: Layout,
     past the widest extent are never touched."""
     w = (psi0 * (psi0 - 1.0) * params.theta)[layout.rows]
     share = w * params.alpha
-    cols, _, extents = layout.columns(price=False)
-    shares = storage[:, cols]
-    for a, b, width in _row_blocks(extents):
-        shares[a:b, :width] *= share[a:b, None]
-    storage[:, 0 if layout.price_first else len(w)] = w * params.tau
+    price = 0 if layout.price_first else len(w)
+    for (rows, shares), block in zip(layout.spans(storage, price=False),
+                                     layout.views(storage)):
+        shares *= share[rows, None]
+        block[:, price] = w[rows] * params.tau
     return storage
-
-
-# rows per block of G's products: each block is applied over its widest
-# extent, so a block of event-ordered rows skips most of its causal zeros
-# while each product stays a few large gemvs.  Median per product on the
-# citywide preset (N = 2 163, 2 CPUs, two OpenBLAS threads, 40 interleaved
-# products each): 2.8, 2.7, 2.2, 2.2, 2.1 and 2.4 ms at 128, 256, 384, 512,
-# 768 and 1 024 rows, and 3.1 ms for one block over every column.  At
-# N <= 768 there is one block
-_ROWS_PER_BLOCK = 768
-
-
-def _row_blocks(extents) -> list[tuple[int, int, int]]:
-    """(first row, end row, widest extent) per block of nondecreasing
-    ``extents``."""
-    blocks = []
-    for a in range(0, len(extents), _ROWS_PER_BLOCK):
-        b = min(a + _ROWS_PER_BLOCK, len(extents))
-        blocks.append((a, b, int(extents[b - 1])))
-    return blocks
 
 
 class GaussNewtonMatrix:
     """The QP matrix P = G'G + border, applied as G'(G v) and never formed.
 
-    G is applied two gemvs per block of ``_ROWS_PER_BLOCK`` rows, each over
-    the block's widest extent: row i of G is exactly zero past its first
-    ``extents[i]`` columns (all of them by default), the extents never
-    fall, and the last spans every column.  ``border`` is the market term's
-    coupling of the shares with the price, the first coordinate with
+    G is given as its row blocks, ``(rows, G[rows])`` each with the
+    block's columns up to its widest extent: row i of G is exactly zero
+    past the columns its block holds, and the last block spans every
+    column.  Each product is two gemvs per block.  ``border`` is the market
+    term's coupling of the shares with the price, the first coordinate with
     ``price_first`` and else the last: P[shares, price] and P[price,
     shares] (None without the scheme).  It has no diagonal entry, so
     diag(P) is the squared column norms of G, which are finite exactly when
@@ -178,18 +164,13 @@ class GaussNewtonMatrix:
     raises ``ValueError``.
     """
 
-    def __init__(self, G, border=None, extents=None, price_first=False):
-        self.G = G
+    def __init__(self, blocks, border=None, price_first=False):
         self.border = border
-        m = G.shape[1]
-        self.shape = (m, m)
-        if extents is None:
-            extents = np.full(G.shape[0], m)
         # the widest block first: it spans every column
-        *rest, (a, b, _) = _row_blocks(extents)
-        views = [(G[a:b], slice(a, b))]
-        views += [(G[a:b, :width], slice(a, b)) for a, b, width in rest]
-        self._blocks = [(g, g.T, rows) for g, rows in views]
+        *rest, last = blocks
+        self._blocks = [(g, g.T, rows) for rows, g in [last, *rest]]
+        m = last[1].shape[1]
+        self.shape = (m, m)
         self._price = 0 if price_first else m - 1
         self._shares = slice(1, None) if price_first else slice(0, m - 1)
         self._diag = self._summed(lambda g, gt, rows: np.einsum("ij,ij->j", g, g))
@@ -253,13 +234,15 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
              tcs: bool = True, layout: Layout | None = None) -> QpProblem:
     """Assemble the QP of iteration k around (x0, p0).
 
-    ``grad_psi`` is the logit Jacobian laid out as ``layout`` says: a
-    ``GradientMatrix``'s event order, or by default id order with the price
-    column last and no zero assumed.  The QP's coordinates follow its
-    columns, and q, the bounds, the cap row and the border are mapped onto
-    them.  G = grad_psi - I_x with I_x = [I, 0], formed in place:
-    ``grad_psi`` is consumed, and G is the whole array with the scheme and
-    the view of its share columns without it.  Then
+    ``grad_psi`` is the logit Jacobian stored as ``layout`` says: a
+    ``GradientMatrix``'s buffer of event-ordered row blocks, or by default
+    a C-ordered N x (N+1) array in id order with the price column last and
+    no zero assumed, whose row blocks are views of it.  The QP's
+    coordinates follow its columns, and q, the bounds, the cap row and the
+    border are mapped onto them.  G = grad_psi - I_x with I_x = [I, 0],
+    formed in place: ``grad_psi`` is consumed, and G is the views of its
+    row blocks (``Layout.spans``), over the price column with the scheme
+    and over the share columns alone without it.  Then
 
         P = G'G + eta * I_p,   q = G'(psi0 - x0) + eta * i_p
 
@@ -282,13 +265,15 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
         raise ValueError("iteration index starts at 1")
     if layout is None:
         layout = Layout.identity(n, grad_psi.shape[1])
-    cols, coords, extents = layout.columns(price=tcs)
+    _, coords, _ = layout.columns(price=tcs)
     m = len(coords)
 
-    G = grad_psi[:, cols]
+    G = layout.spans(grad_psi, price=tcs)
     column = np.empty(m, dtype=np.intp)  # QP coordinate of each dz coordinate
     column[coords] = np.arange(m)
-    G[np.arange(n), column[layout.rows]] -= 1.0
+    own = column[layout.rows]
+    for rows, g in G:
+        g[np.arange(len(g)), own[rows]] -= 1.0
 
     eps = params.eps_value(k)
     lower = np.empty(m)
@@ -297,7 +282,7 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
     upper[:n] = np.minimum(1.0 - x0, eps)
     residual = (psi0 - x0)[layout.rows]
     if not tcs:
-        P = GaussNewtonMatrix(G, extents=extents)
+        P = GaussNewtonMatrix(G)
         return QpProblem(P=P, q=P.transpose_product(residual), lower=lower[coords],
                          upper=upper[coords], cap_coeffs=None, cap_rhs=None,
                          coords=coords)
@@ -308,7 +293,7 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
     w = c / float(c.sum())
     price_first = layout.price_first
     border = (params.eta * (-w * params.tau))[coords[1:] if price_first else coords[:n]]
-    P = GaussNewtonMatrix(G, border, extents=extents, price_first=price_first)
+    P = GaussNewtonMatrix(G, border, price_first=price_first)
     market = np.empty(m)
     market[:n] = params.eta * (-w * params.tau * p0)
     market[n] = params.eta * float(w @ (params.kappa - params.tau * x0))
@@ -468,14 +453,13 @@ def equilibrium_solve(
         if k == params.max_iters:
             break  # a step from here would never be simulated
 
-        # one N x (N+1) array carries the linearization, in the gradient's
-        # layout (event order, unless dT was read): the gradient fills it
-        # (the per-event blocks are never built here), the logit Jacobian
-        # is written over it with the price column beside, and build_qp
-        # turns that into G in place and orders the QP's coordinates as
-        # G's columns.  G lives in prob.P through the QP (P itself is never
-        # formed); every name on the array is dropped before the next
-        # gradient allocates its own
+        # one buffer carries the linearization, as the gradient's event-
+        # ordered row blocks: the gradient fills it (the per-event blocks
+        # are never built here), the logit Jacobian is written over it with
+        # the price column beside, and build_qp turns that into G in place
+        # and orders the QP's coordinates as G's columns.  G lives in
+        # prob.P through the QP (P itself is never formed); every name on
+        # the buffer is dropped before the next gradient allocates its own
         gm = travel_time_gradient(scenario, sim)
         near_ties += gm.near_ties
         layout = gm.layout

@@ -21,15 +21,19 @@ exit, column 0 the price (left for the logit Jacobian) and share column
 1 + k the k-th group to enter.  Row r is then exactly zero past its first
 1 + m_r columns, m_r the number of groups entered before that exit.  The
 recursion writes a row no further than its extent rounded up to a multiple
-of ``_GROW`` share columns, +0.0 past the extent, and the solver reads the
-zeros only inside a block of rows, up to the block's widest extent.
+of ``_GROW`` share columns, +0.0 past the extent, and the zeros past a
+block of rows' widest extent are never stored.
 
 Each event costs O(1) numpy calls on O(m) data, with gamma on the groups on
 the road in one running vector and dV/dn from one array ``dspeed`` call
 over the event accumulations.  Each trip's entry snapshot is kept in its
-own row of the result, so the full gradient costs one N x (N+1) array and
-no per-event 2N x N array.  ``GradientMatrix.dT`` permutes that array in
-place to id order on first read; the per-event blocks of period-duration
+own row of the result, so the full gradient needs no per-event 2N x N
+array.  Nor is it stored as an N x (N+1) rectangle: the rows are kept in
+blocks of ``_ROWS_PER_BLOCK`` in event order, each block as wide as its
+widest extent rounded up to ``_GROW`` share columns, one block after the
+other in one flat buffer (``Layout.views``).  On the citywide preset that
+staircase holds 71% of the rectangle.  ``GradientMatrix.dT`` gathers
+it into a fresh id-ordered array; the per-event blocks of period-duration
 and speed gradients are built only when asked for, by the same recursion
 writing one row per event.
 """
@@ -61,10 +65,18 @@ _PERMUTE_ROWS = 64  # rows per gather when the per-event blocks go to id order
 # gradient took 3.84 ms so and 3.63 ms with this step (medians of 400
 # interleaved calls)
 _GROW = 32
+# rows per block of a linearization: each block is stored and applied over
+# its widest extent, so a block of event-ordered rows skips most of its
+# causal zeros while each QP product stays a few large gemvs.  Median per
+# product on the citywide preset (N = 2 163, 2 CPUs, two OpenBLAS threads,
+# 40 interleaved products each): 2.8, 2.7, 2.2, 2.2, 2.1 and 2.4 ms at 128,
+# 256, 384, 512, 768 and 1 024 rows, and 3.1 ms for one block over every
+# column.  At N <= 768 there is one block
+_ROWS_PER_BLOCK = 768
 
 
 class Layout:
-    """Where the entries of a linearization sit in its N x (N+1) array.
+    """Where the entries of a linearization sit, and how they are stored.
 
     Row r holds the row of group ``rows[r]``, and column j the derivative
     with respect to coordinate ``cols[j]``: the share of that group, or the
@@ -72,14 +84,28 @@ class Layout:
     zero past its first ``extents[r]`` columns, which include the row's own
     share column.  The extents never fall from one row to the next, and the
     last one spans every column.
+
+    The rows are stored in blocks of ``_ROWS_PER_BLOCK``, one after the
+    other in one flat buffer of ``size`` floats.  ``blocks`` holds each
+    block's first row, end row and width: its widest extent with the share
+    columns past the first rounded up to a multiple of ``_GROW``, as the
+    recursion writes them, and at most every column.  With one extent for
+    every row, as in ``identity``, the buffer is the C-ordered rectangle.
     """
 
-    __slots__ = ("rows", "cols", "extents")
+    __slots__ = ("rows", "cols", "extents", "blocks", "size")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, extents: np.ndarray):
         self.rows = rows
         self.cols = cols
         self.extents = extents
+        n = len(rows)
+        self.blocks = []
+        for a in range(0, n, _ROWS_PER_BLOCK):
+            b = min(a + _ROWS_PER_BLOCK, n)
+            widest = int(extents[b - 1])
+            self.blocks.append((a, b, min(widest + (1 - widest) % _GROW, len(cols))))
+        self.size = sum((b - a) * width for a, b, width in self.blocks)
 
     @classmethod
     def identity(cls, n: int, width: int) -> "Layout":
@@ -100,24 +126,43 @@ class Layout:
             return slice(1, None), self.cols[1:], self.extents - 1
         return slice(0, n), self.cols[:n], np.minimum(self.extents, n)
 
+    def views(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """Each block of ``buffer``, a flat buffer of ``size`` floats or a
+        C-ordered array of as many, as a 2-D view, in row order."""
+        flat = buffer.reshape(-1)
+        out = []
+        start = 0
+        for a, b, width in self.blocks:
+            stop = start + (b - a) * width
+            out.append(flat[start:stop].reshape(b - a, width))
+            start = stop
+        return out
+
+    def spans(self, buffer: np.ndarray, price: bool) -> list[tuple[slice, np.ndarray]]:
+        """(rows, their entries) per block of ``buffer``: the block's
+        columns with the price column or without it, up to the block's
+        widest extent within them."""
+        cols, _, extents = self.columns(price)
+        return [(slice(a, b), block[:, cols][:, :extents[b - 1]])
+                for (a, b, _), block in zip(self.blocks, self.views(buffer))]
+
 
 @dataclass
 class GradientMatrix:
     """dT[i][j] = d(car travel time of group i) / d(share of group j).
 
     ``near_ties`` warns that two events were closer than TIE_GAP_S so the
-    fixed-order derivative may sit on a kink.  ``storage`` is one N x (N+1)
-    array laid out as ``layout`` says: in event order as computed, with
-    column 0 left for the price, so the logit Jacobian can be written over
-    it in place and a linearization holds one Jacobian-sized array.  ``dT``
-    is in id order: its first read permutes ``storage`` in place to id
-    order, price column last, and sets ``layout`` to the identity; dT is
-    then the first N columns.  ``event_time_grads`` and
-    ``event_speed_grads`` are the per-event building blocks, one N-vector
-    per event: the gradients of the period durations T_e and of the period
-    speeds V_e.  They are 2N x N each, so they are built on first read, by
-    the recursion that computed ``dT`` rerun on the held scenario and
-    simulation, and the solver never reads them.
+    fixed-order derivative may sit on a kink.  ``storage`` is the flat
+    buffer of ``layout``'s row blocks: in event order, with column 0 left
+    for the price, so the logit Jacobian can be written over it in place
+    and a linearization holds one Jacobian-sized array.  ``dT`` gathers it
+    into a fresh N x N array in id order and leaves it as it is.
+    ``event_time_grads`` and ``event_speed_grads`` are the per-event
+    building blocks, one N-vector per event: the gradients of the period
+    durations T_e and of the period speeds V_e.  They are 2N x N each, so
+    they are built on first read, by the recursion that computed ``dT``
+    rerun on the held scenario and simulation, and the solver never reads
+    them.
     """
 
     storage: np.ndarray = field(repr=False)
@@ -129,10 +174,18 @@ class GradientMatrix:
     @property
     def dT(self) -> np.ndarray:
         n = self.scenario.n
-        if self.layout.price_first:
-            _to_id_order(self.storage, self.layout)
-            self.layout = Layout.identity(n, n + 1)
-        return self.storage[:, :n]
+        return self.gather(np.zeros((n, n)))
+
+    def gather(self, out: np.ndarray) -> np.ndarray:
+        """dT in id order, written into ``out``, an N x N array of zeros:
+        the stored blocks are scattered into it, and every entry past them
+        is left as the +0.0 it is."""
+        layout = self.layout
+        cols, ids, _ = layout.columns(price=False)
+        for (a, b, _), block in zip(layout.blocks, layout.views(self.storage)):
+            shares = block[:, cols]
+            out[np.ix_(layout.rows[a:b], ids[:shares.shape[1]])] = shares
+        return out
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -203,12 +256,12 @@ def _recursion(scenario: Scenario, sim: SimResult, layout: Layout, blocks=None):
     exit, d_te = -grad_t takes the event time back to zero, and
     ``flow - grad_t * v`` is bitwise ``flow + d_te * v``.
 
-    Without ``blocks`` the result is a fresh zeroed N x (N+1) array, which
-    is returned: each row is written over its first w share columns only,
-    and column 0 is left for the price.  ``blocks`` is a pair of zeroed
-    2N x N arrays that receive each event's d_te and its speed row instead,
-    in entry-rank columns; an exit's snapshot then lives in its d_te row,
-    which the exit overwrites.  Past the entrants an exit's or a
+    Without ``blocks`` the result is a fresh zeroed buffer of ``layout``'s
+    row blocks, which is returned: each row is written over its first w
+    share columns only, which its block holds, and column 0 is left for the
+    price.  ``blocks`` is a pair of zeroed 2N x N arrays that receive each
+    event's d_te and its speed row instead, in entry-rank columns; an
+    exit's snapshot then lives in its d_te row, which the exit overwrites.  Past the entrants an exit's or a
     following entry's d_te is -0.0, as the full-width arithmetic gives it.
     A speed row is written only on the groups on the road (every gamma is
     > 0, so they are ``on_road > 0``), as in ``grad_speed``: elsewhere the
@@ -228,8 +281,8 @@ def _recursion(scenario: Scenario, sim: SimResult, layout: Layout, blocks=None):
     # each group's snapshot row, as 1-D views
     snapshot = [None] * n
     if blocks is None:
-        storage = np.zeros((n, n + 1))
-        rows = list(storage[:, 1:])
+        storage = np.zeros(layout.size)
+        rows = [row for block in layout.views(storage) for row in block[:, 1:]]
         for r, g in enumerate(layout.rows.tolist()):
             snapshot[g] = rows[r]
     else:
@@ -288,31 +341,6 @@ def _recursion(scenario: Scenario, sim: SimResult, layout: Layout, blocks=None):
             flow += dist
             on_road_n[rank[gid]] = 0.0
     return storage
-
-
-def _to_id_order(storage: np.ndarray, layout: Layout) -> None:
-    """Permute ``storage`` from ``layout`` to id order, price last, in place.
-
-    Each id row gathers its columns from the event row that holds it,
-    following the cycles of the row permutation with one spare row."""
-    n = len(layout.rows)
-    gather = np.empty(n + 1, dtype=np.intp)  # event column of each id column
-    gather[layout.cols] = np.arange(n + 1)
-    source = np.empty(n, dtype=np.intp)  # event row of each group
-    source[layout.rows] = np.arange(n)
-    source = source.tolist()
-    done = [False] * n
-    for start in range(n):
-        if done[start]:
-            continue
-        first = storage[start][gather]
-        g = start
-        while source[g] != start:
-            storage[g] = storage[source[g]][gather]
-            done[g] = True
-            g = source[g]
-        storage[g] = first
-        done[g] = True
 
 
 def _per_event_blocks(scenario: Scenario, sim: SimResult):

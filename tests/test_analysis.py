@@ -13,6 +13,7 @@ from tcsmfd import (
     MfdCurve,
     ModalState,
     TcsParams,
+    eig_values,
     equilibrium_solve,
     histogram_rows,
     logit_choice,
@@ -25,6 +26,7 @@ from tcsmfd import (
 )
 
 from conftest import make_scenario, small_random_scenario
+from test_gradient_reference import memory_case
 
 
 class TestUniqueness:
@@ -198,6 +200,26 @@ class TestStabilityCheck:
         grad_psi = logit_gradient(psi, travel_time_gradient(small_scenario, sim).dT, params)
         want = stability_jacobian(grad_psi, np.ones(n), params.tau)
         np.testing.assert_array_equal(st.jacobian, want)
+
+    @pytest.mark.parametrize("scenario", ["congested", "mid"])
+    def test_gathers_the_jacobian_of_the_logit_gradient(self, scenario):
+        # dT is gathered from the gradient's event-ordered row blocks
+        # straight into the Jacobian: the same bits as assembling it from a
+        # fresh logit Jacobian of the id-ordered dT, signed zeros included;
+        # "mid" (N = 1000) stores its dT in more than one block
+        sc, sim = memory_case(scenario)
+        params = TcsParams()
+        state = ModalState(x=sim.x, p=0.006)
+        gm = travel_time_gradient(sc, sim)
+        assert len(gm.layout.blocks) >= (2 if scenario == "mid" else 1)
+        psi = logit_choice(sim.car_times, sc.pt_times, state.p, params)
+        want = stability_jacobian(logit_gradient(psi, gm.dT, params),
+                                  params.cap_weights(sc.gammas), params.tau)
+        st = stability_check(sc, params, state)
+        assert st.jacobian.tobytes() == want.tobytes()
+        values = eig_values(want).values
+        assert st.eigenvalues.tobytes() == values.tobytes()
+        assert st.spectral_abscissa == float(np.max(values.real))
 
     def test_binding_equilibrium_is_stable(self, small_scenario):
         params = TcsParams()

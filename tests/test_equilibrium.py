@@ -24,6 +24,7 @@ from tcsmfd import (
     travel_time_gradient,
 )
 import tcsmfd.equilibrium
+from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
 from conftest import make_scenario, small_random_scenario
 
@@ -314,9 +315,10 @@ def dense_p(args):
     x0, _, _, grad_psi, gammas, params, _, tcs, layout = args
     n = len(x0)
     m = n + 1 if tcs else n
-    cols, coords, _ = layout.columns(price=tcs)
-    grad = np.empty((n, m))  # id order, price last
-    grad[np.ix_(layout.rows, coords)] = grad_psi[:, cols]
+    _, coords, _ = layout.columns(price=tcs)
+    grad = np.zeros((n, m))  # id order, price last
+    for rows, block in layout.spans(grad_psi, price=tcs):
+        grad[np.ix_(layout.rows[rows], coords[:block.shape[1]])] = block
     G = grad - np.eye(n, m)
     P = G.T @ G
     if tcs:
@@ -373,11 +375,12 @@ def test_in_place_linearization_matches_the_allocating_calls(congested, tcs):
     m = n + 1 if tcs else n
     want = build_qp(x, p, psi, fresh[:, :m].copy(), congested.gammas, params, k=2, tcs=tcs)
 
-    grad_psi = logit_gradient(psi, gm.dT, params, out=gm.storage)
-    assert grad_psi is gm.storage
+    storage = np.zeros((n, n + 1))
+    grad_psi = logit_gradient(psi, gm.gather(storage[:, :n]), params, out=storage)
+    assert grad_psi is storage
     assert grad_psi.tobytes() == fresh.tobytes()
     prob = build_qp(x, p, psi, grad_psi, congested.gammas, params, k=2, tcs=tcs)
-    assert np.shares_memory(prob.P.G, gm.storage)
+    assert all(np.shares_memory(g, storage) for g, _, _ in prob.P._blocks)
     for name in ("q", "lower", "upper"):
         assert getattr(prob, name).tobytes() == getattr(want, name).tobytes(), name
     if tcs:
@@ -396,13 +399,34 @@ def citywide():
     return generate_synthetic(0, preset_spec("citywide"))
 
 
+def staircase_bytes(extents):
+    """Bytes of a linearization stored as blocks of ``_ROWS_PER_BLOCK``
+    rows, each as wide as its widest extent with the share columns rounded
+    up to a multiple of ``_GROW``."""
+    n = len(extents)
+    size = 0
+    for a in range(0, n, _ROWS_PER_BLOCK):
+        b = min(a + _ROWS_PER_BLOCK, n)
+        shares = -(-(int(extents[b - 1]) - 1) // _GROW) * _GROW
+        size += (b - a) * (1 + min(shares, n))
+    return 8 * size
+
+
 @pytest.mark.parametrize("tcs", [True, False])
-def test_solve_holds_one_jacobian_sized_array(citywide, tcs):
-    # each linearization lives in one N x (N+1) array, shared by dT, the
-    # logit Jacobian and G and dropped before the next gradient; a second
-    # one alive at any point would put the peak at twice that
-    n = citywide.n
-    g_bytes = n * (n + 1) * 8
+def test_solve_holds_one_jacobian_sized_array(citywide, tcs, monkeypatch):
+    # each linearization lives in one buffer of row blocks cut at their
+    # widest extents, shared by dT, the logit Jacobian and G and dropped
+    # before the next gradient; an N x (N+1) rectangle or a second buffer
+    # alive at any point would put the peak past the bound
+    gradient = tcsmfd.equilibrium.travel_time_gradient
+    extents = []
+
+    def recording(scenario, sim):
+        gm = gradient(scenario, sim)
+        extents.append(gm.layout.extents)
+        return gm
+
+    monkeypatch.setattr(tcsmfd.equilibrium, "travel_time_gradient", recording)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -410,8 +434,10 @@ def test_solve_holds_one_jacobian_sized_array(citywide, tcs):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert rep.converged and len(rep.qp_iterations) >= 2
-    assert peak < 1.5 * g_bytes
+    assert rep.converged and len(rep.qp_iterations) == len(extents) >= 2
+    staircase = max(map(staircase_bytes, extents))
+    assert staircase < 0.75 * citywide.n * (citywide.n + 1) * 8
+    assert peak < 1.15 * staircase
 
 
 def test_j_value_hand_case():

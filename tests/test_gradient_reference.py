@@ -156,8 +156,8 @@ class TestNearTies:
 @pytest.mark.parametrize("scenario", ["congested", "mid"])
 def test_peak_memory_bound(scenario):
     # the call and the blocks' first read may hold their results (dT in its
-    # N x (N+1) storage, whose rows also hold the trips' entry snapshots,
-    # and the two blocks) and at most 2 MB more: no 2N x N temporary and
+    # storage of row blocks, whose rows also hold the trips' entry
+    # snapshots, and the two blocks) and at most 2 MB more: no 2N x N temporary and
     # no second N x (N+1) array fits (an active mask over all events is
     # 2 MB of bools at N = 1000)
     sc, sim = memory_case(scenario)
@@ -182,7 +182,7 @@ def memory_case(scenario):
 
 @pytest.mark.parametrize("scenario", ["congested", "mid"])
 def test_peak_memory_without_blocks(scenario):
-    # the call may hold dT's N x (N+1) storage, whose rows also hold the
+    # the call may hold dT's storage of row blocks, whose rows also hold the
     # trips' entry snapshots, and at most 2 MB more: neither 2N x N
     # per-event block fits
     sc, sim = memory_case(scenario)

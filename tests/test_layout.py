@@ -1,13 +1,16 @@
 """The linearization in event order against the dense id-ordered one.
 
-``travel_time_gradient`` writes its array in event order (rows by exit,
-the price column first, shares by entry), where each row is exactly zero
-past its extent, and the solver keeps that order through the logit
-Jacobian, G and the QP.  An id-ordered dense ``grad_psi`` is the identity
-layout with full extents, the order the solver takes once ``dT`` has been
-read.  Both must give the same QP up to the permutation and the same
-solves up to the order of summation.
+``travel_time_gradient`` writes its linearization in event order (rows by
+exit, the price column first, shares by entry), where each row is exactly
+zero past its extent, and stores it as blocks of rows each cut at its
+widest extent.  The solver keeps that order and those blocks through the
+logit Jacobian, G and the QP.  An id-ordered dense ``grad_psi`` is the
+identity layout with full extents, whose blocks are row slices of it.
+Both must give the same QP up to the permutation and the same solves up
+to the order of summation.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,9 +29,12 @@ from tcsmfd import (
     travel_time_gradient,
 )
 from tcsmfd.equilibrium import _logit_in_place
+from tcsmfd import gradients
+from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK, Layout
 
 from conftest import make_scenario, small_random_scenario
-from test_gradient_reference import MFD_FORMS
+from reference_gradient import travel_time_gradient_reference
+from test_gradient_reference import MFD_FORMS, memory_case
 
 
 def own_columns(layout):
@@ -45,8 +51,12 @@ def own_columns(layout):
     xseed=st.integers(0, 10_000),
     form=st.sampled_from(["default", "constant", "greenshields", "piecewise"]),
     ties=st.booleans(),
+    rows_per_block=st.sampled_from([1, 4, _ROWS_PER_BLOCK]),
+    grow=st.sampled_from([1, 3, _GROW]),
 )
-def test_rows_are_zero_past_their_extents(seed, n, xseed, form, ties):
+def test_rows_are_zero_past_their_extents(seed, n, xseed, form, ties, rows_per_block, grow):
+    # small blocks and a small growth step put several blocks, and rounded
+    # widths short of every column, into a handful of groups
     sc = small_random_scenario(seed, n_groups=n)
     if ties:  # departures on a coarse grid: equal instants, zero-length periods
         sc = make_scenario([(g.gamma, 600.0 * round(g.depart / 600.0), g.trip_len, g.pt_time)
@@ -60,23 +70,65 @@ def test_rows_are_zero_past_their_extents(seed, n, xseed, form, ties):
         sc = make_scenario([(g.gamma, g.depart, g.trip_len, g.pt_time) for g in sc.groups],
                            mfd=MFD_FORMS[form](peak))
     sim = simulate(sc, x)
-    gm = travel_time_gradient(sc, sim)
-    layout, storage = gm.layout, gm.storage
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gradients, "_ROWS_PER_BLOCK", rows_per_block)
+        mp.setattr(gradients, "_GROW", grow)
+        gm = travel_time_gradient(sc, sim)
+    layout = gm.layout
+    assert gm.dT.tobytes() == travel_time_gradient_reference(sc, sim).dT.tobytes()
 
     assert layout.price_first and layout.cols[0] == n
     assert sorted(layout.rows.tolist()) == sorted(layout.cols[1:].tolist()) == list(range(n))
     assert np.all(np.diff(layout.extents) >= 0) and layout.extents[-1] == n + 1
-    past = np.arange(n + 1)[None, :] >= layout.extents[:, None]
-    assert np.all(storage[past] == 0.0) and not np.any(np.signbit(storage[past]))
     # the -1 of G = grad_psi - I lands inside its row's extent
     assert np.all(own_columns(layout) < layout.extents)
-    # the price column is left for the logit Jacobian
-    assert not np.any(storage[:, 0])
+    # each block is stored at its widest extent, its share columns rounded
+    # up to the recursion's step, and the blocks tile the buffer
+    assert gm.storage.shape == (layout.size,)
+    assert [(a, b) for a, b, _ in layout.blocks] == [
+        (a, min(a + rows_per_block, n)) for a in range(0, n, rows_per_block)]
+    for a, b, width in layout.blocks:
+        widest = layout.extents[b - 1]
+        assert widest <= width <= n + 1 and (width == n + 1 or (width - 1) % grow == 0)
+        assert width - widest < grow
+    assert layout.size == sum((b - a) * width for a, b, width in layout.blocks)
+    blocks = layout.views(gm.storage)
+    assert all(np.shares_memory(block, gm.storage) for block in blocks)
+    # within its block, every entry past a row's extent is +0.0, and the
+    # price column is left for the logit Jacobian
+    for (a, b, width), block in zip(layout.blocks, blocks):
+        assert block.shape == (b - a, width)
+        past = np.arange(width)[None, :] >= layout.extents[a:b, None]
+        assert np.all(block[past] == 0.0) and not np.any(np.signbit(block[past]))
+        assert not np.any(block[:, 0])
+
+
+@pytest.mark.parametrize("scenario", ["congested", "mid"])
+def test_reading_dT_leaves_the_storage_as_it_is(scenario):
+    # dT is a fresh gather in id order; the solver's event-ordered blocks,
+    # and any tracer that reads dT between the gradient and the QP, see the
+    # storage and the layout as the recursion left them
+    sc, sim = memory_case(scenario)
+    gm = travel_time_gradient(sc, sim)
+    layout = gm.layout
+    before = [a.tobytes() for a in (gm.storage, layout.rows, layout.cols, layout.extents)]
+    dT = gm.dT
+    assert not np.shares_memory(dT, gm.storage)
+    assert gm.layout is layout
+    assert [a.tobytes() for a in (gm.storage, layout.rows, layout.cols, layout.extents)] == before
+    assert gm.dT.tobytes() == dT.tobytes()
 
 
 @pytest.fixture(scope="module")
 def congested():
     return generate_synthetic(0, preset_spec("congested"))
+
+
+@pytest.fixture(scope="module")
+def mid():
+    # N = 1 000: its linearization takes two row blocks, the first cut
+    # short of the last columns
+    return small_random_scenario(4, n_groups=1000)
 
 
 def linearizations(scenario, x, p, params, tcs):
@@ -98,43 +150,52 @@ def assert_close(a, b, rtol=1e-13):
 
 
 @pytest.mark.parametrize("tcs", [True, False])
-def test_build_qp_is_the_dense_assembly_permuted(congested, tcs):
+def test_build_qp_is_the_dense_assembly_permuted(congested, mid, tcs):
     params = TcsParams()
-    n = congested.n
-    x = np.random.default_rng(7).uniform(0.2, 0.6, n)
-    event, ids = linearizations(congested, x, 0.006, params, tcs)
-    coords = event.coords
-    m = n + 1 if tcs else n
-    assert sorted(coords.tolist()) == list(range(m))
-    assert ids.coords.tolist() == list(range(m))
-    assert_close(event.q, ids.q[coords])
-    # the bounds and the cap row are the same numbers, moved
-    assert event.lower.tobytes() == ids.lower[coords].tobytes()
-    assert event.upper.tobytes() == ids.upper[coords].tobytes()
-    if tcs:
-        assert event.cap_coeffs.tobytes() == ids.cap_coeffs[coords].tobytes()
-        assert event.cap_rhs == ids.cap_rhs
-    else:
-        assert event.cap_coeffs is None and ids.cap_coeffs is None
-    assert_close(event.P.diagonal(), ids.P.diagonal()[coords])
-    rng = np.random.default_rng(3)
-    for v in list(np.eye(m)[::11]) + list(rng.normal(size=(4, m))):
-        assert_close(event.P @ v, (ids.P @ event.step(v))[coords])
-    z = rng.normal(size=m)
-    assert event.step(z)[coords].tobytes() == z.tobytes()
+    for sc in (congested, mid):
+        n = sc.n
+        x = np.random.default_rng(7).uniform(0.2, 0.6, n)
+        # congested is one block of every column, mid two, the first short
+        blocks = travel_time_gradient(sc, simulate(sc, x)).layout.blocks
+        if sc is mid:
+            assert len(blocks) == 2 and blocks[0][2] < n + 1
+        else:
+            assert blocks == [(0, n, n + 1)]
+        event, ids = linearizations(sc, x, 0.006, params, tcs)
+        coords = event.coords
+        m = n + 1 if tcs else n
+        assert sorted(coords.tolist()) == list(range(m))
+        assert ids.coords.tolist() == list(range(m))
+        assert_close(event.q, ids.q[coords])
+        # the bounds and the cap row are the same numbers, moved
+        assert event.lower.tobytes() == ids.lower[coords].tobytes()
+        assert event.upper.tobytes() == ids.upper[coords].tobytes()
+        if tcs:
+            assert event.cap_coeffs.tobytes() == ids.cap_coeffs[coords].tobytes()
+            assert event.cap_rhs == ids.cap_rhs
+        else:
+            assert event.cap_coeffs is None and ids.cap_coeffs is None
+        assert_close(event.P.diagonal(), ids.P.diagonal()[coords])
+        rng = np.random.default_rng(3)
+        for v in list(np.eye(m)[::11]) + list(rng.normal(size=(4, m))):
+            assert_close(event.P @ v, (ids.P @ event.step(v))[coords])
+        z = rng.normal(size=m)
+        assert event.step(z)[coords].tobytes() == z.tobytes()
 
 
 def dense_path(monkeypatch):
-    """Make the solver take the identity layout: its gradient has had dT
-    read, as a caller that reads it leaves it."""
+    """Make the solver take the identity layout: its gradient stored as dT
+    in id order, in an N x (N+1) array with the price column last."""
     gradient = tcsmfd.equilibrium.travel_time_gradient
 
-    def read_dT(scenario, sim):
+    def dense(scenario, sim):
         gm = gradient(scenario, sim)
-        gm.dT
-        return gm
+        n = scenario.n
+        storage = np.zeros((n, n + 1))
+        gm.gather(storage[:, :n])
+        return dataclasses.replace(gm, storage=storage, layout=Layout.identity(n, n + 1))
 
-    monkeypatch.setattr(tcsmfd.equilibrium, "travel_time_gradient", read_dT)
+    monkeypatch.setattr(tcsmfd.equilibrium, "travel_time_gradient", dense)
 
 
 @pytest.mark.parametrize("preset", ["congested", "citywide"])
