@@ -28,7 +28,8 @@ from . import __version__
 from .analysis import histogram_rows, stability_check, uniqueness_check
 from .equilibrium import equilibrium_solve, msa_solve
 from .objectives import (
-    _warm_solve,
+    _sweep_row,
+    _warm_solves,
     group_gains,
     optimize_charge,
     sweep_charges,
@@ -45,16 +46,7 @@ from .scenario import (
 )
 from .simulator import HorizonError
 
-__all__ = [
-    "main",
-    "parse_taus",
-    "write_csv",
-    "sweep_tables",
-    "dichotomy_table",
-    "gains_table",
-    "stability_runs",
-    "stability_table",
-]
+__all__ = ["main", "parse_taus"]
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +65,6 @@ def _json_text(obj) -> str:
 
 def _csv_text(rows) -> str:
     return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-
-
-def write_csv(path: Path, rows) -> None:
-    _atomic_write(path, _csv_text(rows))
 
 
 def _sha256(path: Path) -> str:
@@ -126,6 +114,7 @@ _READS = {
     "gains": ("tau",) + _SOLVER,
     "sweep": _SOLVER,                      # the charges come from --taus
     "optimize": _SOLVER + ("gamma_emission", "p_carbon"),   # and from --lo/--hi
+    "study": _SOLVER + ("gamma_emission", "p_carbon"),      # and from --taus
     "msa": ("tau", "kappa", "alpha", "theta", "cap_constraint"),
     "uniqueness": (),
 }
@@ -153,7 +142,7 @@ def parse_taus(spec: str) -> list:
         start, stop, step = values
         if step <= 0.0:
             raise ValueError(f"tau range step must be positive, got {step:g}")
-        values = list(np.arange(start, stop, step))
+        values = [float(v) for v in np.arange(start, stop, step)]
     if not values:
         raise ValueError(f"empty tau grid {spec!r}")
     return values
@@ -184,7 +173,7 @@ def _equilibrium_payload(rep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# tables shared with scripts/run_full_study.py
+# tables
 
 
 def sweep_tables(rows) -> dict:
@@ -242,14 +231,13 @@ def stability_runs(scenario, params: TcsParams, taus) -> list:
     solved before it (``objectives._warm_solve``), as in ``sweep_charges``.
     The stability report is None where the cap is slack (zero price).
     """
-    runs = []
-    starts: dict = {}
-    for tau in taus:
-        p_tau = replace(params, tau=tau)
-        rep = _warm_solve(scenario, p_tau, starts)
-        st = stability_check(scenario, p_tau, rep.state) if rep.state.p > 0 else None
-        runs.append((tau, rep, st))
-    return runs
+    return [_stability_run(scenario, p_tau, rep)
+            for p_tau, rep in _warm_solves(scenario, params, taus)]
+
+
+def _stability_run(scenario, p_tau: TcsParams, rep) -> tuple:
+    st = stability_check(scenario, p_tau, rep.state) if rep.state.p > 0 else None
+    return p_tau.tau, rep, st
 
 
 def stability_table(runs) -> list:
@@ -381,6 +369,79 @@ def _cmd_gains(args, scenario, params):
             f"gains written for {scenario.n} groups")
 
 
+def _cmd_study(args, scenario, params):
+    taus = parse_taus(args.taus)
+    g = scenario.gammas
+
+    def totals(rep) -> dict:
+        return {"ttt_h": total_travel_time(scenario, rep.state, rep.sim),
+                "emission_t": total_emission(rep.sim)}
+
+    ref = equilibrium_solve(scenario, params, tcs=False, p_init=0.0)
+    eq = equilibrium_solve(scenario, params)
+    # the averaging benchmark at the market price, a sanity check only
+    msa = msa_solve(scenario, params, p_fixed=eq.state.p)
+    # one warm-started pass over the grid feeds both the sweep and the
+    # stability tables
+    solves = list(_warm_solves(scenario, params, taus))
+    rows = [_sweep_row(scenario, p_tau, rep) for p_tau, rep in solves]
+    runs = [_stability_run(scenario, p_tau, rep) for p_tau, rep in solves]
+    lo, hi = int(min(taus)), int(max(taus))
+    best = {objective: optimize_charge(scenario, params, objective=objective,
+                                       lo=lo, hi=hi)
+            for objective in ("ttt", "mixed")}
+    # the charge does not enter a no-scheme solve, so ref is the reference
+    # here too; the scheme side is solved cold, as `gains --tau` does
+    p_star = replace(params, tau=best["ttt"].tau_star)
+    gains = group_gains(ref, equilibrium_solve(scenario, p_star), scenario, p_star)
+    uni = uniqueness_check(scenario, n_samples=args.samples, seed=args.seed)
+
+    base = totals(ref)
+    optima = {}
+    for objective, res in best.items():
+        at_star = totals(res.report)
+        optima[objective] = {
+            "tau_star": res.tau_star,
+            "price_eur_per_credit": res.report.state.p,
+            **at_star,
+            "ttt_saving": (base["ttt_h"] - at_star["ttt_h"]) / base["ttt_h"],
+            "emission_saving":
+                (base["emission_t"] - at_star["emission_t"]) / base["emission_t"],
+        }
+    summary = {
+        "reference": {"car_share": float(g @ ref.state.x / g.sum()), **base},
+        "default_charge": {
+            "tau": params.tau, "price_eur_per_credit": eq.state.p,
+            "iterations": eq.iterations, **totals(eq),
+            "msa_gap_rel_l2":
+                float(np.linalg.norm(msa.x - eq.state.x) / np.linalg.norm(eq.state.x)),
+        },
+        "optima": optima,
+        "winners_fraction_at_ttt_star": float(g[gains.net_eur > 0].sum() / g.sum()),
+        "uniqueness": {"n_pairs": uni.n_pairs, "min_dot": uni.min_dot,
+                       "positive": uni.positive},
+        "worst_spectral_abscissa": max(
+            (st.spectral_abscissa for _, _, st in runs if st is not None), default=None),
+    }
+    tables = {
+        **sweep_tables(rows),
+        "dichotomy_ttt.csv": dichotomy_table(best["ttt"]),
+        "dichotomy_mixed.csv": dichotomy_table(best["mixed"]),
+        "gains.csv": gains_table(scenario, gains),
+        "dot_histogram.csv": histogram_rows(uni.dots),
+        "stability.csv": stability_table(runs),
+    }
+    outputs = {name: _csv_text(table) for name, table in tables.items()}
+    outputs["summary.json"] = _json_text(summary)
+    o_t, o_m = optima["ttt"], optima["mixed"]
+    return (outputs,
+            {"options": {"taus": taus, "samples": args.samples}},
+            f"study done: {len(taus)} charges; TTT, CO2 saved: "
+            f"{o_t['ttt_saving']:.1%}, {o_t['emission_saving']:.1%} at ttt "
+            f"tau*={o_t['tau_star']:.0f}; {o_m['ttt_saving']:.1%}, "
+            f"{o_m['emission_saving']:.1%} at mixed tau*={o_m['tau_star']:.0f}")
+
+
 def _run(args) -> int:
     """Shared work of every subcommand around its ``_cmd_*`` function."""
     out = Path(args.out)
@@ -460,6 +521,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--taus", default=None, help="start:stop:step or comma list")
 
     command("gains", _cmd_gains, "per-group welfare decomposition")
+
+    p = command("study", _cmd_study,
+                "the whole study: reference, sweep, both searches, gains, diagnostics")
+    p.add_argument("--taus", default="100:501:20", help="start:stop:step or comma list")
+    p.add_argument("--samples", type=int, default=200,
+                   help="share vectors for the uniqueness sampling")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     return parser
 
 

@@ -471,20 +471,31 @@ def sweep_charges(
     for t in taus:
         if t < params.kappa:
             raise ValueError(f"tau={t} is below kappa={params.kappa}")
+    return [_sweep_row(scenario, p_tau, rep, model)
+            for p_tau, rep in _warm_solves(scenario, params, taus)]
+
+
+def _warm_solves(scenario: Scenario, params: TcsParams, taus):
+    """Yield (params at tau, equilibrium report) for each charge of ``taus``
+    in order, each solve started by ``_warm_solve`` from those before it."""
     starts: dict = {}   # tau -> its equilibrium state, for the later starts
-    return [_sweep_row(scenario, params, t, model, starts) for t in taus]
+    for tau in taus:
+        p_tau = replace(params, tau=float(tau))
+        yield p_tau, _warm_solve(scenario, p_tau, starts)
 
 
-def _sweep_row(scenario: Scenario, params: TcsParams, tau: float,
-               model: EmissionModel, starts: dict) -> SweepRow:
-    _, rep, ttt_h, em_t = _solve_at(scenario, params, tau, model, starts)
+def _sweep_row(scenario: Scenario, p_tau: TcsParams, rep: EquilibriumReport,
+               model: EmissionModel = EmissionModel()) -> SweepRow:
+    """The sweep row of ``rep``, the equilibrium solved at ``p_tau``."""
+    ttt_h = total_travel_time(scenario, rep.state, rep.sim)
+    em_t = total_emission(rep.sim, model)
     g = scenario.gammas
     car_users = float(g @ rep.state.x)
     len_total_km = float(g @ (rep.state.x * scenario.trip_lens)) * M_TO_KM
     return SweepRow(
-        tau=tau,
+        tau=p_tau.tau,
         price=rep.state.p,
-        toll_equivalent=rep.state.p * (tau - params.kappa),
+        toll_equivalent=rep.state.p * (p_tau.tau - p_tau.kappa),
         car_users=car_users,
         car_share=car_users / float(g.sum()),
         ttt_h=ttt_h,

@@ -521,7 +521,7 @@ class TestEquilibriumSolver:
         np.testing.assert_allclose(rep.state.x, ref.state.x, atol=1e-4)
 
     def test_no_scheme_solve_ignores_the_charge(self):
-        # scripts/run_full_study.py reuses one no-scheme reference at every charge
+        # `tcsmfd study` reuses one no-scheme reference at every charge
         scenario = generate_synthetic(0, preset_spec("small"))
         a, b = (equilibrium_solve(scenario, TcsParams(tau=tau), tcs=False, p_init=0.0)
                 for tau in (200.0, 300.0))
