@@ -12,14 +12,15 @@ charges, and stability / uniqueness diagnostics.
 __version__ = "0.1.0"
 
 from .analysis import (
+    EigResult,
     StabilityReport,
     UniquenessReport,
+    eig_values,
     histogram_rows,
     stability_check,
     stability_jacobian,
     uniqueness_check,
 )
-from .eig import EigResult, eig_values
 from .equilibrium import (
     EquilibriumReport,
     ModalState,

@@ -12,7 +12,8 @@ travel times, and the dot products built from them, are bitwise those of
 one ``simulate`` call per sample.  Stability linearizes the day-to-day
 adjustment (shares chase the logit response, the price reacts to excess
 credit demand) at an equilibrium and asks every eigenvalue of the Jacobian
-for a negative real part.
+for a negative real part: the solver's own logit Jacobian
+(``equilibrium._linearize``), with eigenvalues from LAPACK.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import eig_values
-from .equilibrium import logit_choice, logit_gradient
-from .gradients import travel_time_gradient
+from .equilibrium import _linearize, logit_choice
+from .gradients import travel_time_gradient  # noqa: F401  (traced here by perfbench)
 from .scenario import Scenario, TcsParams
 from .simulator import simulate, simulate_car_times
 
@@ -31,6 +31,8 @@ __all__ = [
     "UniquenessReport",
     "uniqueness_check",
     "stability_jacobian",
+    "EigResult",
+    "eig_values",
     "StabilityReport",
     "stability_check",
     "histogram_rows",
@@ -168,6 +170,25 @@ def _closed(a: np.ndarray, gammas: np.ndarray, tau: float) -> np.ndarray:
 
 
 @dataclass
+class EigResult:
+    values: np.ndarray       # complex, length n
+    converged: bool
+
+
+def eig_values(a: np.ndarray) -> EigResult:
+    """All eigenvalues of a real square matrix (``np.linalg.eigvals``).  A
+    LAPACK failure (non-finite input or no convergence) is a flagged result,
+    all NaNs and unconverged, not an error."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("matrix must be square")
+    try:
+        return EigResult(values=np.linalg.eigvals(a).astype(complex), converged=True)
+    except np.linalg.LinAlgError:
+        return EigResult(values=np.full(a.shape[0], np.nan, dtype=complex), converged=False)
+
+
+@dataclass
 class StabilityReport:
     stable: bool
     spectral_abscissa: float
@@ -180,18 +201,26 @@ def stability_check(scenario: Scenario, params: TcsParams, state) -> StabilityRe
     """Assemble the Jacobian at an equilibrium state and locate its spectrum.
 
     The price must be strictly positive (the price dynamics are only defined
-    on the binding-cap branch)."""
+    on the binding-cap branch).  The state is simulated here, unlike in
+    ``_stability_at``, which reads an ``EquilibriumReport``'s."""
     if not (state.p > 0):
         raise ValueError("stability analysis needs a binding cap (p > 0)")
     sim = simulate(scenario, state.x)
     psi = logit_choice(sim.car_times, scenario.pt_times, state.p, params)
-    # dT is gathered straight into the Jacobian's share block and the logit
-    # Jacobian written over it; the gradient's per-event blocks are never
-    # built
+    return _stability_at(scenario, params, sim, psi)
+
+
+def _stability_at(scenario: Scenario, params: TcsParams, sim, psi) -> StabilityReport:
+    """``stability_check`` at the state simulated as ``sim``, with logit
+    response ``psi``.  The solver's linearization is scattered into the
+    first N rows over share entries that each hold their row's zero as
+    ``logit_gradient`` scales it (-0.0 for psi_i in (0, 1)), so the
+    Jacobian has the bits of ``stability_jacobian(logit_gradient(...))``."""
     n = scenario.n
-    jac = np.zeros((n + 1, n + 1))
-    dT = travel_time_gradient(scenario, sim).gather(jac[:n, :n])
-    logit_gradient(psi, dT, params, out=jac[:n])
+    grad_psi, layout, _ = _linearize(scenario, params, sim, psi)
+    jac = np.empty((n + 1, n + 1))
+    jac[:n, :n] = (psi * (psi - 1.0) * params.theta * params.alpha)[:, None] * 0.0
+    layout.scatter(grad_psi, jac[:n], price=True)
     _closed(jac, params.cap_weights(scenario.gammas), params.tau)
     res = eig_values(jac)
     abscissa = float(np.max(res.values.real))

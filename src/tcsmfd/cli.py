@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import histogram_rows, stability_check, uniqueness_check
+from .analysis import _stability_at, histogram_rows, uniqueness_check
 from .equilibrium import equilibrium_solve, msa_solve
 from .objectives import (
     _sweep_row,
@@ -236,7 +236,7 @@ def stability_runs(scenario, params: TcsParams, taus) -> list:
 
 
 def _stability_run(scenario, p_tau: TcsParams, rep) -> tuple:
-    st = stability_check(scenario, p_tau, rep.state) if rep.state.p > 0 else None
+    st = _stability_at(scenario, p_tau, rep.sim, rep.psis) if rep.state.p > 0 else None
     return p_tau.tau, rep, st
 
 

@@ -21,9 +21,10 @@ The solver linearizes psi around the current iterate and minimizes
 over a trust box (plus the cap row), which is a QP in dz = (dx, dp).  The
 linearization lives in the travel-time gradient's buffer: its rows in exit
 order, stored as blocks each cut at its widest extent (``gradients.Layout``).
-The logit Jacobian and then G = grad_psi - I_x are written over it in place,
-and the QP applies G block by block, so an outer iteration holds one such
-staircase and never an N x (N+1) rectangle.
+``_linearize`` writes the logit Jacobian over it in place, for the loop
+here and for the stability check (``analysis``); the loop then forms
+G = grad_psi - I_x over it too, and the QP applies G block by block, so an
+outer iteration holds one such staircase and never an N x (N+1) rectangle.
 """
 
 from __future__ import annotations
@@ -110,43 +111,43 @@ def logit_costs(t_car, t_pt, p, params: TcsParams):
     return c_car, c_pt
 
 
-def logit_gradient(psi0, dT, params: TcsParams, out=None) -> np.ndarray:
+def logit_gradient(psi0, dT, params: TcsParams) -> np.ndarray:
     """Jacobian of psi wrt (x_1..x_N, p), shape (N, N+1).
 
     Share columns: psi0_i (psi0_i - 1) * theta * alpha * dT[i][j].
     Price column:  psi0_i (psi0_i - 1) * theta * tau.
     Saturated probabilities (exactly 0 or 1) produce an exactly zero row.
 
-    The result is written into ``out``, an N x (N+1) array, when it is
-    given, else into a new one.  ``out[:, :N]`` may be ``dT`` itself (as
-    ``stability_check`` gathers it into its Jacobian): the overlap is
-    exact, so each entry is scaled in place and the values are those of a
-    fresh array.
+    The dense formula on an id-ordered dT; ``_linearize`` writes the same
+    entries over the gradient's own storage.
     """
     psi0 = np.asarray(psi0, dtype=float)
     n = len(psi0)
     w = psi0 * (psi0 - 1.0) * params.theta
-    if out is None:
-        out = np.empty((n, n + 1))
+    out = np.empty((n, n + 1))
     np.multiply((w * params.alpha)[:, None], dT, out=out[:, :n])
     out[:, n] = w * params.tau
     return out
 
 
-def _logit_in_place(psi0, storage: np.ndarray, layout: Layout,
-                    params: TcsParams) -> np.ndarray:
-    """``logit_gradient`` written over a ``GradientMatrix``'s storage in its
-    layout, row block by row block over the block's widest extent: entry by
-    entry the bits of ``logit_gradient`` (x * s is s * x), and the zeros
-    past the widest extent are never touched."""
-    w = (psi0 * (psi0 - 1.0) * params.theta)[layout.rows]
+def _linearize(scenario: Scenario, params: TcsParams, sim: SimResult,
+               psi) -> tuple[np.ndarray, Layout, bool]:
+    """The logit Jacobian at the state that gave ``sim`` and ``psi``, written
+    over the travel-time gradient's storage: (that buffer, its ``Layout``,
+    the gradient's near-tie flag).  Row block by row block over the block's
+    widest extent, entry by entry the bits of ``logit_gradient`` (x * s is
+    s * x); the zeros past the widest extent are never touched, and the
+    gradient's per-event blocks are never built."""
+    gm = travel_time_gradient(scenario, sim)
+    layout = gm.layout
+    w = (psi * (psi - 1.0) * params.theta)[layout.rows]
     share = w * params.alpha
     price = 0 if layout.price_first else len(w)
-    for (rows, shares), block in zip(layout.spans(storage, price=False),
-                                     layout.views(storage)):
+    for (rows, shares), block in zip(layout.spans(gm.storage, price=False),
+                                     layout.views(gm.storage)):
         shares *= share[rows, None]
         block[:, price] = w[rows] * params.tau
-    return storage
+    return gm.storage, layout, gm.near_ties
 
 
 class GaussNewtonMatrix:
@@ -454,17 +455,13 @@ def equilibrium_solve(
             break  # a step from here would never be simulated
 
         # one buffer carries the linearization, as the gradient's event-
-        # ordered row blocks: the gradient fills it (the per-event blocks
-        # are never built here), the logit Jacobian is written over it with
-        # the price column beside, and build_qp turns that into G in place
-        # and orders the QP's coordinates as G's columns.  G lives in
-        # prob.P through the QP (P itself is never formed); every name on
-        # the buffer is dropped before the next gradient allocates its own
-        gm = travel_time_gradient(scenario, sim)
-        near_ties += gm.near_ties
-        layout = gm.layout
-        grad_psi = _logit_in_place(psi, gm.storage, layout, params)
-        del gm
+        # ordered row blocks holding the logit Jacobian, and build_qp turns
+        # it into G in place and orders the QP's coordinates as G's
+        # columns.  G lives in prob.P through the QP (P itself is never
+        # formed); every name on the buffer is dropped before the next
+        # gradient allocates its own
+        grad_psi, layout, ties = _linearize(scenario, params, sim, psi)
+        near_ties += ties
         prob = build_qp(x, p, psi, grad_psi, gammas, params, k, tcs=tcs, layout=layout)
         del grad_psi
         sol = solve_qp(prob.P, prob.q, prob.lower, prob.upper,

@@ -32,10 +32,10 @@ array.  Nor is it stored as an N x (N+1) rectangle: the rows are kept in
 blocks of ``_ROWS_PER_BLOCK`` in event order, each block as wide as its
 widest extent rounded up to ``_GROW`` share columns, one block after the
 other in one flat buffer (``Layout.views``).  On the citywide preset that
-staircase holds 71% of the rectangle.  ``GradientMatrix.dT`` gathers
-it into a fresh id-ordered array; the per-event blocks of period-duration
-and speed gradients are built only when asked for, by the same recursion
-writing one row per event.
+staircase holds 71% of the rectangle.  ``Layout.scatter`` writes it
+into id order, as ``GradientMatrix.dT`` and the stability Jacobian; the
+per-event blocks of period-duration and speed gradients are built only
+when asked for, by the same recursion writing one row per event.
 """
 
 from __future__ import annotations
@@ -146,6 +146,17 @@ class Layout:
         return [(slice(a, b), block[:, cols][:, :extents[b - 1]])
                 for (a, b, _), block in zip(self.blocks, self.views(buffer))]
 
+    def scatter(self, buffer: np.ndarray, out: np.ndarray, price: bool) -> np.ndarray:
+        """``buffer``'s entries written into ``out`` in id order, row i of
+        ``out`` the row of group i and column j that of coordinate j (the
+        price is N), over the columns of ``spans``: each block up to its
+        widest extent, with the price column or without it.  The entries of
+        ``out`` past them are left as they are."""
+        _, coords, _ = self.columns(price)
+        for rows, entries in self.spans(buffer, price):
+            out[np.ix_(self.rows[rows], coords[:entries.shape[1]])] = entries
+        return out
+
 
 @dataclass
 class GradientMatrix:
@@ -155,7 +166,7 @@ class GradientMatrix:
     fixed-order derivative may sit on a kink.  ``storage`` is the flat
     buffer of ``layout``'s row blocks: in event order, with column 0 left
     for the price, so the logit Jacobian can be written over it in place
-    and a linearization holds one Jacobian-sized array.  ``dT`` gathers it
+    and a linearization holds one Jacobian-sized array.  ``dT`` scatters it
     into a fresh N x N array in id order and leaves it as it is.
     ``event_time_grads`` and ``event_speed_grads`` are the per-event
     building blocks, one N-vector per event: the gradients of the period
@@ -174,18 +185,7 @@ class GradientMatrix:
     @property
     def dT(self) -> np.ndarray:
         n = self.scenario.n
-        return self.gather(np.zeros((n, n)))
-
-    def gather(self, out: np.ndarray) -> np.ndarray:
-        """dT in id order, written into ``out``, an N x N array of zeros:
-        the stored blocks are scattered into it, and every entry past them
-        is left as the +0.0 it is."""
-        layout = self.layout
-        cols, ids, _ = layout.columns(price=False)
-        for (a, b, _), block in zip(layout.blocks, layout.views(self.storage)):
-            shares = block[:, cols]
-            out[np.ix_(layout.rows[a:b], ids[:shares.shape[1]])] = shares
-        return out
+        return self.layout.scatter(self.storage, np.zeros((n, n)), price=False)
 
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, np.ndarray]:

@@ -203,10 +203,10 @@ class TestStabilityCheck:
 
     @pytest.mark.parametrize("scenario", ["congested", "mid"])
     def test_gathers_the_jacobian_of_the_logit_gradient(self, scenario):
-        # dT is gathered from the gradient's event-ordered row blocks
-        # straight into the Jacobian: the same bits as assembling it from a
-        # fresh logit Jacobian of the id-ordered dT, signed zeros included;
-        # "mid" (N = 1000) stores its dT in more than one block
+        # the logit Jacobian is scattered from the solver's event-ordered
+        # row blocks straight into the Jacobian: the same bits as assembling
+        # it from a fresh logit Jacobian of the id-ordered dT, signed zeros
+        # included; "mid" (N = 1000) stores its dT in more than one block
         sc, sim = memory_case(scenario)
         params = TcsParams()
         state = ModalState(x=sim.x, p=0.006)
@@ -220,6 +220,22 @@ class TestStabilityCheck:
         values = eig_values(want).values
         assert st.eigenvalues.tobytes() == values.tobytes()
         assert st.spectral_abscissa == float(np.max(values.real))
+
+    @pytest.mark.parametrize("scenario", ["congested", "mid"])
+    def test_report_simulation_gives_the_state_check(self, scenario):
+        # the CLI checks an equilibrium report from its own sim and psis
+        # instead of simulating its state again: the same Jacobian bytes,
+        # eigenvalues and abscissa; "mid" stores its dT in two blocks
+        sc, _ = memory_case(scenario)
+        params = TcsParams()
+        rep = equilibrium_solve(sc, params)
+        assert rep.converged and rep.state.p > 0
+        st = analysis._stability_at(sc, params, rep.sim, rep.psis)
+        want = stability_check(sc, params, rep.state)
+        assert st.jacobian.tobytes() == want.jacobian.tobytes()
+        assert st.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert st.spectral_abscissa == want.spectral_abscissa
+        assert (st.stable, st.eig_converged) == (want.stable, want.eig_converged)
 
     def test_binding_equilibrium_is_stable(self, small_scenario):
         params = TcsParams()

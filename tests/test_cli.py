@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import tcsmfd.analysis
+import tcsmfd.equilibrium
+import tcsmfd.objectives
 from tcsmfd import (
     TcsParams,
     equilibrium,
@@ -327,6 +330,26 @@ class TestStability:
                               TcsParams(kappa=250.0, tau=300.0), [300.0, 400.0])
         assert (tmp_path / "cli" / "stability.csv").read_bytes() == \
             _csv_text(stability_table(runs)).encode()
+
+    def test_checks_the_reports_without_simulating_again(self, tmp_path, monkeypatch):
+        # the stability rows read each equilibrium report's own simulation:
+        # 13 simulations for the three solves, none more for the two
+        # binding charges' checks
+        assert main(["generate", "--preset", "congested", "--seed", "0",
+                     "-o", str(tmp_path / "scn")]) == 0
+        calls = []
+        for module in (tcsmfd.equilibrium, tcsmfd.analysis, tcsmfd.objectives):
+            def counted(*args, _fn=module.simulate, **kwargs):
+                calls.append(1)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, "simulate", counted)
+        rc = main(["stability", "--scenario", str(tmp_path / "scn" / "scenario.json"),
+                   "-o", str(tmp_path / "stab"), "--taus", "120,200,280"])
+        assert rc == 0
+        rows = (tmp_path / "stab" / "stability.csv").read_text().splitlines()[1:]
+        assert sum(row.split(",")[2] != "" for row in rows) == 2
+        assert len(calls) == 13
 
 
 class TestGains:

@@ -361,10 +361,10 @@ class TestNeverFormedP:
 
 @pytest.mark.parametrize("tcs", [True, False])
 def test_in_place_linearization_matches_the_allocating_calls(congested, tcs):
-    # the logit Jacobian written over dT in the gradient's storage, and G
-    # formed in that storage, against a fresh logit Jacobian and a copy of
-    # its QP columns: the same bits in q, the bounds, the cap row and every
-    # product and diagonal of P
+    # the logit Jacobian that _linearize writes over the gradient's storage
+    # against a fresh one of the id-ordered dT: the same bits in every
+    # stored entry of the QP's columns (with the price column or without
+    # it) and zeros elsewhere; build_qp then forms G over that buffer
     params = TcsParams()
     n = congested.n
     x, p = np.full(n, 0.4), 0.006
@@ -372,26 +372,19 @@ def test_in_place_linearization_matches_the_allocating_calls(congested, tcs):
     psi = logit_choice(sim.car_times, congested.pt_times, p, params)
     gm = travel_time_gradient(congested, sim)
     fresh = logit_gradient(psi, gm.dT, params)
-    m = n + 1 if tcs else n
-    want = build_qp(x, p, psi, fresh[:, :m].copy(), congested.gammas, params, k=2, tcs=tcs)
 
-    storage = np.zeros((n, n + 1))
-    grad_psi = logit_gradient(psi, gm.gather(storage[:, :n]), params, out=storage)
-    assert grad_psi is storage
-    assert grad_psi.tobytes() == fresh.tobytes()
-    prob = build_qp(x, p, psi, grad_psi, congested.gammas, params, k=2, tcs=tcs)
-    assert all(np.shares_memory(g, storage) for g, _, _ in prob.P._blocks)
-    for name in ("q", "lower", "upper"):
-        assert getattr(prob, name).tobytes() == getattr(want, name).tobytes(), name
-    if tcs:
-        assert prob.cap_coeffs.tobytes() == want.cap_coeffs.tobytes()
-        assert prob.cap_rhs == want.cap_rhs
-    else:
-        assert prob.cap_coeffs is None and prob.cap_rhs is None
-    assert prob.P.diagonal().tobytes() == want.P.diagonal().tobytes()
-    vectors = list(np.eye(m)[::7]) + list(np.random.default_rng(3).normal(size=(4, m)))
-    for v in vectors:
-        assert (prob.P @ v).tobytes() == (want.P @ v).tobytes()
+    grad_psi, layout, ties = tcsmfd.equilibrium._linearize(congested, params, sim, psi)
+    assert ties == gm.near_ties
+    assert grad_psi.size == layout.size == gm.storage.size
+    _, coords, _ = layout.columns(price=tcs)
+    for rows, entries in layout.spans(grad_psi, price=tcs):
+        want = fresh[np.ix_(layout.rows[rows], coords[:entries.shape[1]])]
+        assert entries.tobytes() == want.tobytes()
+    scattered = layout.scatter(grad_psi, np.zeros((n, n + 1)), price=tcs)
+    assert np.array_equal(scattered[:, coords], fresh[:, coords])
+    prob = build_qp(x, p, psi, grad_psi, congested.gammas, params, k=2, tcs=tcs,
+                    layout=layout)
+    assert all(np.shares_memory(g, grad_psi) for g, _, _ in prob.P._blocks)
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,6 @@ from tcsmfd import (
     simulate,
     travel_time_gradient,
 )
-from tcsmfd.equilibrium import _logit_in_place
 from tcsmfd import gradients
 from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK, Layout
 
@@ -105,7 +104,7 @@ def test_rows_are_zero_past_their_extents(seed, n, xseed, form, ties, rows_per_b
 
 @pytest.mark.parametrize("scenario", ["congested", "mid"])
 def test_reading_dT_leaves_the_storage_as_it_is(scenario):
-    # dT is a fresh gather in id order; the solver's event-ordered blocks,
+    # dT is a fresh scatter into id order; the solver's event-ordered blocks,
     # and any tracer that reads dT between the gradient and the QP, see the
     # storage and the layout as the recursion left them
     sc, sim = memory_case(scenario)
@@ -136,9 +135,7 @@ def linearizations(scenario, x, p, params, tcs):
     ``grad_psi``."""
     sim = simulate(scenario, x)
     psi = logit_choice(sim.car_times, scenario.pt_times, p, params)
-    gm = travel_time_gradient(scenario, sim)
-    layout = gm.layout
-    grad = _logit_in_place(psi, gm.storage, layout, params)
+    grad, layout, _ = tcsmfd.equilibrium._linearize(scenario, params, sim, psi)
     event = build_qp(x, p, psi, grad, scenario.gammas, params, 2, tcs=tcs, layout=layout)
     dense = logit_gradient(psi, travel_time_gradient(scenario, sim).dT, params)
     ids = build_qp(x, p, psi, dense, scenario.gammas, params, 2, tcs=tcs)
@@ -192,7 +189,7 @@ def dense_path(monkeypatch):
         gm = gradient(scenario, sim)
         n = scenario.n
         storage = np.zeros((n, n + 1))
-        gm.gather(storage[:, :n])
+        gm.layout.scatter(gm.storage, storage[:, :n], price=False)
         return dataclasses.replace(gm, storage=storage, layout=Layout.identity(n, n + 1))
 
     monkeypatch.setattr(tcsmfd.equilibrium, "travel_time_gradient", dense)
