@@ -18,7 +18,6 @@ from .analysis import (
     eig_values,
     histogram_rows,
     stability_check,
-    stability_jacobian,
     uniqueness_check,
 )
 from .equilibrium import (
@@ -27,38 +26,27 @@ from .equilibrium import (
     MsaReport,
     build_qp,
     equilibrium_solve,
-    j_value,
     logit_choice,
-    logit_costs,
-    logit_gradient,
     msa_solve,
 )
-from .gradients import GradientMatrix, grad_speed, travel_time_gradient
+from .gradients import GradientMatrix, travel_time_gradient
 from .objectives import (
-    Aggregates,
-    CapInactiveError,
     EmissionModel,
     GroupGains,
     OptimizeResult,
     OptimizeStep,
     SweepRow,
-    compute_aggregates,
-    emission_charge_gradient,
-    emission_per_distance,
-    emission_per_distance_dv,
     group_gains,
     optimize_charge,
     sweep_charges,
     total_emission,
     total_travel_time,
-    ttt_charge_gradient,
 )
-from .qp import QpSolution, project_box_halfspace, solve_qp
+from .qp import QpSolution, solve_qp
 from .scenario import (
     GeneratorSpec,
     Group,
     MfdCurve,
-    PRESETS,
     Scenario,
     ScenarioError,
     TcsParams,
@@ -71,8 +59,6 @@ from .simulator import HorizonError, SimResult, simulate
 
 __all__ = [
     "__version__",
-    "Aggregates",
-    "CapInactiveError",
     "EigResult",
     "EmissionModel",
     "EquilibriumReport",
@@ -86,7 +72,6 @@ __all__ = [
     "MsaReport",
     "OptimizeResult",
     "OptimizeStep",
-    "PRESETS",
     "QpSolution",
     "Scenario",
     "ScenarioError",
@@ -96,34 +81,23 @@ __all__ = [
     "TcsParams",
     "UniquenessReport",
     "build_qp",
-    "compute_aggregates",
     "eig_values",
-    "emission_charge_gradient",
-    "emission_per_distance",
-    "emission_per_distance_dv",
     "equilibrium_solve",
     "generate_synthetic",
-    "grad_speed",
     "group_gains",
     "histogram_rows",
-    "j_value",
     "load_scenario",
     "logit_choice",
-    "logit_costs",
-    "logit_gradient",
     "msa_solve",
     "optimize_charge",
     "preset_spec",
-    "project_box_halfspace",
     "save_scenario",
     "simulate",
     "solve_qp",
     "stability_check",
-    "stability_jacobian",
     "sweep_charges",
     "total_emission",
     "total_travel_time",
     "travel_time_gradient",
-    "ttt_charge_gradient",
     "uniqueness_check",
 ]

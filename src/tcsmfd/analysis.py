@@ -30,7 +30,6 @@ from .simulator import simulate, simulate_car_times
 __all__ = [
     "UniquenessReport",
     "uniqueness_check",
-    "stability_jacobian",
     "EigResult",
     "eig_values",
     "StabilityReport",
@@ -70,6 +69,8 @@ def uniqueness_check(
     """
     if n_samples < 2:
         raise ValueError("need at least two samples")
+    if max_pairs < 1:
+        raise ValueError("max_pairs must be >= 1")
     xs = _latin_hypercube(scenario.n, n_samples, seed)
     times = simulate_car_times(scenario, xs)
 
@@ -146,19 +147,6 @@ def _distinct_ranks(rng, n: int, k: int) -> np.ndarray:
     return ranks
 
 
-def stability_jacobian(grad_psi: np.ndarray, gammas: np.ndarray, tau: float) -> np.ndarray:
-    """Jacobian of the day-to-day dynamics at an equilibrium.
-
-    State (x, p) with dx_i/dt = psi_i - x_i and
-    dp/dt = sum(c_i (tau psi_i - kappa)), c = ``gammas`` the cap weights;
-    rows are built directly from the logit Jacobian ``grad_psi`` (shape
-    N x (N+1))."""
-    n = grad_psi.shape[0]
-    a = np.empty((n + 1, n + 1))
-    a[:n, :] = grad_psi
-    return _closed(a, gammas, tau)
-
-
 def _closed(a: np.ndarray, gammas: np.ndarray, tau: float) -> np.ndarray:
     """``a``, whose first N rows hold the logit Jacobian, completed in place
     into the stability Jacobian: the price row from those rows, then -1 on
@@ -194,7 +182,6 @@ class StabilityReport:
     spectral_abscissa: float
     eigenvalues: np.ndarray
     eig_converged: bool
-    jacobian: np.ndarray
 
 
 def stability_check(scenario: Scenario, params: TcsParams, state) -> StabilityReport:
@@ -212,25 +199,31 @@ def stability_check(scenario: Scenario, params: TcsParams, state) -> StabilityRe
 
 def _stability_at(scenario: Scenario, params: TcsParams, sim, psi) -> StabilityReport:
     """``stability_check`` at the state simulated as ``sim``, with logit
-    response ``psi``.  The solver's linearization is scattered into the
-    first N rows over share entries that each hold their row's zero as
-    ``logit_gradient`` scales it (-0.0 for psi_i in (0, 1)), so the
-    Jacobian has the bits of ``stability_jacobian(logit_gradient(...))``."""
-    n = scenario.n
-    grad_psi, layout, _ = _linearize(scenario, params, sim, psi)
-    jac = np.empty((n + 1, n + 1))
-    jac[:n, :n] = (psi * (psi - 1.0) * params.theta * params.alpha)[:, None] * 0.0
-    layout.scatter(grad_psi, jac[:n], price=True)
-    _closed(jac, params.cap_weights(scenario.gammas), params.tau)
-    res = eig_values(jac)
+    response ``psi``.  The Jacobian is dropped once its eigenvalues are
+    known: a report holds no (N+1)^2 array."""
+    res = eig_values(_jacobian(scenario, params, sim, psi))
     abscissa = float(np.max(res.values.real))
     return StabilityReport(
         stable=bool(abscissa < 0.0 and res.converged),
         spectral_abscissa=abscissa,
         eigenvalues=res.values,
         eig_converged=res.converged,
-        jacobian=jac,
     )
+
+
+def _jacobian(scenario: Scenario, params: TcsParams, sim, psi) -> np.ndarray:
+    """The stability Jacobian at the state simulated as ``sim``, with logit
+    response ``psi``.  The solver's linearization is scattered into the
+    first N rows over share entries that each hold their row's zero as the
+    logit scaling gives it, ``(psi (psi - 1) theta alpha)_i * 0.0`` (-0.0
+    for psi_i in (0, 1)), so the rows have the bits of the dense logit
+    Jacobian of the id-ordered dT; ``_closed`` then completes them."""
+    n = scenario.n
+    grad_psi, layout, _ = _linearize(scenario, params, sim, psi)
+    jac = np.empty((n + 1, n + 1))
+    jac[:n, :n] = (psi * (psi - 1.0) * params.theta * params.alpha)[:, None] * 0.0
+    layout.scatter(grad_psi, jac[:n], price=True)
+    return _closed(jac, params.cap_weights(scenario.gammas), params.tau)
 
 
 def histogram_rows(values: np.ndarray, bins: int = 50):

@@ -45,10 +45,7 @@ __all__ = [
     "EquilibriumReport",
     "MsaReport",
     "logit_choice",
-    "logit_costs",
-    "logit_gradient",
     "build_qp",
-    "j_value",
     "equilibrium_solve",
     "msa_solve",
 ]
@@ -104,40 +101,25 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-def logit_costs(t_car, t_pt, p, params: TcsParams):
+def _logit_costs(t_car, t_pt, p, params: TcsParams):
     """Generalized costs (car, PT) per traveler in EUR."""
     c_car = params.alpha * np.asarray(t_car, dtype=float) + (params.tau - params.kappa) * p
     c_pt = params.alpha * np.asarray(t_pt, dtype=float) - params.kappa * p
     return c_car, c_pt
 
 
-def logit_gradient(psi0, dT, params: TcsParams) -> np.ndarray:
-    """Jacobian of psi wrt (x_1..x_N, p), shape (N, N+1).
-
-    Share columns: psi0_i (psi0_i - 1) * theta * alpha * dT[i][j].
-    Price column:  psi0_i (psi0_i - 1) * theta * tau.
-    Saturated probabilities (exactly 0 or 1) produce an exactly zero row.
-
-    The dense formula on an id-ordered dT; ``_linearize`` writes the same
-    entries over the gradient's own storage.
-    """
-    psi0 = np.asarray(psi0, dtype=float)
-    n = len(psi0)
-    w = psi0 * (psi0 - 1.0) * params.theta
-    out = np.empty((n, n + 1))
-    np.multiply((w * params.alpha)[:, None], dT, out=out[:, :n])
-    out[:, n] = w * params.tau
-    return out
-
-
 def _linearize(scenario: Scenario, params: TcsParams, sim: SimResult,
                psi) -> tuple[np.ndarray, Layout, bool]:
     """The logit Jacobian at the state that gave ``sim`` and ``psi``, written
     over the travel-time gradient's storage: (that buffer, its ``Layout``,
-    the gradient's near-tie flag).  Row block by row block over the block's
-    widest extent, entry by entry the bits of ``logit_gradient`` (x * s is
-    s * x); the zeros past the widest extent are never touched, and the
-    gradient's per-event blocks are never built."""
+    the gradient's near-tie flag).
+
+    Row i is d psi_i / d(x, p), with w_i = psi_i (psi_i - 1) * theta:
+    w_i * alpha * dT[i][j] in share column j and w_i * tau in the price
+    column, so a saturated probability (exactly 0 or 1) gives an exactly
+    zero row.  It is written row block by row block over the block's
+    widest extent; the zeros past the widest extent are never touched, and
+    the gradient's per-event blocks are never built."""
     gm = travel_time_gradient(scenario, sim)
     layout = gm.layout
     w = (psi * (psi - 1.0) * params.theta)[layout.rows]
@@ -232,15 +214,13 @@ class QpProblem:
 
 
 def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
-             tcs: bool = True, layout: Layout | None = None) -> QpProblem:
+             tcs: bool = True, *, layout: Layout) -> QpProblem:
     """Assemble the QP of iteration k around (x0, p0).
 
-    ``grad_psi`` is the logit Jacobian stored as ``layout`` says: a
-    ``GradientMatrix``'s buffer of event-ordered row blocks, or by default
-    a C-ordered N x (N+1) array in id order with the price column last and
-    no zero assumed, whose row blocks are views of it.  The QP's
-    coordinates follow its columns, and q, the bounds, the cap row and the
-    border are mapped onto them.  G = grad_psi - I_x with I_x = [I, 0],
+    ``grad_psi`` is the logit Jacobian stored as ``layout`` says, as
+    ``_linearize`` returns the two: a ``GradientMatrix``'s buffer of
+    event-ordered row blocks.  The QP's coordinates follow its columns,
+    and q, the bounds, the cap row and the border are mapped onto them.  G = grad_psi - I_x with I_x = [I, 0],
     formed in place: ``grad_psi`` is consumed, and G is the views of its
     row blocks (``Layout.spans``), over the price column with the scheme
     and over the share columns alone without it.  Then
@@ -264,8 +244,6 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
     n = len(x0)
     if k < 1:
         raise ValueError("iteration index starts at 1")
-    if layout is None:
-        layout = Layout.identity(n, grad_psi.shape[1])
     _, coords, _ = layout.columns(price=tcs)
     m = len(coords)
 
@@ -339,7 +317,7 @@ def _mean_slack(x, c, params: TcsParams) -> float:
     return float(c @ (params.kappa - params.tau * x)) / float(c.sum())
 
 
-def j_value(x, p, psi, gammas, params: TcsParams, tcs: bool = True) -> float:
+def _j_value(x, p, psi, gammas, params: TcsParams, tcs: bool = True) -> float:
     """Objective J at a point, zero step: equilibrium gap plus the
     market-clearing product (per unit of cap weight)."""
     gap = float(0.5 * np.sum((psi - x) ** 2))
@@ -421,7 +399,7 @@ def equilibrium_solve(
         p = params.p0 if tcs else 0.0
     else:
         p = float(p_init)
-    if p < 0:
+    if not (p >= 0):
         raise ValueError("p_init must be >= 0")
     if tcs and _credit_slack(x, c, params) < -_cap_tolerance(c, params):
         raise ValueError("x_init violates the credit cap")
@@ -441,7 +419,7 @@ def equilibrium_solve(
     for k in range(1, params.max_iters + 1):
         sim = simulate(scenario, x)
         psi = logit_choice(sim.car_times, scenario.pt_times, p, params)
-        j = j_value(x, p, psi, gammas, params, tcs=tcs)
+        j = _j_value(x, p, psi, gammas, params, tcs=tcs)
         res = float(np.max(np.abs(psi - x)))
         j_trace.append(j)
         res_trace.append(res)
@@ -478,7 +456,7 @@ def equilibrium_solve(
     if not converged and best is not None:
         _, x, p, psi, sim = best
 
-    c_car, c_pt = logit_costs(sim.car_times, scenario.pt_times, p, params)
+    c_car, c_pt = _logit_costs(sim.car_times, scenario.pt_times, p, params)
     return EquilibriumReport(
         state=ModalState(x=x, p=p),
         converged=converged,
@@ -529,8 +507,8 @@ def msa_solve(scenario: Scenario, params: TcsParams, p_fixed: float,
     n = scenario.n
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if p_fixed < 0:
-        raise ValueError("price must be >= 0")
+    if not (p_fixed >= 0):
+        raise ValueError("p_fixed must be >= 0")
     x = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
     if x.shape != (n,) or np.any(x < 0) or np.any(x > 1):
         raise ValueError("x_init must be N shares within [0, 1]")

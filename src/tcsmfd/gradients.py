@@ -51,7 +51,6 @@ from .simulator import ENTRY, SimResult
 __all__ = [
     "GradientMatrix",
     "Layout",
-    "grad_speed",
     "travel_time_gradient",
 ]
 
@@ -89,8 +88,8 @@ class Layout:
     other in one flat buffer of ``size`` floats.  ``blocks`` holds each
     block's first row, end row and width: its widest extent with the share
     columns past the first rounded up to a multiple of ``_GROW``, as the
-    recursion writes them, and at most every column.  With one extent for
-    every row, as in ``identity``, the buffer is the C-ordered rectangle.
+    recursion writes them, and at most every column.  Where every extent
+    spans every column, the buffer is a C-ordered rectangle.
     """
 
     __slots__ = ("rows", "cols", "extents", "blocks", "size")
@@ -106,11 +105,6 @@ class Layout:
             widest = int(extents[b - 1])
             self.blocks.append((a, b, min(widest + (1 - widest) % _GROW, len(cols))))
         self.size = sum((b - a) * width for a, b, width in self.blocks)
-
-    @classmethod
-    def identity(cls, n: int, width: int) -> "Layout":
-        """Id order over ``width`` columns, the price last, all spanned."""
-        return cls(rows=np.arange(n), cols=np.arange(width), extents=np.full(n, width))
 
     @property
     def price_first(self) -> bool:
@@ -200,24 +194,6 @@ class GradientMatrix:
         return self._blocks[1]
 
 
-def grad_speed(scenario: Scenario, sim: SimResult, e: int) -> np.ndarray:
-    """Gradient of the speed of the period ending at event e wrt shares.
-
-    Component j is gamma_j * dV/dn at the period's accumulation when group j
-    was traveling during that period, else 0.  This is the per-event
-    definition of row e of ``GradientMatrix.event_speed_grads``.
-    """
-    n = scenario.n
-    out = np.zeros(n)
-    if e <= 0:
-        return out
-    mask = sim.active_mask(e)
-    if mask.any():
-        dv = scenario.mfd.dspeed(sim.n_after[e - 1])
-        out[mask] = scenario.gammas[mask] * dv
-    return out
-
-
 def _event_layout(sim: SimResult) -> Layout:
     """Rows in exit order, the price first, then the shares in entry order.
 
@@ -261,10 +237,11 @@ def _recursion(scenario: Scenario, sim: SimResult, layout: Layout, blocks=None):
     share columns only, which its block holds, and column 0 is left for the
     price.  ``blocks`` is a pair of zeroed 2N x N arrays that receive each
     event's d_te and its speed row instead, in entry-rank columns; an
-    exit's snapshot then lives in its d_te row, which the exit overwrites.  Past the entrants an exit's or a
-    following entry's d_te is -0.0, as the full-width arithmetic gives it.
-    A speed row is written only on the groups on the road (every gamma is
-    > 0, so they are ``on_road > 0``), as in ``grad_speed``: elsewhere the
+    exit's snapshot then lives in its d_te row, which the exit overwrites.
+    Past the entrants an exit's or a following entry's d_te is -0.0, as the
+    full-width arithmetic gives it.  A speed row is written only on the
+    groups on the road (every gamma is > 0, so they are ``on_road > 0``),
+    as the per-event definition gamma_j * dV/dn writes it: elsewhere the
     running product is 0 * dV/dn, which is -0.0 on a falling curve.
     """
     n = scenario.n

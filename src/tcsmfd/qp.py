@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QpSolution", "solve_qp", "project_box_halfspace"]
+__all__ = ["QpSolution", "solve_qp"]
 
 
 @dataclass
@@ -117,19 +117,6 @@ def _require_finite(**arrays):
     for name, v in arrays.items():
         if v is not None and not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite")
-
-
-def project_box_halfspace(y, lower, upper, a=None, b=None):
-    """Euclidean projection onto {lower <= z <= upper, a'z <= b}.
-
-    ``a`` must be componentwise non-negative.  Raises ``ValueError`` on a
-    non-finite input and when the box and the half-space do not intersect
-    (``a @ lower > b``).
-    """
-    _require_finite(y=y, lower=lower, upper=upper, a=a, b=b)
-    if a is not None and a @ lower > b:
-        raise ValueError("box and half-space do not intersect")
-    return _project(y, lower, upper, a, b)[0]
 
 
 def _newton_point(hv, q, at_lo, at_hi, cap_on, lower, upper, a, b):

@@ -342,8 +342,9 @@ class TcsParams:
             raise ScenarioError("need 0 <= kappa <= tau (tau < kappa leaves no feasible car user)")
         if self.tau <= 0:
             raise ScenarioError("tau must be > 0")
-        if self.p0 < 0:
-            raise ScenarioError("p0 must be >= 0")
+        for name in ("p0", "gamma_emission", "p_carbon"):
+            if not (getattr(self, name) >= 0):
+                raise ScenarioError(f"{name} must be >= 0")
         if self.max_iters < 1:
             raise ScenarioError("max_iters must be >= 1")
         if self.cap_constraint not in ("gamma-weighted", "printed"):

@@ -1,0 +1,69 @@
+"""Dense reference forms of what the library computes in place.
+
+The solver keeps its linearization in event order, as row blocks cut at
+their widest extents, and writes the logit Jacobian, G and the stability
+Jacobian over them.  The tests check it against the textbook forms here:
+the logit Jacobian of an id-ordered N x N dT, the stability Jacobian
+assembled from it, and the identity ``Layout`` under which ``build_qp``
+reads such an N x (N+1) array.  ``project_box_halfspace`` is the QP
+solver's projection with its inputs checked, for the tests that build
+their own projections and KKT residuals.
+"""
+
+import numpy as np
+
+from tcsmfd import analysis, qp
+from tcsmfd.gradients import Layout
+
+__all__ = ["identity_layout", "logit_gradient", "project_box_halfspace", "stability_jacobian"]
+
+
+def logit_gradient(psi0, dT, params) -> np.ndarray:
+    """Jacobian of psi wrt (x_1..x_N, p), shape (N, N+1).
+
+    Share columns: psi0_i (psi0_i - 1) * theta * alpha * dT[i][j].
+    Price column:  psi0_i (psi0_i - 1) * theta * tau.
+    Saturated probabilities (exactly 0 or 1) produce an exactly zero row.
+    """
+    psi0 = np.asarray(psi0, dtype=float)
+    n = len(psi0)
+    w = psi0 * (psi0 - 1.0) * params.theta
+    out = np.empty((n, n + 1))
+    np.multiply((w * params.alpha)[:, None], dT, out=out[:, :n])
+    out[:, n] = w * params.tau
+    return out
+
+
+def identity_layout(grad_psi) -> Layout:
+    """The layout of a C-ordered N x (N+1) ``grad_psi`` in id order, the
+    price column last and every row spanning every column: its row blocks
+    are row slices of it."""
+    n, width = grad_psi.shape
+    return Layout(rows=np.arange(n), cols=np.arange(width), extents=np.full(n, width))
+
+
+def stability_jacobian(grad_psi, gammas, tau) -> np.ndarray:
+    """Jacobian of the day-to-day dynamics at an equilibrium.
+
+    State (x, p) with dx_i/dt = psi_i - x_i and
+    dp/dt = sum(c_i (tau psi_i - kappa)), c = ``gammas`` the cap weights:
+    the rows of the logit Jacobian ``grad_psi`` (shape N x (N+1)) copied
+    into an (N+1) x (N+1) array and completed by the library's
+    ``analysis._closed``."""
+    n = grad_psi.shape[0]
+    a = np.empty((n + 1, n + 1))
+    a[:n, :] = grad_psi
+    return analysis._closed(a, gammas, tau)
+
+
+def project_box_halfspace(y, lower, upper, a=None, b=None):
+    """Euclidean projection onto {lower <= z <= upper, a'z <= b}.
+
+    ``a`` must be componentwise non-negative.  Raises ``ValueError`` on a
+    non-finite input and when the box and the half-space do not intersect
+    (``a @ lower > b``).
+    """
+    qp._require_finite(y=y, lower=lower, upper=upper, a=a, b=b)
+    if a is not None and a @ lower > b:
+        raise ValueError("box and half-space do not intersect")
+    return qp._project(y, lower, upper, a, b)[0]

@@ -16,10 +16,28 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from tcsmfd.gradients import TIE_GAP_S, grad_speed
+from tcsmfd.gradients import TIE_GAP_S
 from tcsmfd.simulator import ENTRY
 
-__all__ = ["travel_time_gradient_reference"]
+__all__ = ["grad_speed", "travel_time_gradient_reference"]
+
+
+def grad_speed(scenario, sim, e: int) -> np.ndarray:
+    """Gradient of the speed of the period ending at event e wrt shares.
+
+    Component j is gamma_j * dV/dn at the period's accumulation when group j
+    was traveling during that period, else 0.  This is the per-event
+    definition of row e of ``GradientMatrix.event_speed_grads``.
+    """
+    n = scenario.n
+    out = np.zeros(n)
+    if e <= 0:
+        return out
+    mask = sim.active_mask(e)
+    if mask.any():
+        dv = scenario.mfd.dspeed(sim.n_after[e - 1])
+        out[mask] = scenario.gammas[mask] * dv
+    return out
 
 
 def travel_time_gradient_reference(scenario, sim) -> SimpleNamespace:

@@ -17,11 +17,8 @@ import pytest
 from tcsmfd import (
     MfdCurve,
     TcsParams,
-    emission_per_distance,
-    emission_per_distance_dv,
     equilibrium_solve,
     generate_synthetic,
-    grad_speed,
     group_gains,
     msa_solve,
     optimize_charge,
@@ -36,9 +33,11 @@ from tcsmfd import (
     uniqueness_check,
     eig_values,
 )
+from tcsmfd.objectives import emission_per_distance, emission_per_distance_dv
 
 from conftest import ACCEPTANCE_LINES, fd_gradient, make_scenario, small_random_scenario
 from kkt_oracle import enumerate_qp
+from reference_gradient import grad_speed
 
 
 def _report(line: str) -> None:

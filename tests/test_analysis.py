@@ -17,15 +17,14 @@ from tcsmfd import (
     equilibrium_solve,
     histogram_rows,
     logit_choice,
-    logit_gradient,
     simulate,
     stability_check,
-    stability_jacobian,
     travel_time_gradient,
     uniqueness_check,
 )
 
 from conftest import make_scenario, small_random_scenario
+from reference_formulas import logit_gradient, stability_jacobian
 from test_gradient_reference import memory_case
 
 
@@ -88,6 +87,12 @@ class TestUniqueness:
         sc = small_random_scenario(0)
         with pytest.raises(ValueError):
             uniqueness_check(sc, n_samples=1)
+
+    @pytest.mark.parametrize("max_pairs", [0, -3])
+    def test_needs_a_pair(self, max_pairs):
+        sc = small_random_scenario(0)
+        with pytest.raises(ValueError, match="^max_pairs must be >= 1$"):
+            uniqueness_check(sc, n_samples=5, max_pairs=max_pairs)
 
     def test_deterministic_in_seed(self):
         sc = small_random_scenario(2, n_groups=4)
@@ -199,7 +204,8 @@ class TestStabilityCheck:
         psi = logit_choice(sim.car_times, small_scenario.pt_times, state.p, params)
         grad_psi = logit_gradient(psi, travel_time_gradient(small_scenario, sim).dT, params)
         want = stability_jacobian(grad_psi, np.ones(n), params.tau)
-        np.testing.assert_array_equal(st.jacobian, want)
+        np.testing.assert_array_equal(analysis._jacobian(small_scenario, params, sim, psi), want)
+        assert st.eigenvalues.tobytes() == eig_values(want).values.tobytes()
 
     @pytest.mark.parametrize("scenario", ["congested", "mid"])
     def test_gathers_the_jacobian_of_the_logit_gradient(self, scenario):
@@ -216,7 +222,7 @@ class TestStabilityCheck:
         want = stability_jacobian(logit_gradient(psi, gm.dT, params),
                                   params.cap_weights(sc.gammas), params.tau)
         st = stability_check(sc, params, state)
-        assert st.jacobian.tobytes() == want.tobytes()
+        assert analysis._jacobian(sc, params, sim, psi).tobytes() == want.tobytes()
         values = eig_values(want).values
         assert st.eigenvalues.tobytes() == values.tobytes()
         assert st.spectral_abscissa == float(np.max(values.real))
@@ -232,7 +238,10 @@ class TestStabilityCheck:
         assert rep.converged and rep.state.p > 0
         st = analysis._stability_at(sc, params, rep.sim, rep.psis)
         want = stability_check(sc, params, rep.state)
-        assert st.jacobian.tobytes() == want.jacobian.tobytes()
+        sim = simulate(sc, rep.state.x)
+        psi = logit_choice(sim.car_times, sc.pt_times, rep.state.p, params)
+        assert (analysis._jacobian(sc, params, rep.sim, rep.psis).tobytes()
+                == analysis._jacobian(sc, params, sim, psi).tobytes())
         assert st.eigenvalues.tobytes() == want.eigenvalues.tobytes()
         assert st.spectral_abscissa == want.spectral_abscissa
         assert (st.stable, st.eig_converged) == (want.stable, want.eig_converged)
@@ -245,8 +254,9 @@ class TestStabilityCheck:
         assert st.eig_converged
         assert st.spectral_abscissa < 0.0
         assert st.stable
-        assert st.jacobian.shape == (small_scenario.n + 1, small_scenario.n + 1)
         assert st.eigenvalues.shape == (small_scenario.n + 1,)
+        # the (N+1)^2 Jacobian is dropped once its eigenvalues are known
+        assert all(np.size(v) <= small_scenario.n + 1 for v in vars(st).values())
 
     def test_constant_mfd_closed_form_spectrum(self):
         # with share-independent car times the Jacobian is block triangular:

@@ -170,6 +170,14 @@ class TestEquilibrium:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_price_exits_2(self, scenario_file, tmp_path, capsys):
+        rc = main([
+            "equilibrium", "--scenario", str(scenario_file), "-o", str(tmp_path),
+            "--p0", "nan",
+        ])
+        assert rc == 2
+        assert "p0 must be >= 0" in capsys.readouterr().err
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         rc = main([
             "equilibrium", "--scenario", str(tmp_path / "nope.json"),

@@ -13,10 +13,7 @@ from tcsmfd import (
     build_qp,
     equilibrium_solve,
     generate_synthetic,
-    j_value,
     logit_choice,
-    logit_costs,
-    logit_gradient,
     msa_solve,
     preset_spec,
     simulate,
@@ -27,6 +24,7 @@ import tcsmfd.equilibrium
 from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
 from conftest import make_scenario, small_random_scenario
+from reference_formulas import identity_layout, logit_gradient
 
 
 def assert_operator_matches(P, dense, same_order=None, rtol=1e-14):
@@ -110,7 +108,7 @@ class TestLogit:
         # alpha=0.003, tau=200, kappa=100, p=0.01:
         # car = 0.003*1000 + 100*0.01 = 4.0 ; pt = 0.003*800 - 100*0.01 = 1.4
         params = TcsParams(alpha=0.003, tau=200.0, kappa=100.0)
-        c_car, c_pt = logit_costs(1000.0, 800.0, 0.01, params)
+        c_car, c_pt = tcsmfd.equilibrium._logit_costs(1000.0, 800.0, 0.01, params)
         assert c_car == pytest.approx(4.0)
         assert c_pt == pytest.approx(1.4)
 
@@ -156,7 +154,7 @@ class TestBuildQp:
         psi0 = np.array([0.55])
         d = 25.0
         grad = logit_gradient(psi0, np.array([[d]]), params)
-        prob = build_qp(x0, p0, psi0, grad, gamma, params, k=2)
+        prob = build_qp(x0, p0, psi0, grad, gamma, params, k=2, layout=identity_layout(grad))
 
         w = 0.55 * (0.55 - 1.0) * 1.0
         g_row = np.array([w * 0.003 * d - 1.0, w * 200.0])
@@ -186,7 +184,7 @@ class TestBuildQp:
         grad = logit_gradient(psi0, dT, params)
         G = grad - np.hstack([np.eye(3), np.zeros((3, 1))])
         fresh = grad.copy()  # build_qp consumes its grad_psi
-        prob = build_qp(x0, p0, psi0, grad, gamma, params, k=1)
+        prob = build_qp(x0, p0, psi0, grad, gamma, params, k=1, layout=identity_layout(grad))
 
         if cap == "gamma-weighted":
             w = gamma / gamma.sum()
@@ -205,7 +203,8 @@ class TestBuildQp:
         # without the scheme: the share block of the same assembly.  BLAS
         # orders a matrix-vector sum by the column count, so q matches the
         # N-column product exactly and the (N+1)-column one to rounding
-        free = build_qp(x0, p0, psi0, fresh, gamma, params, k=1, tcs=False)
+        free = build_qp(x0, p0, psi0, fresh, gamma, params, k=1, tcs=False,
+                        layout=identity_layout(fresh))
         Gx = G[:, :3]
         assert_operator_matches(free.P, (G.T @ G)[:3, :3],
                                 same_order=lambda v: Gx.T @ (Gx @ v))
@@ -223,7 +222,7 @@ class TestBuildQp:
         x0 = np.array([0.2, 0.3])
         psi0 = np.array([0.4, 0.5])
         grad = logit_gradient(psi0, np.zeros((2, 2)), params)
-        prob = build_qp(x0, 0.01, psi0, grad, gamma, params, k=1)
+        prob = build_qp(x0, 0.01, psi0, grad, gamma, params, k=1, layout=identity_layout(grad))
         np.testing.assert_allclose(prob.cap_coeffs[:2], [200.0, 200.0])
         assert prob.cap_rhs == pytest.approx(100.0 * 2 - 200.0 * 0.5)
 
@@ -233,7 +232,8 @@ class TestBuildQp:
         psi0 = np.array([0.5])
         grad = logit_gradient(psi0, np.array([[10.0]]), params)
         g = grad[0, 0] - 1.0  # read first: build_qp consumes grad
-        prob = build_qp(np.array([0.4]), 0.0, psi0, grad, gamma, params, k=1, tcs=False)
+        prob = build_qp(np.array([0.4]), 0.0, psi0, grad, gamma, params, k=1, tcs=False,
+                        layout=identity_layout(grad))
         # no price coordinate and no cap row: P is the 1x1 block g^2
         assert_operator_matches(prob.P, np.array([[g * g]]))
         assert len(prob.lower) == len(prob.upper) == 1
@@ -251,7 +251,7 @@ class TestBuildQp:
         psi0 = np.array([0.5, 0.5])
         grad = logit_gradient(psi0, np.zeros((2, 2)), params)
         with pytest.raises(ValueError, match="credit cap"):
-            build_qp(x0, 0.01, psi0, grad, gamma, params, k=1)
+            build_qp(x0, 0.01, psi0, grad, gamma, params, k=1, layout=identity_layout(grad))
 
     def test_infeasible_start_rejected(self):
         params = TcsParams()
@@ -259,13 +259,15 @@ class TestBuildQp:
         psi0 = np.array([0.5])
         grad = logit_gradient(psi0, np.array([[10.0]]), params)
         with pytest.raises(ValueError):
-            build_qp(np.array([0.9]), 0.01, psi0, grad, gamma, params, k=1)
+            build_qp(np.array([0.9]), 0.01, psi0, grad, gamma, params, k=1,
+                     layout=identity_layout(grad))
 
     def test_iteration_index_validated(self):
         params = TcsParams()
+        grad = np.zeros((1, 2))
         with pytest.raises(ValueError):
             build_qp(np.array([0.1]), 0.0, np.array([0.5]),
-                     np.zeros((1, 2)), np.array([1.0]), params, k=0)
+                     grad, np.array([1.0]), params, k=0, layout=identity_layout(grad))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("tcs,entry", [
@@ -283,7 +285,8 @@ class TestBuildQp:
         grad = logit_gradient(psi0, dT, params)
         grad[entry] = bad
         with pytest.raises(ValueError, match="^P must be finite"):
-            build_qp(x0, 0.006, psi0, grad, gamma, params, k=1, tcs=tcs)
+            build_qp(x0, 0.006, psi0, grad, gamma, params, k=1, tcs=tcs,
+                     layout=identity_layout(grad))
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +299,7 @@ def congested_qps():
     params = TcsParams()
     calls = []
 
-    def recording(*args, tcs=True, layout=None):
+    def recording(*args, tcs=True, layout):
         recorded = args[:3] + (args[3].copy(),) + args[4:] + (tcs, layout)
         calls.append((tcs, recorded, build_qp(*args, tcs=tcs, layout=layout)))
         return calls[-1][2]
@@ -440,6 +443,7 @@ def test_j_value_hand_case():
     psi = np.array([0.4, 0.45])
     # gap = 0.5 (0.01 + 0.0025); slack per traveler = (400*100 - 200*180)/400
     want = 0.5 * 0.0125 + 2.0 * 0.02 * (40000.0 - 36000.0) / 400.0
+    j_value = tcsmfd.equilibrium._j_value
     assert j_value(x, 0.02, psi, gammas, params, tcs=True) == pytest.approx(want, rel=1e-12)
     assert j_value(x, 0.02, psi, gammas, params, tcs=False) == pytest.approx(0.5 * 0.0125)
 
@@ -522,6 +526,11 @@ class TestEquilibriumSolver:
         assert np.array(a.j_trace).tobytes() == np.array(b.j_trace).tobytes()
         assert a.state.x.tobytes() == b.state.x.tobytes()
         assert a.sim.car_times.tobytes() == b.sim.car_times.tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.01])
+    def test_bad_p_init_rejected(self, small_scenario, bad):
+        with pytest.raises(ValueError, match="^p_init must be >= 0$"):
+            equilibrium_solve(small_scenario, TcsParams(), p_init=bad)
 
     def test_infeasible_x_init_rejected(self, small_scenario):
         n = small_scenario.n
@@ -717,6 +726,11 @@ class TestMsa:
         assert msa.credit_supply == params.kappa * n
         assert msa.car_credits == params.tau * float(np.ones(n) @ msa.x)
         assert msa.cap_violated == (msa.car_credits > 1.01 * msa.credit_supply)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.01])
+    def test_bad_price_rejected(self, small_scenario, bad):
+        with pytest.raises(ValueError, match="^p_fixed must be >= 0$"):
+            msa_solve(small_scenario, TcsParams(), p_fixed=bad)
 
     def test_residual_shrinks(self, small_scenario):
         msa = msa_solve(small_scenario, TcsParams(), p_fixed=0.005, iters=40)

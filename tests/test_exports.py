@@ -1,0 +1,66 @@
+"""The package's public names, and the bindings perfbench's tracer replaces.
+
+``perfbench/tracer.py`` traces a layer by rebinding its function in every
+module that calls it, and reads each function from ``tcsmfd`` when it is
+imported; a name dropped from the package, or a module that stops binding
+it, breaks the benchmark's traced runs.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import tcsmfd
+from tcsmfd import analysis, equilibrium, gradients, qp
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_exports_resolve():
+    assert len(tcsmfd.__all__) == len(set(tcsmfd.__all__))
+    for name in tcsmfd.__all__:
+        assert hasattr(tcsmfd, name), name
+
+
+@pytest.mark.parametrize("module, name", [
+    (equilibrium, "logit_gradient"),
+    (equilibrium, "j_value"),
+    (equilibrium, "logit_costs"),
+    (analysis, "stability_jacobian"),
+    (gradients, "grad_speed"),
+    (qp, "project_box_halfspace"),
+    (gradients.Layout, "identity"),
+])
+def test_reference_formulas_live_in_the_tests(module, name):
+    # the dense forms only the tests read are in tests/reference_formulas.py
+    # and tests/reference_gradient.py, not in the library
+    assert not hasattr(module, name)
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_binding(tracer_module, small_scenario):
+    bindings = {(mod, fn.__name__): fn
+                for fn, modules, _ in tracer_module.TRACED.values() for mod in modules}
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for (mod, attr), fn in bindings.items():
+            assert getattr(mod, attr) is not fn and getattr(mod, attr).__wrapped__ is fn
+        rep = tcsmfd.equilibrium_solve(small_scenario, tcsmfd.TcsParams())
+    finally:
+        tracer.uninstall()
+    for (mod, attr), fn in bindings.items():
+        assert getattr(mod, attr) is fn, (mod.__name__, attr)
+    summary = tracer.summary()
+    assert summary["equilibrium.equilibrium_solve"]["calls"] == 1
+    assert summary["equilibrium.build_qp"]["calls"] == len(rep.qp_iterations)

@@ -29,10 +29,9 @@ from tcsmfd import (
     travel_time_gradient,
 )
 from tcsmfd import gradients
-from tcsmfd.gradients import grad_speed
 
 from conftest import make_scenario, small_random_scenario, three_group_scenario
-from reference_gradient import travel_time_gradient_reference
+from reference_gradient import grad_speed, travel_time_gradient_reference
 from test_acceptance import GRADIENT_CASES
 
 FIELDS = ("dT", "event_time_grads", "event_speed_grads")

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from tcsmfd import MfdCurve, simulate, travel_time_gradient
-from tcsmfd.gradients import grad_speed
 
 from conftest import fd_gradient, make_scenario, small_random_scenario, three_group_scenario
+from reference_gradient import grad_speed
 
 
 def rel_error(analytic, fd, valid):

@@ -4,8 +4,9 @@
 exit, the price column first, shares by entry), where each row is exactly
 zero past its extent, and stores it as blocks of rows each cut at its
 widest extent.  The solver keeps that order and those blocks through the
-logit Jacobian, G and the QP.  An id-ordered dense ``grad_psi`` is the
-identity layout with full extents, whose blocks are row slices of it.
+logit Jacobian, G and the QP.  An id-ordered dense ``grad_psi`` takes
+the identity layout with full extents (``reference_formulas``), whose
+blocks are row slices of it.
 Both must give the same QP up to the permutation and the same solves up
 to the order of summation.
 """
@@ -23,15 +24,15 @@ from tcsmfd import (
     equilibrium_solve,
     generate_synthetic,
     logit_choice,
-    logit_gradient,
     preset_spec,
     simulate,
     travel_time_gradient,
 )
 from tcsmfd import gradients
-from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK, Layout
+from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
 from conftest import make_scenario, small_random_scenario
+from reference_formulas import identity_layout, logit_gradient
 from reference_gradient import travel_time_gradient_reference
 from test_gradient_reference import MFD_FORMS, memory_case
 
@@ -138,7 +139,8 @@ def linearizations(scenario, x, p, params, tcs):
     grad, layout, _ = tcsmfd.equilibrium._linearize(scenario, params, sim, psi)
     event = build_qp(x, p, psi, grad, scenario.gammas, params, 2, tcs=tcs, layout=layout)
     dense = logit_gradient(psi, travel_time_gradient(scenario, sim).dT, params)
-    ids = build_qp(x, p, psi, dense, scenario.gammas, params, 2, tcs=tcs)
+    ids = build_qp(x, p, psi, dense, scenario.gammas, params, 2, tcs=tcs,
+                   layout=identity_layout(dense))
     return event, ids
 
 
@@ -190,7 +192,7 @@ def dense_path(monkeypatch):
         n = scenario.n
         storage = np.zeros((n, n + 1))
         gm.layout.scatter(gm.storage, storage[:, :n], price=False)
-        return dataclasses.replace(gm, storage=storage, layout=Layout.identity(n, n + 1))
+        return dataclasses.replace(gm, storage=storage, layout=identity_layout(storage))
 
     monkeypatch.setattr(tcsmfd.equilibrium, "travel_time_gradient", dense)
 

@@ -7,17 +7,11 @@ import numpy as np
 import pytest
 
 from tcsmfd import (
-    Aggregates,
-    CapInactiveError,
     EmissionModel,
     EquilibriumReport,
     MfdCurve,
     ModalState,
     TcsParams,
-    compute_aggregates,
-    emission_charge_gradient,
-    emission_per_distance,
-    emission_per_distance_dv,
     equilibrium_solve,
     group_gains,
     optimize_charge,
@@ -25,10 +19,17 @@ from tcsmfd import (
     sweep_charges,
     total_emission,
     total_travel_time,
-    ttt_charge_gradient,
 )
 import tcsmfd.objectives
-from tcsmfd.objectives import _predicted_start
+from tcsmfd.objectives import (
+    CapInactiveError,
+    _predicted_start,
+    compute_aggregates,
+    emission_charge_gradient,
+    emission_per_distance,
+    emission_per_distance_dv,
+    ttt_charge_gradient,
+)
 
 from conftest import make_scenario
 

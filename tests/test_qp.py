@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcsmfd import project_box_halfspace, qp, solve_qp
+from tcsmfd import qp, solve_qp
 
 from kkt_oracle import enumerate_qp
+from reference_formulas import project_box_halfspace
 
 
 def random_instance(rng, n, definite=True, with_cap=True):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from tcsmfd import project_box_halfspace, solve_qp
+from tcsmfd import solve_qp
 
+from reference_formulas import project_box_halfspace
 from test_qp import random_instance
 
 

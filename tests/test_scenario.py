@@ -9,7 +9,6 @@ from tcsmfd import (
     GeneratorSpec,
     Group,
     MfdCurve,
-    PRESETS,
     Scenario,
     ScenarioError,
     TcsParams,
@@ -18,7 +17,7 @@ from tcsmfd import (
     preset_spec,
     save_scenario,
 )
-from tcsmfd.scenario import _partition_travelers, scenario_to_text
+from tcsmfd.scenario import PRESETS, _partition_travelers, scenario_to_text
 
 
 class TestMfdCurve:
@@ -142,6 +141,13 @@ class TestParams:
         for field, bad in [("alpha", -1.0), ("theta", -0.5), ("eta", -2.0), ("kappa", -1.0)]:
             with pytest.raises(ValueError):
                 TcsParams(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["p0", "gamma_emission", "p_carbon"])
+    @pytest.mark.parametrize("bad", [float("nan"), -1e-3])
+    def test_prices_must_be_non_negative(self, field, bad):
+        # a NaN price fails every comparison, so `< 0` alone would let it in
+        with pytest.raises(ScenarioError, match=f"^{field} must be >= 0$"):
+            TcsParams(**{field: bad})
 
     def test_eps_schedule(self):
         p = TcsParams()
