@@ -124,11 +124,10 @@ def _linearize(scenario: Scenario, params: TcsParams, sim: SimResult,
     layout = gm.layout
     w = (psi * (psi - 1.0) * params.theta)[layout.rows]
     share = w * params.alpha
-    price = 0 if layout.price_first else len(w)
     for (rows, shares), block in zip(layout.spans(gm.storage, price=False),
                                      layout.views(gm.storage)):
         shares *= share[rows, None]
-        block[:, price] = w[rows] * params.tau
+        block[:, 0] = w[rows] * params.tau
     return gm.storage, layout, gm.near_ties
 
 
@@ -139,23 +138,20 @@ class GaussNewtonMatrix:
     block's columns up to its widest extent: row i of G is exactly zero
     past the columns its block holds, and the last block spans every
     column.  Each product is two gemvs per block.  ``border`` is the market
-    term's coupling of the shares with the price, the first coordinate with
-    ``price_first`` and else the last: P[shares, price] and P[price,
-    shares] (None without the scheme).  It has no diagonal entry, so
-    diag(P) is the squared column norms of G, which are finite exactly when
-    G is (up to overflow, which P would share).  A non-finite G or border
-    raises ``ValueError``.
+    term's coupling of the shares with the price, the first coordinate:
+    P[shares, price] and P[price, shares] (None without the scheme).  It
+    has no diagonal entry, so diag(P) is the squared column norms of G,
+    which are finite exactly when G is (up to overflow, which P would
+    share).  A non-finite G or border raises ``ValueError``.
     """
 
-    def __init__(self, blocks, border=None, price_first=False):
+    def __init__(self, blocks, border=None):
         self.border = border
         # the widest block first: it spans every column
         *rest, last = blocks
         self._blocks = [(g, g.T, rows) for rows, g in [last, *rest]]
         m = last[1].shape[1]
         self.shape = (m, m)
-        self._price = 0 if price_first else m - 1
-        self._shares = slice(1, None) if price_first else slice(0, m - 1)
         self._diag = self._summed(lambda g, gt, rows: np.einsum("ij,ij->j", g, g))
         if not (np.all(np.isfinite(self._diag))
                 and (border is None or np.all(np.isfinite(border)))):
@@ -186,8 +182,8 @@ class GaussNewtonMatrix:
             width = g.shape[1]
             out[:width] += gt @ (g @ v[:width])
         if self.border is not None:
-            out[self._shares] += self.border * v[self._price]
-            out[self._price] += self.border @ v[self._shares]
+            out[1:] += self.border * v[0]
+            out[0] += self.border @ v[1:]
         return out
 
 
@@ -219,8 +215,9 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
 
     ``grad_psi`` is the logit Jacobian stored as ``layout`` says, as
     ``_linearize`` returns the two: a ``GradientMatrix``'s buffer of
-    event-ordered row blocks.  The QP's coordinates follow its columns,
-    and q, the bounds, the cap row and the border are mapped onto them.  G = grad_psi - I_x with I_x = [I, 0],
+    event-ordered row blocks, the price column first.  The QP's
+    coordinates follow its columns, and q, the bounds, the cap row and the
+    border are mapped onto them.  G = grad_psi - I_x with I_x = [I, 0],
     formed in place: ``grad_psi`` is consumed, and G is the views of its
     row blocks (``Layout.spans``), over the price column with the scheme
     and over the share columns alone without it.  Then
@@ -270,9 +267,8 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
     # stationary where the objective is not
     c = params.cap_weights(gammas)
     w = c / float(c.sum())
-    price_first = layout.price_first
-    border = (params.eta * (-w * params.tau))[coords[1:] if price_first else coords[:n]]
-    P = GaussNewtonMatrix(G, border, price_first=price_first)
+    border = (params.eta * (-w * params.tau))[coords[1:]]
+    P = GaussNewtonMatrix(G, border)
     market = np.empty(m)
     market[:n] = params.eta * (-w * params.tau * p0)
     market[n] = params.eta * float(w @ (params.kappa - params.tau * x0))

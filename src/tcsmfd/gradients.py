@@ -78,11 +78,12 @@ class Layout:
     """Where the entries of a linearization sit, and how they are stored.
 
     Row r holds the row of group ``rows[r]``, and column j the derivative
-    with respect to coordinate ``cols[j]``: the share of that group, or the
-    price for N, which is the first or the last column.  Row r is exactly
-    zero past its first ``extents[r]`` columns, which include the row's own
-    share column.  The extents never fall from one row to the next, and the
-    last one spans every column.
+    with respect to coordinate ``cols[j]``: the price for N, which is always
+    column 0, or else the share of that group.  Row r is exactly zero past
+    its first ``extents[r]`` columns, which include the row's own share
+    column.  The extents never fall from one row to the next, and the last
+    one spans every column.  A first column other than the price raises
+    ``ValueError``.
 
     The rows are stored in blocks of ``_ROWS_PER_BLOCK``, one after the
     other in one flat buffer of ``size`` floats.  ``blocks`` holds each
@@ -95,10 +96,12 @@ class Layout:
     __slots__ = ("rows", "cols", "extents", "blocks", "size")
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, extents: np.ndarray):
+        n = len(rows)
+        if cols[0] != n:
+            raise ValueError(f"column 0 must be the price coordinate {n}, not {cols[0]}")
         self.rows = rows
         self.cols = cols
         self.extents = extents
-        n = len(rows)
         self.blocks = []
         for a in range(0, n, _ROWS_PER_BLOCK):
             b = min(a + _ROWS_PER_BLOCK, n)
@@ -106,19 +109,12 @@ class Layout:
             self.blocks.append((a, b, min(widest + (1 - widest) % _GROW, len(cols))))
         self.size = sum((b - a) * width for a, b, width in self.blocks)
 
-    @property
-    def price_first(self) -> bool:
-        return self.cols[0] == len(self.rows)
-
     def columns(self, price: bool) -> tuple[slice, np.ndarray, np.ndarray]:
         """The array's columns with the price column or without it: their
         slice, the coordinate each holds and each row's extent within them."""
-        n = len(self.rows)
         if price:
             return slice(None), self.cols, self.extents
-        if self.price_first:
-            return slice(1, None), self.cols[1:], self.extents - 1
-        return slice(0, n), self.cols[:n], np.minimum(self.extents, n)
+        return slice(1, None), self.cols[1:], self.extents - 1
 
     def views(self, buffer: np.ndarray) -> list[np.ndarray]:
         """Each block of ``buffer``, a flat buffer of ``size`` floats or a

@@ -158,9 +158,9 @@ class MfdCurve:
 
     @cached_property
     def _scalar_speed(self):
-        """V(n) of a float n that is finite and >= 0, unchecked: the scalar
-        path of ``speed``, bound once for loops whose accumulation is valid
-        by construction (``simulate``)."""
+        """V(n) of a float n that is finite and >= 0, unchecked and bit for
+        bit ``speed``'s value, bound once for loops whose accumulation is
+        valid by construction (``simulate``)."""
         v_floor = self.v_floor
         if self.form == _GREENSHIELDS:
             # _raw's formula in float arithmetic, which rounds as numpy's
@@ -172,12 +172,7 @@ class MfdCurve:
     def speed(self, n):
         """Mean network speed V(n), m/s.  n may be a scalar or an array.
 
-        A float takes a scalar path that returns bitwise the value of the
-        array path."""
-        if isinstance(n, float):
-            if not (n >= 0.0 and math.isfinite(n)):
-                raise ValueError("accumulation must be finite and >= 0")
-            return self._scalar_speed(n)
+        A scalar gives a float."""
         arr = np.asarray(n, dtype=float)
         if np.any(arr < 0) or np.any(~np.isfinite(arr)):
             raise ValueError("accumulation must be finite and >= 0")
@@ -186,10 +181,6 @@ class MfdCurve:
 
     def dspeed(self, n):
         """dV/dn, exactly 0 wherever the v_floor clamp is active."""
-        if isinstance(n, float):
-            if not (n >= 0.0 and math.isfinite(n)):
-                raise ValueError("accumulation must be finite and >= 0")
-            return float(self._raw_d(n)) if self._raw(n) > self.v_floor else 0.0
         arr = np.asarray(n, dtype=float)
         if np.any(arr < 0) or np.any(~np.isfinite(arr)):
             raise ValueError("accumulation must be finite and >= 0")

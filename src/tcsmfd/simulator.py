@@ -22,7 +22,7 @@ and each keeps its own clock, D, accumulation, entry pointer and speed in
 vectors of one entry per sample.  Every step advances each sample by one
 event with the operations of the scalar loop applied elementwise (the same
 ``_two_sum``, the same comparisons, one array ``MfdCurve.speed`` call whose
-values are the scalar path's bits), so each sample's durations, and the
+values are ``_scalar_speed``'s bits), so each sample's durations, and the
 per-trip sums taken over them in the same order, are bitwise those of
 ``simulate``.  The road is a pair of (samples x groups) target arrays, +inf
 off the road; the next exit is their lexicographic minimum over (target hi,
@@ -95,10 +95,6 @@ class SimResult:
     @property
     def n_events(self) -> int:
         return len(self.times)
-
-    def active_mask(self, e: int) -> np.ndarray:
-        """Groups traveling during the period that ends at event e."""
-        return (self.entry_index < e) & (e <= self.exit_index)
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:

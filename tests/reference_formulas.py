@@ -3,11 +3,12 @@
 The solver keeps its linearization in event order, as row blocks cut at
 their widest extents, and writes the logit Jacobian, G and the stability
 Jacobian over them.  The tests check it against the textbook forms here:
-the logit Jacobian of an id-ordered N x N dT, the stability Jacobian
-assembled from it, and the identity ``Layout`` under which ``build_qp``
-reads such an N x (N+1) array.  ``project_box_halfspace`` is the QP
-solver's projection with its inputs checked, for the tests that build
-their own projections and KKT residuals.
+the logit Jacobian of an id-ordered N x N dT, with the price column last,
+and the stability Jacobian assembled from it.  ``build_qp`` reads such an
+N x (N+1) array as ``price_column_first`` copies it, under
+``identity_layout``.  ``project_box_halfspace`` is the QP solver's
+projection with its inputs checked, for the tests that build their own
+projections and KKT residuals.
 """
 
 import numpy as np
@@ -15,7 +16,13 @@ import numpy as np
 from tcsmfd import analysis, qp
 from tcsmfd.gradients import Layout
 
-__all__ = ["identity_layout", "logit_gradient", "project_box_halfspace", "stability_jacobian"]
+__all__ = [
+    "identity_layout",
+    "logit_gradient",
+    "price_column_first",
+    "project_box_halfspace",
+    "stability_jacobian",
+]
 
 
 def logit_gradient(psi0, dT, params) -> np.ndarray:
@@ -34,12 +41,18 @@ def logit_gradient(psi0, dT, params) -> np.ndarray:
     return out
 
 
+def price_column_first(grad_psi) -> np.ndarray:
+    """A C-ordered copy of an N x (N+1) ``grad_psi`` (price column last) with
+    the price column moved first, the share columns in id order after it."""
+    return np.concatenate((grad_psi[:, -1:], grad_psi[:, :-1]), axis=1)
+
+
 def identity_layout(grad_psi) -> Layout:
     """The layout of a C-ordered N x (N+1) ``grad_psi`` in id order, the
-    price column last and every row spanning every column: its row blocks
-    are row slices of it."""
+    price column first (as ``price_column_first`` gives it) and every row
+    spanning every column: its row blocks are row slices of it."""
     n, width = grad_psi.shape
-    return Layout(rows=np.arange(n), cols=np.arange(width), extents=np.full(n, width))
+    return Layout(rows=np.arange(n), cols=np.roll(np.arange(width), 1), extents=np.full(n, width))
 
 
 def stability_jacobian(grad_psi, gammas, tau) -> np.ndarray:

@@ -33,7 +33,7 @@ def grad_speed(scenario, sim, e: int) -> np.ndarray:
     out = np.zeros(n)
     if e <= 0:
         return out
-    mask = sim.active_mask(e)
+    mask = (sim.entry_index < e) & (e <= sim.exit_index)
     if mask.any():
         dv = scenario.mfd.dspeed(sim.n_after[e - 1])
         out[mask] = scenario.gammas[mask] * dv

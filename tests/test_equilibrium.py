@@ -24,7 +24,7 @@ import tcsmfd.equilibrium
 from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
 from conftest import make_scenario, small_random_scenario
-from reference_formulas import identity_layout, logit_gradient
+from reference_formulas import identity_layout, logit_gradient, price_column_first
 
 
 def assert_operator_matches(P, dense, same_order=None, rtol=1e-14):
@@ -153,8 +153,9 @@ class TestBuildQp:
         x0, p0 = np.array([0.42]), 0.004
         psi0 = np.array([0.55])
         d = 25.0
-        grad = logit_gradient(psi0, np.array([[d]]), params)
+        grad = price_column_first(logit_gradient(psi0, np.array([[d]]), params))
         prob = build_qp(x0, p0, psi0, grad, gamma, params, k=2, layout=identity_layout(grad))
+        order = prob.coords  # the QP's coordinates: the price, then the share
 
         w = 0.55 * (0.55 - 1.0) * 1.0
         g_row = np.array([w * 0.003 * d - 1.0, w * 200.0])
@@ -165,12 +166,12 @@ class TestBuildQp:
         q_hand[0] += 1.0 * (-200.0 * p0)
         q_hand[1] += 1.0 * (100.0 - 200.0 * 0.42)
 
-        assert_operator_matches(prob.P, P_hand)
-        np.testing.assert_allclose(prob.q, q_hand, rtol=1e-14)
+        assert_operator_matches(prob.P, P_hand[np.ix_(order, order)])
+        np.testing.assert_allclose(prob.step(prob.q), q_hand, rtol=1e-14)
         # trust region at k=2 is 0.5, wider than the remaining headroom up
-        np.testing.assert_allclose(prob.lower, [-0.42, -0.004])
-        np.testing.assert_allclose(prob.upper, [0.5, 0.5])
-        np.testing.assert_allclose(prob.cap_coeffs, [200.0 * 800.0, 0.0])
+        np.testing.assert_allclose(prob.step(prob.lower), [-0.42, -0.004])
+        np.testing.assert_allclose(prob.step(prob.upper), [0.5, 0.5])
+        np.testing.assert_allclose(prob.step(prob.cap_coeffs), [200.0 * 800.0, 0.0])
         assert prob.cap_rhs == pytest.approx(100.0 * 800.0 - 200.0 * 800.0 * 0.42)
 
     @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
@@ -183,8 +184,12 @@ class TestBuildQp:
         dT = np.random.default_rng(11).normal(scale=40.0, size=(3, 3))
         grad = logit_gradient(psi0, dT, params)
         G = grad - np.hstack([np.eye(3), np.zeros((3, 1))])
-        fresh = grad.copy()  # build_qp consumes its grad_psi
-        prob = build_qp(x0, p0, psi0, grad, gamma, params, k=1, layout=identity_layout(grad))
+        first = price_column_first(grad)
+        fresh = first.copy()  # build_qp consumes its grad_psi
+        prob = build_qp(x0, p0, psi0, first, gamma, params, k=1, layout=identity_layout(first))
+        # the same assembly with the QP's coordinates, the price first
+        order = prob.coords
+        G_first = price_column_first(G)
 
         if cap == "gamma-weighted":
             w = gamma / gamma.sum()
@@ -197,9 +202,10 @@ class TestBuildQp:
         # products round as the operator's do
         border = np.zeros((4, 4))
         border[:3, 3] = border[3, :3] = params.eta * (-w * params.tau)
-        assert_operator_matches(prob.P, G.T @ G + params.eta * Ip,
-                                same_order=lambda v: G.T @ (G @ v) + border @ v)
-        np.testing.assert_array_equal(prob.q, G.T @ (psi0 - x0) + params.eta * ip)
+        border = border[np.ix_(order, order)]
+        assert_operator_matches(prob.P, (G.T @ G + params.eta * Ip)[np.ix_(order, order)],
+                                same_order=lambda v: G_first.T @ (G_first @ v) + border @ v)
+        np.testing.assert_array_equal(prob.step(prob.q), G.T @ (psi0 - x0) + params.eta * ip)
         # without the scheme: the share block of the same assembly.  BLAS
         # orders a matrix-vector sum by the column count, so q matches the
         # N-column product exactly and the (N+1)-column one to rounding
@@ -212,26 +218,26 @@ class TestBuildQp:
         np.testing.assert_allclose(free.q, (G.T @ (psi0 - x0))[:3], rtol=1e-15, atol=0)
         # G was formed in grad_psi's storage: all of it with the scheme, the
         # share columns without it, the price column left as it was
-        assert grad.tobytes() == G.tobytes()
-        assert fresh[:, :3].tobytes() == G[:, :3].tobytes()
-        assert fresh[:, 3].tobytes() == G[:, 3].tobytes()
+        assert first.tobytes() == G_first.tobytes()
+        assert fresh[:, 1:].tobytes() == G[:, :3].tobytes()
+        assert fresh[:, 0].tobytes() == G[:, 3].tobytes()
 
     def test_cap_variants(self):
         params = TcsParams(cap_constraint="printed")
         gamma = np.array([100.0, 300.0])
         x0 = np.array([0.2, 0.3])
         psi0 = np.array([0.4, 0.5])
-        grad = logit_gradient(psi0, np.zeros((2, 2)), params)
+        grad = price_column_first(logit_gradient(psi0, np.zeros((2, 2)), params))
         prob = build_qp(x0, 0.01, psi0, grad, gamma, params, k=1, layout=identity_layout(grad))
-        np.testing.assert_allclose(prob.cap_coeffs[:2], [200.0, 200.0])
+        np.testing.assert_allclose(prob.step(prob.cap_coeffs)[:2], [200.0, 200.0])
         assert prob.cap_rhs == pytest.approx(100.0 * 2 - 200.0 * 0.5)
 
     def test_no_tcs_freezes_price(self, small_scenario):
         params = TcsParams()
         gamma = np.array([50.0])
         psi0 = np.array([0.5])
-        grad = logit_gradient(psi0, np.array([[10.0]]), params)
-        g = grad[0, 0] - 1.0  # read first: build_qp consumes grad
+        grad = price_column_first(logit_gradient(psi0, np.array([[10.0]]), params))
+        g = grad[0, 1] - 1.0  # read first: build_qp consumes grad
         prob = build_qp(np.array([0.4]), 0.0, psi0, grad, gamma, params, k=1, tcs=False,
                         layout=identity_layout(grad))
         # no price coordinate and no cap row: P is the 1x1 block g^2
@@ -249,7 +255,7 @@ class TestBuildQp:
         gamma = np.array([1e6, 1e6])
         x0 = np.array([0.5, 0.5 + 1e-3 / params.tau])
         psi0 = np.array([0.5, 0.5])
-        grad = logit_gradient(psi0, np.zeros((2, 2)), params)
+        grad = price_column_first(logit_gradient(psi0, np.zeros((2, 2)), params))
         with pytest.raises(ValueError, match="credit cap"):
             build_qp(x0, 0.01, psi0, grad, gamma, params, k=1, layout=identity_layout(grad))
 
@@ -257,14 +263,14 @@ class TestBuildQp:
         params = TcsParams()
         gamma = np.array([100.0])
         psi0 = np.array([0.5])
-        grad = logit_gradient(psi0, np.array([[10.0]]), params)
+        grad = price_column_first(logit_gradient(psi0, np.array([[10.0]]), params))
         with pytest.raises(ValueError):
             build_qp(np.array([0.9]), 0.01, psi0, grad, gamma, params, k=1,
                      layout=identity_layout(grad))
 
     def test_iteration_index_validated(self):
         params = TcsParams()
-        grad = np.zeros((1, 2))
+        grad = price_column_first(np.zeros((1, 2)))
         with pytest.raises(ValueError):
             build_qp(np.array([0.1]), 0.0, np.array([0.5]),
                      grad, np.array([1.0]), params, k=0, layout=identity_layout(grad))
@@ -284,6 +290,7 @@ class TestBuildQp:
         dT = np.random.default_rng(11).normal(scale=40.0, size=(3, 3))
         grad = logit_gradient(psi0, dT, params)
         grad[entry] = bad
+        grad = price_column_first(grad)
         with pytest.raises(ValueError, match="^P must be finite"):
             build_qp(x0, 0.006, psi0, grad, gamma, params, k=1, tcs=tcs,
                      layout=identity_layout(grad))

@@ -4,9 +4,9 @@
 exit, the price column first, shares by entry), where each row is exactly
 zero past its extent, and stores it as blocks of rows each cut at its
 widest extent.  The solver keeps that order and those blocks through the
-logit Jacobian, G and the QP.  An id-ordered dense ``grad_psi`` takes
-the identity layout with full extents (``reference_formulas``), whose
-blocks are row slices of it.
+logit Jacobian, G and the QP.  An id-ordered dense ``grad_psi``, its
+price column moved first, takes the identity layout with full extents
+(``reference_formulas``), whose blocks are row slices of it.
 Both must give the same QP up to the permutation and the same solves up
 to the order of summation.
 """
@@ -32,7 +32,7 @@ from tcsmfd import gradients
 from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
 from conftest import make_scenario, small_random_scenario
-from reference_formulas import identity_layout, logit_gradient
+from reference_formulas import identity_layout, logit_gradient, price_column_first
 from reference_gradient import travel_time_gradient_reference
 from test_gradient_reference import MFD_FORMS, memory_case
 
@@ -77,7 +77,7 @@ def test_rows_are_zero_past_their_extents(seed, n, xseed, form, ties, rows_per_b
     layout = gm.layout
     assert gm.dT.tobytes() == travel_time_gradient_reference(sc, sim).dT.tobytes()
 
-    assert layout.price_first and layout.cols[0] == n
+    assert layout.cols[0] == n
     assert sorted(layout.rows.tolist()) == sorted(layout.cols[1:].tolist()) == list(range(n))
     assert np.all(np.diff(layout.extents) >= 0) and layout.extents[-1] == n + 1
     # the -1 of G = grad_psi - I lands inside its row's extent
@@ -101,6 +101,15 @@ def test_rows_are_zero_past_their_extents(seed, n, xseed, form, ties, rows_per_b
         past = np.arange(width)[None, :] >= layout.extents[a:b, None]
         assert np.all(block[past] == 0.0) and not np.any(np.signbit(block[past]))
         assert not np.any(block[:, 0])
+
+
+@pytest.mark.parametrize("cols", [[0, 1, 2], [1, 0, 2], [1, 2, 0]])
+def test_layout_needs_the_price_in_column_0(cols):
+    # N = 2: coordinate 2 is the price.  A price anywhere but column 0
+    # would put the market border on a share coordinate, so it is refused
+    with pytest.raises(ValueError, match="column 0 must be the price coordinate 2"):
+        gradients.Layout(rows=np.arange(2), cols=np.array(cols), extents=np.full(2, 3))
+    gradients.Layout(rows=np.arange(2), cols=np.array([2, 0, 1]), extents=np.full(2, 3))
 
 
 @pytest.mark.parametrize("scenario", ["congested", "mid"])
@@ -138,7 +147,7 @@ def linearizations(scenario, x, p, params, tcs):
     psi = logit_choice(sim.car_times, scenario.pt_times, p, params)
     grad, layout, _ = tcsmfd.equilibrium._linearize(scenario, params, sim, psi)
     event = build_qp(x, p, psi, grad, scenario.gammas, params, 2, tcs=tcs, layout=layout)
-    dense = logit_gradient(psi, travel_time_gradient(scenario, sim).dT, params)
+    dense = price_column_first(logit_gradient(psi, travel_time_gradient(scenario, sim).dT, params))
     ids = build_qp(x, p, psi, dense, scenario.gammas, params, 2, tcs=tcs,
                    layout=identity_layout(dense))
     return event, ids
@@ -164,34 +173,38 @@ def test_build_qp_is_the_dense_assembly_permuted(congested, mid, tcs):
         coords = event.coords
         m = n + 1 if tcs else n
         assert sorted(coords.tolist()) == list(range(m))
-        assert ids.coords.tolist() == list(range(m))
-        assert_close(event.q, ids.q[coords])
+        assert ids.coords.tolist() == ([n] if tcs else []) + list(range(n))
+
+        def moved(z):  # a vector of the id-ordered QP in the event QP's order
+            return ids.step(z)[coords]
+
+        assert_close(event.q, moved(ids.q))
         # the bounds and the cap row are the same numbers, moved
-        assert event.lower.tobytes() == ids.lower[coords].tobytes()
-        assert event.upper.tobytes() == ids.upper[coords].tobytes()
+        assert event.lower.tobytes() == moved(ids.lower).tobytes()
+        assert event.upper.tobytes() == moved(ids.upper).tobytes()
         if tcs:
-            assert event.cap_coeffs.tobytes() == ids.cap_coeffs[coords].tobytes()
+            assert event.cap_coeffs.tobytes() == moved(ids.cap_coeffs).tobytes()
             assert event.cap_rhs == ids.cap_rhs
         else:
             assert event.cap_coeffs is None and ids.cap_coeffs is None
-        assert_close(event.P.diagonal(), ids.P.diagonal()[coords])
+        assert_close(event.P.diagonal(), moved(ids.P.diagonal()))
         rng = np.random.default_rng(3)
         for v in list(np.eye(m)[::11]) + list(rng.normal(size=(4, m))):
-            assert_close(event.P @ v, (ids.P @ event.step(v))[coords])
+            assert_close(event.P @ v, moved(ids.P @ event.step(v)[ids.coords]))
         z = rng.normal(size=m)
         assert event.step(z)[coords].tobytes() == z.tobytes()
 
 
 def dense_path(monkeypatch):
     """Make the solver take the identity layout: its gradient stored as dT
-    in id order, in an N x (N+1) array with the price column last."""
+    in id order, in an N x (N+1) array with the price column first."""
     gradient = tcsmfd.equilibrium.travel_time_gradient
 
     def dense(scenario, sim):
         gm = gradient(scenario, sim)
         n = scenario.n
         storage = np.zeros((n, n + 1))
-        gm.layout.scatter(gm.storage, storage[:, :n], price=False)
+        gm.layout.scatter(gm.storage, storage[:, 1:], price=False)
         return dataclasses.replace(gm, storage=storage, layout=identity_layout(storage))
 
     monkeypatch.setattr(tcsmfd.equilibrium, "travel_time_gradient", dense)

@@ -107,6 +107,9 @@ class TestMfdScalarPath:
             assert type(got) is float
             assert np.float64(got).tobytes() == array[k].tobytes(), (n, got, array[k])
             assert np.float64(fn(np.float64(n))).tobytes() == array[k].tobytes()
+            if method == "speed":  # simulate's unchecked loop path
+                got = SCALAR_CURVES[name]._scalar_speed(n)
+                assert np.float64(got).tobytes() == array[k].tobytes(), (n, got, array[k])
 
     @pytest.mark.parametrize("name", sorted(SCALAR_CURVES))
     def test_points_cover_floor_and_flat_tail(self, name):

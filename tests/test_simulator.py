@@ -142,9 +142,6 @@ class TestInvariants:
             # which is exactly the active set of the following period
             mask = (sim.entry_index <= e) & (e < sim.exit_index)
             assert sim.n_after[e] == pytest.approx(float(sc.gammas[mask] @ x[mask]), abs=1e-12)
-            np.testing.assert_array_equal(
-                sim.active_mask(e + 1) if e + 1 < 2 * sc.n else mask, mask
-            )
 
     def test_zero_shares_ride_free_flow(self):
         sc = small_random_scenario(8, n_groups=6)
