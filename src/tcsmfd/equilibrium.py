@@ -13,7 +13,18 @@ the cap tau*sum(c x) <= kappa*sum(c) holds, p >= 0, and
 p * sum(c (kappa - tau x)) = 0.  The cap weights c are the travelers per
 group, or ones under the "printed" variant (``TcsParams.cap_weights``).
 
-The solver linearizes psi around the current iterate and minimizes
+With the scheme on, the loop first takes market-clearing substitution
+steps: after simulating x it finds the price p_hat that clears the market
+at the simulated travel times, c'psi(T(x), p_hat) = kappa * sum(c) / tau
+(``_clearing_price``), and steps to (psi(T(x), p_hat), p_hat).  With the
+price eliminated this way the map x -> psi(T(x), p_hat(T(x))) has the
+Jacobian P * Psi_x of the stability check's reduced system, so it contracts
+wherever the cap binds and that matrix is small.  The first time the cap is
+slack at p = 0, or a step fails to halve the substitution residual
+(``_SUBSTITUTION_RATIO``), the loop takes QP steps for the rest of the run,
+the first of them from the best-J iterate so far.
+
+A QP step linearizes psi around the current iterate and minimizes
 
     J = 0.5 * || (grad_psi - I_x) dz + psi0 - x0 ||^2
         + eta * p * mean_c(kappa - tau * x)
@@ -23,8 +34,9 @@ linearization lives in the travel-time gradient's buffer: its rows in exit
 order, stored as blocks each cut at its widest extent (``gradients.Layout``).
 ``_linearize`` writes the logit Jacobian over it in place, for the loop
 here and for the stability check (``analysis``); the loop then forms
-G = grad_psi - I_x over it too, and the QP applies G block by block, so an
-outer iteration holds one such staircase and never an N x (N+1) rectangle.
+G = grad_psi - I_x over it too, and the QP applies G block by block, so a
+QP step holds one such staircase and never an N x (N+1) rectangle; a
+substitution step builds no linearization at all.
 """
 
 from __future__ import annotations
@@ -313,6 +325,72 @@ def _mean_slack(x, c, params: TcsParams) -> float:
     return float(c @ (params.kappa - params.tau * x)) / float(c.sum())
 
 
+# A substitution step is taken only while the substitution residual
+# ||psi(T(x), p_hat) - x||_inf falls at least this much from one step to the
+# next: the steps contract at the rate rho(P * Psi_x), and a slower rate is
+# better served by the QP's Newton-like steps
+_SUBSTITUTION_RATIO = 0.5
+
+# the clearing price is accepted once c'psi lies at most this fraction below
+# kappa * sum(c) / tau, and not above it
+_CLEARING_TOL = 1e-12
+
+
+def _clearing_price(t_car, t_pt, c, params: TcsParams) -> tuple[float, np.ndarray]:
+    """The price p_hat that clears the credit market at fixed travel times,
+    and the car shares psi(T, p_hat).
+
+    c'psi(T, p) falls strictly with p, so it meets the supply per car trip,
+    s = kappa * sum(c) / tau, at most once.  Where c'psi(T, 0) <= s the cap
+    is slack and p_hat = 0.  Otherwise a safeguarded Newton iteration on a
+    bracket (upper end found by doubling from 1 / (theta tau)) returns a
+    p_hat with s * (1 - _CLEARING_TOL) <= c'psi(T, p_hat) <= s, or the upper
+    end of a bracket with no float strictly inside it, where the cap holds
+    too.  Newton aims at the middle of that band; a Newton step that leaves
+    the bracket, or is longer than half the step before the last, is
+    replaced by a bisection (the safeguard of Numerical Recipes' rtsafe).
+    Nothing here reads the current price or ``params.p0``.
+    """
+    supply = params.kappa * float(c.sum()) / params.tau
+    band = _CLEARING_TOL * supply
+    goal = supply - 0.5 * band
+    slope = params.theta * params.tau
+
+    def excess(p):
+        psi = logit_choice(t_car, t_pt, p, params)
+        return float(c @ psi) - supply, psi
+
+    f, psi = excess(0.0)
+    if f <= 0.0:
+        return 0.0, psi
+    lo, hi = 0.0, 1.0 / slope
+    f_hi, psi_hi = excess(hi)
+    while f_hi > 0.0:
+        lo, f, psi = hi, f_hi, psi_hi
+        hi *= 2.0
+        f_hi, psi_hi = excess(hi)
+    p, last, before = lo, hi - lo, hi - lo
+    while True:
+        # Newton on c'psi = goal from the last point evaluated
+        d = -slope * float(c @ (psi * (1.0 - psi)))
+        newton = p - (f + supply - goal) / d if d < 0.0 else math.nan
+        if lo < newton < hi and abs(newton - p) <= 0.5 * before:
+            step = newton
+        else:
+            step = 0.5 * (lo + hi)
+            if not (lo < step < hi):
+                return hi, psi_hi
+        last, before = abs(step - p), last
+        p = step
+        f, psi = excess(p)
+        if f > 0.0:
+            lo = p
+        else:
+            hi, psi_hi = p, psi
+            if f >= -band:
+                return hi, psi_hi
+
+
 def _j_value(x, p, psi, gammas, params: TcsParams, tcs: bool = True) -> float:
     """Objective J at a point, zero step: equilibrium gap plus the
     market-clearing product (per unit of cap weight)."""
@@ -340,10 +418,11 @@ class EquilibriumReport:
     cap_constraint: str = "gamma-weighted"
     tcs: bool = True
     message: str = ""
-    qp_unconverged: int = 0   # outer iterations whose inner QP stopped unconverged
-    near_ties: int = 0        # outer iterations whose gradient saw near ties
-    # per outer iteration that took a step: the QP's iterations and its CG
-    # products (``QpSolution.iterations`` and ``cg_iterations``)
+    substitution_steps: int = 0   # market-clearing substitution steps taken
+    qp_unconverged: int = 0   # QP steps whose inner QP stopped unconverged
+    near_ties: int = 0        # QP steps whose gradient saw near ties
+    # per QP step: the QP's iterations and its CG products
+    # (``QpSolution.iterations`` and ``cg_iterations``)
     qp_iterations: list = field(default_factory=list)
     cg_iterations: list = field(default_factory=list)
 
@@ -365,7 +444,20 @@ def equilibrium_solve(
     x_tol: float = 1e-4,
     qp_tol: float = 1e-10,
 ) -> EquilibriumReport:
-    """Fixed-point loop: simulate, linearize, step by the QP solution.
+    """Fixed-point loop: simulate, then step by market-clearing
+    substitution or by the linearized QP's solution.
+
+    With the scheme on, each step is a substitution step (see the module
+    docstring) while the cap binds at the simulated travel times and the
+    substitution residual ||psi(T(x), p_hat) - x||_inf falls to at most
+    ``_SUBSTITUTION_RATIO`` times its value at the last substitution step
+    (the first step always qualifies).  The first time either test fails,
+    this step and every later one is a QP step, and the first QP step is
+    taken from the best-J iterate so far (the current one, unless a
+    substitution step made J worse).  The trust region counts QP steps only,
+    so the first QP step has eps = 1 under the ``inverse`` schedule.
+    Without the scheme, or where the cap is slack at the start, every step
+    is a QP step.
 
     Stops once J < j_goal and the fixed-point residual ||x - psi||_inf is
     below ``x_tol`` (J alone leaves the residual too loose), or after
@@ -409,6 +501,9 @@ def equilibrium_solve(
     near_ties = 0
     qp_iterations: list[int] = []
     cg_iterations: list[int] = []
+    substituting = tcs
+    substitution_steps = 0
+    last_substitution = math.inf  # the substitution residual of the last such step
     k = 0
     psi = np.zeros(n)
 
@@ -428,6 +523,20 @@ def equilibrium_solve(
         if k == params.max_iters:
             break  # a step from here would never be simulated
 
+        if substituting:
+            p_hat, psi_hat = _clearing_price(sim.car_times, scenario.pt_times, c, params)
+            moved = float(np.max(np.abs(psi_hat - x)))
+            substituting = p_hat > 0.0 and moved <= _SUBSTITUTION_RATIO * last_substitution
+            if substituting:
+                last_substitution = moved
+                substitution_steps += 1
+                x, p = psi_hat, p_hat
+                continue
+            # the QP steps start from the best-J iterate, so a substitution
+            # step that overshot into a slack cap does not leave them a
+            # worse start than the solve had
+            _, x, p, psi, sim = best
+
         # one buffer carries the linearization, as the gradient's event-
         # ordered row blocks holding the logit Jacobian, and build_qp turns
         # it into G in place and orders the QP's coordinates as G's
@@ -436,7 +545,8 @@ def equilibrium_solve(
         # gradient allocates its own
         grad_psi, layout, ties = _linearize(scenario, params, sim, psi)
         near_ties += ties
-        prob = build_qp(x, p, psi, grad_psi, gammas, params, k, tcs=tcs, layout=layout)
+        prob = build_qp(x, p, psi, grad_psi, gammas, params, len(qp_iterations) + 1,
+                        tcs=tcs, layout=layout)
         del grad_psi
         sol = solve_qp(prob.P, prob.q, prob.lower, prob.upper,
                        a=prob.cap_coeffs, b=prob.cap_rhs, tol=qp_tol)
@@ -468,6 +578,7 @@ def equilibrium_solve(
         cap_constraint=params.cap_constraint,
         tcs=tcs,
         message="" if converged else "hit max_iters; returning best-J iterate",
+        substitution_steps=substitution_steps,
         qp_unconverged=qp_unconverged,
         near_ties=near_ties,
         qp_iterations=qp_iterations,

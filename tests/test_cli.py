@@ -109,8 +109,10 @@ class TestEquilibrium:
         assert len(eq["x"]) == 6
         assert eq["p"] >= 0.0
         assert eq["iterations"] == len(eq["j_trace"])
-        # one QP per outer iteration that took a step: all but the last
-        assert len(eq["qp_iterations"]) == len(eq["cg_iterations"]) == eq["iterations"] - 1
+        # every outer iteration but the last took a step, each a
+        # substitution step or a QP step, and the payload says which
+        assert len(eq["qp_iterations"]) == len(eq["cg_iterations"])
+        assert eq["substitution_steps"] + len(eq["qp_iterations"]) == eq["iterations"] - 1
         assert "ttt_h" in eq and "emission_t" in eq
         man = read_json(tmp_path / "manifest.json")
         assert man["params"]["tau"] == 200.0
@@ -155,12 +157,16 @@ class TestEquilibrium:
             make_scenario([(20.0, 0.0, 500.0, 200.0), (15.0, 0.0, 600.0, 250.0)]),
             path,
         )
-        rc = main(["equilibrium", "--scenario", str(path), "-o", str(tmp_path)])
+        # the counts are per QP step, and without the scheme every step is one
+        rc = main(["equilibrium", "--scenario", str(path), "-o", str(tmp_path),
+                   "--no-tcs"])
         assert rc == 0
         eq = read_json(tmp_path / "equilibrium.json")
         assert eq["qp_unconverged"] == 0
+        assert eq["substitution_steps"] == 0
         # one gradient per outer iteration, except the one that converged
-        assert eq["near_ties"] == eq["iterations"] - int(eq["converged"]) >= 1
+        assert eq["converged"]
+        assert eq["near_ties"] == len(eq["qp_iterations"]) == eq["iterations"] - 1 >= 1
 
     def test_invalid_params_exit_2(self, scenario_file, tmp_path, capsys):
         rc = main([
@@ -341,8 +347,8 @@ class TestStability:
 
     def test_checks_the_reports_without_simulating_again(self, tmp_path, monkeypatch):
         # the stability rows read each equilibrium report's own simulation:
-        # 13 simulations for the three solves, none more for the two
-        # binding charges' checks
+        # the three solves' simulations, one per outer iteration, and none
+        # more for the two binding charges' checks
         assert main(["generate", "--preset", "congested", "--seed", "0",
                      "-o", str(tmp_path / "scn")]) == 0
         calls = []
@@ -357,7 +363,7 @@ class TestStability:
         assert rc == 0
         rows = (tmp_path / "stab" / "stability.csv").read_text().splitlines()[1:]
         assert sum(row.split(",")[2] != "" for row in rows) == 2
-        assert len(calls) == 13
+        assert len(calls) == sum(int(row.split(",")[6]) for row in rows)
 
 
 class TestGains:
@@ -420,24 +426,55 @@ BASE_ARGS = {
     "study": ["--taus", "130,146", "--samples", "12"],
 }
 
+# --eta, --eps and --p0 act on QP steps only, and at BASE_ARGS's charges the
+# cap binds on scenario_file, whose solves then take substitution steps
+# alone.  So these flags are checked on the congested preset, whose solves
+# take QP steps: --eps and --p0 at charges where its cap is slack (the first
+# QP step starts from p0), --eta at charges near 160, where its binding
+# solves switch to QP steps (eta weights a QP step's market term, which a
+# slack cap's zero price leaves inert)
+SLACK_ARGS = {
+    "equilibrium": ["--tau", "120"], "stability": ["--tau", "120"],
+    "gains": ["--tau", "120"], "sweep": ["--taus", "110,120"],
+    "optimize": ["--lo", "110", "--hi", "126"],
+    "study": ["--taus", "110,120", "--samples", "12"],
+}
+SWITCH_ARGS = {
+    "equilibrium": ["--tau", "160"], "stability": ["--tau", "160"],
+    "gains": ["--tau", "160"], "sweep": ["--taus", "150,160"],
+    "optimize": ["--lo", "150", "--hi", "166"],
+    "study": ["--taus", "150,160", "--samples", "12"],
+}
+
 
 def outputs_of(out):
     return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
 
 
 @pytest.fixture(scope="module")
+def congested_file(tmp_path_factory):
+    """The congested preset at seed 0."""
+    out = tmp_path_factory.mktemp("gen-congested")
+    assert main(["generate", "--preset", "congested", "-o", str(out)]) == 0
+    return out / "scenario.json"
+
+
+@pytest.fixture(scope="module")
 def base_run(scenario_file, tmp_path_factory):
-    """Output directory of each subcommand's run at the default parameters."""
+    """Output directory of each subcommand's run at the default parameters,
+    on scenario_file with BASE_ARGS unless given another input."""
     runs = {}
 
-    def run(command):
-        if command not in runs:
+    def run(command, scenario=None, args=None):
+        scenario = scenario or scenario_file
+        args = BASE_ARGS[command] if args is None else args
+        key = (command, str(scenario), tuple(args))
+        if key not in runs:
             out = tmp_path_factory.mktemp(command)
-            rc = main([command, "--scenario", str(scenario_file), "-o", str(out),
-                       *BASE_ARGS[command]])
+            rc = main([command, "--scenario", str(scenario), "-o", str(out), *args])
             assert rc == 0
-            runs[command] = out
-        return runs[command]
+            runs[key] = out
+        return runs[key]
 
     return run
 
@@ -453,12 +490,17 @@ class TestFlagTable:
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command, flags in ACCEPTS.items() for flag in flags
     ])
-    def test_accepted_flag_reaches_an_output(self, scenario_file, base_run, tmp_path,
-                                             command, flag):
-        rc = main([command, "--scenario", str(scenario_file), "-o", str(tmp_path),
-                   *BASE_ARGS[command], flag, PERTURBED[flag]])
+    def test_accepted_flag_reaches_an_output(self, scenario_file, congested_file,
+                                             base_run, tmp_path, command, flag):
+        scenario, args = scenario_file, BASE_ARGS[command]
+        if flag == "--eta":
+            scenario, args = congested_file, SWITCH_ARGS[command]
+        elif flag in ("--eps", "--p0"):
+            scenario, args = congested_file, SLACK_ARGS[command]
+        rc = main([command, "--scenario", str(scenario), "-o", str(tmp_path),
+                   *args, flag, PERTURBED[flag]])
         assert rc == 0
-        base = outputs_of(base_run(command))
+        base = outputs_of(base_run(command, scenario, args))
         assert outputs_of(tmp_path).keys() == base.keys()
         assert outputs_of(tmp_path) != base
 

@@ -21,6 +21,7 @@ from tcsmfd import (
     travel_time_gradient,
 )
 import tcsmfd.equilibrium
+from tcsmfd.equilibrium import _clearing_price
 from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
 from conftest import make_scenario, small_random_scenario
@@ -301,9 +302,11 @@ def congested_qps():
     """The build_qp calls of one congested seed-0 equilibrium with the
     scheme and one without: (tcs, build_qp arguments, its problem).  The
     recorded grad_psi is a copy taken before build_qp consumes it, and the
-    arguments end with the keywords: tcs and the gradient's layout."""
+    arguments end with the keywords: tcs and the gradient's layout.  The
+    charge is 160, where the binding solve switches from substitution steps
+    to QP steps (the charge does not enter the solve without the scheme)."""
     scenario = generate_synthetic(0, preset_spec("congested"))
-    params = TcsParams()
+    params = TcsParams(tau=160.0)
     calls = []
 
     def recording(*args, tcs=True, layout):
@@ -420,7 +423,9 @@ def test_solve_holds_one_jacobian_sized_array(citywide, tcs, monkeypatch):
     # each linearization lives in one buffer of row blocks cut at their
     # widest extents, shared by dT, the logit Jacobian and G and dropped
     # before the next gradient; an N x (N+1) rectangle or a second buffer
-    # alive at any point would put the peak past the bound
+    # alive at any point would put the peak past the bound.  The charge is
+    # 120, where the cap is slack and the scheme's solve takes QP steps with
+    # the price column (the charge does not enter the solve without it)
     gradient = tcsmfd.equilibrium.travel_time_gradient
     extents = []
 
@@ -433,14 +438,34 @@ def test_solve_holds_one_jacobian_sized_array(citywide, tcs, monkeypatch):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rep = equilibrium_solve(citywide, TcsParams(), tcs=tcs)
+        rep = equilibrium_solve(citywide, TcsParams(tau=120.0), tcs=tcs)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert rep.converged and len(rep.qp_iterations) == len(extents) >= 2
+    assert rep.substitution_steps == 0
     staircase = max(map(staircase_bytes, extents))
     assert staircase < 0.75 * citywide.n * (citywide.n + 1) * 8
     assert peak < 1.15 * staircase
+
+
+def test_substitution_solve_holds_no_jacobian_sized_array(citywide, monkeypatch):
+    # a binding solve of substitution steps alone builds no linearization:
+    # its peak is the simulations' and the logit's arrays, far below one
+    # N x (N+1) rectangle
+    def refused(*args, **kwargs):
+        raise AssertionError("substitution steps need no travel-time gradient")
+
+    monkeypatch.setattr(tcsmfd.equilibrium, "travel_time_gradient", refused)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = equilibrium_solve(citywide, TcsParams())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.substitution_steps == rep.iterations - 1 >= 1
+    assert peak < 0.1 * citywide.n * (citywide.n + 1) * 8
 
 
 def test_j_value_hand_case():
@@ -551,11 +576,12 @@ class TestEquilibriumSolver:
         assert len(rep.mcc_trace) == rep.iterations
 
     def test_unconverged_inner_qp_is_counted(self):
+        # the count is per QP step, and without the scheme every step is one
         scenario = generate_synthetic(0, preset_spec("small"))
         params = TcsParams()
-        assert equilibrium_solve(scenario, params).qp_unconverged == 0
+        assert equilibrium_solve(scenario, params, tcs=False).qp_unconverged == 0
         # a zero tolerance cannot be met, so every inner QP hits max_iter
-        rep = equilibrium_solve(scenario, params, qp_tol=0.0)
+        rep = equilibrium_solve(scenario, params, tcs=False, qp_tol=0.0)
         assert rep.qp_unconverged >= 1
 
     def test_near_ties_are_counted(self):
@@ -563,16 +589,20 @@ class TestEquilibriumSolver:
         scenario = make_scenario(
             [(20.0, 0.0, 500.0, 200.0), (15.0, 0.0, 600.0, 250.0)]
         )
-        rep = equilibrium_solve(scenario, TcsParams())
+        # the count is per QP step, and without the scheme every step is one
+        rep = equilibrium_solve(scenario, TcsParams(), tcs=False)
         assert rep.near_ties >= 1
         # one gradient per outer iteration, except the one that converged
-        assert rep.near_ties == rep.iterations - int(rep.converged)
+        assert rep.near_ties == len(rep.qp_iterations) == rep.iterations - int(rep.converged)
 
     @pytest.mark.parametrize("case", ["tcs", "no_tcs", "max_iters"])
     def test_report_sim_is_the_simulation_of_its_state(self, small_scenario, case):
         if case == "max_iters":
             # x_tol=0 never converges; J bottoms out before the last iterate
-            rep = equilibrium_solve(small_scenario, TcsParams(max_iters=6), x_tol=0.0)
+            # of the QP steps that a solve without the scheme takes (the
+            # scheme's substitution steps lower J to the last)
+            rep = equilibrium_solve(small_scenario, TcsParams(max_iters=6), tcs=False,
+                                    x_tol=0.0)
             assert not rep.converged
             assert int(np.argmin(rep.j_trace)) < rep.iterations - 1
         else:
@@ -585,18 +615,26 @@ class TestEquilibriumSolver:
             assert getattr(rep.sim, name).tobytes() == getattr(fresh, name).tobytes(), name
 
     def test_last_iteration_builds_no_step(self, small_scenario, monkeypatch):
-        # the step of iteration max_iters would never be simulated
-        calls = {"travel_time_gradient": 0, "solve_qp": 0}
-        for name in calls:
+        # the step of iteration max_iters would never be simulated: neither
+        # a QP step (every step without the scheme) nor a substitution step
+        # (every step of this binding solve with it)
+        calls = {}
+        for name in ("travel_time_gradient", "solve_qp", "_clearing_price"):
             def counted(*args, _fn=getattr(tcsmfd.equilibrium, name), _name=name,
                         **kwargs):
-                calls[_name] += 1
+                calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(tcsmfd.equilibrium, name, counted)
         m = 4
-        rep = equilibrium_solve(small_scenario, TcsParams(max_iters=m), x_tol=0.0)
+        rep = equilibrium_solve(small_scenario, TcsParams(max_iters=m), tcs=False,
+                                x_tol=0.0)
         assert not rep.converged and rep.iterations == m
         assert calls == {"travel_time_gradient": m - 1, "solve_qp": m - 1}
+        calls.clear()
+        rep = equilibrium_solve(small_scenario, TcsParams(max_iters=m), x_tol=0.0)
+        assert not rep.converged and rep.iterations == m
+        assert rep.substitution_steps == m - 1
+        assert calls == {"_clearing_price": m - 1}
 
     @pytest.mark.parametrize("case", ["converged", "max_iters"])
     def test_qp_counts_per_step(self, small_scenario, monkeypatch, case):
@@ -607,11 +645,14 @@ class TestEquilibriumSolver:
             return solutions[-1]
 
         monkeypatch.setattr(tcsmfd.equilibrium, "solve_qp", recording)
+        # without the scheme every step is a QP step
         if case == "converged":
-            rep = equilibrium_solve(small_scenario, TcsParams())
+            rep = equilibrium_solve(small_scenario, TcsParams(), tcs=False)
         else:
-            rep = equilibrium_solve(small_scenario, TcsParams(max_iters=4), x_tol=0.0)
+            rep = equilibrium_solve(small_scenario, TcsParams(max_iters=4), tcs=False,
+                                    x_tol=0.0)
         assert rep.converged == (case == "converged")
+        assert rep.substitution_steps == 0
         # neither exit takes a step from its last iterate
         assert len(rep.qp_iterations) == len(rep.cg_iterations) == rep.iterations - 1
         assert rep.qp_iterations == [sol.iterations for sol in solutions]
@@ -658,6 +699,140 @@ class TestColdStart:
                                  x_init=np.zeros(congested.n))
         assert centre.converged and zero.converged
         assert centre.iterations <= zero.iterations
+
+
+def clearing_inputs(scenario, params, x):
+    """``_clearing_price``'s inputs at the simulation of shares x."""
+    sim = simulate(scenario, x)
+    return sim.car_times, scenario.pt_times, params.cap_weights(scenario.gammas)
+
+
+def recording_build_qp(monkeypatch):
+    """The iteration index k of each build_qp call, as the solve makes them."""
+    ks = []
+
+    def recording(*args, **kwargs):
+        ks.append(args[6])
+        return build_qp(*args, **kwargs)
+
+    monkeypatch.setattr(tcsmfd.equilibrium, "build_qp", recording)
+    return ks
+
+
+class TestSubstitution:
+    def test_clearing_price_is_zero_on_a_slack_cap(self, congested):
+        params = TcsParams(tau=120.0)
+        t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.5))
+        at_zero = logit_choice(t_car, t_pt, 0.0, params)
+        assert float(c @ at_zero) < params.kappa * float(c.sum()) / params.tau
+        p, psi = _clearing_price(t_car, t_pt, c, params)
+        assert p == 0.0
+        assert psi.tobytes() == at_zero.tobytes()
+
+    @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
+    @pytest.mark.parametrize("tau", [160.0, 200.0, 300.0, 440.0])
+    def test_clearing_price_holds_the_cap(self, congested, tau, cap):
+        params = TcsParams(tau=tau, cap_constraint=cap)
+        t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.4))
+        p, psi = _clearing_price(t_car, t_pt, c, params)
+        supply = params.kappa * float(c.sum()) / params.tau
+        assert p > 0.0
+        assert psi.tobytes() == logit_choice(t_car, t_pt, p, params).tobytes()
+        assert supply * (1.0 - 1e-12) <= float(c @ psi) <= supply
+
+    def test_clearing_price_ignores_the_start_price(self, congested):
+        a, b = TcsParams(p0=0.01), TcsParams(p0=0.3)
+        inputs = clearing_inputs(congested, a, np.full(congested.n, 0.4))
+        (p_a, psi_a), (p_b, psi_b) = (_clearing_price(*inputs, params) for params in (a, b))
+        assert p_a == p_b and psi_a.tobytes() == psi_b.tobytes()
+        # so a solve of substitution steps alone lands on the same bits
+        # from either start price
+        rep_a, rep_b = (equilibrium_solve(congested, params) for params in (a, b))
+        assert rep_a.converged and rep_a.substitution_steps == rep_a.iterations - 1 >= 1
+        assert rep_a.state.p == rep_b.state.p
+        assert rep_a.state.x.tobytes() == rep_b.state.x.tobytes()
+
+    def test_a_step_that_stops_halving_switches_to_qp(self, congested, monkeypatch):
+        # at tau = 160 the congested preset's substitution residual stops
+        # halving while the cap still binds
+        prices = []
+
+        def clearing(*args):
+            prices.append(_clearing_price(*args))
+            return prices[-1]
+
+        monkeypatch.setattr(tcsmfd.equilibrium, "_clearing_price", clearing)
+        ks = recording_build_qp(monkeypatch)
+        rep = equilibrium_solve(congested, TcsParams(tau=160.0))
+        assert rep.converged and rep.qp_unconverged == 0 and rep.state.p > 0.0
+        assert rep.substitution_steps >= 1 and len(rep.qp_iterations) >= 1
+        assert rep.substitution_steps + len(rep.qp_iterations) == rep.iterations - 1
+        # one clearing price per substitution step, and one more at the
+        # step that switched, where the cap bound
+        assert len(prices) == rep.substitution_steps + 1 and prices[-1][0] > 0.0
+        # the trust region counts QP steps only: the first has k = 1
+        assert ks == list(range(1, len(rep.qp_iterations) + 1))
+
+    @pytest.mark.parametrize("seed, congestion, cap, tau", [
+        (8563, 1.3, "printed", 130.0), (6042, 1.442, "gamma-weighted", 153.2),
+    ])
+    def test_qp_steps_start_from_the_best_iterate(self, seed, congestion, cap, tau):
+        # two hypercongested groups: the first substitution step raises the
+        # car shares until the cap is slack at p = 0 and the residual grows;
+        # QP steps taken from there cycled under the constant trust region
+        # until max_iters, and from the start they converge
+        scenario = small_random_scenario(seed, n_groups=2, congestion=congestion)
+        params = TcsParams(tau=tau, cap_constraint=cap, eps_schedule="const:0.3")
+        rep = equilibrium_solve(scenario, params)
+        assert rep.residual_trace[1] > rep.residual_trace[0]
+        assert rep.converged and rep.substitution_steps == 1 and rep.state.p == 0.0
+
+    @pytest.mark.parametrize("tcs", [True, False])
+    def test_no_substitution_without_a_binding_cap(self, congested, monkeypatch, tcs):
+        # tau = 120 leaves the cap slack, and without the scheme there is none
+        ks = recording_build_qp(monkeypatch)
+        rep = equilibrium_solve(congested, TcsParams(tau=120.0), tcs=tcs)
+        assert rep.converged and rep.substitution_steps == 0
+        assert ks == list(range(1, rep.iterations))
+
+
+def test_single_group_price_overshoot_converges():
+    # once a stall: the price's QP steps went 0.01 -> 0.042 -> 0 -> 0.269,
+    # into the logit's flat tail where the price column vanishes, and the
+    # solve sat at residual 0.5 until max_iters
+    base = small_random_scenario(622, n_groups=1, congestion=0.3)
+    v_free, n_jam = base.mfd.params
+    scenario = Scenario(groups=base.groups,
+                        mfd=MfdCurve.greenshields(v_free, n_jam, 0.8 * v_free))
+    rep = equilibrium_solve(scenario, TcsParams())
+    assert rep.converged and rep.residual_final < 1e-4
+    assert rep.state.p == pytest.approx(0.02274, rel=1e-3)
+
+
+@pytest.fixture(scope="module")
+def held_out():
+    """Generated scenarios by (preset, seed), each made once."""
+    cache = {}
+
+    def get(preset, seed):
+        if (preset, seed) not in cache:
+            cache[preset, seed] = generate_synthetic(seed, preset_spec(preset))
+        return cache[preset, seed]
+
+    return get
+
+
+@pytest.mark.parametrize("preset, seed, tau", [
+    ("congested", seed, tau) for seed in range(10) for tau in (120.0, 160.0, 200.0, 300.0)
+] + [
+    ("citywide", seed, tau) for seed in (1, 2, 3) for tau in (200.0, 300.0)
+])
+def test_held_out_solves_converge(held_out, preset, seed, tau):
+    # cold solves on generator seeds the presets' references do not use
+    scenario = held_out(preset, seed)
+    rep = equilibrium_solve(scenario, TcsParams(tau=tau))
+    assert rep.converged and rep.qp_unconverged == 0
+    assert abs(rep.state.p * rep.cap_slack) / float(scenario.gammas.sum()) < 1e-4
 
 
 def _contract_curve(form, v_free, n_jam, v_floor):

@@ -56,7 +56,9 @@ def test_tracer_installs_and_restores_every_binding(tracer_module, small_scenari
     try:
         for (mod, attr), fn in bindings.items():
             assert getattr(mod, attr) is not fn and getattr(mod, attr).__wrapped__ is fn
-        rep = tcsmfd.equilibrium_solve(small_scenario, tcsmfd.TcsParams())
+        # a solve without the scheme takes QP steps alone, so every traced
+        # layer of the solve is called
+        rep = tcsmfd.equilibrium_solve(small_scenario, tcsmfd.TcsParams(), tcs=False)
     finally:
         tracer.uninstall()
     for (mod, attr), fn in bindings.items():

@@ -227,7 +227,8 @@ def test_solve_matches_the_dense_path(preset, monkeypatch):
 
 def test_solver_calls_the_module_names_once_per_step(monkeypatch):
     # perfbench's tracer replaces these names in tcsmfd.equilibrium: the
-    # solver must call them there, once per outer iteration that steps
+    # solver must call them there, once per QP step (and a solve without
+    # the scheme takes QP steps alone)
     calls = {}
     for name in ("travel_time_gradient", "build_qp", "solve_qp"):
         fn = getattr(tcsmfd.equilibrium, name)
@@ -239,7 +240,7 @@ def test_solver_calls_the_module_names_once_per_step(monkeypatch):
 
         monkeypatch.setattr(tcsmfd.equilibrium, name, counted)
     scenario = generate_synthetic(0, preset_spec("small"))
-    rep = equilibrium_solve(scenario, TcsParams())
+    rep = equilibrium_solve(scenario, TcsParams(), tcs=False)
     steps = len(rep.qp_iterations)
     assert rep.converged and steps >= 2
     assert calls == {"travel_time_gradient": steps, "build_qp": steps, "solve_qp": steps}
