@@ -10,8 +10,11 @@ time the run reports on a ``stage <name> <seconds> s`` line (the workload's
 median per stage, ``stage.uniqueness_s`` and so on; lower is better), so a
 speed claim can name its layer.  ``--workload`` takes one or more
 workloads, or ``all``; they run one after the other, each with its own
-summary.  The last line is one JSON object with every workload's runs and
-summaries.
+summary.  Then follows the net line change (lines added minus lines
+deleted, from ``git diff --numstat``) of ``src/`` and ``tests/`` in the
+working tree against ``--base``, the number each change reports next to its
+benchmark delta.  The last line is one JSON object with every workload's
+runs and summaries and the net line change.
 
     python3 scripts/bench_pairs.py --base HEAD --workload all
     python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
@@ -44,6 +47,7 @@ WORKLOADS = ("citywide_equilibrium", "congested_policy", "congested_diagnostics"
 
 
 SEED = 0
+NET_LINE_DIRS = ("src", "tests")
 STAGE_LINE = re.compile(r"stage (\S+) (\S+) s")
 
 
@@ -73,6 +77,21 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
     stages = {f"stage.{m[1]}": float(m[2])
               for m in map(STAGE_LINE.fullmatch, lines[:-1]) if m}
     return {"correct": result["correct"], "failed": result["failed"], **values, **stages}
+
+
+def net_lines(rev: str) -> dict:
+    """Lines added minus lines deleted under src/ and tests/ against ``rev``."""
+    out = subprocess.run(
+        ["git", "-C", str(ROOT), "diff", "--numstat", "--no-renames", rev, "--",
+         *NET_LINE_DIRS],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    net = dict.fromkeys(NET_LINE_DIRS, 0)
+    for line in out.splitlines():
+        added, deleted, path = line.split("\t", 2)
+        if added != "-":   # "-" marks a binary file
+            net[path.split("/", 1)[0]] += int(added) - int(deleted)
+    return net
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -144,9 +163,13 @@ def main(argv=None) -> int:
     all_correct = all(r["correct"] for w in results.values()
                       for side in w["runs"].values() for r in side)
     print(f"every run correct: {all_correct}")
+    net = net_lines(args.base)
+    print("net line change against " + args.base + ": "
+          + ", ".join(f"{d}/ {n:+d}" for d, n in net.items()))
     print(json.dumps({"base": args.base,
                       "runs": {w: res["runs"] for w, res in results.items()},
-                      "summary": {w: res["summary"] for w, res in results.items()}}))
+                      "summary": {w: res["summary"] for w, res in results.items()},
+                      "net_lines": net}))
     return 0 if all_correct else 1
 
 

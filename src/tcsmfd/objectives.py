@@ -1,9 +1,11 @@
 """System objectives and credit-charge optimization.
 
 Total travel time, fuel-consumption-curve CO2 accounting on the simulated
-speed profile, analytic estimates of the objective derivatives with respect
-to the credit charge, the dichotomy search for the optimal charge, charge
-sweeps, and the per-group welfare decomposition.
+speed profile, the dichotomy search for the optimal charge, charge sweeps,
+and the per-group welfare decomposition.  The search steers by one private
+estimate, ``_charge_derivatives``, of the TTT and CO2 derivatives with
+respect to the credit charge, read off network aggregates of a solved
+equilibrium.
 """
 
 from __future__ import annotations
@@ -27,15 +29,10 @@ from .simulator import SimResult, simulate  # noqa: F401
 
 __all__ = [
     "EmissionModel",
-    "Aggregates",
-    "CapInactiveError",
     "total_travel_time",
     "emission_per_distance",
     "emission_per_distance_dv",
     "total_emission",
-    "compute_aggregates",
-    "ttt_charge_gradient",
-    "emission_charge_gradient",
     "OptimizeStep",
     "OptimizeResult",
     "optimize_charge",
@@ -127,135 +124,63 @@ def total_emission(sim: SimResult, model: EmissionModel = EmissionModel()) -> fl
     return float(dist_km @ rate) * G_TO_TONNE
 
 
-@dataclass
-class Aggregates:
-    """Network-level aggregates feeding the charge-derivative estimates.
-
-    Lengths in meters, times in seconds, speeds in m/s; ``n_car_cap`` is the
-    cap-implied car-user count sum(gamma) * kappa / tau and ``n_bar`` the
-    implied steady accumulation.  The ``_w`` aggregates are weighted by the
-    logit switching weights w_i = theta * psi_i * (1 - psi_i) (the marginal
-    travelers), the others by the traveling populations.
-    """
-
-    ttt_h: float
-    emission_t: float
-    n_car_cap: float
-    tt_car_mean: float
-    tt_car_w: float
-    tt_pt_w: float
-    len_mean: float
-    len_w: float
-    len_total: float
-    n_bar: float
-    v_bar: float
-    speed_drop: float     # -dV/dn at n_bar, clipped at 0
-    t_dept: float
-
-    def edie_length_total(self, sim: SimResult) -> float:
-        n_prev = sim.n_after[:-1]
-        t_e = sim.durations[1:]
-        v_prev = sim.v_after[:-1]
-        return float(np.sum(n_prev * t_e * v_prev))
-
-
-def compute_aggregates(
+def _charge_derivatives(
     scenario: Scenario,
-    state: ModalState,
-    sim: SimResult,
-    params: TcsParams,
-    model: EmissionModel = EmissionModel(),
-) -> Aggregates:
+    rep: EquilibriumReport,
+    p_tau: TcsParams,
+    model: EmissionModel,
+) -> tuple[float, float]:
+    """Estimated (d TTT / d tau in person-seconds, d E / d tau in tonnes) per
+    credit at the equilibrium ``rep`` solved at ``p_tau``, cap binding.
+
+    Raising the charge expels Delta N = sum(gamma) kappa / tau^2 car users
+    per credit.  Each departure speeds up the remaining cars through the MFD
+    slope at the implied steady accumulation n_bar, and swaps a car time for
+    a PT time among the marginal travelers, weighted by the logit switching
+    weights w_i = theta * psi_i * (1 - psi_i).  For CO2, the expelled users
+    stop emitting and the remaining flow speeds up into a cleaner regime;
+    both terms are non-positive under a decreasing intensity curve.
+    Lengths are in meters, times in seconds and speeds in m/s.
+    """
     g = scenario.gammas
-    x = state.x
-    t_car = sim.car_times
+    x = rep.state.x
+    t_car = rep.sim.car_times
     t_pt = scenario.pt_times
     lens = scenario.trip_lens
 
-    psi = logit_choice(t_car, t_pt, state.p, params)
-    w = params.theta * psi * (1.0 - psi)
+    psi = logit_choice(t_car, t_pt, rep.state.p, p_tau)
+    w = p_tau.theta * psi * (1.0 - psi)
 
     car_weight = float(g @ x)
     if car_weight <= 0:
-        raise ValueError("no car users: aggregates undefined")
+        raise ValueError("no car users: charge derivatives undefined")
     w_weight = float(g @ w)
     if w_weight <= 0:
-        raise ValueError("all logit weights saturated: aggregates undefined")
-
+        raise ValueError("all logit weights saturated: charge derivatives undefined")
     t_dept = float(scenario.departs.max() - scenario.departs.min())
     if t_dept <= 0:
         raise ValueError("degenerate departure window")
 
     tt_car_mean = float(g @ (x * t_car)) / car_weight
-    len_mean = float(g @ (x * lens)) / car_weight
-    n_car_cap = float(g.sum()) * params.kappa / params.tau
+    len_total = float(g @ (x * lens))
+    len_mean = len_total / car_weight
+    n_car_cap = float(g.sum()) * p_tau.kappa / p_tau.tau
     n_bar = n_car_cap * tt_car_mean / t_dept
     v_bar = len_mean / tt_car_mean
-    slope = -float(scenario.mfd.dspeed(n_bar))
+    speed_drop = max(-float(scenario.mfd.dspeed(n_bar)), 0.0)   # -dV/dn at n_bar
 
-    return Aggregates(
-        ttt_h=total_travel_time(scenario, state, sim),
-        emission_t=total_emission(sim, model),
-        n_car_cap=n_car_cap,
-        tt_car_mean=tt_car_mean,
-        tt_car_w=float(g @ (w * t_car)) / w_weight,
-        tt_pt_w=float(g @ (w * t_pt)) / w_weight,
-        len_mean=len_mean,
-        len_w=float(g @ (w * lens)) / w_weight,
-        len_total=float(g @ (x * lens)),
-        n_bar=n_bar,
-        v_bar=v_bar,
-        speed_drop=max(slope, 0.0),
-        t_dept=t_dept,
-    )
+    speed_term = -len_mean * speed_drop * n_bar / v_bar ** 2
+    tt_car_w = float(g @ (w * t_car)) / w_weight
+    tt_pt_w = float(g @ (w * t_pt)) / w_weight
+    d_ttt = (speed_term + (-tt_car_w + tt_pt_w)) * (n_car_cap / p_tau.tau)
 
-
-class CapInactiveError(RuntimeError):
-    """Charge derivatives are undefined off the cap (flat region)."""
-
-
-def _require_cap_active(state: ModalState, p_tol: float = 1e-9):
-    if state.p <= p_tol:
-        raise CapInactiveError(
-            "credit price is zero: the cap is slack and the objective is "
-            "locally flat in the charge"
-        )
-
-
-def ttt_charge_gradient(agg: Aggregates, state: ModalState, params: TcsParams) -> float:
-    """Estimated d(TTT)/d(tau) in person-seconds per credit, cap binding.
-
-    Raising the charge expels Delta N = sum(gamma) kappa / tau^2 car users
-    per credit; each departure speeds up the remaining cars through the MFD
-    slope and swaps a car time for a PT time among the marginal travelers.
-    """
-    _require_cap_active(state)
-    speed_term = -agg.len_mean * agg.speed_drop * agg.n_bar / agg.v_bar ** 2
-    swap_term = -agg.tt_car_w + agg.tt_pt_w
-    users_per_credit = agg.n_car_cap / params.tau
-    return (speed_term + swap_term) * users_per_credit
-
-
-def emission_charge_gradient(
-    agg: Aggregates,
-    state: ModalState,
-    params: TcsParams,
-    model: EmissionModel = EmissionModel(),
-) -> float:
-    """Estimated d(E)/d(tau) in tonnes per credit, cap binding.
-
-    Two effects, both non-positive under a decreasing intensity curve:
-    expelled car users stop emitting altogether, and the remaining flow
-    speeds up into a cleaner regime.
-    """
-    _require_cap_active(state)
-    v_bar_kmh = agg.v_bar * MS_TO_KMH
+    v_bar_kmh = v_bar * MS_TO_KMH
     rate = emission_per_distance(v_bar_kmh, model)
     drate = emission_per_distance_dv(v_bar_kmh, model)
-    slope_kmh = agg.speed_drop * MS_TO_KMH
-    expelled = -(agg.len_w * M_TO_KM) * rate * agg.n_car_cap / params.tau
-    speedup = (agg.len_total * M_TO_KM) * drate * slope_kmh * agg.n_bar
-    return (expelled + speedup) / params.tau * G_TO_TONNE
+    len_w = float(g @ (w * lens)) / w_weight
+    expelled = -(len_w * M_TO_KM) * rate * n_car_cap / p_tau.tau
+    speedup = (len_total * M_TO_KM) * drate * (speed_drop * MS_TO_KMH) * n_bar
+    return d_ttt, (expelled + speedup) / p_tau.tau * G_TO_TONNE
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +264,6 @@ def _warm_solve(scenario: Scenario, p_tau: TcsParams, starts: dict) -> Equilibri
     return rep
 
 
-def _solve_at(scenario: Scenario, params: TcsParams, tau: float,
-              model: EmissionModel, starts: dict):
-    """Equilibrium at charge tau, warm-started by ``_warm_solve``: (params at
-    tau, report, TTT in h, CO2 in t), both totals read off the report's own
-    simulation."""
-    p_tau = replace(params, tau=float(tau))
-    rep = _warm_solve(scenario, p_tau, starts)
-    ttt_h = total_travel_time(scenario, rep.state, rep.sim)
-    return p_tau, rep, ttt_h, total_emission(rep.sim, model)
-
-
 def optimize_charge(
     scenario: Scenario,
     params: TcsParams,
@@ -375,31 +289,18 @@ def optimize_charge(
     if not (params.kappa <= lo <= hi):
         raise ValueError("need kappa <= lo <= hi")
 
-    solved: dict = {}   # tau -> _solve_at(tau)
+    solved: dict = {}   # tau -> (params at tau, report, TTT in h, CO2 in t)
     starts: dict = {}   # float(tau) -> its equilibrium state
 
     def solve_at(tau: int):
+        """The cached equilibrium at tau, warm-started by ``_warm_solve``,
+        with both totals read off the report's own simulation."""
         if tau not in solved:
-            solved[tau] = _solve_at(scenario, params, tau, model, starts)
+            p_tau = replace(params, tau=float(tau))
+            rep = _warm_solve(scenario, p_tau, starts)
+            solved[tau] = (p_tau, rep, total_travel_time(scenario, rep.state, rep.sim),
+                           total_emission(rep.sim, model))
         return solved[tau]
-
-    def derivative_at(tau: int) -> tuple[float, bool]:
-        """(d objective / d tau, cap slack) at tau."""
-        p_tau, rep, _, _ = solve_at(tau)
-        try:
-            _require_cap_active(rep.state)   # skip aggregates when slack
-        except CapInactiveError:
-            # slack cap: the scheme is not binding yet, push the charge up
-            return -math.inf, True
-        agg = compute_aggregates(scenario, rep.state, rep.sim, p_tau, model)
-        d = params.alpha * ttt_charge_gradient(agg, rep.state, p_tau)
-        if objective == "mixed":
-            d += (
-                params.gamma_emission
-                * params.p_carbon
-                * emission_charge_gradient(agg, rep.state, p_tau, model)
-            )
-        return d, False
 
     def step(tau: int, a: int, c: int, derivative: float, flat_cap: bool):
         _, rep, ttt_h, em_t = solve_at(tau)
@@ -417,7 +318,17 @@ def optimize_charge(
     a, c = lo, hi
     while a < c:
         mid = (a + c) // 2
-        d, flat = derivative_at(mid)
+        p_tau, rep, _, _ = solve_at(mid)
+        # a zero price means a slack cap: the objective is locally flat in
+        # the charge and the scheme has no bite yet, so push the charge up
+        flat = rep.state.p <= 1e-9
+        if flat:
+            d = -math.inf
+        else:
+            d_ttt, d_em = _charge_derivatives(scenario, rep, p_tau, model)
+            d = params.alpha * d_ttt
+            if objective == "mixed":
+                d += params.gamma_emission * params.p_carbon * d_em
         if d < 0:
             a = mid + 1
         else:

@@ -61,6 +61,14 @@ def _as_pairs(points) -> tuple[tuple[float, float], ...]:
     return out
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float, or a ScenarioError naming ``what``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class MfdCurve:
     """Network mean speed as a function of car accumulation.
@@ -204,25 +212,35 @@ class MfdCurve:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MfdCurve":
+        if not isinstance(d, dict):
+            raise ScenarioError("mfd must be an object")
         try:
             form = d["form"]
         except KeyError:
             raise ScenarioError("mfd block is missing the 'form' tag") from None
-        floor = d.get("v_floor_ms", 1.0)
+        floor = _number(d.get("v_floor_ms", 1.0), "mfd 'v_floor_ms'")
         if form == _GREENSHIELDS:
             try:
-                return cls.greenshields(d["v_free_ms"], d["n_jam_veh"], floor)
+                v_free, n_jam = d["v_free_ms"], d["n_jam_veh"]
             except KeyError as exc:
                 raise ScenarioError(f"greenshields mfd is missing {exc}") from None
+            return cls.greenshields(_number(v_free, "mfd 'v_free_ms'"),
+                                    _number(n_jam, "mfd 'n_jam_veh'"), floor)
         if form == _PIECEWISE:
-            if "breakpoints_n_v" not in d:
-                raise ScenarioError("piecewise_linear mfd needs 'breakpoints_n_v'")
-            return cls.piecewise_linear(d["breakpoints_n_v"], floor)
-        if form == _TABULATED:
-            if "samples_n_v" not in d:
-                raise ScenarioError("tabulated mfd needs 'samples_n_v'")
-            return cls.tabulated(d["samples_n_v"], floor)
-        raise ScenarioError(f"unknown MFD form {form!r}")
+            key, make = "breakpoints_n_v", cls.piecewise_linear
+        elif form == _TABULATED:
+            key, make = "samples_n_v", cls.tabulated
+        else:
+            raise ScenarioError(f"unknown MFD form {form!r}")
+        if key not in d:
+            raise ScenarioError(f"{form} mfd needs '{key}'")
+        try:
+            points = [(float(n), float(v)) for n, v in d[key]]
+        except (TypeError, ValueError):
+            raise ScenarioError(
+                f"mfd '{key}' must be a list of [n, v] number pairs"
+            ) from None
+        return make(points, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +354,13 @@ class TcsParams:
         for name in ("p0", "gamma_emission", "p_carbon"):
             if not (getattr(self, name) >= 0):
                 raise ScenarioError(f"{name} must be >= 0")
+        # NaN and -inf fail the checks above; +inf passes them, and theta =
+        # inf, for one, starts the clearing-price bracket at 1/(theta tau) = 0,
+        # which doubling never widens
+        for name in ("alpha", "theta", "eta", "j_goal", "kappa", "tau",
+                     "p0", "gamma_emission", "p_carbon"):
+            if math.isinf(getattr(self, name)):
+                raise ScenarioError(f"{name} must be finite")
         if self.max_iters < 1:
             raise ScenarioError("max_iters must be >= 1")
         if self.cap_constraint not in ("gamma-weighted", "printed"):
@@ -423,6 +448,8 @@ def load_scenario(path) -> Scenario:
         if key not in doc:
             raise ScenarioError(f"scenario is missing top-level key '{key}'")
     mfd = MfdCurve.from_dict(doc["mfd"])
+    if not isinstance(doc["groups"], list):
+        raise ScenarioError("groups must be a list")
     groups = []
     for i, rec in enumerate(doc["groups"]):
         if not isinstance(rec, dict):
@@ -434,17 +461,20 @@ def load_scenario(path) -> Scenario:
         if extra:
             raise ScenarioError(f"groups[{i}] has unknown keys {extra}")
         try:
+            ident = int(rec["id"])
             groups.append(
                 Group(
-                    id=int(rec["id"]),
+                    id=ident,
                     gamma=float(rec["gamma"]),
                     depart=float(rec["depart_s"]),
                     trip_len=float(rec["trip_len_m"]),
                     pt_time=float(rec["pt_time_s"]),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"groups[{i}]: bad field value ({exc})") from None
+        if ident != rec["id"]:
+            raise ScenarioError(f"groups[{i}]: id must be an integer, got {rec['id']!r}")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ScenarioError("meta must be an object")

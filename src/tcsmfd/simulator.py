@@ -63,7 +63,6 @@ class SimResult:
     * ``n_after``    accumulation just after the event (veh)
     * ``v_after``    speed V(n_after) ruling until the next event (m/s)
     * ``durations``  T_e = t_e - t_{e-1}; 0 for the first event
-    * ``distances``  l_e = T_e * V_e, V_e the speed of the preceding period
 
     ``entry_index`` / ``exit_index`` map each group to its two events and
     ``car_times`` holds the realized car travel times (sum of the T_e of each
@@ -71,7 +70,7 @@ class SimResult:
     """
 
     def __init__(self, scenario, x, times, kinds, event_groups, n_after, v_after,
-                 durations, distances, entry_index, exit_index):
+                 durations, entry_index, exit_index):
         self.scenario = scenario
         self.x = x
         self.times = times
@@ -80,7 +79,6 @@ class SimResult:
         self.n_after = n_after
         self.v_after = v_after
         self.durations = durations
-        self.distances = distances
         self.entry_index = entry_index
         self.exit_index = exit_index
         # same bits as np.sum per trip (the decomposition checks' path),
@@ -140,7 +138,6 @@ def simulate(scenario: Scenario, x) -> SimResult:
     n_after = [0.0] * n_events
     v_after = [0.0] * n_events
     durations = [0.0] * n_events
-    distances = [0.0] * n_events
     entry_index = [-1] * n
     exit_index = [-1] * n
 
@@ -179,8 +176,7 @@ def simulate(scenario: Scenario, x) -> SimResult:
         if dt < 0:
             dt = 0.0  # guards float noise; entries are processed in order
             t_ev = t
-        dist = dt * v_period
-        d_hi, err = _two_sum(d_hi, dist)
+        d_hi, err = _two_sum(d_hi, dt * v_period)
         d_lo += err
 
         if kind == EXIT:
@@ -209,13 +205,12 @@ def simulate(scenario: Scenario, x) -> SimResult:
         n_after[e] = n_cur
         v_after[e] = v_period = speed(n_cur)
         durations[e] = dt  # 0 for the first event, which starts the clock
-        distances[e] = dist
         t = t_ev
 
     return SimResult(
         scenario, x, np.array(times), np.array(kinds, dtype=np.int8),
         np.array(event_groups, dtype=np.int64), np.array(n_after),
-        np.array(v_after), np.array(durations), np.array(distances),
+        np.array(v_after), np.array(durations),
         np.array(entry_index, dtype=np.int64), np.array(exit_index, dtype=np.int64),
     )
 

@@ -48,7 +48,6 @@ def simulate_reference(scenario, x) -> SimResult:
     n_after = np.empty(n_events)
     v_after = np.empty(n_events)
     durations = np.empty(n_events)
-    distances = np.empty(n_events)
     entry_index = np.full(n, -1, dtype=np.int64)
     exit_index = np.full(n, -1, dtype=np.int64)
 
@@ -110,11 +109,10 @@ def simulate_reference(scenario, x) -> SimResult:
         n_after[e] = n_cur
         v_after[e] = curve.speed(n_cur)
         durations[e] = dt if e > 0 else 0.0
-        distances[e] = (dt * v_period) if e > 0 else 0.0
         t = t_ev
         v_period = v_after[e]
 
     return SimResult(
         scenario, x, times, kinds, event_groups, n_after, v_after,
-        durations, distances, entry_index, exit_index,
+        durations, entry_index, exit_index,
     )

@@ -184,6 +184,24 @@ class TestEquilibrium:
         assert rc == 2
         assert "p0 must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--theta", "--tau"])
+    def test_infinite_parameter_exits_2(self, scenario_file, tmp_path, capsys, flag):
+        # rejected before any solve (theta = inf would stall the
+        # clearing-price search), with the field named
+        rc = main([
+            "equilibrium", "--scenario", str(scenario_file), "-o", str(tmp_path),
+            flag, "inf",
+        ])
+        assert rc == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+
+    def test_malformed_scenario_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mfd": [1, 2], "groups": []}))
+        rc = main(["equilibrium", "--scenario", str(path), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error: mfd must be an object" in capsys.readouterr().err
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         rc = main([
             "equilibrium", "--scenario", str(tmp_path / "nope.json"),

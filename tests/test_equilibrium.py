@@ -610,7 +610,7 @@ class TestEquilibriumSolver:
             assert rep.converged
         fresh = simulate(small_scenario, rep.state.x)
         for name in ("x", "times", "kinds", "event_groups", "n_after", "v_after",
-                     "durations", "distances", "entry_index", "exit_index",
+                     "durations", "entry_index", "exit_index",
                      "car_times"):
             assert getattr(rep.sim, name).tobytes() == getattr(fresh, name).tobytes(), name
 

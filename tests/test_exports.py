@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tcsmfd
-from tcsmfd import analysis, equilibrium, gradients, qp
+from tcsmfd import analysis, equilibrium, gradients, objectives, qp
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -37,6 +37,20 @@ def test_reference_formulas_live_in_the_tests(module, name):
     # the dense forms only the tests read are in tests/reference_formulas.py
     # and tests/reference_gradient.py, not in the library
     assert not hasattr(module, name)
+
+
+CHARGE_SEARCH_LAYER = ("Aggregates", "compute_aggregates", "ttt_charge_gradient",
+                       "emission_charge_gradient", "CapInactiveError")
+
+
+@pytest.mark.parametrize("name", CHARGE_SEARCH_LAYER)
+def test_charge_search_has_one_private_estimate(name):
+    # the charge search steers by objectives._charge_derivatives alone; the
+    # aggregate layer it replaced is gone from the module and the source
+    assert not hasattr(objectives, name)
+    src = Path(objectives.__file__).resolve().parent
+    for path in src.glob("*.py"):
+        assert name not in path.read_text(encoding="utf-8"), path.name
 
 
 @pytest.fixture

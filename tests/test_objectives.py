@@ -1,4 +1,4 @@
-"""System objectives: emission curve, TTT, aggregates, charge search, gains."""
+"""System objectives: emission curve, TTT, charge derivatives, charge search, gains."""
 
 from dataclasses import replace
 from decimal import Decimal
@@ -13,8 +13,11 @@ from tcsmfd import (
     ModalState,
     TcsParams,
     equilibrium_solve,
+    generate_synthetic,
     group_gains,
+    logit_choice,
     optimize_charge,
+    preset_spec,
     simulate,
     sweep_charges,
     total_emission,
@@ -22,13 +25,10 @@ from tcsmfd import (
 )
 import tcsmfd.objectives
 from tcsmfd.objectives import (
-    CapInactiveError,
+    _charge_derivatives,
     _predicted_start,
-    compute_aggregates,
-    emission_charge_gradient,
     emission_per_distance,
     emission_per_distance_dv,
-    ttt_charge_gradient,
 )
 
 from conftest import make_scenario
@@ -138,88 +138,117 @@ class TestTotalEmission:
         assert total_emission(sim, flat) == pytest.approx(want, rel=1e-12)
 
 
+def derivatives_at(sc, x, p=0.01, params=None):
+    """``_charge_derivatives`` at shares x and price p, on their simulation."""
+    params = params or TcsParams()
+    rep = EquilibriumReport(state=ModalState(x=x, p=p), converged=True, iterations=0,
+                            sim=simulate(sc, x))
+    return _charge_derivatives(sc, rep, params, EmissionModel())
+
+
+def switching_mean(sc, sim, values, p=0.01, params=None):
+    """Mean of ``values`` over the marginal travelers, weighted by gamma and
+    the logit switching weights theta psi (1 - psi)."""
+    params = params or TcsParams()
+    psi = logit_choice(sim.car_times, sc.pt_times, p, params)
+    w = sc.gammas * params.theta * psi * (1.0 - psi)
+    return float(w @ values) / float(w.sum())
+
+
 class TestAggregates:
-    def agg_for(self, sc, x, p=0.01, params=None):
-        params = params or TcsParams()
-        sim = simulate(sc, x)
-        return compute_aggregates(sc, ModalState(x=x, p=p), sim, params)
+    """The network aggregates ``_charge_derivatives`` reads, and its guards."""
 
     def test_constant_mfd_values(self):
+        # no MFD slope: dTTT/dtau is the swap term alone, and dE/dtau the
+        # expelled users' emissions at the one speed every car drives
         sc = make_scenario(
             [(100.0, 0.0, 4000.0, 900.0), (50.0, 10.0, 2000.0, 500.0)],
             mfd=MfdCurve.constant(8.0),
         )
-        agg = self.agg_for(sc, np.array([0.4, 0.7]))
+        x = np.array([0.4, 0.7])
         params = TcsParams()
-        assert agg.n_car_cap == pytest.approx(150.0 * params.kappa / params.tau)
-        assert agg.v_bar == pytest.approx(8.0, rel=1e-12)   # everyone drives at V
-        assert agg.speed_drop == 0.0
-        assert agg.t_dept == pytest.approx(10.0)
-        want_len = (100 * 0.4 * 4000 + 50 * 0.7 * 2000) / (100 * 0.4 + 50 * 0.7)
-        assert agg.len_mean == pytest.approx(want_len, rel=1e-12)
-        assert agg.len_total == pytest.approx(100 * 0.4 * 4000 + 50 * 0.7 * 2000)
+        d_ttt, d_em = derivatives_at(sc, x)
+        sim = simulate(sc, x)
+        np.testing.assert_allclose(sim.car_times, [500.0, 250.0], rtol=1e-12)
+        users_per_credit = 150.0 * params.kappa / params.tau ** 2
+        swap = switching_mean(sc, sim, sc.pt_times - sim.car_times)
+        assert d_ttt == pytest.approx(swap * users_per_credit, rel=1e-12)
+        # the estimate divides the expelled emissions by tau once more than
+        # the users expelled per credit
+        len_w_km = switching_mean(sc, sim, sc.trip_lens) / 1000.0
+        want_em = (-len_w_km * emission_per_distance(8.0 * 3.6) * users_per_credit
+                   / params.tau * 1e-6)
+        assert d_em == pytest.approx(want_em, rel=1e-12)
 
     def test_greenshields_speed_drop(self):
+        # the MFD slope -dV/dn = v_free / n_jam adds the speed-up of the
+        # remaining cars at the implied steady accumulation
         sc = make_scenario(
             [(20.0, 0.0, 600.0, 300.0), (30.0, 50.0, 400.0, 500.0)],
             mfd=MfdCurve.greenshields(10.0, 100.0),
         )
-        agg = self.agg_for(sc, np.array([0.5, 0.5]))
-        assert agg.speed_drop == pytest.approx(10.0 / 100.0, rel=1e-12)
+        x = np.array([0.5, 0.5])
+        params = TcsParams()
+        d_ttt, _ = derivatives_at(sc, x)
+        sim = simulate(sc, x)
+        g = sc.gammas
+        tt_mean = float(g @ (x * sim.car_times)) / float(g @ x)
+        len_mean = float(g @ (x * sc.trip_lens)) / float(g @ x)
+        n_car_cap = 50.0 * params.kappa / params.tau
+        n_bar = n_car_cap * tt_mean / 50.0   # departure window of 50 s
+        speed = -len_mean * (10.0 / 100.0) * n_bar / (len_mean / tt_mean) ** 2
+        swap = switching_mean(sc, sim, sc.pt_times - sim.car_times)
+        assert speed < 0
+        assert d_ttt == pytest.approx((speed + swap) * n_car_cap / params.tau, rel=1e-12)
 
     def test_guard_no_car_users(self):
         sc = make_scenario([(100.0, 0.0, 3000.0, 700.0)])
         with pytest.raises(ValueError, match="no car users"):
-            self.agg_for(sc, np.zeros(1))
+            derivatives_at(sc, np.zeros(1))
 
     def test_guard_saturated_weights(self):
         sc = make_scenario([(100.0, 0.0, 3000.0, 700.0)])
         params = TcsParams(theta=1e4)   # psi pinned at 0 or 1
         with pytest.raises(ValueError, match="saturated"):
-            self.agg_for(sc, np.array([0.5]), params=params)
+            derivatives_at(sc, np.array([0.5]), params=params)
 
     def test_guard_degenerate_window(self):
         sc = make_scenario(
             [(50.0, 30.0, 3000.0, 700.0), (50.0, 30.0, 2000.0, 600.0)]
         )
         with pytest.raises(ValueError, match="window"):
-            self.agg_for(sc, np.array([0.5, 0.5]))
-
-    def test_edie_length_closure(self):
-        # total vehicle-meters equals the sum of car trips completed
-        sc = make_scenario(
-            [(20.0, 0.0, 600.0, 300.0), (30.0, 50.0, 400.0, 500.0)],
-            mfd=MfdCurve.greenshields(10.0, 100.0),
-        )
-        x = np.array([0.6, 0.9])
-        sim = simulate(sc, x)
-        agg = self.agg_for(sc, x)
-        want = 20.0 * 0.6 * 600.0 + 30.0 * 0.9 * 400.0
-        assert agg.edie_length_total(sim) == pytest.approx(want, rel=1e-9)
+            derivatives_at(sc, np.array([0.5, 0.5]))
 
 
 class TestChargeGradients:
-    def test_cap_inactive_raises(self, small_scenario):
-        params = TcsParams()
-        x = np.full(small_scenario.n, 0.2)
-        sim = simulate(small_scenario, x)
-        state = ModalState(x=x, p=0.0)
-        agg = compute_aggregates(small_scenario, state, sim, params)
-        with pytest.raises(CapInactiveError):
-            ttt_charge_gradient(agg, state, params)
-        with pytest.raises(CapInactiveError):
-            emission_charge_gradient(agg, state, params)
+    """``_charge_derivatives`` at solved equilibria."""
 
     def test_signs_at_binding_equilibrium(self, small_scenario):
         params = TcsParams()
         rep = equilibrium_solve(small_scenario, params)
         assert rep.state.p > 1e-6
-        sim = simulate(small_scenario, rep.state.x)
-        agg = compute_aggregates(small_scenario, rep.state, sim, params)
-        d_em = emission_charge_gradient(agg, rep.state, params)
+        d_ttt, d_em = _charge_derivatives(small_scenario, rep, params, EmissionModel())
         # expelling drivers and speeding the rest both cut emissions
         assert d_em < 0
-        assert np.isfinite(ttt_charge_gradient(agg, rep.state, params))
+        assert np.isfinite(d_ttt)
+
+    @pytest.mark.parametrize("tau, ttt, mixed", [
+        (200.0, -40.62105260889643, -53.82512072160247),
+        (225.0, 10.472774438965999, 1.7406639880272348),
+        (250.0, 66.95272328408561, 60.88898780877169),
+    ])
+    def test_pinned_on_congested(self, tau, ttt, mixed):
+        # the objective derivatives the charge search steers by, at cold
+        # solves on congested seed 0 with default parameters; the sign
+        # change between 200 and 250 brackets both searches' optima
+        sc = generate_synthetic(0, preset_spec("congested"))
+        params = TcsParams(tau=tau)
+        rep = equilibrium_solve(sc, params)
+        d_ttt, d_em = _charge_derivatives(sc, rep, params, EmissionModel())
+        assert params.alpha * d_ttt == pytest.approx(ttt, rel=1e-12)
+        d_mixed = params.alpha * d_ttt
+        d_mixed += params.gamma_emission * params.p_carbon * d_em
+        assert d_mixed == pytest.approx(mixed, rel=1e-12)
 
 
 class TestOptimizeCharge:

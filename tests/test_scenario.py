@@ -152,6 +152,16 @@ class TestParams:
         with pytest.raises(ScenarioError, match=f"^{field} must be >= 0$"):
             TcsParams(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["alpha", "theta", "eta", "j_goal", "kappa", "tau",
+                                       "p0", "gamma_emission", "p_carbon"])
+    def test_infinite_values_rejected(self, field):
+        # +inf passes every sign check; theta = inf would stall the solver
+        kw = {field: float("inf")}
+        if field == "kappa":
+            kw["tau"] = float("inf")   # keep kappa <= tau, so kappa is named first
+        with pytest.raises(ScenarioError, match=f"^{field} must be finite$"):
+            TcsParams(**kw)
+
     def test_eps_schedule(self):
         p = TcsParams()
         assert p.eps_value(1) == 1.0
@@ -223,6 +233,64 @@ class TestIo:
         doc["groups"][5]["speed"] = 1.0
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioError, match="5"):
+            load_scenario(path)
+
+
+def scenario_doc(**changes):
+    """A valid one-group scenario document with ``changes`` applied."""
+    doc = {
+        "mfd": {"form": "greenshields", "v_free_ms": 15.0, "n_jam_veh": 5000.0,
+                "v_floor_ms": 1.0},
+        "groups": [{"id": 0, "gamma": 10.0, "depart_s": 0.0, "trip_len_m": 1000.0,
+                    "pt_time_s": 300.0}],
+        "meta": {},
+    }
+    doc.update(changes)
+    return doc
+
+
+class TestMalformedFiles:
+    """Each malformed file raises a ScenarioError that names the key."""
+
+    @pytest.mark.parametrize("doc, key", [
+        (scenario_doc(groups=5), "groups"),
+        (scenario_doc(mfd=[1, 2]), "mfd"),
+        (scenario_doc(mfd={"form": "piecewise_linear", "breakpoints_n_v": 3}),
+         "breakpoints_n_v"),
+        (scenario_doc(mfd={"form": "piecewise_linear", "breakpoints_n_v": [1, 2]}),
+         "breakpoints_n_v"),
+        (scenario_doc(mfd={"form": "tabulated", "samples_n_v": 3}), "samples_n_v"),
+        (scenario_doc(mfd={"form": "greenshields", "v_free_ms": None, "n_jam_veh": 5.0}),
+         "v_free_ms"),
+        (scenario_doc(mfd={"form": "greenshields", "v_free_ms": 15.0, "n_jam_veh": 5.0,
+                           "v_floor_ms": "slow"}), "v_floor_ms"),
+    ])
+    def test_names_the_key(self, tmp_path, doc, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("ident", [0.5, "0"])
+    def test_non_integral_id_rejected(self, tmp_path, ident):
+        doc = scenario_doc()
+        doc["groups"][0]["id"] = ident
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScenarioError, match=r"groups\[0\]: id must be an integer"):
+            load_scenario(path)
+
+    def test_integral_float_id_accepted(self, tmp_path):
+        doc = scenario_doc()
+        doc["groups"][0]["id"] = 0.0
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(doc))
+        assert load_scenario(path).groups[0].id == 0
+
+    def test_infinite_id_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario_doc()).replace('"id": 0', '"id": Infinity'))
+        with pytest.raises(ScenarioError, match=r"groups\[0\]"):
             load_scenario(path)
 
 

@@ -114,7 +114,9 @@ class TestConstantMfd:
 
 
 def per_trip_distance(sim, i):
-    return float(np.sum(sim.distances[sim.entry_index[i] + 1 : sim.exit_index[i] + 1]))
+    # event e closes a period of durations[e] at the speed v_after[e - 1]
+    e = np.arange(sim.entry_index[i] + 1, sim.exit_index[i] + 1)
+    return float(np.sum(sim.durations[e] * sim.v_after[e - 1]))
 
 
 class TestInvariants:
@@ -124,6 +126,19 @@ class TestInvariants:
         sim = simulate(sc, x)
         for i in range(sc.n):
             assert abs(per_trip_distance(sim, i) - sc.trip_lens[i]) < 1e-6
+
+    def test_edie_length_closure(self):
+        # total vehicle-meters, accumulation x duration x speed summed over
+        # the periods, equals the sum of the car trips completed
+        sc = make_scenario(
+            [(20.0, 0.0, 600.0, 300.0), (30.0, 50.0, 400.0, 500.0)],
+            mfd=MfdCurve.greenshields(10.0, 100.0),
+        )
+        x = np.array([0.6, 0.9])
+        sim = simulate(sc, x)
+        veh_m = float(np.sum(sim.n_after[:-1] * sim.durations[1:] * sim.v_after[:-1]))
+        want = 20.0 * 0.6 * 600.0 + 30.0 * 0.9 * 400.0
+        assert veh_m == pytest.approx(want, rel=1e-9)
 
     def test_event_count_and_order(self):
         sc = small_random_scenario(4, n_groups=9)
