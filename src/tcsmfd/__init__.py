@@ -45,7 +45,6 @@ from .objectives import (
 from .qp import QpSolution, solve_qp
 from .scenario import (
     GeneratorSpec,
-    Group,
     MfdCurve,
     Scenario,
     ScenarioError,
@@ -64,7 +63,6 @@ __all__ = [
     "EquilibriumReport",
     "GeneratorSpec",
     "GradientMatrix",
-    "Group",
     "HorizonError",
     "MfdCurve",
     "GroupGains",

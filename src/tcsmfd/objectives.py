@@ -20,7 +20,6 @@ from .equilibrium import (
     ModalState,
     _onto_cap,
     equilibrium_solve,
-    logit_choice,
 )
 from .scenario import Scenario, TcsParams
 # not called here: perfbench/tracer.py rebinds objectives.simulate and
@@ -137,7 +136,8 @@ def _charge_derivatives(
     per credit.  Each departure speeds up the remaining cars through the MFD
     slope at the implied steady accumulation n_bar, and swaps a car time for
     a PT time among the marginal travelers, weighted by the logit switching
-    weights w_i = theta * psi_i * (1 - psi_i).  For CO2, the expelled users
+    weights w_i = theta * psi_i * (1 - psi_i) of the report's logit shares
+    ``rep.psis``.  For CO2, the expelled users
     stop emitting and the remaining flow speeds up into a cleaner regime;
     both terms are non-positive under a decreasing intensity curve.
     Lengths are in meters, times in seconds and speeds in m/s.
@@ -148,7 +148,7 @@ def _charge_derivatives(
     t_pt = scenario.pt_times
     lens = scenario.trip_lens
 
-    psi = logit_choice(t_car, t_pt, rep.state.p, p_tau)
+    psi = rep.psis
     w = p_tau.theta * psi * (1.0 - psi)
 
     car_weight = float(g @ x)

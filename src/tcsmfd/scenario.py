@@ -1,6 +1,6 @@
 """Demand and network data model.
 
-Traveler groups, MFD speed laws, scheme parameters, scenario file I/O and
+Traveler group arrays, MFD speed laws, scheme parameters, scenario file I/O and
 seeded synthetic scenario generation.  All quantities are SI internally
 (seconds, meters, m/s, vehicles, EUR); conversions from presentation units
 (EUR/h, km/h) happen once at the boundary.
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "ScenarioError",
-    "Group",
     "MfdCurve",
     "Scenario",
     "TcsParams",
@@ -50,6 +49,8 @@ def _as_pairs(points) -> tuple[tuple[float, float], ...]:
     out = tuple((float(n), float(v)) for n, v in points)
     if not out:
         raise ScenarioError("curve needs at least one (n, v) point")
+    if not np.all(np.isfinite(out)):
+        raise ScenarioError("curve points must be finite")
     ns = np.array([p[0] for p in out])
     if np.any(np.diff(ns) <= 0):
         raise ScenarioError("accumulation grid must be strictly increasing")
@@ -61,12 +62,18 @@ def _as_pairs(points) -> tuple[tuple[float, float], ...]:
     return out
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float, or a ScenarioError naming ``what``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+def _json_number(value, what: str, integer: bool = False) -> float:
+    """A finite JSON number (int or float, not bool) as a float, or a
+    ScenarioError naming ``what``; ``integer`` also rejects a fraction."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:   # an int beyond the float range
+            x = math.inf
+        if math.isfinite(x) and (x.is_integer() or not integer):
+            return x
+    kind = "an integer" if integer else "a finite number"
+    raise ScenarioError(f"{what} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +104,11 @@ class MfdCurve:
             raise ScenarioError("v_floor must be finite and > 0")
         if self.form == _GREENSHIELDS:
             v_free, n_jam = self.params
-            if not (v_free > 0.0 and n_jam > 0.0):
-                raise ScenarioError("greenshields needs v_free > 0 and n_jam > 0")
-        elif self.form == _TABULATED and len(self.params) < 2:
+            if not (0.0 < v_free < math.inf and 0.0 < n_jam < math.inf):
+                raise ScenarioError("greenshields needs finite v_free > 0 and n_jam > 0")
+            return
+        object.__setattr__(self, "params", _as_pairs(self.params))
+        if self.form == _TABULATED and len(self.params) < 2:
             raise ScenarioError("tabulated form needs at least two samples")
 
     # -- constructors ------------------------------------------------------
@@ -110,11 +119,11 @@ class MfdCurve:
 
     @classmethod
     def piecewise_linear(cls, breakpoints, v_floor: float = 1.0) -> "MfdCurve":
-        return cls(_PIECEWISE, _as_pairs(breakpoints), float(v_floor))
+        return cls(_PIECEWISE, breakpoints, float(v_floor))
 
     @classmethod
     def tabulated(cls, samples, v_floor: float = 1.0) -> "MfdCurve":
-        return cls(_TABULATED, _as_pairs(samples), float(v_floor))
+        return cls(_TABULATED, samples, float(v_floor))
 
     @classmethod
     def constant(cls, v: float) -> "MfdCurve":
@@ -218,14 +227,14 @@ class MfdCurve:
             form = d["form"]
         except KeyError:
             raise ScenarioError("mfd block is missing the 'form' tag") from None
-        floor = _number(d.get("v_floor_ms", 1.0), "mfd 'v_floor_ms'")
+        floor = _json_number(d.get("v_floor_ms", 1.0), "mfd 'v_floor_ms'")
         if form == _GREENSHIELDS:
             try:
                 v_free, n_jam = d["v_free_ms"], d["n_jam_veh"]
             except KeyError as exc:
                 raise ScenarioError(f"greenshields mfd is missing {exc}") from None
-            return cls.greenshields(_number(v_free, "mfd 'v_free_ms'"),
-                                    _number(n_jam, "mfd 'n_jam_veh'"), floor)
+            return cls.greenshields(_json_number(v_free, "mfd 'v_free_ms'"),
+                                    _json_number(n_jam, "mfd 'n_jam_veh'"), floor)
         if form == _PIECEWISE:
             key, make = "breakpoints_n_v", cls.piecewise_linear
         elif form == _TABULATED:
@@ -235,80 +244,68 @@ class MfdCurve:
         if key not in d:
             raise ScenarioError(f"{form} mfd needs '{key}'")
         try:
-            points = [(float(n), float(v)) for n, v in d[key]]
+            pairs = [(n, v) for n, v in d[key]]
         except (TypeError, ValueError):
-            raise ScenarioError(
-                f"mfd '{key}' must be a list of [n, v] number pairs"
-            ) from None
-        return make(points, floor)
+            raise ScenarioError(f"mfd '{key}' must be a list of [n, v] number pairs") from None
+        where = f"mfd '{key}'"
+        return make([(_json_number(n, f"{where}[{j}]"), _json_number(v, f"{where}[{j}]"))
+                     for j, (n, v) in enumerate(pairs)], floor)
 
 
 # ---------------------------------------------------------------------------
-# Traveler groups and scenarios
+# Scenarios
 
 
-@dataclass(frozen=True)
-class Group:
-    """A set of identical travelers: same departure time, trip length and
-    public-transport alternative.  ``gamma`` is the number of travelers."""
-
-    id: int
-    gamma: float
-    depart: float
-    trip_len: float
-    pt_time: float
+# A scenario's per-group arrays and the key of each in a file's group records
+_COLUMNS = (("gammas", "gamma"), ("departs", "depart_s"),
+            ("trip_lens", "trip_len_m"), ("pt_times", "pt_time_s"))
+# what each array's values must be, in the order a group's values are checked
+_RULES = (("gammas", "gamma", "> 0", np.greater),
+          ("trip_lens", "trip_len", "> 0", np.greater),
+          ("pt_times", "pt_time", "> 0", np.greater),
+          ("departs", "depart", ">= 0", np.greater_equal))
 
 
-def _check_group(g: Group) -> None:
-    if not (g.gamma > 0 and math.isfinite(g.gamma)):
-        raise ScenarioError(f"group {g.id}: gamma must be finite and > 0")
-    if not (g.trip_len > 0 and math.isfinite(g.trip_len)):
-        raise ScenarioError(f"group {g.id}: trip_len must be finite and > 0")
-    if not (g.pt_time > 0 and math.isfinite(g.pt_time)):
-        raise ScenarioError(f"group {g.id}: pt_time must be finite and > 0")
-    if not (g.depart >= 0 and math.isfinite(g.depart)):
-        raise ScenarioError(f"group {g.id}: depart must be finite and >= 0")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Immutable bundle of traveler groups plus the network MFD."""
+    """Immutable traveler groups plus the network MFD.
 
-    groups: tuple[Group, ...]
+    Group i is ``gammas[i]`` identical travelers (a count) who depart at
+    ``departs[i]`` (s) on a car trip of ``trip_lens[i]`` (m) or a public-
+    transport trip of ``pt_times[i]`` (s).  Each array is the scenario's own
+    read-only float copy of what it was given, and all four are one-
+    dimensional of the same length N >= 1; swap the curve with
+    ``dataclasses.replace(scenario, mfd=...)``.  ``eq=False``: a generated
+    ``__eq__`` would compare the arrays, whose truth value is ambiguous.
+    """
+
+    gammas: np.ndarray
+    departs: np.ndarray
+    trip_lens: np.ndarray
+    pt_times: np.ndarray
     mfd: MfdCurve
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.groups:
+        for attr, _ in _COLUMNS:
+            col = np.array(getattr(self, attr), dtype=float)
+            col.setflags(write=False)
+            object.__setattr__(self, attr, col)
+        shapes = {getattr(self, attr).shape for attr, _ in _COLUMNS}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ScenarioError("group arrays must be one-dimensional and of equal length")
+        if self.n == 0:
             raise ScenarioError("scenario has no groups")
-        ids = sorted(g.id for g in self.groups)
-        if ids != list(range(len(self.groups))):
-            raise ScenarioError("group ids must be unique and contiguous from 0")
-        for g in self.groups:
-            _check_group(g)
-        object.__setattr__(
-            self, "groups", tuple(sorted(self.groups, key=lambda g: g.id))
-        )
+        ok = np.array([np.isfinite(getattr(self, attr)) & test(getattr(self, attr), 0.0)
+                       for attr, _, _, test in _RULES])
+        if not ok.all():
+            i = int(np.flatnonzero(~ok.all(axis=0))[0])
+            _, name, rule, _ = _RULES[int(np.argmin(ok[:, i]))]
+            raise ScenarioError(f"group {i}: {name} must be finite and {rule}")
 
     @property
     def n(self) -> int:
-        return len(self.groups)
-
-    @cached_property
-    def gammas(self) -> np.ndarray:
-        return np.array([g.gamma for g in self.groups], dtype=float)
-
-    @cached_property
-    def departs(self) -> np.ndarray:
-        return np.array([g.depart for g in self.groups], dtype=float)
-
-    @cached_property
-    def trip_lens(self) -> np.ndarray:
-        return np.array([g.trip_len for g in self.groups], dtype=float)
-
-    @cached_property
-    def pt_times(self) -> np.ndarray:
-        return np.array([g.pt_time for g in self.groups], dtype=float)
+        return len(self.gammas)
 
     @property
     def total_travelers(self) -> float:
@@ -405,23 +402,15 @@ class TcsParams:
 #   meta   free-form labels
 
 
-_GROUP_KEYS = ("id", "gamma", "depart_s", "trip_len_m", "pt_time_s")
-
-
 def scenario_to_text(scenario: Scenario) -> str:
-    """Canonical serialization; stable byte-for-byte for a given scenario."""
+    """Canonical serialization, stable byte for byte for a given scenario:
+    group i is written as the record of id i, its values read off the
+    scenario's arrays."""
+    cols = [getattr(scenario, attr).tolist() for attr, _ in _COLUMNS]
     doc = {
         "mfd": scenario.mfd.to_dict(),
-        "groups": [
-            {
-                "id": g.id,
-                "gamma": g.gamma,
-                "depart_s": g.depart,
-                "trip_len_m": g.trip_len,
-                "pt_time_s": g.pt_time,
-            }
-            for g in scenario.groups
-        ],
+        "groups": [{"id": i, **{key: col[i] for (_, key), col in zip(_COLUMNS, cols)}}
+                   for i in range(scenario.n)],
         "meta": {k: scenario.meta[k] for k in sorted(scenario.meta)},
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
@@ -434,8 +423,10 @@ def save_scenario(scenario: Scenario, path) -> None:
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file.
 
-    Raises ScenarioError naming the offending key or group on any schema or
-    invariant violation.
+    Every value of a group record and of the ``mfd`` block must be a finite
+    JSON number; the ids are integers 0..N-1, each once, in any order, and
+    the scenario's group i is the record of id i.  Raises ScenarioError
+    naming the offending key or group on any schema or invariant violation.
     """
     raw = Path(path).read_text(encoding="utf-8")
     try:
@@ -450,35 +441,27 @@ def load_scenario(path) -> Scenario:
     mfd = MfdCurve.from_dict(doc["mfd"])
     if not isinstance(doc["groups"], list):
         raise ScenarioError("groups must be a list")
-    groups = []
+    keys = ["id"] + [key for _, key in _COLUMNS]
+    ids, rows = [], []
     for i, rec in enumerate(doc["groups"]):
         if not isinstance(rec, dict):
             raise ScenarioError(f"groups[{i}] is not an object")
-        missing = [k for k in _GROUP_KEYS if k not in rec]
+        missing = [k for k in keys if k not in rec]
         if missing:
             raise ScenarioError(f"groups[{i}] is missing {missing}")
-        extra = [k for k in rec if k not in _GROUP_KEYS]
+        extra = [k for k in rec if k not in keys]
         if extra:
             raise ScenarioError(f"groups[{i}] has unknown keys {extra}")
-        try:
-            ident = int(rec["id"])
-            groups.append(
-                Group(
-                    id=ident,
-                    gamma=float(rec["gamma"]),
-                    depart=float(rec["depart_s"]),
-                    trip_len=float(rec["trip_len_m"]),
-                    pt_time=float(rec["pt_time_s"]),
-                )
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"groups[{i}]: bad field value ({exc})") from None
-        if ident != rec["id"]:
-            raise ScenarioError(f"groups[{i}]: id must be an integer, got {rec['id']!r}")
+        ids.append(_json_number(rec["id"], f"groups[{i}]: id", integer=True))
+        rows.append([_json_number(rec[key], f"groups[{i}]: {key}") for _, key in _COLUMNS])
+    if sorted(ids) != list(range(len(ids))):
+        raise ScenarioError("group ids must be unique and contiguous from 0")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ScenarioError("meta must be an object")
-    return Scenario(groups=tuple(groups), mfd=mfd, meta=meta)
+    table = np.array(rows, dtype=float).reshape(len(rows), len(_COLUMNS))[np.argsort(ids)]
+    return Scenario(**{attr: table[:, j] for j, (attr, _) in enumerate(_COLUMNS)},
+                    mfd=mfd, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +573,6 @@ def generate_synthetic(seed: int, spec: GeneratorSpec) -> Scenario:
         / spec.v_free,
     )
 
-    groups = tuple(
-        Group(
-            id=i,
-            gamma=float(gammas[i]),
-            depart=float(departs[i]),
-            trip_len=float(trip_lens[i]),
-            pt_time=float(pt_times[i]),
-        )
-        for i in range(n)
-    )
     mfd = MfdCurve.greenshields(spec.v_free, spec.n_jam, spec.v_floor)
     meta = {
         "generator_seed": seed,
@@ -607,7 +580,8 @@ def generate_synthetic(seed: int, spec: GeneratorSpec) -> Scenario:
         "n_boundary_classes": n_boundary,
         "total_travelers": float(gammas.sum()),
     }
-    return Scenario(groups=groups, mfd=mfd, meta=meta)
+    return Scenario(gammas=gammas, departs=departs, trip_lens=trip_lens, pt_times=pt_times,
+                    mfd=mfd, meta=meta)
 
 
 # Named presets.  "congested" is the workhorse used by the acceptance suite:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tcsmfd import GeneratorSpec, Group, MfdCurve, Scenario, generate_synthetic, simulate
+from tcsmfd import GeneratorSpec, MfdCurve, Scenario, generate_synthetic, simulate
 
 # verdict lines collected by the acceptance suite; printed after the run so
 # they survive pytest's fd-level output capture
@@ -19,11 +19,9 @@ def make_scenario(groups, mfd=None):
     """Scenario from (gamma, depart, trip_len, pt_time) tuples."""
     if mfd is None:
         mfd = MfdCurve.greenshields(10.0, 100.0)
-    gs = tuple(
-        Group(id=i, gamma=g, depart=d, trip_len=l, pt_time=pt)
-        for i, (g, d, l, pt) in enumerate(groups)
-    )
-    return Scenario(groups=gs, mfd=mfd, meta={})
+    gammas, departs, trip_lens, pt_times = np.array(groups, dtype=float).T
+    return Scenario(gammas=gammas, departs=departs, trip_lens=trip_lens, pt_times=pt_times,
+                    mfd=mfd, meta={})
 
 
 def three_group_scenario():

@@ -202,6 +202,17 @@ class TestEquilibrium:
         assert rc == 2
         assert "error: mfd must be an object" in capsys.readouterr().err
 
+    def test_non_finite_curve_exits_2(self, scenario_file, tmp_path, capsys):
+        # a NaN breakpoint once loaded and failed later with "P must be finite"
+        doc = read_json(scenario_file)
+        doc["mfd"] = {"form": "piecewise_linear", "breakpoints_n_v": [[0, 10], [100, float("nan")]]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["equilibrium", "--scenario", str(path), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: mfd 'breakpoints_n_v'[1] must be a finite number, got nan")
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         rc = main([
             "equilibrium", "--scenario", str(tmp_path / "nope.json"),

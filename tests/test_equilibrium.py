@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from tcsmfd import (
     MfdCurve,
     ModalState,
-    Scenario,
     TcsParams,
     build_qp,
     equilibrium_solve,
@@ -802,8 +802,7 @@ def test_single_group_price_overshoot_converges():
     # solve sat at residual 0.5 until max_iters
     base = small_random_scenario(622, n_groups=1, congestion=0.3)
     v_free, n_jam = base.mfd.params
-    scenario = Scenario(groups=base.groups,
-                        mfd=MfdCurve.greenshields(v_free, n_jam, 0.8 * v_free))
+    scenario = dataclasses.replace(base, mfd=MfdCurve.greenshields(v_free, n_jam, 0.8 * v_free))
     rep = equilibrium_solve(scenario, TcsParams())
     assert rep.converged and rep.residual_final < 1e-4
     assert rep.state.p == pytest.approx(0.02274, rel=1e-3)
@@ -862,7 +861,7 @@ def test_converges_with_invariants_or_is_flagged(seed, n, congestion, form, floo
     v_free, n_jam = base.mfd.params
     # a floor at 0.8 v_free binds above 0.2 n_jam on greenshields
     v_floor = 0.8 * v_free if floor else 1.0
-    scenario = Scenario(groups=base.groups, mfd=_contract_curve(form, v_free, n_jam, v_floor))
+    scenario = dataclasses.replace(base, mfd=_contract_curve(form, v_free, n_jam, v_floor))
     params = TcsParams(tau=tau, cap_constraint=cap, eps_schedule=eps)
     rep = equilibrium_solve(scenario, params)
     x, p = rep.state.x, rep.state.p

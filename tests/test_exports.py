@@ -24,6 +24,12 @@ def test_exports_resolve():
         assert hasattr(tcsmfd, name), name
 
 
+@pytest.mark.parametrize("module", [tcsmfd, tcsmfd.scenario])
+def test_group_record_is_gone(module):
+    # a scenario is its four group arrays; no per-group record remains
+    assert not hasattr(module, "Group") and "Group" not in module.__all__
+
+
 @pytest.mark.parametrize("module, name", [
     (equilibrium, "logit_gradient"),
     (equilibrium, "j_value"),

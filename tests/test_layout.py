@@ -31,7 +31,7 @@ from tcsmfd import (
 from tcsmfd import gradients
 from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
-from conftest import make_scenario, small_random_scenario
+from conftest import small_random_scenario
 from reference_formulas import identity_layout, logit_gradient, price_column_first
 from reference_gradient import travel_time_gradient_reference
 from test_gradient_reference import MFD_FORMS, memory_case
@@ -59,16 +59,14 @@ def test_rows_are_zero_past_their_extents(seed, n, xseed, form, ties, rows_per_b
     # widths short of every column, into a handful of groups
     sc = small_random_scenario(seed, n_groups=n)
     if ties:  # departures on a coarse grid: equal instants, zero-length periods
-        sc = make_scenario([(g.gamma, 600.0 * round(g.depart / 600.0), g.trip_len, g.pt_time)
-                            for g in sc.groups], mfd=sc.mfd)
+        sc = dataclasses.replace(sc, departs=600.0 * np.round(sc.departs / 600.0))
     rng = np.random.default_rng(xseed)
     x = rng.uniform(0.0, 1.0, n)
     x[rng.random(n) < 0.2] = 0.0
     x[rng.random(n) < 0.2] = 1.0
     if form != "default":
         peak = max(float(simulate(sc, x).n_after.max()), 1.0)
-        sc = make_scenario([(g.gamma, g.depart, g.trip_len, g.pt_time) for g in sc.groups],
-                           mfd=MFD_FORMS[form](peak))
+        sc = dataclasses.replace(sc, mfd=MFD_FORMS[form](peak))
     sim = simulate(sc, x)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gradients, "_ROWS_PER_BLOCK", rows_per_block)

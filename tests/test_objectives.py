@@ -139,10 +139,12 @@ class TestTotalEmission:
 
 
 def derivatives_at(sc, x, p=0.01, params=None):
-    """``_charge_derivatives`` at shares x and price p, on their simulation."""
+    """``_charge_derivatives`` at shares x and price p, on their simulation
+    and the logit shares there."""
     params = params or TcsParams()
+    sim = simulate(sc, x)
     rep = EquilibriumReport(state=ModalState(x=x, p=p), converged=True, iterations=0,
-                            sim=simulate(sc, x))
+                            sim=sim, psis=logit_choice(sim.car_times, sc.pt_times, p, params))
     return _charge_derivatives(sc, rep, params, EmissionModel())
 
 

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from tcsmfd import (
     GeneratorSpec,
-    Group,
     MfdCurve,
     Scenario,
     ScenarioError,
@@ -64,6 +65,20 @@ class TestMfdCurve:
         assert np.all(np.diff(vs) <= 1e-12)
         for n, v in samples:
             assert mfd.speed(n) == pytest.approx(v)
+
+    @pytest.mark.parametrize("make", [
+        lambda: MfdCurve.piecewise_linear([(0.0, 10.0), (100.0, math.nan)]),
+        lambda: MfdCurve.piecewise_linear([(0.0, math.inf), (100.0, 5.0)]),
+        lambda: MfdCurve.tabulated([(0.0, 10.0), (50.0, math.nan), (100.0, 2.0)]),
+        lambda: MfdCurve.greenshields(math.inf, 100.0),
+        lambda: MfdCurve.greenshields(15.0, math.inf),
+        lambda: MfdCurve.greenshields(math.nan, 100.0),
+        lambda: MfdCurve("tabulated", ((0.0, 10.0), (50.0, math.nan), (100.0, 2.0))),
+    ])
+    def test_non_finite_parameters_rejected(self, make):
+        # a tabulated NaN sample once failed only at the first speed call
+        with pytest.raises(ScenarioError, match="finite"):
+            make()
 
     def test_dict_round_trip(self):
         curves = [
@@ -172,33 +187,100 @@ class TestParams:
             TcsParams(eps_schedule="linear")
 
 
+GROUP = {"id": 0, "gamma": 10.0, "depart_s": 0.0, "trip_len_m": 1000.0, "pt_time_s": 300.0}
+
+
+def scenario_doc(**changes):
+    """A valid one-group scenario document with ``changes`` applied."""
+    doc = {
+        "mfd": {"form": "greenshields", "v_free_ms": 15.0, "n_jam_veh": 5000.0,
+                "v_floor_ms": 1.0},
+        "groups": [dict(GROUP)],
+        "meta": {},
+    }
+    doc.update(changes)
+    return doc
+
+
+def columns(n=1, **changes):
+    """Valid keyword arrays of an n-group Scenario, ``changes`` applied."""
+    cols = dict(gammas=[10.0] * n, departs=[0.0] * n, trip_lens=[500.0] * n,
+                pt_times=[100.0] * n)
+    cols.update(changes)
+    return cols
+
+
 class TestScenarioValidation:
-    def test_ids_must_be_contiguous(self):
-        mfd = MfdCurve.constant(8.0)
-        g = lambda i: Group(id=i, gamma=10.0, depart=0.0, trip_len=500.0, pt_time=100.0)
-        with pytest.raises(ScenarioError):
-            Scenario(groups=(g(0), g(2)), mfd=mfd, meta={})
-        with pytest.raises(ScenarioError):
-            Scenario(groups=(g(0), g(0)), mfd=mfd, meta={})
-
-    def test_sorts_groups_by_id(self):
-        mfd = MfdCurve.constant(8.0)
-        groups = tuple(
-            Group(id=i, gamma=float(10 + i), depart=float(i), trip_len=500.0, pt_time=100.0)
-            for i in (2, 0, 1)
-        )
-        sc = Scenario(groups=groups, mfd=mfd, meta={})
-        np.testing.assert_array_equal(sc.gammas, [10.0, 11.0, 12.0])
-
     def test_bad_group_values(self):
-        # group checks run when the scenario is assembled
+        # the first bad group is named, with its first bad value in the
+        # order gamma, trip_len, pt_time, depart
         mfd = MfdCurve.constant(8.0)
-        for kw in ({"gamma": -5.0}, {"trip_len": -500.0}, {"pt_time": 0.0},
-                   {"depart": -1.0}, {"gamma": float("nan")}):
-            fields = dict(id=0, gamma=5.0, depart=0.0, trip_len=500.0, pt_time=100.0)
-            fields.update(kw)
-            with pytest.raises(ScenarioError):
-                Scenario(groups=(Group(**fields),), mfd=mfd, meta={})
+        for changes, message in [
+            ({"gammas": [-5.0]}, "group 0: gamma must be finite and > 0"),
+            ({"trip_lens": [-500.0]}, "group 0: trip_len must be finite and > 0"),
+            ({"pt_times": [0.0]}, "group 0: pt_time must be finite and > 0"),
+            ({"departs": [-1.0]}, "group 0: depart must be finite and >= 0"),
+            ({"departs": [np.inf]}, "group 0: depart must be finite and >= 0"),
+            ({"gammas": [np.nan]}, "group 0: gamma must be finite and > 0"),
+            ({"gammas": [5.0, 5.0, -1.0], "departs": [0.0, -1.0, 0.0],
+              "trip_lens": [1.0, 1.0, 0.0], "pt_times": [1.0, 1.0, 1.0]},
+             "group 1: depart must be finite and >= 0"),
+            ({"gammas": [5.0, 5.0], "departs": [0.0, -1.0], "trip_lens": [1.0, 0.0],
+              "pt_times": [1.0, 0.0]}, "group 1: trip_len must be finite and > 0"),
+        ]:
+            with pytest.raises(ScenarioError, match=f"^{message}$"):
+                Scenario(**columns(**changes), mfd=mfd)
+
+    def test_ids_must_be_contiguous(self, tmp_path):
+        path = tmp_path / "bad.json"
+        for ids in ([0, 2], [0, 0], [1, 2]):
+            doc = scenario_doc(groups=[dict(GROUP, id=i) for i in ids])
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ScenarioError, match="unique and contiguous from 0"):
+                load_scenario(path)
+
+    def test_sorts_groups_by_id(self, tmp_path):
+        # group i is the record of id i, whatever the records' order
+        doc = scenario_doc(groups=[dict(GROUP, id=i, gamma=float(10 + i), depart_s=float(i))
+                                   for i in (2, 0, 1)])
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(doc))
+        sc = load_scenario(path)
+        np.testing.assert_array_equal(sc.gammas, [10.0, 11.0, 12.0])
+        np.testing.assert_array_equal(sc.departs, [0.0, 1.0, 2.0])
+        assert [g["id"] for g in json.loads(scenario_to_text(sc))["groups"]] == [0, 1, 2]
+
+    def test_no_groups(self):
+        with pytest.raises(ScenarioError, match="^scenario has no groups$"):
+            Scenario(**columns(0), mfd=MfdCurve.constant(8.0))
+
+    @pytest.mark.parametrize("changes", [
+        {"pt_times": [100.0, 100.0, 100.0]},
+        {"gammas": [10.0]},
+        {"departs": [[0.0, 0.0]]},
+        {"gammas": 10.0, "departs": 0.0, "trip_lens": 500.0, "pt_times": 100.0},
+    ])
+    def test_arrays_must_be_one_dimensional_of_equal_length(self, changes):
+        with pytest.raises(ScenarioError, match="one-dimensional and of equal length"):
+            Scenario(**columns(2, **changes), mfd=MfdCurve.constant(8.0))
+
+    def test_arrays_are_read_only_copies(self):
+        source = {k: np.array(v) for k, v in columns(3).items()}
+        sc = Scenario(**source, mfd=MfdCurve.constant(8.0))
+        swapped = dataclasses.replace(sc, mfd=MfdCurve.constant(6.0))
+        for attr, col in source.items():
+            for scenario in (sc, swapped):
+                arr = getattr(scenario, attr)
+                assert arr.dtype == float and not arr.flags.writeable
+                assert not np.shares_memory(arr, col)
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+            col[0] = 7.0
+            assert getattr(sc, attr)[0] != 7.0
+        text = scenario_to_text(sc)
+        with pytest.raises(ValueError):
+            sc.gammas *= 3
+        assert scenario_to_text(sc) == text
 
 
 class TestIo:
@@ -236,19 +318,6 @@ class TestIo:
             load_scenario(path)
 
 
-def scenario_doc(**changes):
-    """A valid one-group scenario document with ``changes`` applied."""
-    doc = {
-        "mfd": {"form": "greenshields", "v_free_ms": 15.0, "n_jam_veh": 5000.0,
-                "v_floor_ms": 1.0},
-        "groups": [{"id": 0, "gamma": 10.0, "depart_s": 0.0, "trip_len_m": 1000.0,
-                    "pt_time_s": 300.0}],
-        "meta": {},
-    }
-    doc.update(changes)
-    return doc
-
-
 class TestMalformedFiles:
     """Each malformed file raises a ScenarioError that names the key."""
 
@@ -264,6 +333,41 @@ class TestMalformedFiles:
          "v_free_ms"),
         (scenario_doc(mfd={"form": "greenshields", "v_free_ms": 15.0, "n_jam_veh": 5.0,
                            "v_floor_ms": "slow"}), "v_floor_ms"),
+        # non-finite values, which once loaded and gave NaN car times
+        pytest.param(scenario_doc(mfd={"form": "piecewise_linear",
+                                       "breakpoints_n_v": [[0, 10], [100, math.nan]]}),
+                     r"mfd 'breakpoints_n_v'\[1\] must be a finite number", id="nan-breakpoint"),
+        pytest.param(scenario_doc(mfd={"form": "piecewise_linear",
+                                       "breakpoints_n_v": [[0, 10], [math.inf, 5]]}),
+                     r"mfd 'breakpoints_n_v'\[1\] must be a finite number", id="inf-breakpoint"),
+        pytest.param(scenario_doc(mfd={"form": "tabulated",
+                                       "samples_n_v": [[0, 10], [50, 6], [100, math.nan]]}),
+                     r"mfd 'samples_n_v'\[2\] must be a finite number", id="nan-sample"),
+        pytest.param(scenario_doc(mfd={"form": "greenshields", "v_free_ms": math.inf,
+                                       "n_jam_veh": 5.0}),
+                     "mfd 'v_free_ms' must be a finite number", id="inf-v_free"),
+        pytest.param(scenario_doc(mfd={"form": "greenshields", "v_free_ms": 15.0,
+                                       "n_jam_veh": math.inf}),
+                     "mfd 'n_jam_veh' must be a finite number", id="inf-n_jam"),
+        pytest.param(scenario_doc(mfd={"form": "greenshields", "v_free_ms": 15.0,
+                                       "n_jam_veh": 5.0, "v_floor_ms": -math.inf}),
+                     "mfd 'v_floor_ms' must be a finite number", id="inf-v_floor"),
+        # JSON booleans and strings, which once read as numbers
+        pytest.param(scenario_doc(groups=[dict(GROUP, id=True)]),
+                     r"groups\[0\]: id must be an integer, got True", id="bool-id"),
+        pytest.param(scenario_doc(groups=[dict(GROUP, gamma="7")]),
+                     r"groups\[0\]: gamma must be a finite number, got '7'", id="str-gamma"),
+        pytest.param(scenario_doc(groups=[dict(GROUP, pt_time_s=False)]),
+                     r"groups\[0\]: pt_time_s must be a finite number", id="bool-pt_time"),
+        pytest.param(scenario_doc(mfd={"form": "greenshields", "v_free_ms": "15",
+                                       "n_jam_veh": 5.0}),
+                     "mfd 'v_free_ms' must be a finite number, got '15'", id="str-v_free"),
+        pytest.param(scenario_doc(mfd={"form": "greenshields", "v_free_ms": 15.0,
+                                       "n_jam_veh": 5.0, "v_floor_ms": True}),
+                     "mfd 'v_floor_ms' must be a finite number, got True", id="bool-v_floor"),
+        pytest.param(scenario_doc(mfd={"form": "piecewise_linear",
+                                       "breakpoints_n_v": [[0, 10], ["100", 5]]}),
+                     r"mfd 'breakpoints_n_v'\[1\] must be a finite number", id="str-breakpoint"),
     ])
     def test_names_the_key(self, tmp_path, doc, key):
         path = tmp_path / "bad.json"
@@ -285,7 +389,7 @@ class TestMalformedFiles:
         doc["groups"][0]["id"] = 0.0
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(doc))
-        assert load_scenario(path).groups[0].id == 0
+        assert load_scenario(path).gammas.tolist() == [GROUP["gamma"]]
 
     def test_infinite_id_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -301,6 +405,16 @@ class TestGenerator:
         assert a == b
         c = scenario_to_text(generate_synthetic(43, preset_spec("small")))
         assert a != c
+
+    @pytest.mark.parametrize("preset, digest", [
+        ("small", "ac62b204f022efae44482893a6a2d1243f1a8520dde6f4093ed971a66b89b8b2"),
+        ("congested", "f7c53e7cf2de7e6c163f35b0a6eaa74e4ee1e98e9d158252a16acd78ef9af4c7"),
+        ("citywide", "956850b759924547f543875c0830a5f32ef672ef67f9df5a7cf03c213d45a970"),
+    ])
+    def test_pinned_text(self, preset, digest):
+        # the saved bytes of each preset, and with them every manifest's hash
+        text = scenario_to_text(generate_synthetic(0, preset_spec(preset)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_population_exact(self):
         for name in ("small", "congested"):

@@ -6,6 +6,7 @@ remaining distances, everything recomputed per step), so agreement is
 evidence rather than tautology.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,9 @@ X3 = np.array([0.5, 0.8, 0.75])
 
 def fraction_oracle(scenario, x_shares):
     groups = [
-        (Fraction(g.gamma), Fraction(g.depart), Fraction(g.trip_len))
-        for g in scenario.groups
+        (Fraction(gamma), Fraction(depart), Fraction(trip_len))
+        for gamma, depart, trip_len in zip(scenario.gammas.tolist(), scenario.departs.tolist(),
+                                           scenario.trip_lens.tolist())
     ]
     x = [Fraction(v) for v in x_shares]
     n_total = len(groups)
@@ -98,15 +100,12 @@ class TestConstantMfd:
             mfd=MfdCurve.constant(8.0),
         )
         sim = simulate(sc, np.array([0.9, 0.4, 0.7]))
-        for i, g in enumerate(sc.groups):
-            assert abs(sim.car_times[i] - g.trip_len / 8.0) < 1e-9
+        for i, trip_len in enumerate(sc.trip_lens):
+            assert abs(sim.car_times[i] - trip_len / 8.0) < 1e-9
 
     def test_random_scenario_exactness(self):
         sc = small_random_scenario(11, n_groups=12)
-        sc = make_scenario(
-            [(g.gamma, g.depart, g.trip_len, g.pt_time) for g in sc.groups],
-            mfd=MfdCurve.constant(12.0),
-        )
+        sc = dataclasses.replace(sc, mfd=MfdCurve.constant(12.0))
         x = np.random.default_rng(5).uniform(0.1, 1.0, sc.n)
         sim = simulate(sc, x)
         want = sc.trip_lens / 12.0
