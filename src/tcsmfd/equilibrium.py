@@ -489,6 +489,10 @@ def equilibrium_solve(
         p = float(p_init)
     if not (p >= 0):
         raise ValueError("p_init must be >= 0")
+    if math.isinf(p):
+        raise ValueError("p_init must be finite")
+    if not (0 < x_tol < math.inf):  # NaN fails too
+        raise ValueError("x_tol must be finite and > 0")
     if tcs and _credit_slack(x, c, params) < -_cap_tolerance(c, params):
         raise ValueError("x_init violates the credit cap")
 
@@ -616,6 +620,8 @@ def msa_solve(scenario: Scenario, params: TcsParams, p_fixed: float,
         raise ValueError("iters must be >= 1")
     if not (p_fixed >= 0):
         raise ValueError("p_fixed must be >= 0")
+    if math.isinf(p_fixed):
+        raise ValueError("p_fixed must be finite")
     x = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
     if x.shape != (n,) or np.any(x < 0) or np.any(x > 1):
         raise ValueError("x_init must be N shares within [0, 1]")

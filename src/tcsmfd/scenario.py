@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -275,8 +277,11 @@ class Scenario:
     transport trip of ``pt_times[i]`` (s).  Each array is the scenario's own
     read-only float copy of what it was given, and all four are one-
     dimensional of the same length N >= 1; swap the curve with
-    ``dataclasses.replace(scenario, mfd=...)``.  ``eq=False``: a generated
-    ``__eq__`` would compare the arrays, whose truth value is ambiguous.
+    ``dataclasses.replace(scenario, mfd=...)``.  ``meta`` is a read-only
+    view of a copy of the labels it was given.  A copy or a pickle rebuilds
+    the scenario through ``__init__``, so it keeps these rules.  ``eq=False``:
+    a generated ``__eq__`` would compare the arrays, whose truth value is
+    ambiguous.
     """
 
     gammas: np.ndarray
@@ -284,13 +289,14 @@ class Scenario:
     trip_lens: np.ndarray
     pt_times: np.ndarray
     mfd: MfdCurve
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         for attr, _ in _COLUMNS:
             col = np.array(getattr(self, attr), dtype=float)
             col.setflags(write=False)
             object.__setattr__(self, attr, col)
+        object.__setattr__(self, "meta", types.MappingProxyType(dict(self.meta)))
         shapes = {getattr(self, attr).shape for attr, _ in _COLUMNS}
         if len(shapes) != 1 or len(shapes.pop()) != 1:
             raise ScenarioError("group arrays must be one-dimensional and of equal length")
@@ -302,6 +308,12 @@ class Scenario:
             i = int(np.flatnonzero(~ok.all(axis=0))[0])
             _, name, rule, _ = _RULES[int(np.argmin(ok[:, i]))]
             raise ScenarioError(f"group {i}: {name} must be finite and {rule}")
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle, and a bare copy would skip
+        # __post_init__ and come back with writable arrays
+        return (type(self), (self.gammas, self.departs, self.trip_lens, self.pt_times,
+                             self.mfd, dict(self.meta)))
 
     @property
     def n(self) -> int:

@@ -245,6 +245,13 @@ class TestMsa:
         assert isinstance(msa["cap_violated"], bool)
         assert len(msa["residual_trace"]) == 30
 
+    def test_infinite_price_exits_2(self, scenario_file, tmp_path, capsys):
+        rc = main([
+            "msa", "--scenario", str(scenario_file), "-o", str(tmp_path), "--price", "inf",
+        ])
+        assert rc == 2
+        assert "p_fixed must be finite" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_outputs(self, scenario_file, tmp_path):

@@ -27,6 +27,10 @@ from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 from conftest import make_scenario, small_random_scenario
 from reference_formulas import identity_layout, logit_gradient, price_column_first
 
+# an x_tol below every nonzero fixed-point residual: a solve given it runs to
+# max_iters (x_tol must be > 0)
+NEVER = 5e-324
+
 
 def assert_operator_matches(P, dense, same_order=None, rtol=1e-14):
     """The never-formed QP matrix ``P`` against an assembled ``dense``:
@@ -564,6 +568,17 @@ class TestEquilibriumSolver:
         with pytest.raises(ValueError, match="^p_init must be >= 0$"):
             equilibrium_solve(small_scenario, TcsParams(), p_init=bad)
 
+    @pytest.mark.parametrize("tcs", [True, False])
+    def test_infinite_p_init_rejected(self, small_scenario, tcs):
+        # without the scheme the price is held, and p = inf read as converged
+        with pytest.raises(ValueError, match="^p_init must be finite$"):
+            equilibrium_solve(small_scenario, TcsParams(), p_init=math.inf, tcs=tcs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -1e-4, math.inf])
+    def test_bad_x_tol_rejected(self, small_scenario, bad):
+        with pytest.raises(ValueError, match="^x_tol must be finite and > 0$"):
+            equilibrium_solve(small_scenario, TcsParams(), x_tol=bad)
+
     def test_infeasible_x_init_rejected(self, small_scenario):
         n = small_scenario.n
         with pytest.raises(ValueError):
@@ -598,11 +613,12 @@ class TestEquilibriumSolver:
     @pytest.mark.parametrize("case", ["tcs", "no_tcs", "max_iters"])
     def test_report_sim_is_the_simulation_of_its_state(self, small_scenario, case):
         if case == "max_iters":
-            # x_tol=0 never converges; J bottoms out before the last iterate
+            # a tolerance below every nonzero residual never converges; J
+            # bottoms out before the last iterate
             # of the QP steps that a solve without the scheme takes (the
             # scheme's substitution steps lower J to the last)
             rep = equilibrium_solve(small_scenario, TcsParams(max_iters=6), tcs=False,
-                                    x_tol=0.0)
+                                    x_tol=NEVER)
             assert not rep.converged
             assert int(np.argmin(rep.j_trace)) < rep.iterations - 1
         else:
@@ -627,11 +643,11 @@ class TestEquilibriumSolver:
             monkeypatch.setattr(tcsmfd.equilibrium, name, counted)
         m = 4
         rep = equilibrium_solve(small_scenario, TcsParams(max_iters=m), tcs=False,
-                                x_tol=0.0)
+                                x_tol=NEVER)
         assert not rep.converged and rep.iterations == m
         assert calls == {"travel_time_gradient": m - 1, "solve_qp": m - 1}
         calls.clear()
-        rep = equilibrium_solve(small_scenario, TcsParams(max_iters=m), x_tol=0.0)
+        rep = equilibrium_solve(small_scenario, TcsParams(max_iters=m), x_tol=NEVER)
         assert not rep.converged and rep.iterations == m
         assert rep.substitution_steps == m - 1
         assert calls == {"_clearing_price": m - 1}
@@ -650,7 +666,7 @@ class TestEquilibriumSolver:
             rep = equilibrium_solve(small_scenario, TcsParams(), tcs=False)
         else:
             rep = equilibrium_solve(small_scenario, TcsParams(max_iters=4), tcs=False,
-                                    x_tol=0.0)
+                                    x_tol=NEVER)
         assert rep.converged == (case == "converged")
         assert rep.substitution_steps == 0
         # neither exit takes a step from its last iterate
@@ -912,6 +928,10 @@ class TestMsa:
     def test_bad_price_rejected(self, small_scenario, bad):
         with pytest.raises(ValueError, match="^p_fixed must be >= 0$"):
             msa_solve(small_scenario, TcsParams(), p_fixed=bad)
+
+    def test_infinite_price_rejected(self, small_scenario):
+        with pytest.raises(ValueError, match="^p_fixed must be finite$"):
+            msa_solve(small_scenario, TcsParams(), p_fixed=math.inf)
 
     def test_residual_shrinks(self, small_scenario):
         msa = msa_solve(small_scenario, TcsParams(), p_fixed=0.005, iters=40)

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -281,6 +283,40 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             sc.gammas *= 3
         assert scenario_to_text(sc) == text
+
+    def test_meta_is_a_read_only_copy(self, tmp_path):
+        labels = {"preset": "small", "generator_seed": 0}
+        sc = Scenario(**columns(3), mfd=MfdCurve.constant(8.0), meta=labels)
+        text = scenario_to_text(sc)
+        save_scenario(sc, tmp_path / "before.json")
+        labels["generator_seed"] = 99
+        labels["extra"] = 1
+        assert dict(sc.meta) == {"preset": "small", "generator_seed": 0}
+        assert scenario_to_text(sc) == text
+        save_scenario(sc, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+        with pytest.raises(TypeError):
+            sc.meta["generator_seed"] = 99
+        swapped = dataclasses.replace(sc, mfd=MfdCurve.constant(6.0))
+        assert dict(swapped.meta) == dict(sc.meta)
+        with pytest.raises(TypeError):
+            swapped.meta["extra"] = 1
+
+    @pytest.mark.parametrize("how", ["deepcopy", "copy", "pickle"])
+    def test_copy_and_pickle_keep_the_rules(self, how):
+        sc = generate_synthetic(0, preset_spec("small"))
+        clone = {"deepcopy": copy.deepcopy, "copy": copy.copy,
+                 "pickle": lambda s: pickle.loads(pickle.dumps(s))}[how](sc)
+        assert isinstance(clone, Scenario) and clone is not sc
+        for attr in ("gammas", "departs", "trip_lens", "pt_times"):
+            arr = getattr(clone, attr)
+            assert not arr.flags.writeable
+            assert arr.tobytes() == getattr(sc, attr).tobytes()
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(TypeError):
+            clone.meta["generator_seed"] = 99
+        assert scenario_to_text(clone) == scenario_to_text(sc)
 
 
 class TestIo:

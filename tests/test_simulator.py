@@ -7,6 +7,7 @@ evidence rather than tautology.
 """
 
 import dataclasses
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -210,3 +211,36 @@ def test_car_times_match_per_trip_sum(preset):
             for i in range(sc.n)
         ])
         assert sim.car_times.tobytes() == want.tobytes()
+
+
+# sha256 over the dtype and bytes of every SimResult array, in SIM_FIELDS
+# order, at generator seed 0; a change to the event loop that moves any bit
+# of any array breaks these
+SIM_FIELDS = ("times", "kinds", "event_groups", "n_after", "v_after", "durations",
+              "entry_index", "exit_index", "car_times")
+SIM_DIGESTS = {
+    ("small", "random"): "e4c6b86f9be4b9e5faa9af86b2b49f5731596416660b40c96aa2ff4a24c76da4",
+    ("small", "zeros"): "93f039fe4a4636c611f931c17b71c537cc583719911e8235a6afdc1a7893bf78",
+    ("small", "ones"): "0b0fe75aa71652a309e66eba77928c15f70829baedad77c9b1060e4fc009e4cd",
+    ("congested", "random"): "24c81bd7e478dde04c4df61d7a6ec3e3b3f030178be2a1727b8e4b6e58696d3d",
+    ("congested", "zeros"): "8e9df204d775aa78acc4ecaf5cae29aa8ddef239e2283b4198826e72f6381f25",
+    ("congested", "ones"): "a26ac5c1b7cc07d68ece7a1af923360bd581df5042c6081964e12633f5c7ff8c",
+    ("citywide", "random"): "173cc6684d4e02443fa65f533e4144e4287a473c2758f826ee6fecb1f1d4c0db",
+    ("citywide", "zeros"): "f970f3cc7adda4637c67bf31887fefc8da56bcf411b5ac99946ef8d9461a1cd2",
+    ("citywide", "ones"): "116178827938dd89c320b47b10f8d5258901a5fec27d46fd77a97a2908395e38",
+}
+
+
+@pytest.mark.parametrize("preset", ["small", "congested", "citywide"])
+def test_simulate_bits_pinned(preset):
+    sc = generate_synthetic(0, preset_spec(preset))
+    xs = {"random": np.random.default_rng(0).random(sc.n),
+          "zeros": np.zeros(sc.n), "ones": np.ones(sc.n)}
+    for name, x in xs.items():
+        sim = simulate(sc, x)
+        h = hashlib.sha256()
+        for field in SIM_FIELDS:
+            a = getattr(sim, field)
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == SIM_DIGESTS[preset, name], name

@@ -157,7 +157,7 @@ def test_horizon_overrun_in_any_row_raises(monkeypatch):
     monkeypatch.setattr(MfdCurve, "_scalar_speed",
                         property(lambda self: lambda n: crawl(self, n)))
     xs = np.array([np.zeros(sc.n), np.ones(sc.n), np.full(sc.n, 0.1)])
-    with pytest.raises(HorizonError):
+    with pytest.raises(HorizonError, match="sanity horizon"):
         simulate(sc, xs[1])
     assert_rows_match(sc, xs[[0, 2]])
     with pytest.raises(HorizonError, match="sanity horizon"):
