@@ -481,7 +481,7 @@ def equilibrium_solve(
             x = _onto_cap(x, c, params)
     else:
         x = np.asarray(x_init, dtype=float).copy()
-    if x.shape != (n,) or np.any(x < 0) or np.any(x > 1):
+    if x.shape != (n,) or not np.all((x >= 0) & (x <= 1)):  # NaN fails both
         raise ValueError("x_init must be N shares within [0, 1]")
     if p_init is None:
         p = params.p0 if tcs else 0.0
@@ -623,7 +623,7 @@ def msa_solve(scenario: Scenario, params: TcsParams, p_fixed: float,
     if math.isinf(p_fixed):
         raise ValueError("p_fixed must be finite")
     x = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
-    if x.shape != (n,) or np.any(x < 0) or np.any(x > 1):
+    if x.shape != (n,) or not np.all((x >= 0) & (x <= 1)):  # NaN fails both
         raise ValueError("x_init must be N shares within [0, 1]")
     residuals = []
     for k in range(1, iters + 1):

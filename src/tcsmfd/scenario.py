@@ -184,7 +184,11 @@ class MfdCurve:
         if self.form == _GREENSHIELDS:
             # _raw's formula in float arithmetic, which rounds as numpy's
             v_free, n_jam = self.params
-            return lambda n: max(v_free * (1.0 - n / n_jam), v_floor)
+
+            def speed(n):
+                v = v_free * (1.0 - n / n_jam)
+                return v if v >= v_floor else v_floor  # max() without its call
+            return speed
         raw = self._raw
         return lambda n: max(float(raw(n)), v_floor)
 

@@ -584,6 +584,17 @@ class TestEquilibriumSolver:
         with pytest.raises(ValueError):
             equilibrium_solve(small_scenario, TcsParams(), x_init=np.ones(n))
 
+    @pytest.mark.parametrize("solver", ["tcs", "no_tcs", "msa"])
+    def test_nan_x_init_rejected(self, small_scenario, solver):
+        # NaN fails both bounds, so it reaches neither the cap nor simulate
+        x = np.full(small_scenario.n, 0.2)
+        x[3] = math.nan
+        with pytest.raises(ValueError, match=r"^x_init must be N shares within \[0, 1\]$"):
+            if solver == "msa":
+                msa_solve(small_scenario, TcsParams(), p_fixed=0.0, x_init=x)
+            else:
+                equilibrium_solve(small_scenario, TcsParams(), x_init=x, tcs=solver == "tcs")
+
     def test_report_traces_lengths(self, small_scenario):
         rep = equilibrium_solve(small_scenario, TcsParams())
         assert len(rep.j_trace) == rep.iterations
