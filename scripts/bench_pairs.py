@@ -10,11 +10,18 @@ time the run reports on a ``stage <name> <seconds> s`` line (the workload's
 median per stage, ``stage.uniqueness_s`` and so on; lower is better), so a
 speed claim can name its layer.  ``--workload`` takes one or more
 workloads, or ``all``; they run one after the other, each with its own
-summary.  Then follows the net line change (lines added minus lines
-deleted, from ``git diff --numstat``) of ``src/`` and ``tests/`` in the
-working tree against ``--base``, the number each change reports next to its
-benchmark delta.  The last line is one JSON object with every workload's
-runs and summaries and the net line change.
+summary.  Then the script runs the command line in each tree on the
+``congested`` seed-0 scenario it generates there: ``equilibrium`` (with and
+without the scheme), ``msa``, ``sweep``, ``optimize`` (both objectives),
+``stability``, ``uniqueness``, ``gains`` and ``study`` (``OUTPUT_RUNS``),
+under the same relative paths in both trees, so the manifests compare too.
+It prints every output file whose bytes differ between the trees, or that
+only one tree wrote.  Then follows the net line change (lines added minus
+lines deleted, from ``git diff --numstat``) of ``src/`` and ``tests/`` in
+the working tree against ``--base``, the number each change reports next to
+its benchmark delta.  The last line is one JSON object with every
+workload's runs and summaries, the differing output files and the net line
+change.
 
     python3 scripts/bench_pairs.py --base HEAD --workload all
     python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
@@ -34,6 +41,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -49,6 +57,20 @@ WORKLOADS = ("citywide_equilibrium", "congested_policy", "congested_diagnostics"
 SEED = 0
 NET_LINE_DIRS = ("src", "tests")
 STAGE_LINE = re.compile(r"stage (\S+) (\S+) s")
+SCENARIO = "scenario/scenario.json"
+# output directory -> the subcommand and its options, run on SCENARIO
+OUTPUT_RUNS = {
+    "equilibrium": ["equilibrium"],
+    "equilibrium_no_tcs": ["equilibrium", "--no-tcs"],
+    "msa": ["msa", "--price", "0.01"],
+    "sweep": ["sweep", "--taus", "100:501:40"],
+    "optimize_ttt": ["optimize", "--objective", "ttt"],
+    "optimize_mixed": ["optimize", "--objective", "mixed"],
+    "stability": ["stability", "--taus", "200,280"],
+    "uniqueness": ["uniqueness", "--samples", "60"],
+    "gains": ["gains"],
+    "study": ["study"],
+}
 
 
 def unpack(rev: str, dest: Path) -> Path:
@@ -77,6 +99,38 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
     stages = {f"stage.{m[1]}": float(m[2])
               for m in map(STAGE_LINE.fullmatch, lines[:-1]) if m}
     return {"correct": result["correct"], "failed": result["failed"], **values, **stages}
+
+
+def cli_outputs(tree: Path, work: Path) -> dict:
+    """Bytes of every file the command line of ``tree`` writes under ``work``
+    (generate, then OUTPUT_RUNS), by path relative to ``work``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    runs = [["generate", "--preset", "congested", "--seed", "0", "-o",
+             str(Path(SCENARIO).parent)]]
+    runs += [[*args, "--scenario", SCENARIO, "-o", out] for out, args in OUTPUT_RUNS.items()]
+    for args in runs:
+        subprocess.run([sys.executable, "-m", "tcsmfd", *args], cwd=work, env=env,
+                       check=True, capture_output=True)
+    return {p.relative_to(work).as_posix(): p.read_bytes()
+            for p in sorted(work.rglob("*")) if p.is_file()}
+
+
+def output_diff(trees: dict, tmp: Path) -> list[str]:
+    """Output files that differ between the two trees' command lines, or
+    that only one of them wrote; prints each."""
+    outputs = {}
+    for side, tree in trees.items():
+        work = tmp / f"outputs-{side}"
+        work.mkdir()
+        outputs[side] = cli_outputs(tree, work)
+    base, change = outputs["base"], outputs["change"]
+    differ = sorted(name for name in base.keys() | change.keys()
+                    if base.get(name) != change.get(name))
+    print(f"command-line outputs: {len(differ)} of {len(base.keys() | change.keys())} "
+          f"files differ", flush=True)
+    for name in differ:
+        print(f"  differs: {name}", flush=True)
+    return differ
 
 
 def net_lines(rev: str) -> dict:
@@ -154,11 +208,12 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        trees = {"base": unpack(args.base, Path(tmp)), "change": ROOT}
+        trees = {"base": unpack(args.base, Path(tmp) / "tree"), "change": ROOT}
         print(f"workloads {' '.join(workloads)}: base {args.base} against change {ROOT}, "
               f"{args.pairs} pairs each, --seconds {seconds:g} --seed {SEED}",
               flush=True)
         results = {w: run_pairs(trees, w, args.pairs, metrics, seconds) for w in workloads}
+        differ = output_diff(trees, Path(tmp))
 
     all_correct = all(r["correct"] for w in results.values()
                       for side in w["runs"].values() for r in side)
@@ -169,6 +224,7 @@ def main(argv=None) -> int:
     print(json.dumps({"base": args.base,
                       "runs": {w: res["runs"] for w, res in results.items()},
                       "summary": {w: res["summary"] for w, res in results.items()},
+                      "output_diff": differ,
                       "net_lines": net}))
     return 0 if all_correct else 1
 

@@ -31,7 +31,6 @@ from .equilibrium import (
 )
 from .gradients import GradientMatrix, travel_time_gradient
 from .objectives import (
-    EmissionModel,
     GroupGains,
     OptimizeResult,
     OptimizeStep,
@@ -59,7 +58,6 @@ from .simulator import HorizonError, SimResult, simulate
 __all__ = [
     "__version__",
     "EigResult",
-    "EmissionModel",
     "EquilibriumReport",
     "GeneratorSpec",
     "GradientMatrix",

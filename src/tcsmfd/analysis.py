@@ -24,7 +24,7 @@ import numpy as np
 
 from .equilibrium import _linearize, logit_choice
 from .gradients import travel_time_gradient  # noqa: F401  (traced here by perfbench)
-from .scenario import Scenario, TcsParams
+from .scenario import Scenario, TcsParams, _require_count
 from .simulator import simulate, simulate_car_times
 
 __all__ = [
@@ -67,6 +67,8 @@ def uniqueness_check(
     otherwise a seeded random subset of exactly ``max_pairs`` pairs is drawn
     and the subset size reported (``all_pairs=False``).
     """
+    _require_count(n_samples, "n_samples")
+    _require_count(max_pairs, "max_pairs")
     if n_samples < 2:
         raise ValueError("need at least two samples")
     if max_pairs < 1:

@@ -79,10 +79,6 @@ def _eur_per_s(text: str) -> float:
     return float(text) / 3600.0
 
 
-def _eps_schedule(text: str) -> str:
-    return "inverse" if text == "inv" else text
-
-
 # TcsParams field -> (flag, argparse keywords); ``type`` converts the flag's
 # text to the field's value
 _PARAM_FLAGS = {
@@ -93,8 +89,6 @@ _PARAM_FLAGS = {
     "eta": ("--eta", dict(type=float, help="market-clearing weight")),
     "j_goal": ("--j-goal", dict(type=float, help="objective convergence goal")),
     "max_iters": ("--max-iters", dict(type=int, help="equilibrium iteration cap")),
-    "eps_schedule": ("--eps", dict(type=_eps_schedule,
-                                   help="trust-region schedule: 'inv' or 'const:<v>'")),
     "p0": ("--p0", dict(type=float, help="initial credit price")),
     "gamma_emission": ("--gamma-emission",
                        dict(type=float, help="emission weight of the mixed objective")),
@@ -103,8 +97,8 @@ _PARAM_FLAGS = {
                                                 help="aggregate cap row variant")),
 }
 
-_SOLVER = ("kappa", "alpha", "theta", "eta", "j_goal", "max_iters", "eps_schedule",
-           "p0", "cap_constraint")
+_SOLVER = ("kappa", "alpha", "theta", "eta", "j_goal", "max_iters", "p0",
+           "cap_constraint")
 
 # the TcsParams fields each scenario subcommand reads: its flags and its
 # manifest's params

@@ -48,7 +48,7 @@ import numpy as np
 
 from .gradients import Layout, travel_time_gradient
 from .qp import solve_qp
-from .scenario import Scenario, TcsParams
+from .scenario import Scenario, TcsParams, _require_count
 from .simulator import SimResult, simulate
 
 __all__ = [
@@ -241,12 +241,12 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
     weights w = c / sum(c) and c = ``params.cap_weights(gammas)``.  P is
     never formed: it is applied as G'(G v) plus the border eta * I_p v, and
     its diagonal is the squared column norms of G.  A non-finite
-    ``grad_psi`` entry in the QP's columns raises ``ValueError``.  Trust
-    bounds are intersected with the feasibility box, and the cap row is
-    tau * c'dx <= kappa * sum(c) - tau * c'x0.  With ``tcs=False`` there is
-    no price coordinate: the QP has N coordinates, built from the share
-    columns of ``grad_psi``, with neither market term nor cap row (plain
-    congestion-pricing / SUE mode).
+    ``grad_psi`` entry in the QP's columns raises ``ValueError``.  The
+    trust box |dz| <= 1/k is intersected with the feasibility box, and the
+    cap row is tau * c'dx <= kappa * sum(c) - tau * c'x0.  With
+    ``tcs=False`` there is no price coordinate: the QP has N coordinates,
+    built from the share columns of ``grad_psi``, with neither market term
+    nor cap row (plain congestion-pricing / SUE mode).
     """
     x0 = np.asarray(x0, dtype=float)
     psi0 = np.asarray(psi0, dtype=float)
@@ -263,7 +263,7 @@ def build_qp(x0, p0, psi0, grad_psi, gammas, params: TcsParams, k: int,
     for rows, g in G:
         g[np.arange(len(g)), own[rows]] -= 1.0
 
-    eps = params.eps_value(k)
+    eps = 1.0 / k
     lower = np.empty(m)
     upper = np.empty(m)
     lower[:n] = np.maximum(-x0, -eps)
@@ -442,7 +442,6 @@ def equilibrium_solve(
     p_init=None,
     tcs: bool = True,
     x_tol: float = 1e-4,
-    qp_tol: float = 1e-10,
 ) -> EquilibriumReport:
     """Fixed-point loop: simulate, then step by market-clearing
     substitution or by the linearized QP's solution.
@@ -454,10 +453,9 @@ def equilibrium_solve(
     (the first step always qualifies).  The first time either test fails,
     this step and every later one is a QP step, and the first QP step is
     taken from the best-J iterate so far (the current one, unless a
-    substitution step made J worse).  The trust region counts QP steps only,
-    so the first QP step has eps = 1 under the ``inverse`` schedule.
-    Without the scheme, or where the cap is slack at the start, every step
-    is a QP step.
+    substitution step made J worse).  The k-th QP step has the trust radius
+    1/k (``build_qp``), k counting QP steps only.  Without the scheme, or
+    where the cap is slack at the start, every step is a QP step.
 
     Stops once J < j_goal and the fixed-point residual ||x - psi||_inf is
     below ``x_tol`` (J alone leaves the residual too loose), or after
@@ -553,7 +551,7 @@ def equilibrium_solve(
                         tcs=tcs, layout=layout)
         del grad_psi
         sol = solve_qp(prob.P, prob.q, prob.lower, prob.upper,
-                       a=prob.cap_coeffs, b=prob.cap_rhs, tol=qp_tol)
+                       a=prob.cap_coeffs, b=prob.cap_rhs)
         dz = prob.step(sol.z)
         del prob
         qp_unconverged += not sol.converged
@@ -608,23 +606,22 @@ class MsaReport:
 
 
 def msa_solve(scenario: Scenario, params: TcsParams, p_fixed: float,
-              iters: int = 50, x_init=None) -> MsaReport:
-    """Averaging fixed-point iteration x <- x + (psi(x, p) - x) / k.
+              iters: int = 50) -> MsaReport:
+    """Averaging fixed-point iteration x <- x + (psi(x, p) - x) / k, from
+    x = 0.
 
     The price is an input, not an unknown: MSA cannot discover the market
     price.  The cap is not enforced either; the report flags a violated cap
     instead of preventing it.
     """
-    n = scenario.n
+    _require_count(iters, "iters")
     if iters < 1:
         raise ValueError("iters must be >= 1")
     if not (p_fixed >= 0):
         raise ValueError("p_fixed must be >= 0")
     if math.isinf(p_fixed):
         raise ValueError("p_fixed must be finite")
-    x = np.zeros(n) if x_init is None else np.asarray(x_init, dtype=float).copy()
-    if x.shape != (n,) or not np.all((x >= 0) & (x <= 1)):  # NaN fails both
-        raise ValueError("x_init must be N shares within [0, 1]")
+    x = np.zeros(scenario.n)
     residuals = []
     for k in range(1, iters + 1):
         sim = simulate(scenario, x)

@@ -1,11 +1,11 @@
 """System objectives and credit-charge optimization.
 
-Total travel time, fuel-consumption-curve CO2 accounting on the simulated
-speed profile, the dichotomy search for the optimal charge, charge sweeps,
-and the per-group welfare decomposition.  The search steers by one private
-estimate, ``_charge_derivatives``, of the TTT and CO2 derivatives with
-respect to the credit charge, read off network aggregates of a solved
-equilibrium.
+Total travel time, CO2 accounting on the simulated speed profile with one
+fleet-average intensity curve, the dichotomy search for the optimal charge,
+charge sweeps, and the per-group welfare decomposition.  The search steers
+by one private estimate, ``_charge_derivatives``, of the TTT and CO2
+derivatives with respect to the credit charge, read off network aggregates
+of a solved equilibrium.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .scenario import Scenario, TcsParams
 from .simulator import SimResult, simulate  # noqa: F401
 
 __all__ = [
-    "EmissionModel",
     "total_travel_time",
     "emission_per_distance",
     "emission_per_distance_dv",
@@ -47,53 +46,40 @@ G_TO_TONNE = 1e-6
 S_TO_H = 1.0 / 3600.0
 
 
-@dataclass(frozen=True)
-class EmissionModel:
-    """CO2-per-distance curve for an average passenger car.
-
-    ``rate(v)`` gives grams per km at a steady speed v in km/h; the shape is
-    a quartic polynomial in speed obtained by folding a stop-and-go speed
-    oscillation of amplitude c0 into a fuel-rate curve.  Defaults are the
-    standard average-fleet coefficients.
-    """
-
-    c0: float = 12.5
-    c1: float = 1.304e-5
-    c2: float = -0.003269
-    c3: float = 0.3103
-    c4: float = -13.52
-    c5: float = 371.4
-
-    def poly_coeffs(self) -> np.ndarray:
-        """Quartic coefficients, highest power first (for np.polyval)."""
-        c0, c1, c2, c3, c4, c5 = (self.c0, self.c1, self.c2, self.c3, self.c4, self.c5)
-        return np.array(
-            [
-                c1,
-                c2,
-                c3 + 2.0 * c1 * c0 ** 2,
-                c4 + c2 * c0 ** 2,
-                c5 + (c3 / 3.0) * c0 ** 2 + (c1 / 5.0) * c0 ** 4,
-            ]
-        )
+# The CO2-per-distance curve of an average passenger car, in g/km at a
+# steady speed v in km/h: a quartic in v obtained by folding a stop-and-go
+# speed oscillation of amplitude c0 into a fuel-rate curve.  The
+# coefficients c0, ..., c5 are the standard average-fleet ones.
+_EMISSION_COEFFS = (12.5, 1.304e-5, -0.003269, 0.3103, -13.52, 371.4)
 
 
-def emission_per_distance(v_kmh, model: EmissionModel = EmissionModel()):
+def _folded_quartic(c0, c1, c2, c3, c4, c5) -> np.ndarray:
+    """The curve's quartic coefficients, highest power first (for np.polyval)."""
+    return np.array([c1, c2, c3 + 2.0 * c1 * c0 ** 2, c4 + c2 * c0 ** 2,
+                     c5 + (c3 / 3.0) * c0 ** 2 + (c1 / 5.0) * c0 ** 4])
+
+
+_RATE = _folded_quartic(*_EMISSION_COEFFS)
+_RATE_DV = np.polyder(_RATE)
+
+
+def _polyval(coeffs, v_kmh):
+    # the polynomial ``coeffs`` at speeds in km/h, which must be > 0
+    v = np.asarray(v_kmh, dtype=float)
+    if np.any(v <= 0):
+        raise ValueError("speed must be > 0")
+    out = np.polyval(coeffs, v)
+    return float(out) if out.ndim == 0 else out
+
+
+def emission_per_distance(v_kmh):
     """CO2 intensity E_dist(v) in g/km at speed v in km/h (scalar or array)."""
-    v = np.asarray(v_kmh, dtype=float)
-    if np.any(v <= 0):
-        raise ValueError("speed must be > 0")
-    out = np.polyval(model.poly_coeffs(), v)
-    return float(out) if out.ndim == 0 else out
+    return _polyval(_RATE, v_kmh)
 
 
-def emission_per_distance_dv(v_kmh, model: EmissionModel = EmissionModel()):
+def emission_per_distance_dv(v_kmh):
     """d E_dist / dv in (g/km)/(km/h)."""
-    v = np.asarray(v_kmh, dtype=float)
-    if np.any(v <= 0):
-        raise ValueError("speed must be > 0")
-    out = np.polyval(np.polyder(model.poly_coeffs()), v)
-    return float(out) if out.ndim == 0 else out
+    return _polyval(_RATE_DV, v_kmh)
 
 
 def total_travel_time(scenario: Scenario, state: ModalState, sim: SimResult) -> float:
@@ -105,7 +91,7 @@ def total_travel_time(scenario: Scenario, state: ModalState, sim: SimResult) -> 
     return ttt_s * S_TO_H
 
 
-def total_emission(sim: SimResult, model: EmissionModel = EmissionModel()) -> float:
+def total_emission(sim: SimResult) -> float:
     """Total CO2 in tonnes over the simulated horizon.
 
     The traveled distance between consecutive events is n_e * T_e * V_e
@@ -119,7 +105,7 @@ def total_emission(sim: SimResult, model: EmissionModel = EmissionModel()) -> fl
     if not np.any(mask):
         return 0.0
     dist_km = n_prev[mask] * t_e[mask] * v_prev[mask] * M_TO_KM
-    rate = emission_per_distance(v_prev[mask] * MS_TO_KMH, model)
+    rate = emission_per_distance(v_prev[mask] * MS_TO_KMH)
     return float(dist_km @ rate) * G_TO_TONNE
 
 
@@ -127,7 +113,6 @@ def _charge_derivatives(
     scenario: Scenario,
     rep: EquilibriumReport,
     p_tau: TcsParams,
-    model: EmissionModel,
 ) -> tuple[float, float]:
     """Estimated (d TTT / d tau in person-seconds, d E / d tau in tonnes) per
     credit at the equilibrium ``rep`` solved at ``p_tau``, cap binding.
@@ -175,8 +160,8 @@ def _charge_derivatives(
     d_ttt = (speed_term + (-tt_car_w + tt_pt_w)) * (n_car_cap / p_tau.tau)
 
     v_bar_kmh = v_bar * MS_TO_KMH
-    rate = emission_per_distance(v_bar_kmh, model)
-    drate = emission_per_distance_dv(v_bar_kmh, model)
+    rate = emission_per_distance(v_bar_kmh)
+    drate = emission_per_distance_dv(v_bar_kmh)
     len_w = float(g @ (w * lens)) / w_weight
     expelled = -(len_w * M_TO_KM) * rate * n_car_cap / p_tau.tau
     speedup = (len_total * M_TO_KM) * drate * (speed_drop * MS_TO_KMH) * n_bar
@@ -270,7 +255,6 @@ def optimize_charge(
     objective: str = "mixed",
     lo: int = 100,
     hi: int = 500,
-    model: EmissionModel = EmissionModel(),
 ) -> OptimizeResult:
     """Dichotomy on the sign of the estimated objective derivative.
 
@@ -299,7 +283,7 @@ def optimize_charge(
             p_tau = replace(params, tau=float(tau))
             rep = _warm_solve(scenario, p_tau, starts)
             solved[tau] = (p_tau, rep, total_travel_time(scenario, rep.state, rep.sim),
-                           total_emission(rep.sim, model))
+                           total_emission(rep.sim))
         return solved[tau]
 
     def step(tau: int, a: int, c: int, derivative: float, flat_cap: bool):
@@ -325,7 +309,7 @@ def optimize_charge(
         if flat:
             d = -math.inf
         else:
-            d_ttt, d_em = _charge_derivatives(scenario, rep, p_tau, model)
+            d_ttt, d_em = _charge_derivatives(scenario, rep, p_tau)
             d = params.alpha * d_ttt
             if objective == "mixed":
                 d += params.gamma_emission * params.p_carbon * d_em
@@ -367,7 +351,6 @@ def sweep_charges(
     scenario: Scenario,
     params: TcsParams,
     taus,
-    model: EmissionModel = EmissionModel(),
 ) -> list[SweepRow]:
     """Equilibrium solves over a list of charges, in the order given.
 
@@ -382,7 +365,7 @@ def sweep_charges(
     for t in taus:
         if t < params.kappa:
             raise ValueError(f"tau={t} is below kappa={params.kappa}")
-    return [_sweep_row(scenario, p_tau, rep, model)
+    return [_sweep_row(scenario, p_tau, rep)
             for p_tau, rep in _warm_solves(scenario, params, taus)]
 
 
@@ -395,11 +378,10 @@ def _warm_solves(scenario: Scenario, params: TcsParams, taus):
         yield p_tau, _warm_solve(scenario, p_tau, starts)
 
 
-def _sweep_row(scenario: Scenario, p_tau: TcsParams, rep: EquilibriumReport,
-               model: EmissionModel = EmissionModel()) -> SweepRow:
+def _sweep_row(scenario: Scenario, p_tau: TcsParams, rep: EquilibriumReport) -> SweepRow:
     """The sweep row of ``rep``, the equilibrium solved at ``p_tau``."""
     ttt_h = total_travel_time(scenario, rep.state, rep.sim)
-    em_t = total_emission(rep.sim, model)
+    em_t = total_emission(rep.sim)
     g = scenario.gammas
     car_users = float(g @ rep.state.x)
     len_total_km = float(g @ (rep.state.x * scenario.trip_lens)) * M_TO_KM

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import types
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -76,6 +77,13 @@ def _json_number(value, what: str, integer: bool = False) -> float:
             return x
     kind = "an integer" if integer else "a finite number"
     raise ScenarioError(f"{what} must be {kind}, got {value!r}")
+
+
+def _require_count(value, what: str, error=ValueError) -> None:
+    """Raise ``error`` naming ``what`` unless ``value`` is a Python or numpy
+    integer; a bool is not one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -350,7 +358,6 @@ class TcsParams:
     eta: float = 1.0
     j_goal: float = 1e-3
     max_iters: int = 50
-    eps_schedule: str = "inverse"
     p0: float = 0.01
     gamma_emission: float = 50.0
     p_carbon: float = 20.0
@@ -374,11 +381,11 @@ class TcsParams:
                      "p0", "gamma_emission", "p_carbon"):
             if math.isinf(getattr(self, name)):
                 raise ScenarioError(f"{name} must be finite")
+        _require_count(self.max_iters, "max_iters", ScenarioError)
         if self.max_iters < 1:
             raise ScenarioError("max_iters must be >= 1")
         if self.cap_constraint not in ("gamma-weighted", "printed"):
             raise ScenarioError("cap_constraint must be 'gamma-weighted' or 'printed'")
-        self.eps_value(1)  # validates the schedule string
 
     @property
     def alpha_eur_per_h(self) -> float:
@@ -394,19 +401,6 @@ class TcsParams:
         if self.cap_constraint == "printed":
             return np.ones(len(gammas))
         return gammas
-
-    def eps_value(self, k: int) -> float:
-        """Trust-region half-width for iteration k (k >= 1)."""
-        if k < 1:
-            raise ValueError("iteration index starts at 1")
-        if self.eps_schedule == "inverse":
-            return 1.0 / k
-        if self.eps_schedule.startswith("const:"):
-            v = float(self.eps_schedule.split(":", 1)[1])
-            if not (v > 0):
-                raise ScenarioError("constant eps must be > 0")
-            return v
-        raise ScenarioError(f"unknown eps schedule {self.eps_schedule!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ class TestEquilibrium:
         for out in (a, b):
             rc = main([
                 "equilibrium", "--scenario", str(scenario_file), "-o", str(out),
-                "--tau", "220", "--eps", "const:0.25",
+                "--tau", "220",
             ])
             assert rc == 0
         for name in ("equilibrium.json", "manifest.json"):
@@ -142,13 +142,12 @@ class TestEquilibrium:
     def test_param_overrides_recorded(self, scenario_file, tmp_path):
         rc = main([
             "equilibrium", "--scenario", str(scenario_file), "-o", str(tmp_path),
-            "--tau", "250", "--alpha-eur-per-h", "14.4", "--eps", "inv",
+            "--tau", "250", "--alpha-eur-per-h", "14.4",
         ])
         assert rc == 0
         man = read_json(tmp_path / "manifest.json")
         assert man["params"]["tau"] == 250.0
         assert man["params"]["alpha"] == pytest.approx(14.4 / 3600.0)
-        assert man["params"]["eps_schedule"] == "inverse"
 
     def test_failure_counts_in_payload(self, tmp_path):
         # two groups entering at the same instant tie at every iterate
@@ -435,12 +434,12 @@ def test_warm_started_reruns_byte_identical(scenario_file, tmp_path, argv):
 # every parameter flag with a value that differs from its default
 PERTURBED = {
     "--tau": "250", "--kappa": "120", "--alpha-eur-per-h": "14.4", "--theta": "0.5",
-    "--eta": "2", "--j-goal": "1e-30", "--max-iters": "2", "--eps": "const:0.25",
-    "--p0": "0.05", "--gamma-emission": "80", "--p-carbon": "40",
+    "--eta": "2", "--j-goal": "1e-30", "--max-iters": "2", "--p0": "0.05",
+    "--gamma-emission": "80", "--p-carbon": "40",
     "--cap-constraint": "printed", "--seed": "4",
 }
 SOLVER_FLAGS = ["--kappa", "--alpha-eur-per-h", "--theta", "--eta", "--j-goal",
-                "--max-iters", "--eps", "--p0", "--cap-constraint"]
+                "--max-iters", "--p0", "--cap-constraint"]
 # the flags each scenario subcommand reads, and so accepts
 ACCEPTS = {
     "equilibrium": ["--tau"] + SOLVER_FLAGS,
@@ -462,13 +461,13 @@ BASE_ARGS = {
     "study": ["--taus", "130,146", "--samples", "12"],
 }
 
-# --eta, --eps and --p0 act on QP steps only, and at BASE_ARGS's charges the
-# cap binds on scenario_file, whose solves then take substitution steps
-# alone.  So these flags are checked on the congested preset, whose solves
-# take QP steps: --eps and --p0 at charges where its cap is slack (the first
-# QP step starts from p0), --eta at charges near 160, where its binding
-# solves switch to QP steps (eta weights a QP step's market term, which a
-# slack cap's zero price leaves inert)
+# --eta and --p0 act on QP steps only, and at BASE_ARGS's charges the cap
+# binds on scenario_file, whose solves then take substitution steps alone.
+# So these flags are checked on the congested preset, whose solves take QP
+# steps: --p0 at charges where its cap is slack (the first QP step starts
+# from p0), --eta at charges near 160, where its binding solves switch to
+# QP steps (eta weights a QP step's market term, which a slack cap's zero
+# price leaves inert)
 SLACK_ARGS = {
     "equilibrium": ["--tau", "120"], "stability": ["--tau", "120"],
     "gains": ["--tau", "120"], "sweep": ["--taus", "110,120"],
@@ -531,7 +530,7 @@ class TestFlagTable:
         scenario, args = scenario_file, BASE_ARGS[command]
         if flag == "--eta":
             scenario, args = congested_file, SWITCH_ARGS[command]
-        elif flag in ("--eps", "--p0"):
+        elif flag == "--p0":
             scenario, args = congested_file, SLACK_ARGS[command]
         rc = main([command, "--scenario", str(scenario), "-o", str(tmp_path),
                    *args, flag, PERTURBED[flag]])
@@ -546,6 +545,9 @@ class TestFlagTable:
     ] + [
         ("optimize", "--tau", "999"), ("uniqueness", "--theta", "-3"),
         ("msa", "--max-iters", "0"), ("equilibrium", "--seed", "1"),
+    ] + [
+        # the trust radius is 1/k on every subcommand; no flag sets it
+        (command, "--eps", "const:0.25") for command in ACCEPTS
     ])
     def test_unread_flag_is_rejected(self, scenario_file, tmp_path, capsys,
                                      command, flag, value):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tcsmfd import (
     MfdCurve,
     ModalState,
+    ScenarioError,
     TcsParams,
     build_qp,
     equilibrium_solve,
@@ -19,6 +20,7 @@ from tcsmfd import (
     simulate,
     solve_qp,
     travel_time_gradient,
+    uniqueness_check,
 )
 import tcsmfd.equilibrium
 from tcsmfd.equilibrium import _clearing_price
@@ -226,6 +228,22 @@ class TestBuildQp:
         assert first.tobytes() == G_first.tobytes()
         assert fresh[:, 1:].tobytes() == G[:, :3].tobytes()
         assert fresh[:, 0].tobytes() == G[:, 3].tobytes()
+
+    def test_trust_radius_is_one_over_k(self):
+        # |dz| <= 1/k, cut by the share box [-x0, 1 - x0] and by p >= 0; the
+        # shares use 0.95 of the cap
+        params = TcsParams()
+        x0, p0 = np.array([0.9, 0.05]), 0.4
+        psi0 = np.array([0.35, 0.8])
+        for k in (1, 2, 4, 9):
+            grad = price_column_first(logit_gradient(psi0, np.zeros((2, 2)), params))
+            prob = build_qp(x0, p0, psi0, grad, np.array([10.0, 10.0]), params, k=k,
+                            layout=identity_layout(grad))
+            eps = 1.0 / k
+            np.testing.assert_array_equal(
+                prob.step(prob.lower), [-min(0.9, eps), -min(0.05, eps), -min(0.4, eps)])
+            np.testing.assert_array_equal(
+                prob.step(prob.upper), [min(1.0 - 0.9, eps), min(1.0 - 0.05, eps), eps])
 
     def test_cap_variants(self):
         params = TcsParams(cap_constraint="printed")
@@ -584,16 +602,13 @@ class TestEquilibriumSolver:
         with pytest.raises(ValueError):
             equilibrium_solve(small_scenario, TcsParams(), x_init=np.ones(n))
 
-    @pytest.mark.parametrize("solver", ["tcs", "no_tcs", "msa"])
+    @pytest.mark.parametrize("solver", ["tcs", "no_tcs"])
     def test_nan_x_init_rejected(self, small_scenario, solver):
         # NaN fails both bounds, so it reaches neither the cap nor simulate
         x = np.full(small_scenario.n, 0.2)
         x[3] = math.nan
         with pytest.raises(ValueError, match=r"^x_init must be N shares within \[0, 1\]$"):
-            if solver == "msa":
-                msa_solve(small_scenario, TcsParams(), p_fixed=0.0, x_init=x)
-            else:
-                equilibrium_solve(small_scenario, TcsParams(), x_init=x, tcs=solver == "tcs")
+            equilibrium_solve(small_scenario, TcsParams(), x_init=x, tcs=solver == "tcs")
 
     def test_report_traces_lengths(self, small_scenario):
         rep = equilibrium_solve(small_scenario, TcsParams())
@@ -601,13 +616,15 @@ class TestEquilibriumSolver:
         assert len(rep.residual_trace) == rep.iterations
         assert len(rep.mcc_trace) == rep.iterations
 
-    def test_unconverged_inner_qp_is_counted(self):
+    def test_unconverged_inner_qp_is_counted(self, monkeypatch):
         # the count is per QP step, and without the scheme every step is one
         scenario = generate_synthetic(0, preset_spec("small"))
         params = TcsParams()
         assert equilibrium_solve(scenario, params, tcs=False).qp_unconverged == 0
         # a zero tolerance cannot be met, so every inner QP hits max_iter
-        rep = equilibrium_solve(scenario, params, tcs=False, qp_tol=0.0)
+        monkeypatch.setattr(tcsmfd.equilibrium, "solve_qp",
+                            lambda *args, **kwargs: solve_qp(*args, **kwargs, tol=0.0))
+        rep = equilibrium_solve(scenario, params, tcs=False)
         assert rep.qp_unconverged >= 1
 
     def test_near_ties_are_counted(self):
@@ -802,14 +819,17 @@ class TestSubstitution:
 
     @pytest.mark.parametrize("seed, congestion, cap, tau", [
         (8563, 1.3, "printed", 130.0), (6042, 1.442, "gamma-weighted", 153.2),
+        (8734, 1.534, "gamma-weighted", 155.3), (834, 1.785, "gamma-weighted", 140.1),
     ])
     def test_qp_steps_start_from_the_best_iterate(self, seed, congestion, cap, tau):
         # two hypercongested groups: the first substitution step raises the
-        # car shares until the cap is slack at p = 0 and the residual grows;
-        # QP steps taken from there cycled under the constant trust region
-        # until max_iters, and from the start they converge
+        # car shares until the cap is slack at p = 0 and the residual grows.
+        # From the best iterate the QP steps converge in 6, 6, 10 and 6
+        # iterations; from the current one the last two cases run to
+        # max_iters (residual 0.02 and 2e-4), and the first two converge in
+        # 12 and 8
         scenario = small_random_scenario(seed, n_groups=2, congestion=congestion)
-        params = TcsParams(tau=tau, cap_constraint=cap, eps_schedule="const:0.3")
+        params = TcsParams(tau=tau, cap_constraint=cap)
         rep = equilibrium_solve(scenario, params)
         assert rep.residual_trace[1] > rep.residual_trace[0]
         assert rep.converged and rep.substitution_steps == 1 and rep.state.p == 0.0
@@ -879,17 +899,15 @@ def _contract_curve(form, v_free, n_jam, v_floor):
     form=st.sampled_from(["greenshields", "piecewise", "tabulated"]),
     floor=st.booleans(),
     cap=st.sampled_from(["gamma-weighted", "printed"]),
-    eps=st.sampled_from(["inverse", "const:0.3"]),
     tau=st.floats(100.0, 400.0),
 )
-def test_converges_with_invariants_or_is_flagged(seed, n, congestion, form, floor, cap,
-                                                  eps, tau):
+def test_converges_with_invariants_or_is_flagged(seed, n, congestion, form, floor, cap, tau):
     base = small_random_scenario(seed, n_groups=n, congestion=congestion)
     v_free, n_jam = base.mfd.params
     # a floor at 0.8 v_free binds above 0.2 n_jam on greenshields
     v_floor = 0.8 * v_free if floor else 1.0
     scenario = dataclasses.replace(base, mfd=_contract_curve(form, v_free, n_jam, v_floor))
-    params = TcsParams(tau=tau, cap_constraint=cap, eps_schedule=eps)
+    params = TcsParams(tau=tau, cap_constraint=cap)
     rep = equilibrium_solve(scenario, params)
     x, p = rep.state.x, rep.state.p
     assert np.all((x >= 0.0) & (x <= 1.0)) and p >= 0.0
@@ -947,3 +965,29 @@ class TestMsa:
     def test_residual_shrinks(self, small_scenario):
         msa = msa_solve(small_scenario, TcsParams(), p_fixed=0.005, iters=40)
         assert msa.residual_trace[-1] < msa.residual_trace[0]
+
+
+# each integer count: the error it raises, and a call that passes it value
+COUNTS = {
+    "max_iters": (ScenarioError, lambda sc, v: TcsParams(max_iters=v)),
+    "iters": (ValueError, lambda sc, v: msa_solve(sc, TcsParams(), p_fixed=0.0, iters=v)),
+    "n_samples": (ValueError, lambda sc, v: uniqueness_check(sc, n_samples=v)),
+    "max_pairs": (ValueError, lambda sc, v: uniqueness_check(sc, n_samples=3, max_pairs=v)),
+}
+
+
+@pytest.mark.parametrize("value, accepted", [
+    (2, True), (np.int64(2), True), (np.int32(2), True),
+    (2.5, False), (2.0, False), (np.float64(2.0), False), (math.inf, False),
+    (True, False), (np.bool_(True), False), ("2", False),
+])
+@pytest.mark.parametrize("name", list(COUNTS))
+def test_counts_must_be_integers(small_scenario, name, value, accepted):
+    # a fraction, an infinity or a bool fails up front, naming the count,
+    # not later inside range() or numpy
+    error, call = COUNTS[name]
+    if accepted:
+        call(small_scenario, value)
+    else:
+        with pytest.raises(error, match=f"^{name} must be an integer, got "):
+            call(small_scenario, value)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tcsmfd import (
-    EmissionModel,
     EquilibriumReport,
     MfdCurve,
     ModalState,
@@ -25,6 +24,7 @@ from tcsmfd import (
 )
 import tcsmfd.objectives
 from tcsmfd.objectives import (
+    _EMISSION_COEFFS,
     _charge_derivatives,
     _predicted_start,
     emission_per_distance,
@@ -34,14 +34,9 @@ from tcsmfd.objectives import (
 from conftest import make_scenario
 
 
-def decimal_rate(v, model=EmissionModel()):
+def decimal_rate(v):
     """Exact-arithmetic evaluation of the folded intensity quartic."""
-    c0 = Decimal(str(model.c0))
-    c1 = Decimal(str(model.c1))
-    c2 = Decimal(str(model.c2))
-    c3 = Decimal(str(model.c3))
-    c4 = Decimal(str(model.c4))
-    c5 = Decimal(str(model.c5))
+    c0, c1, c2, c3, c4, c5 = (Decimal(str(c)) for c in _EMISSION_COEFFS)
     v = Decimal(str(v))
     a4 = c1
     a3 = c2
@@ -130,13 +125,6 @@ class TestTotalEmission:
         sc = make_scenario([(100.0, 0.0, 3000.0, 700.0)])
         assert total_emission(simulate(sc, np.zeros(1))) == 0.0
 
-    def test_custom_model_passes_through(self):
-        sc = make_scenario([(100.0, 0.0, 3000.0, 700.0)], mfd=MfdCurve.constant(9.0))
-        sim = simulate(sc, np.array([0.5]))
-        flat = EmissionModel(c0=0.0, c1=0.0, c2=0.0, c3=0.0, c4=0.0, c5=100.0)
-        want = 100.0 * 0.5 * 3.0 * 100.0 * 1e-6
-        assert total_emission(sim, flat) == pytest.approx(want, rel=1e-12)
-
 
 def derivatives_at(sc, x, p=0.01, params=None):
     """``_charge_derivatives`` at shares x and price p, on their simulation
@@ -145,7 +133,7 @@ def derivatives_at(sc, x, p=0.01, params=None):
     sim = simulate(sc, x)
     rep = EquilibriumReport(state=ModalState(x=x, p=p), converged=True, iterations=0,
                             sim=sim, psis=logit_choice(sim.car_times, sc.pt_times, p, params))
-    return _charge_derivatives(sc, rep, params, EmissionModel())
+    return _charge_derivatives(sc, rep, params)
 
 
 def switching_mean(sc, sim, values, p=0.01, params=None):
@@ -229,7 +217,7 @@ class TestChargeGradients:
         params = TcsParams()
         rep = equilibrium_solve(small_scenario, params)
         assert rep.state.p > 1e-6
-        d_ttt, d_em = _charge_derivatives(small_scenario, rep, params, EmissionModel())
+        d_ttt, d_em = _charge_derivatives(small_scenario, rep, params)
         # expelling drivers and speeding the rest both cut emissions
         assert d_em < 0
         assert np.isfinite(d_ttt)
@@ -246,7 +234,7 @@ class TestChargeGradients:
         sc = generate_synthetic(0, preset_spec("congested"))
         params = TcsParams(tau=tau)
         rep = equilibrium_solve(sc, params)
-        d_ttt, d_em = _charge_derivatives(sc, rep, params, EmissionModel())
+        d_ttt, d_em = _charge_derivatives(sc, rep, params)
         assert params.alpha * d_ttt == pytest.approx(ttt, rel=1e-12)
         d_mixed = params.alpha * d_ttt
         d_mixed += params.gamma_emission * params.p_carbon * d_em

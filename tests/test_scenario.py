@@ -179,15 +179,6 @@ class TestParams:
         with pytest.raises(ScenarioError, match=f"^{field} must be finite$"):
             TcsParams(**kw)
 
-    def test_eps_schedule(self):
-        p = TcsParams()
-        assert p.eps_value(1) == 1.0
-        assert p.eps_value(4) == 0.25
-        pc = TcsParams(eps_schedule="const:0.2")
-        assert pc.eps_value(1) == pc.eps_value(9) == 0.2
-        with pytest.raises(ValueError):
-            TcsParams(eps_schedule="linear")
-
 
 GROUP = {"id": 0, "gamma": 10.0, "depart_s": 0.0, "trip_len_m": 1000.0, "pt_time_s": 300.0}
 
