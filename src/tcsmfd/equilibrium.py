@@ -13,16 +13,24 @@ the cap tau*sum(c x) <= kappa*sum(c) holds, p >= 0, and
 p * sum(c (kappa - tau x)) = 0.  The cap weights c are the travelers per
 group, or ones under the "printed" variant (``TcsParams.cap_weights``).
 
-With the scheme on, the loop first takes market-clearing substitution
-steps: after simulating x it finds the price p_hat that clears the market
-at the simulated travel times, c'psi(T(x), p_hat) = kappa * sum(c) / tau
-(``_clearing_price``), and steps to (psi(T(x), p_hat), p_hat).  With the
+Every solve starts with substitution steps.  After simulating x the loop
+evaluates the substitution map at the simulated travel times: with the
+scheme on it finds the price p_hat that clears the market there,
+c'psi(T(x), p_hat) = kappa * sum(c) / tau, or 0 where the cap is slack at
+p = 0 (``_clearing_price``); without it p_hat is the fixed price.  The map's
+value is psi_hat = psi(T(x), p_hat), and the step goes to
+(x + omega * (psi_hat - x), p_hat), exactly psi_hat at omega = 1.  With the
 price eliminated this way the map x -> psi(T(x), p_hat(T(x))) has the
-Jacobian P * Psi_x of the stability check's reduced system, so it contracts
-wherever the cap binds and that matrix is small.  The first time the cap is
-slack at p = 0, or a step fails to halve the substitution residual
-(``_SUBSTITUTION_RATIO``), the loop takes QP steps for the rest of the run,
-the first of them from the best-J iterate so far.
+Jacobian P * Psi_x of the stability check's reduced system where the cap
+binds, and Psi_x where the cap is slack or the scheme is off, so it
+contracts wherever that matrix is small.  A step is accepted while it cuts the substitution residual
+||psi_hat - x||_inf to (1 - omega / 2) times its value at the last accepted
+point (a halving at omega = 1).  A rejected step is retaken from that point,
+with its stored psi_hat and p_hat, at omega cut by ``_STEP_CUT``: the
+relaxation of a fixed-point map (Kelley 1995, "Iterative Methods for Linear
+and Nonlinear Equations", ch. 4).  Once omega falls below ``_STEP_FLOOR``
+the loop takes QP steps for the rest of the run, the first of them from the
+last accepted point.
 
 A QP step linearizes psi around the current iterate and minimizes
 
@@ -325,11 +333,12 @@ def _mean_slack(x, c, params: TcsParams) -> float:
     return float(c @ (params.kappa - params.tau * x)) / float(c.sum())
 
 
-# A substitution step is taken only while the substitution residual
-# ||psi(T(x), p_hat) - x||_inf falls at least this much from one step to the
-# next: the steps contract at the rate rho(P * Psi_x), and a slower rate is
-# better served by the QP's Newton-like steps
-_SUBSTITUTION_RATIO = 0.5
+# A rejected substitution step is retaken at omega cut by this factor, and
+# once omega falls below the floor (after three cuts: omega 1, 0.8, 0.64,
+# 0.512) the solve takes QP steps instead: a map that contracts this slowly
+# is better served by the QP's Newton-like steps
+_STEP_CUT = 0.8
+_STEP_FLOOR = 0.5
 
 # the clearing price is accepted once c'psi lies at most this fraction below
 # kappa * sum(c) / tau, and not above it
@@ -446,16 +455,16 @@ def equilibrium_solve(
     """Fixed-point loop: simulate, then step by market-clearing
     substitution or by the linearized QP's solution.
 
-    With the scheme on, each step is a substitution step (see the module
-    docstring) while the cap binds at the simulated travel times and the
-    substitution residual ||psi(T(x), p_hat) - x||_inf falls to at most
-    ``_SUBSTITUTION_RATIO`` times its value at the last substitution step
-    (the first step always qualifies).  The first time either test fails,
-    this step and every later one is a QP step, and the first QP step is
-    taken from the best-J iterate so far (the current one, unless a
-    substitution step made J worse).  The k-th QP step has the trust radius
-    1/k (``build_qp``), k counting QP steps only.  Without the scheme, or
-    where the cap is slack at the start, every step is a QP step.
+    Each step is a substitution step (see the module docstring), damped by
+    omega: it starts at 1, and every step that fails to cut the substitution
+    residual ||psi_hat - x||_inf to (1 - omega / 2) times its value at the
+    last accepted point is retaken from that point with omega cut by
+    ``_STEP_CUT``.  The first time omega falls below ``_STEP_FLOOR``, this
+    step and every later one is a QP step, and the first QP step is taken
+    from the last accepted point.  The k-th QP step has the trust radius
+    1/k (``build_qp``), k counting QP steps only.  This holds with the
+    scheme or without it, and whether the cap binds or is slack (where
+    p_hat = 0).
 
     Stops once J < j_goal and the fixed-point residual ||x - psi||_inf is
     below ``x_tol`` (J alone leaves the residual too loose), or after
@@ -503,9 +512,12 @@ def equilibrium_solve(
     near_ties = 0
     qp_iterations: list[int] = []
     cg_iterations: list[int] = []
-    substituting = tcs
+    substituting = True
     substitution_steps = 0
-    last_substitution = math.inf  # the substitution residual of the last such step
+    omega = 1.0
+    # the last accepted point: its iterate (x, p, psi, sim), its substitution
+    # map value (psi_hat, p_hat) and its substitution residual
+    anchor = None
     k = 0
     psi = np.zeros(n)
 
@@ -526,18 +538,25 @@ def equilibrium_solve(
             break  # a step from here would never be simulated
 
         if substituting:
-            p_hat, psi_hat = _clearing_price(sim.car_times, scenario.pt_times, c, params)
+            if tcs:
+                p_hat, psi_hat = _clearing_price(sim.car_times, scenario.pt_times, c, params)
+            else:
+                p_hat, psi_hat = p, psi
             moved = float(np.max(np.abs(psi_hat - x)))
-            substituting = p_hat > 0.0 and moved <= _SUBSTITUTION_RATIO * last_substitution
-            if substituting:
-                last_substitution = moved
+            if anchor is None or moved <= (1.0 - 0.5 * omega) * anchor[-1]:
+                anchor = (x, p, psi, sim, psi_hat, p_hat, moved)
+            else:
+                omega *= _STEP_CUT
+            if omega >= _STEP_FLOOR:
+                x_a, _, _, _, psi_hat, p, _ = anchor
+                x = psi_hat if omega == 1.0 else x_a + omega * (psi_hat - x_a)
                 substitution_steps += 1
-                x, p = psi_hat, p_hat
                 continue
-            # the QP steps start from the best-J iterate, so a substitution
-            # step that overshot into a slack cap does not leave them a
-            # worse start than the solve had
-            _, x, p, psi, sim = best
+            substituting = False
+            # the QP steps start from the last accepted point, not from a
+            # rejected one: a rejected step can hold a lower J at a larger
+            # residual, and QP steps from there cycled on hypercongested draws
+            x, p, psi, sim = anchor[:4]
 
         # one buffer carries the linearization, as the gradient's event-
         # ordered row blocks holding the logit Jacobian, and build_qp turns

@@ -33,7 +33,7 @@ from tcsmfd.cli import (
 )
 from tcsmfd.simulator import HorizonError
 
-from conftest import make_scenario
+from conftest import make_scenario, small_random_scenario
 
 
 @pytest.fixture(scope="module")
@@ -150,22 +150,24 @@ class TestEquilibrium:
         assert man["params"]["alpha"] == pytest.approx(14.4 / 3600.0)
 
     def test_failure_counts_in_payload(self, tmp_path):
-        # two groups entering at the same instant tie at every iterate
+        # two groups entering at the same instant tie at every iterate, and
+        # are congested enough that the solve falls back to QP steps
         path = tmp_path / "tie.json"
         save_scenario(
-            make_scenario([(20.0, 0.0, 500.0, 200.0), (15.0, 0.0, 600.0, 250.0)]),
+            make_scenario([(80.0, 0.0, 500.0, 400.0), (60.0, 0.0, 600.0, 1000.0)]),
             path,
         )
-        # the counts are per QP step, and without the scheme every step is one
+        # the counts are per QP step
         rc = main(["equilibrium", "--scenario", str(path), "-o", str(tmp_path),
                    "--no-tcs"])
         assert rc == 0
         eq = read_json(tmp_path / "equilibrium.json")
         assert eq["qp_unconverged"] == 0
-        assert eq["substitution_steps"] == 0
-        # one gradient per outer iteration, except the one that converged
+        assert eq["substitution_steps"] >= 4
+        # one gradient per QP step; the substitution steps take none
         assert eq["converged"]
-        assert eq["near_ties"] == len(eq["qp_iterations"]) == eq["iterations"] - 1 >= 1
+        assert eq["near_ties"] == len(eq["qp_iterations"]) == (
+            eq["iterations"] - 1 - eq["substitution_steps"]) >= 1
 
     def test_invalid_params_exit_2(self, scenario_file, tmp_path, capsys):
         rc = main([
@@ -461,18 +463,20 @@ BASE_ARGS = {
     "study": ["--taus", "130,146", "--samples", "12"],
 }
 
-# --eta and --p0 act on QP steps only, and at BASE_ARGS's charges the cap
-# binds on scenario_file, whose solves then take substitution steps alone.
-# So these flags are checked on the congested preset, whose solves take QP
-# steps: --p0 at charges where its cap is slack (the first QP step starts
-# from p0), --eta at charges near 160, where its binding solves switch to
-# QP steps (eta weights a QP step's market term, which a slack cap's zero
-# price leaves inert)
+# --eta and --p0 act on QP steps only, and every solve takes QP steps only
+# once its damped substitution steps stop contracting; at BASE_ARGS's
+# charges scenario_file's solves never get there.  So these flags are
+# checked on inputs whose solves reach that fallback: --p0 on two
+# hypercongested groups, whose first substitution step fails at every
+# damping, so that the QP steps start from the first iterate and its price
+# p0; --eta on the congested preset at generator seed 5 at charges near 160,
+# where its binding solves fall back to QP steps (eta weights a QP step's
+# market term, which a slack cap's zero price leaves inert)
 SLACK_ARGS = {
-    "equilibrium": ["--tau", "120"], "stability": ["--tau", "120"],
-    "gains": ["--tau", "120"], "sweep": ["--taus", "110,120"],
-    "optimize": ["--lo", "110", "--hi", "126"],
-    "study": ["--taus", "110,120", "--samples", "12"],
+    "equilibrium": ["--tau", "133.1"], "stability": ["--tau", "133.1"],
+    "gains": ["--tau", "133.1"], "sweep": ["--taus", "133.1,140"],
+    "optimize": ["--lo", "130", "--hi", "146"],
+    "study": ["--taus", "133.1,140", "--samples", "12"],
 }
 SWITCH_ARGS = {
     "equilibrium": ["--tau", "160"], "stability": ["--tau", "160"],
@@ -488,10 +492,18 @@ def outputs_of(out):
 
 @pytest.fixture(scope="module")
 def congested_file(tmp_path_factory):
-    """The congested preset at seed 0."""
+    """The congested preset at generator seed 5."""
     out = tmp_path_factory.mktemp("gen-congested")
-    assert main(["generate", "--preset", "congested", "-o", str(out)]) == 0
+    assert main(["generate", "--preset", "congested", "--seed", "5", "-o", str(out)]) == 0
     return out / "scenario.json"
+
+
+@pytest.fixture(scope="module")
+def hypercongested_file(tmp_path_factory):
+    """Two hypercongested groups."""
+    path = tmp_path_factory.mktemp("gen-hypercongested") / "scenario.json"
+    save_scenario(small_random_scenario(0, n_groups=2, congestion=1.726), path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -526,12 +538,13 @@ class TestFlagTable:
         (command, flag) for command, flags in ACCEPTS.items() for flag in flags
     ])
     def test_accepted_flag_reaches_an_output(self, scenario_file, congested_file,
-                                             base_run, tmp_path, command, flag):
+                                             hypercongested_file, base_run, tmp_path,
+                                             command, flag):
         scenario, args = scenario_file, BASE_ARGS[command]
         if flag == "--eta":
             scenario, args = congested_file, SWITCH_ARGS[command]
         elif flag == "--p0":
-            scenario, args = congested_file, SLACK_ARGS[command]
+            scenario, args = hypercongested_file, SLACK_ARGS[command]
         rc = main([command, "--scenario", str(scenario), "-o", str(tmp_path),
                    *args, flag, PERTURBED[flag]])
         assert rc == 0

@@ -15,6 +15,8 @@ import pytest
 import tcsmfd
 from tcsmfd import analysis, equilibrium, gradients, objectives, qp
 
+from conftest import small_random_scenario
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -68,7 +70,7 @@ def tracer_module(monkeypatch):
     return module
 
 
-def test_tracer_installs_and_restores_every_binding(tracer_module, small_scenario):
+def test_tracer_installs_and_restores_every_binding(tracer_module):
     bindings = {(mod, fn.__name__): fn
                 for fn, modules, _ in tracer_module.TRACED.values() for mod in modules}
     tracer = tracer_module.Tracer()
@@ -76,13 +78,14 @@ def test_tracer_installs_and_restores_every_binding(tracer_module, small_scenari
     try:
         for (mod, attr), fn in bindings.items():
             assert getattr(mod, attr) is not fn and getattr(mod, attr).__wrapped__ is fn
-        # a solve without the scheme takes QP steps alone, so every traced
+        # two hypercongested groups fall back to QP steps, so every traced
         # layer of the solve is called
-        rep = tcsmfd.equilibrium_solve(small_scenario, tcsmfd.TcsParams(), tcs=False)
+        rep = tcsmfd.equilibrium_solve(small_random_scenario(0, n_groups=2, congestion=1.726),
+                                       tcsmfd.TcsParams(tau=133.1))
     finally:
         tracer.uninstall()
     for (mod, attr), fn in bindings.items():
         assert getattr(mod, attr) is fn, (mod.__name__, attr)
     summary = tracer.summary()
     assert summary["equilibrium.equilibrium_solve"]["calls"] == 1
-    assert summary["equilibrium.build_qp"]["calls"] == len(rep.qp_iterations)
+    assert summary["equilibrium.build_qp"]["calls"] == len(rep.qp_iterations) >= 1

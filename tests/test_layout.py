@@ -225,8 +225,8 @@ def test_solve_matches_the_dense_path(preset, monkeypatch):
 
 def test_solver_calls_the_module_names_once_per_step(monkeypatch):
     # perfbench's tracer replaces these names in tcsmfd.equilibrium: the
-    # solver must call them there, once per QP step (and a solve without
-    # the scheme takes QP steps alone)
+    # solver must call them there, once per QP step (and two hypercongested
+    # groups fall back to QP steps)
     calls = {}
     for name in ("travel_time_gradient", "build_qp", "solve_qp"):
         fn = getattr(tcsmfd.equilibrium, name)
@@ -237,8 +237,8 @@ def test_solver_calls_the_module_names_once_per_step(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(tcsmfd.equilibrium, name, counted)
-    scenario = generate_synthetic(0, preset_spec("small"))
-    rep = equilibrium_solve(scenario, TcsParams(), tcs=False)
+    scenario = small_random_scenario(0, n_groups=2, congestion=1.726)
+    rep = equilibrium_solve(scenario, TcsParams(tau=133.1))
     steps = len(rep.qp_iterations)
     assert rep.converged and steps >= 2
     assert calls == {"travel_time_gradient": steps, "build_qp": steps, "solve_qp": steps}
