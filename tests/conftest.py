@@ -49,6 +49,20 @@ def small_random_scenario(seed, n_groups=8, congestion=0.6):
     return generate_synthetic(seed, spec)
 
 
+# two hypercongested groups, and a charge at which their cap is slack and
+# the first substitution step fails at every damping, so that the solve
+# falls back to QP steps from its first iterate
+def hypercongested_scenario():
+    return small_random_scenario(0, n_groups=2, congestion=1.726)
+
+
+FALLBACK_TAU = 133.1
+
+# two groups entering at the same instant, hypercongested enough that a
+# solve without the scheme falls back to QP steps
+TIED_GROUPS = [(80.0, 0.0, 500.0, 400.0), (60.0, 0.0, 600.0, 1000.0)]
+
+
 def fd_gradient(scenario, x, h=1e-5):
     """Central-difference travel time Jacobian.
 

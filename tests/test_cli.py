@@ -33,7 +33,7 @@ from tcsmfd.cli import (
 )
 from tcsmfd.simulator import HorizonError
 
-from conftest import make_scenario, small_random_scenario
+from conftest import FALLBACK_TAU, TIED_GROUPS, hypercongested_scenario, make_scenario
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,7 @@ class TestEquilibrium:
         # are congested enough that the solve falls back to QP steps
         path = tmp_path / "tie.json"
         save_scenario(
-            make_scenario([(80.0, 0.0, 500.0, 400.0), (60.0, 0.0, 600.0, 1000.0)]),
+            make_scenario(TIED_GROUPS),
             path,
         )
         # the counts are per QP step
@@ -473,10 +473,10 @@ BASE_ARGS = {
 # where its binding solves fall back to QP steps (eta weights a QP step's
 # market term, which a slack cap's zero price leaves inert)
 SLACK_ARGS = {
-    "equilibrium": ["--tau", "133.1"], "stability": ["--tau", "133.1"],
-    "gains": ["--tau", "133.1"], "sweep": ["--taus", "133.1,140"],
+    "equilibrium": ["--tau", str(FALLBACK_TAU)], "stability": ["--tau", str(FALLBACK_TAU)],
+    "gains": ["--tau", str(FALLBACK_TAU)], "sweep": ["--taus", f"{FALLBACK_TAU},140"],
     "optimize": ["--lo", "130", "--hi", "146"],
-    "study": ["--taus", "133.1,140", "--samples", "12"],
+    "study": ["--taus", f"{FALLBACK_TAU},140", "--samples", "12"],
 }
 SWITCH_ARGS = {
     "equilibrium": ["--tau", "160"], "stability": ["--tau", "160"],
@@ -502,7 +502,7 @@ def congested_file(tmp_path_factory):
 def hypercongested_file(tmp_path_factory):
     """Two hypercongested groups."""
     path = tmp_path_factory.mktemp("gen-hypercongested") / "scenario.json"
-    save_scenario(small_random_scenario(0, n_groups=2, congestion=1.726), path)
+    save_scenario(hypercongested_scenario(), path)
     return path
 
 

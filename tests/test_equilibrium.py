@@ -26,7 +26,8 @@ import tcsmfd.equilibrium
 from tcsmfd.equilibrium import _clearing_price
 from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
-from conftest import make_scenario, small_random_scenario
+from conftest import (FALLBACK_TAU, TIED_GROUPS, hypercongested_scenario, make_scenario,
+                      small_random_scenario)
 from reference_formulas import identity_layout, logit_gradient, price_column_first
 
 # an x_tol below every nonzero fixed-point residual: a solve given it runs to
@@ -37,17 +38,10 @@ NEVER = 5e-324
 # steps: the first, then one retaken at each of omega = 0.8, 0.64 and 0.512
 FALLBACK_AFTER = 4
 
-# two groups entering at the same instant, hypercongested enough that a
-# solve without the scheme falls back to QP steps
-TIED_GROUPS = [(80.0, 0.0, 500.0, 400.0), (60.0, 0.0, 600.0, 1000.0)]
-
 
 def fallback_input(**params):
-    """Two hypercongested groups and a charge at which the cap is slack: the
-    first substitution step fails at every damping, so the solve falls back
-    to QP steps from its first iterate (scenario, params)."""
-    return (small_random_scenario(0, n_groups=2, congestion=1.726),
-            TcsParams(tau=133.1, **params))
+    """A solve that falls back to QP steps: (scenario, params)."""
+    return hypercongested_scenario(), TcsParams(tau=FALLBACK_TAU, **params)
 
 
 def assert_operator_matches(P, dense, same_order=None, rtol=1e-14):

@@ -15,7 +15,7 @@ import pytest
 import tcsmfd
 from tcsmfd import analysis, equilibrium, gradients, objectives, qp
 
-from conftest import small_random_scenario
+from conftest import FALLBACK_TAU, hypercongested_scenario
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -80,8 +80,8 @@ def test_tracer_installs_and_restores_every_binding(tracer_module):
             assert getattr(mod, attr) is not fn and getattr(mod, attr).__wrapped__ is fn
         # two hypercongested groups fall back to QP steps, so every traced
         # layer of the solve is called
-        rep = tcsmfd.equilibrium_solve(small_random_scenario(0, n_groups=2, congestion=1.726),
-                                       tcsmfd.TcsParams(tau=133.1))
+        rep = tcsmfd.equilibrium_solve(hypercongested_scenario(),
+                                       tcsmfd.TcsParams(tau=FALLBACK_TAU))
     finally:
         tracer.uninstall()
     for (mod, attr), fn in bindings.items():

@@ -31,7 +31,7 @@ from tcsmfd import (
 from tcsmfd import gradients
 from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
-from conftest import small_random_scenario
+from conftest import FALLBACK_TAU, hypercongested_scenario, small_random_scenario
 from reference_formulas import identity_layout, logit_gradient, price_column_first
 from reference_gradient import travel_time_gradient_reference
 from test_gradient_reference import MFD_FORMS, memory_case
@@ -237,8 +237,7 @@ def test_solver_calls_the_module_names_once_per_step(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(tcsmfd.equilibrium, name, counted)
-    scenario = small_random_scenario(0, n_groups=2, congestion=1.726)
-    rep = equilibrium_solve(scenario, TcsParams(tau=133.1))
+    rep = equilibrium_solve(hypercongested_scenario(), TcsParams(tau=FALLBACK_TAU))
     steps = len(rep.qp_iterations)
     assert rep.converged and steps >= 2
     assert calls == {"travel_time_gradient": steps, "build_qp": steps, "solve_qp": steps}
