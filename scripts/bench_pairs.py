@@ -8,7 +8,13 @@ metric each side's median and quartiles and the number of pairs the change
 wins (ties count for neither side).  The same summary follows for each stage
 time the run reports on a ``stage <name> <seconds> s`` line (the workload's
 median per stage, ``stage.uniqueness_s`` and so on; lower is better), so a
-speed claim can name its layer.  ``--workload`` takes one or more
+speed claim can name its layer.  After a workload's pairs, one
+``--trace 1`` run in each tree prints every per-layer metric of the traced
+pass (``simulator.simulate.calls``, ``simulator.simulate.busy_s``,
+``simulator.simulate.events_per_s``,
+``equilibrium.equilibrium_solve.self_s`` and the rest of
+``perfbench/run.py``'s ``LAYER_STATS``, plus the stage and tracing
+figures) of the two trees side by side.  ``--workload`` takes one or more
 workloads, or ``all``; they run one after the other, each with its own
 summary.  Then the script runs the command line in each tree on the
 ``congested`` seed-0 scenario it generates there: ``equilibrium`` (with and
@@ -20,8 +26,8 @@ only one tree wrote.  Then follows the net line change (lines added minus
 lines deleted, from ``git diff --numstat``) of ``src/`` and ``tests/`` in
 the working tree against ``--base``, the number each change reports next to
 its benchmark delta.  The last line is one JSON object with every
-workload's runs and summaries, the differing output files and the net line
-change.
+workload's runs, summaries and traced runs, the differing output files and
+the net line change.
 
     python3 scripts/bench_pairs.py --base HEAD --workload all
     python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
@@ -89,9 +95,9 @@ def unpack(rev: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
     lines = out.stdout.strip().splitlines()
     result = json.loads(lines[-1])
@@ -99,6 +105,20 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
     stages = {f"stage.{m[1]}": float(m[2])
               for m in map(STAGE_LINE.fullmatch, lines[:-1]) if m}
     return {"correct": result["correct"], "failed": result["failed"], **values, **stages}
+
+
+def traced_layers(trees: dict, workload: str, seconds: float) -> dict:
+    """One ``--trace 1`` run in each tree; prints each per-layer metric of
+    the base and the change side by side and returns both runs."""
+    runs = {side: run_once(tree, workload, seconds, trace=1) for side, tree in trees.items()}
+    base, change = runs["base"], runs["change"]
+    ok = base["correct"] and change["correct"]
+    print(f"{workload} traced pass{'' if ok else ' INCORRECT'}:", flush=True)
+    for m in [*base, *(k for k in change if k not in base)]:
+        if m not in ("correct", "failed"):
+            b, c = (f"{r[m]:.6g}" if m in r else "absent" for r in (base, change))
+            print(f"  {m}: base {b} -> change {c}", flush=True)
+    return runs
 
 
 def cli_outputs(tree: Path, work: Path) -> dict:
@@ -212,11 +232,13 @@ def main(argv=None) -> int:
         print(f"workloads {' '.join(workloads)}: base {args.base} against change {ROOT}, "
               f"{args.pairs} pairs each, --seconds {seconds:g} --seed {SEED}",
               flush=True)
-        results = {w: run_pairs(trees, w, args.pairs, metrics, seconds) for w in workloads}
+        results = {w: {**run_pairs(trees, w, args.pairs, metrics, seconds),
+                       "traced": traced_layers(trees, w, seconds)} for w in workloads}
         differ = output_diff(trees, Path(tmp))
 
     all_correct = all(r["correct"] for w in results.values()
                       for side in w["runs"].values() for r in side)
+    all_correct &= all(r["correct"] for w in results.values() for r in w["traced"].values())
     print(f"every run correct: {all_correct}")
     net = net_lines(args.base)
     print("net line change against " + args.base + ": "
@@ -224,6 +246,7 @@ def main(argv=None) -> int:
     print(json.dumps({"base": args.base,
                       "runs": {w: res["runs"] for w, res in results.items()},
                       "summary": {w: res["summary"] for w, res in results.items()},
+                      "traced": {w: res["traced"] for w, res in results.items()},
                       "output_diff": differ,
                       "net_lines": net}))
     return 0 if all_correct else 1

@@ -82,8 +82,8 @@ class ModalState:
         self.x = np.asarray(self.x, dtype=float)
         if np.any(self.x < 0) or np.any(self.x > 1) or not np.all(np.isfinite(self.x)):
             raise ValueError("shares must be finite and within [0, 1]")
-        if not (self.p >= 0):
-            raise ValueError("price must be >= 0")
+        if not (0.0 <= self.p < math.inf):  # NaN fails both tests
+            raise ValueError("price must be finite and >= 0")
 
 
 def logit_choice(t_car, t_pt, p, params: TcsParams):

@@ -121,6 +121,11 @@ class MfdCurve:
         if self.form == _TABULATED and len(self.params) < 2:
             raise ScenarioError("tabulated form needs at least two samples")
 
+    def __reduce__(self):
+        # rebuild from the fields: the cached evaluators below include a
+        # closure, which does not pickle
+        return (type(self), (self.form, self.params, self.v_floor))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -334,6 +339,19 @@ class Scenario:
     @property
     def total_travelers(self) -> float:
         return float(self.gammas.sum())
+
+    @cached_property
+    def _entry_plan(self):
+        """What ``simulate`` reads of the scenario on every call, bound once:
+        the group ids in entry order (by departure, then id), their
+        departures followed by +inf, the trip lengths, all as tuples of
+        Python numbers, and the sanity horizon.  The arrays are read-only,
+        and a copy, a pickle or ``dataclasses.replace`` rebuilds through
+        ``__init__``, so this cannot go stale."""
+        order = np.argsort(self.departs, kind="stable")
+        horizon = float(self.departs.max()) + 10.0 * float(self.trip_lens.max() / self.mfd.v_floor)
+        return (tuple(order.tolist()), (*self.departs[order].tolist(), math.inf),
+                tuple(self.trip_lens.tolist()), horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -15,23 +15,27 @@ the one running total, a trip exits when D reaches its value at entry plus
 the trip length, and trips on the road wait in a heap keyed on that target,
 so each event costs O(log N).  D, the targets and the accumulation are kept
 as compensated (hi, lo) float pairs, which holds every remaining distance
-and accumulation to rounding level however large D grows.
+and accumulation to rounding level however large D grows.  Each pair is
+updated by the error-free TwoSum (Ogita, Rump & Oishi 2005), ``_two_sum``,
+whose three operations the scalar loop writes out inline in the same order.
+What the loop reads of the scenario, the entry order, the trip lengths and
+the sanity horizon, is bound once per scenario (``Scenario._entry_plan``).
 
 ``simulate_car_times`` runs the same loop for many share vectors in
 lockstep: the samples share departures, trip lengths and the entry order,
 and each keeps its own clock, D, accumulation, entry pointer and speed in
 vectors of one entry per sample.  Every step advances each sample by one
-event with the operations of the scalar loop applied elementwise (the same
-``_two_sum``, the same comparisons, one array ``MfdCurve.speed`` call whose
-values are ``_scalar_speed``'s bits), so each sample's event times, and the
-exit-minus-entry differences taken of them, are bitwise those of
-``simulate``.  The road is a pair of (samples x groups) target arrays, +inf
-off the road; the next exit is their lexicographic minimum over (target hi,
-target lo, group id), the order the heap keeps.  A step scans those arrays
-twice, O(S N) for S samples where the heap pays O(S log N), but it makes a
-fixed number of numpy calls for all samples: on the 216-group ``congested``
-preset, 200 samples take about 0.05 s in one batch and 0.10 s in 200
-``simulate`` calls (2 CPUs).
+event with the operations of the scalar loop applied elementwise
+(``_two_sum`` on arrays, the same comparisons, one array ``MfdCurve.speed``
+call whose values are ``_scalar_speed``'s bits), so each sample's event
+times, and the exit-minus-entry differences taken of them, are bitwise
+those of ``simulate``.  The road is a pair of (samples x groups) target
+arrays, +inf off the road; the next exit is their lexicographic minimum over
+(target hi, target lo, group id), the order the heap keeps.  A step scans
+those arrays twice, O(S N) for S samples where the heap pays O(S log N), but
+it makes a fixed number of numpy calls for all samples: on the 216-group
+``congested`` preset, 200 samples take about 0.05 s in one batch and 0.08 s
+in 200 ``simulate`` calls (2 CPUs).
 """
 
 from __future__ import annotations
@@ -91,7 +95,9 @@ class SimResult:
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """a + b as an unevaluated pair (s, err) with s = fl(a + b), exactly."""
+    """a + b as an unevaluated pair (s, err) with s = fl(a + b), exactly.
+
+    ``simulate`` writes these operations out inline, in this order."""
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
@@ -114,21 +120,12 @@ def simulate(scenario: Scenario, x) -> SimResult:
     if not np.all((x >= 0) & (x <= 1)):  # NaN and +-inf fail both tests
         raise ValueError("shares must be finite and within [0, 1]")
 
-    trip_lens = scenario.trip_lens.tolist()
+    entry_gids, entry_times, trip_lens, horizon = scenario._entry_plan
     weights = (scenario.gammas * x).tolist()  # gamma_i * x_i
     # unchecked: the accumulation below is clamped >= 0 and a finite sum
     speed = scenario.mfd._scalar_speed
-    two_sum = _two_sum
     heappush = heapq.heappush
     heappop = heapq.heappop
-
-    horizon = float(scenario.departs.max()) + 10.0 * float(
-        scenario.trip_lens.max() / scenario.mfd.v_floor
-    )
-
-    order = np.argsort(scenario.departs, kind="stable")  # by (depart, id)
-    entry_gids = order.tolist()
-    entry_times = scenario.departs[order].tolist()
     n_events = 2 * n
 
     times = [0.0] * n_events
@@ -137,6 +134,8 @@ def simulate(scenario: Scenario, x) -> SimResult:
     entry_index = [-1] * n
     exit_index = [-1] * n
 
+    # each (s, lo) below is _two_sum(a, b) written out, with bb = s - a and
+    # lo = (a - (s - bb)) + (b - bb), in the same operations and order
     road: list[tuple[float, float, int]] = []  # heap of (target hi, lo, gid)
     d_hi = d_lo = 0.0  # cumulative distance D
     n_hi = n_lo = 0.0  # accumulation
@@ -163,13 +162,19 @@ def simulate(scenario: Scenario, x) -> SimResult:
             if dt < 0:
                 dt = 0.0  # guards float noise; entries are processed in order
                 t_ev = t
-            d_hi, err = two_sum(d_hi, dt * v_period)
-            d_lo += err
+            b = dt * v_period
+            s = d_hi + b
+            bb = s - d_hi
+            d_lo += (d_hi - (s - bb)) + (b - bb)
+            d_hi = s
             heappop(road)
             exit_index[gid] = e
             if road:
-                n_hi, err = two_sum(n_hi, -weights[gid])
-                n_lo += err
+                b = -weights[gid]
+                s = n_hi + b
+                bb = s - n_hi
+                n_lo += (n_hi - (s - bb)) + (b - bb)
+                n_hi = s
                 n_cur = n_hi + n_lo
                 if n_cur < 0.0:
                     n_cur = 0.0
@@ -180,16 +185,26 @@ def simulate(scenario: Scenario, x) -> SimResult:
             gid = entry_gids[next_entry]
             t_ev = t_entry
             next_entry += 1
-            t_entry = entry_times[next_entry] if next_entry < n else np.inf
-            d_hi, err = two_sum(d_hi, (t_ev - t) * v_period)
-            d_lo += err
+            t_entry = entry_times[next_entry]
+            b = (t_ev - t) * v_period
+            s = d_hi + b
+            bb = s - d_hi
+            d_lo += (d_hi - (s - bb)) + (b - bb)
+            d_hi = s
             # target D + L, renormalized so that the tuples order as the sums
-            tgt_hi, err = two_sum(d_hi, trip_lens[gid])
-            tgt_hi, tgt_lo = two_sum(tgt_hi, err + d_lo)
-            heappush(road, (tgt_hi, tgt_lo, gid))
+            b = trip_lens[gid]
+            s = d_hi + b
+            bb = s - d_hi
+            b = (d_hi - (s - bb)) + (b - bb) + d_lo
+            tgt_hi = s + b
+            bb = tgt_hi - s
+            heappush(road, (tgt_hi, (s - (tgt_hi - bb)) + (b - bb), gid))
             entry_index[gid] = e
-            n_hi, err = two_sum(n_hi, weights[gid])
-            n_lo += err
+            b = weights[gid]
+            s = n_hi + b
+            bb = s - n_hi
+            n_lo += (n_hi - (s - bb)) + (b - bb)
+            n_hi = s
             n_cur = n_hi + n_lo
             if n_cur < 0.0:
                 n_cur = 0.0
@@ -199,9 +214,9 @@ def simulate(scenario: Scenario, x) -> SimResult:
         v_after[e] = v_period = speed(n_cur)
         t = t_ev
 
-    times = np.array(times)
-    entry_index = np.array(entry_index, dtype=np.int64)
-    exit_index = np.array(exit_index, dtype=np.int64)
+    times = np.fromiter(times, float, n_events)
+    entry_index = np.fromiter(entry_index, np.int64, n)
+    exit_index = np.fromiter(exit_index, np.int64, n)
     kinds = np.full(n_events, ENTRY, dtype=np.int8)
     kinds[exit_index] = EXIT
     event_groups = np.empty(n_events, dtype=np.int64)
@@ -210,8 +225,8 @@ def simulate(scenario: Scenario, x) -> SimResult:
     # for the first event, which starts the clock
     durations = np.diff(times, prepend=times[0])
     return SimResult(
-        scenario, x, times, kinds, event_groups, np.array(n_after),
-        np.array(v_after), durations, entry_index, exit_index,
+        scenario, x, times, kinds, event_groups, np.fromiter(n_after, float, n_events),
+        np.fromiter(v_after, float, n_events), durations, entry_index, exit_index,
     )
 
 

@@ -1,5 +1,6 @@
 """Uniqueness sampling and day-to-day stability diagnostics."""
 
+import math
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -193,6 +194,13 @@ class TestStabilityCheck:
     def test_requires_positive_price(self, small_scenario):
         state = ModalState(x=np.full(small_scenario.n, 0.3), p=0.0)
         with pytest.raises(ValueError, match="p > 0"):
+            stability_check(small_scenario, TcsParams(), state)
+
+    def test_rejects_a_non_finite_price(self, small_scenario):
+        # an infinite price used to pass the p > 0 test and come back as an
+        # unstable verdict with abscissa 0.0 and a converged eigensolve
+        with pytest.raises(ValueError, match="finite"):
+            state = ModalState(x=np.full(small_scenario.n, 0.3), p=math.inf)
             stability_check(small_scenario, TcsParams(), state)
 
     def test_printed_price_row_counts_groups(self, small_scenario):

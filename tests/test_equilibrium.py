@@ -1066,6 +1066,9 @@ class TestModalState:
             ModalState(x=np.array([0.5, 1.2]), p=0.0)
         with pytest.raises(ValueError):
             ModalState(x=np.array([0.5]), p=-0.1)
+        for p in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ModalState(x=np.array([0.5]), p=p)
 
 
 class TestMsa:

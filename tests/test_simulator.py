@@ -6,15 +6,17 @@ remaining distances, everything recomputed per step), so agreement is
 evidence rather than tautology.
 """
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcsmfd import MfdCurve, generate_synthetic, preset_spec, simulate
+from tcsmfd import HorizonError, MfdCurve, Scenario, generate_synthetic, preset_spec, simulate
 
 from conftest import make_scenario, small_random_scenario, three_group_scenario
 
@@ -259,6 +261,18 @@ SIM_DIGESTS = {
     ("citywide", "random"): "e1172a02eb75579cc534faee3d3f17210db93e7b81478f5d1c655c0cddfac412",
     ("citywide", "zeros"): "d48507aa08194f0ee34a5894297bc2b0f6e178abfee623e5f0d559928ee14034",
     ("citywide", "ones"): "00b349aa864258a6299982885d69d50c5458df36b2325d16ee54e44a9b1fa833",
+    ("congested-piecewise", "random"):
+        "70665edd71794029c482aa323b9a3d2760a1a67a16281236d168ae38e22b05a6",
+    ("congested-piecewise", "zeros"):
+        "bacb22da300983f0159f0980a41722c6a88691e004cfb6478984ec209e88c64d",
+    ("congested-piecewise", "ones"):
+        "de29feba653867b28e9ae529ab359798b9c8286fa64244df3582c9eb8fcbbddd",
+    ("congested-constant", "random"):
+        "4589fd4c8a6c6b411a65e3d78e955f9fb6edcf5f0ff4301647451b2269969b5d",
+    ("congested-constant", "zeros"):
+        "06741c3db3f8c4d6b3da5f9490a257f38bcbdb6c950613326351d5bbb9e7e8f5",
+    ("congested-constant", "ones"):
+        "de27b21c4b11071fa5b72abeeebc19243fe2143957f4bd8346710d332551920f",
 }
 CAR_TIME_DIGESTS = {
     ("small", "random"): "444da80b2b08547bd7cf0e335aa6c47f5d62853a0ddfc0c22c7162f9e5b8d220",
@@ -270,6 +284,18 @@ CAR_TIME_DIGESTS = {
     ("citywide", "random"): "c6cd8d530623fc3a0697b231e86de916979d70568c32495713584f05bc0d9627",
     ("citywide", "zeros"): "249cf6861cf1c5f48637198b03dbee921278d6307bca4e1956d1928bf405a01b",
     ("citywide", "ones"): "4c7e21eefc0ff64092a012f1da12f5f6c4180b10669f808253ecb3d1fd5f3e88",
+    ("congested-piecewise", "random"):
+        "558d5b024d7b1528122853cb4e17c4dda3d93e48bd8b30da0b35bd1c3b42f09f",
+    ("congested-piecewise", "zeros"):
+        "8cbd45c78f348ffdc923a123b9a665336862107120d57720471bb9ea23159420",
+    ("congested-piecewise", "ones"):
+        "b622d4f48bdc8929145e7eb28c35f9e2dda7cf94bb03106b9e438fae5e0c2e71",
+    ("congested-constant", "random"):
+        "72916f85e1bfda714e89f6e6089d4ccc50410995dc66ecefbc1039c539d818b1",
+    ("congested-constant", "zeros"):
+        "72916f85e1bfda714e89f6e6089d4ccc50410995dc66ecefbc1039c539d818b1",
+    ("congested-constant", "ones"):
+        "72916f85e1bfda714e89f6e6089d4ccc50410995dc66ecefbc1039c539d818b1",
 }
 
 
@@ -282,12 +308,55 @@ def digest(sim, fields):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("preset", ["small", "congested", "citywide"])
+# curves no preset uses, each swapped into the congested preset (digests
+# recorded before the event loop inlined its compensated sums): all-one
+# shares drive the piecewise curve past its last breakpoint, where it holds
+# 1.5 m/s, and the flat curve gives every period the same speed
+CURVES = {
+    "congested-piecewise": MfdCurve.piecewise_linear(
+        [(0.0, 15.0), (1000.0, 11.0), (3000.0, 4.0), (6000.0, 1.5)]),
+    "congested-constant": MfdCurve.constant(9.0),
+}
+
+
+@pytest.mark.parametrize("preset", ["small", "congested", "citywide", *CURVES])
 def test_simulate_bits_pinned(preset):
-    sc = generate_synthetic(0, preset_spec(preset))
+    sc = generate_synthetic(0, preset_spec(preset.split("-")[0]))
+    if preset in CURVES:
+        sc = dataclasses.replace(sc, mfd=CURVES[preset])
     xs = {"random": np.random.default_rng(0).random(sc.n),
           "zeros": np.zeros(sc.n), "ones": np.ones(sc.n)}
     for name, x in xs.items():
         sim = simulate(sc, x)
         assert digest(sim, SIM_FIELDS) == SIM_DIGESTS[preset, name], name
         assert digest(sim, ("car_times",)) == CAR_TIME_DIGESTS[preset, name], name
+
+
+def test_scenario_copies_do_not_reuse_a_stale_entry_plan(monkeypatch):
+    # simulate binds the entry order, trip lengths and horizon once per
+    # scenario; every way of deriving a scenario must simulate as one built
+    # from scratch
+    sc = generate_synthetic(0, preset_spec("small"))
+    x = np.random.default_rng(1).random(sc.n)
+    simulate(sc, x)
+    curve = MfdCurve.piecewise_linear([(0.0, 12.0), (500.0, 4.0)], v_floor=0.5)
+
+    def fresh(mfd):
+        return Scenario(sc.gammas.copy(), sc.departs.copy(), sc.trip_lens.copy(),
+                        sc.pt_times.copy(), mfd, dict(sc.meta))
+
+    fields = (*SIM_FIELDS, "car_times")
+    for got, want in [(dataclasses.replace(sc, mfd=curve), fresh(curve)),
+                      (copy.deepcopy(sc), fresh(sc.mfd)),
+                      (pickle.loads(pickle.dumps(sc)), fresh(sc.mfd))]:
+        assert digest(simulate(got, x), fields) == digest(simulate(want, x), fields)
+
+    # a crawling curve overruns any horizon; the message names the horizon of
+    # the scenario simulated, which a smaller floor widens
+    monkeypatch.setattr(MfdCurve, "_scalar_speed", property(lambda self: lambda n: 1e-6))
+    slower = dataclasses.replace(sc, mfd=curve)
+    for scenario in (sc, slower):
+        horizon = scenario.departs.max() + 10.0 * scenario.trip_lens.max() / scenario.mfd.v_floor
+        with pytest.raises(HorizonError, match=rf"sanity horizon {horizon:.1f}s"):
+            simulate(scenario, x)
+    assert slower.mfd.v_floor < sc.mfd.v_floor
