@@ -8,10 +8,10 @@ metric each side's median and quartiles and the number of pairs the change
 wins (ties count for neither side).  The same summary follows for each stage
 time the run reports on a ``stage <name> <seconds> s`` line (the workload's
 median per stage, ``stage.uniqueness_s`` and so on; lower is better), so a
-speed claim can name its layer.  After a workload's pairs, one
-``--trace 1`` run in each tree prints every per-layer metric of the traced
-pass (``simulator.simulate.calls``, ``simulator.simulate.busy_s``,
-``simulator.simulate.events_per_s``,
+speed claim can name its layer.  After a workload's pairs, three
+alternating ``--trace 1`` runs in each tree print the median of every
+per-layer metric of the traced pass (``simulator.simulate.calls``,
+``simulator.simulate.busy_s``, ``simulator.simulate.events_per_s``,
 ``equilibrium.equilibrium_solve.self_s`` and the rest of
 ``perfbench/run.py``'s ``LAYER_STATS``, plus the stage and tracing
 figures) of the two trees side by side.  ``--workload`` takes one or more
@@ -26,8 +26,8 @@ only one tree wrote.  Then follows the net line change (lines added minus
 lines deleted, from ``git diff --numstat``) of ``src/`` and ``tests/`` in
 the working tree against ``--base``, the number each change reports next to
 its benchmark delta.  The last line is one JSON object with every
-workload's runs, summaries and traced runs, the differing output files and
-the net line change.
+workload's runs, summaries, traced runs and their medians, the differing
+output files and the net line change.
 
     python3 scripts/bench_pairs.py --base HEAD --workload all
     python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
@@ -61,6 +61,9 @@ WORKLOADS = ("citywide_equilibrium", "congested_policy", "congested_diagnostics"
 
 
 SEED = 0
+# traced runs per tree and workload: a layer's time from one traced pass
+# moved by tens of percent between runs of the same tree on a shared machine
+TRACED_RUNS = 3
 NET_LINE_DIRS = ("src", "tests")
 STAGE_LINE = re.compile(r"stage (\S+) (\S+) s")
 SCENARIO = "scenario/scenario.json"
@@ -108,17 +111,27 @@ def run_once(tree: Path, workload: str, seconds: float, trace: int = 0) -> dict:
 
 
 def traced_layers(trees: dict, workload: str, seconds: float) -> dict:
-    """One ``--trace 1`` run in each tree; prints each per-layer metric of
-    the base and the change side by side and returns both runs."""
-    runs = {side: run_once(tree, workload, seconds, trace=1) for side, tree in trees.items()}
-    base, change = runs["base"], runs["change"]
-    ok = base["correct"] and change["correct"]
-    print(f"{workload} traced pass{'' if ok else ' INCORRECT'}:", flush=True)
+    """``TRACED_RUNS`` ``--trace 1`` runs in each tree, alternating which
+    tree goes first; prints the median of each per-layer metric of the
+    base and the change side by side and returns every run and the
+    medians."""
+    runs = {side: [] for side in trees}
+    for i in range(TRACED_RUNS):
+        for side in (tuple(trees) if i % 2 == 0 else tuple(reversed(trees))):
+            runs[side].append(run_once(trees[side], workload, seconds, trace=1))
+    ok = all(r["correct"] for side in runs.values() for r in side)
+    # a metric missing from some run of a side has no median on that side
+    medians = {side: {m: statistics.median(r[m] for r in side_runs)
+                      for m in side_runs[0] if m not in ("correct", "failed")
+                      and all(m in r for r in side_runs)}
+               for side, side_runs in runs.items()}
+    base, change = medians["base"], medians["change"]
+    print(f"{workload} traced passes, medians of {TRACED_RUNS} runs per tree"
+          f"{'' if ok else ' INCORRECT'}:", flush=True)
     for m in [*base, *(k for k in change if k not in base)]:
-        if m not in ("correct", "failed"):
-            b, c = (f"{r[m]:.6g}" if m in r else "absent" for r in (base, change))
-            print(f"  {m}: base {b} -> change {c}", flush=True)
-    return runs
+        b, c = (f"{side[m]:.6g}" if m in side else "absent" for side in (base, change))
+        print(f"  {m}: base {b} -> change {c}", flush=True)
+    return {"runs": runs, "medians": medians}
 
 
 def cli_outputs(tree: Path, work: Path) -> dict:
@@ -238,7 +251,8 @@ def main(argv=None) -> int:
 
     all_correct = all(r["correct"] for w in results.values()
                       for side in w["runs"].values() for r in side)
-    all_correct &= all(r["correct"] for w in results.values() for r in w["traced"].values())
+    all_correct &= all(r["correct"] for w in results.values()
+                       for side in w["traced"]["runs"].values() for r in side)
     print(f"every run correct: {all_correct}")
     net = net_lines(args.base)
     print("net line change against " + args.base + ": "

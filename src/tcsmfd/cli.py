@@ -149,6 +149,7 @@ def _equilibrium_payload(rep) -> dict:
         "converged": rep.converged,
         "iterations": rep.iterations,
         "substitution_steps": rep.substitution_steps,
+        "accelerated_steps": rep.accelerated_steps,
         "j_trace": rep.j_trace,
         "qp_iterations": rep.qp_iterations,
         "cg_iterations": rep.cg_iterations,

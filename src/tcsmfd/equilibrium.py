@@ -17,20 +17,25 @@ Every solve starts with substitution steps.  After simulating x the loop
 evaluates the substitution map at the simulated travel times: with the
 scheme on it finds the price p_hat that clears the market there,
 c'psi(T(x), p_hat) = kappa * sum(c) / tau, or 0 where the cap is slack at
-p = 0 (``_clearing_price``); without it p_hat is the fixed price.  The map's
-value is psi_hat = psi(T(x), p_hat), and the step goes to
+p = 0 (``_clearing_price``, which starts from the last accepted p_hat);
+without it p_hat is the fixed price.  The map's value is
+psi_hat = psi(T(x), p_hat), and the plain step goes to
 (x + omega * (psi_hat - x), p_hat), exactly psi_hat at omega = 1.  With the
 price eliminated this way the map x -> psi(T(x), p_hat(T(x))) has the
 Jacobian P * Psi_x of the stability check's reduced system where the cap
 binds, and Psi_x where the cap is slack or the scheme is off, so it
-contracts wherever that matrix is small.  A step is accepted while it cuts the substitution residual
-||psi_hat - x||_inf to (1 - omega / 2) times its value at the last accepted
-point (a halving at omega = 1).  A rejected step is retaken from that point,
-with its stored psi_hat and p_hat, at omega cut by ``_STEP_CUT``: the
-relaxation of a fixed-point map (Kelley 1995, "Iterative Methods for Linear
-and Nonlinear Equations", ch. 4).  Once omega falls below ``_STEP_FLOOR``
-the loop takes QP steps for the rest of the run, the first of them from the
-last accepted point.
+contracts wherever that matrix is small.  A step is accepted while it cuts
+the substitution residual ||psi_hat - x||_inf to (1 - omega / 2) times its
+value at the last accepted point (a halving at omega = 1).  At omega = 1,
+once two points have been accepted, the step is a secant step through the
+two (``_secant_step``, Anderson acceleration of depth 1); a rejected secant
+point is followed by the plain step from the last accepted point, still at
+omega = 1.  Any other rejected step is retaken from the last accepted
+point, with its stored psi_hat and p_hat, at omega cut by ``_STEP_CUT``:
+the relaxation of a fixed-point map (Kelley 1995, "Iterative Methods for
+Linear and Nonlinear Equations", ch. 4), with no secant step after it.
+Once omega falls below ``_STEP_FLOOR`` the loop takes QP steps for the rest
+of the run, the first of them from the last accepted point.
 
 A QP step linearizes psi around the current iterate and minimizes
 
@@ -345,20 +350,29 @@ _STEP_FLOOR = 0.5
 _CLEARING_TOL = 1e-12
 
 
-def _clearing_price(t_car, t_pt, c, params: TcsParams) -> tuple[float, np.ndarray]:
+def _clearing_price(t_car, t_pt, c, params: TcsParams,
+                    hint: float = 0.0) -> tuple[float, np.ndarray]:
     """The price p_hat that clears the credit market at fixed travel times,
     and the car shares psi(T, p_hat).
 
     c'psi(T, p) falls strictly with p, so it meets the supply per car trip,
     s = kappa * sum(c) / tau, at most once.  Where c'psi(T, 0) <= s the cap
     is slack and p_hat = 0.  Otherwise a safeguarded Newton iteration on a
-    bracket (upper end found by doubling from 1 / (theta tau)) returns a
-    p_hat with s * (1 - _CLEARING_TOL) <= c'psi(T, p_hat) <= s, or the upper
-    end of a bracket with no float strictly inside it, where the cap holds
-    too.  Newton aims at the middle of that band; a Newton step that leaves
-    the bracket, or is longer than half the step before the last, is
-    replaced by a bisection (the safeguard of Numerical Recipes' rtsafe).
-    Nothing here reads the current price or ``params.p0``.
+    bracket returns a p_hat with s * (1 - _CLEARING_TOL) <= c'psi(T, p_hat)
+    <= s, or the upper end of a bracket with no float strictly inside it,
+    where the cap holds too.  Newton aims at the middle of that band; a
+    Newton step that leaves the bracket, or is longer than half the step
+    before the last, is replaced by a bisection (the safeguard of Numerical
+    Recipes' rtsafe), or by a doubling while the bracket has no upper end.
+
+    The search starts from ``hint``, the solve's last accepted p_hat, never
+    from ``p_init`` or ``params.p0``.  At hint 0 it evaluates p = 0 and,
+    where the cap binds there, finds the bracket's upper end by doubling
+    from 1 / (theta tau).  At a positive hint it evaluates the hint first:
+    a hint in the band is returned as it is, a hint where the cap is
+    exceeded is the lower end of the bracket [hint, inf), and a hint below
+    the band is the upper end of [0, hint] once p = 0 has been tested for a
+    slack cap.
     """
     supply = params.kappa * float(c.sum()) / params.tau
     band = _CLEARING_TOL * supply
@@ -369,22 +383,34 @@ def _clearing_price(t_car, t_pt, c, params: TcsParams) -> tuple[float, np.ndarra
         psi = logit_choice(t_car, t_pt, p, params)
         return float(c @ psi) - supply, psi
 
-    f, psi = excess(0.0)
-    if f <= 0.0:
-        return 0.0, psi
-    lo, hi = 0.0, 1.0 / slope
-    f_hi, psi_hi = excess(hi)
-    while f_hi > 0.0:
-        lo, f, psi = hi, f_hi, psi_hi
-        hi *= 2.0
+    p = hint
+    f, psi = excess(p)
+    if f > 0.0 and p > 0.0:
+        lo, hi = p, math.inf
+    elif f > 0.0:
+        lo, hi = 0.0, 1.0 / slope
         f_hi, psi_hi = excess(hi)
-    p, last, before = lo, hi - lo, hi - lo
+        while f_hi > 0.0:
+            lo, f, psi = hi, f_hi, psi_hi
+            hi *= 2.0
+            f_hi, psi_hi = excess(hi)
+        p = lo
+    elif f >= -band or p == 0.0:
+        return p, psi
+    else:
+        f_0, psi_0 = excess(0.0)
+        if f_0 <= 0.0:
+            return 0.0, psi_0
+        lo, hi, psi_hi = 0.0, p, psi
+    last = before = hi - lo
     while True:
-        # Newton on c'psi = goal from the last point evaluated
+        # Newton on c'psi = goal from the current point
         d = -slope * float(c @ (psi * (1.0 - psi)))
         newton = p - (f + supply - goal) / d if d < 0.0 else math.nan
         if lo < newton < hi and abs(newton - p) <= 0.5 * before:
             step = newton
+        elif hi == math.inf:
+            step = 2.0 * lo
         else:
             step = 0.5 * (lo + hi)
             if not (lo < step < hi):
@@ -398,6 +424,29 @@ def _clearing_price(t_car, t_pt, c, params: TcsParams) -> tuple[float, np.ndarra
             hi, psi_hi = p, psi
             if f >= -band:
                 return hi, psi_hi
+
+
+def _secant_step(previous, anchor, c, params: TcsParams, tcs: bool):
+    """The next iterate (x, p) from the last two accepted points by a secant
+    step: Anderson acceleration of depth 1 (Walker & Ni 2011, "Anderson
+    acceleration for fixed-point iterations", SIAM J. Numer. Anal. 49(4)).
+
+    With f = psi_hat - x at each point and df = f_1 - f_0, the weight
+    gamma = df'f_1 / df'df (0 where df = 0) minimizes ||f_1 - gamma df||,
+    and the step goes to psi_hat_1 - gamma (psi_hat_1 - psi_hat_0) and
+    p_hat_1 - gamma (p_hat_1 - p_hat_0).  The shares are clipped to the box
+    and, with the scheme, scaled onto the cap, and the price is kept >= 0;
+    without the scheme it stays the fixed price."""
+    x_0, _, _, _, psi_hat_0, p_hat_0, _ = previous
+    x_1, _, _, _, psi_hat_1, p_hat_1, _ = anchor
+    f_1 = psi_hat_1 - x_1
+    df = f_1 - (psi_hat_0 - x_0)
+    dd = float(df @ df)
+    gamma = float(df @ f_1) / dd if dd > 0.0 else 0.0
+    x = np.clip(psi_hat_1 - gamma * (psi_hat_1 - psi_hat_0), 0.0, 1.0)
+    if not tcs:
+        return x, p_hat_1
+    return _onto_cap(x, c, params), max(p_hat_1 - gamma * (p_hat_1 - p_hat_0), 0.0)
 
 
 def _j_value(x, p, psi, gammas, params: TcsParams, tcs: bool = True) -> float:
@@ -428,6 +477,7 @@ class EquilibriumReport:
     tcs: bool = True
     message: str = ""
     substitution_steps: int = 0   # market-clearing substitution steps taken
+    accelerated_steps: int = 0    # of those, secant steps
     qp_unconverged: int = 0   # QP steps whose inner QP stopped unconverged
     near_ties: int = 0        # QP steps whose gradient saw near ties
     # per QP step: the QP's iterations and its CG products
@@ -459,12 +509,19 @@ def equilibrium_solve(
     omega: it starts at 1, and every step that fails to cut the substitution
     residual ||psi_hat - x||_inf to (1 - omega / 2) times its value at the
     last accepted point is retaken from that point with omega cut by
-    ``_STEP_CUT``.  The first time omega falls below ``_STEP_FLOOR``, this
-    step and every later one is a QP step, and the first QP step is taken
-    from the last accepted point.  The k-th QP step has the trust radius
-    1/k (``build_qp``), k counting QP steps only.  This holds with the
-    scheme or without it, and whether the cap binds or is slack (where
-    p_hat = 0).
+    ``_STEP_CUT``.  While omega is 1, a step from the second accepted point
+    on is a secant step through the last two (``_secant_step``); a rejected
+    secant point is retaken as the plain step to the last accepted point's
+    psi_hat, with omega left at 1 and the older point dropped, so the next
+    secant step waits for the next accepted point.  ``accelerated_steps``
+    counts the secant steps among ``substitution_steps``.  The clearing
+    price search starts from the last accepted p_hat (the first from
+    p = 0), never from ``p_init`` or ``p0``.  The first
+    time omega falls below ``_STEP_FLOOR``, this step and every later one is
+    a QP step, and the first QP step is taken from the last accepted point.
+    The k-th QP step has the trust radius 1/k (``build_qp``), k counting QP
+    steps only.  This holds with the scheme or without it, and whether the
+    cap binds or is slack (where p_hat = 0).
 
     Stops once J < j_goal and the fixed-point residual ||x - psi||_inf is
     below ``x_tol`` (J alone leaves the residual too loose), or after
@@ -514,10 +571,15 @@ def equilibrium_solve(
     cg_iterations: list[int] = []
     substituting = True
     substitution_steps = 0
+    accelerated_steps = 0
     omega = 1.0
     # the last accepted point: its iterate (x, p, psi, sim), its substitution
-    # map value (psi_hat, p_hat) and its substitution residual
+    # map value (psi_hat, p_hat) and its substitution residual; the accepted
+    # point before it, while a secant step may use the two; and whether the
+    # iterate just simulated came from a secant step
     anchor = None
+    previous = None
+    secant = False
     k = 0
     psi = np.zeros(n)
 
@@ -539,17 +601,25 @@ def equilibrium_solve(
 
         if substituting:
             if tcs:
-                p_hat, psi_hat = _clearing_price(sim.car_times, scenario.pt_times, c, params)
+                p_hat, psi_hat = _clearing_price(sim.car_times, scenario.pt_times, c, params,
+                                                 hint=0.0 if anchor is None else anchor[5])
             else:
                 p_hat, psi_hat = p, psi
             moved = float(np.max(np.abs(psi_hat - x)))
             if anchor is None or moved <= (1.0 - 0.5 * omega) * anchor[-1]:
-                anchor = (x, p, psi, sim, psi_hat, p_hat, moved)
+                previous, anchor = anchor, (x, p, psi, sim, psi_hat, p_hat, moved)
+            elif secant:
+                previous = None  # retake the plain step from the anchor
             else:
                 omega *= _STEP_CUT
             if omega >= _STEP_FLOOR:
                 x_a, _, _, _, psi_hat, p, _ = anchor
-                x = psi_hat if omega == 1.0 else x_a + omega * (psi_hat - x_a)
+                secant = omega == 1.0 and previous is not None
+                if secant:
+                    x, p = _secant_step(previous, anchor, c, params, tcs)
+                    accelerated_steps += 1
+                else:
+                    x = psi_hat if omega == 1.0 else x_a + omega * (psi_hat - x_a)
                 substitution_steps += 1
                 continue
             substituting = False
@@ -600,6 +670,7 @@ def equilibrium_solve(
         tcs=tcs,
         message="" if converged else "hit max_iters; returning best-J iterate",
         substitution_steps=substitution_steps,
+        accelerated_steps=accelerated_steps,
         qp_unconverged=qp_unconverged,
         near_ties=near_ties,
         qp_iterations=qp_iterations,

@@ -113,6 +113,8 @@ class TestEquilibrium:
         # substitution step or a QP step, and the payload says which
         assert len(eq["qp_iterations"]) == len(eq["cg_iterations"])
         assert eq["substitution_steps"] + len(eq["qp_iterations"]) == eq["iterations"] - 1
+        # the secant steps are counted among the substitution steps
+        assert 1 <= eq["accelerated_steps"] < eq["substitution_steps"]
         assert "ttt_h" in eq and "emission_t" in eq
         man = read_json(tmp_path / "manifest.json")
         assert man["params"]["tau"] == 200.0

@@ -787,20 +787,52 @@ class TestSubstitution:
         t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.5))
         at_zero = logit_choice(t_car, t_pt, 0.0, params)
         assert float(c @ at_zero) < params.kappa * float(c.sum()) / params.tau
-        p, psi = _clearing_price(t_car, t_pt, c, params)
-        assert p == 0.0
-        assert psi.tobytes() == at_zero.tobytes()
+        # hint 0 starts the cold search; 0.006 is a price at which the cap
+        # binds at the other charges of these tests
+        for hint in (0.0, 0.006):
+            p, psi = _clearing_price(t_car, t_pt, c, params, hint=hint)
+            assert p == 0.0
+            assert psi.tobytes() == at_zero.tobytes()
 
     @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
     @pytest.mark.parametrize("tau", [160.0, 200.0, 300.0, 440.0])
     def test_clearing_price_holds_the_cap(self, congested, tau, cap):
         params = TcsParams(tau=tau, cap_constraint=cap)
         t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.4))
-        p, psi = _clearing_price(t_car, t_pt, c, params)
         supply = params.kappa * float(c.sum()) / params.tau
-        assert p > 0.0
-        assert psi.tobytes() == logit_choice(t_car, t_pt, p, params).tobytes()
+        root, _ = _clearing_price(t_car, t_pt, c, params)
+        # the cold search (hint 0), then hints below, at and above its root
+        for hint in (0.0, 0.5 * root, root, 1.5 * root):
+            p, psi = _clearing_price(t_car, t_pt, c, params, hint=hint)
+            assert p > 0.0
+            assert psi.tobytes() == logit_choice(t_car, t_pt, p, params).tobytes()
+            assert supply * (1.0 - 1e-12) <= float(c @ psi) <= supply
+        # a hint in the band is returned as it is
+        assert _clearing_price(t_car, t_pt, c, params, hint=root)[0] == root
+
+    @pytest.mark.parametrize("off", [-1e-3, 1e-3])
+    @pytest.mark.parametrize("tau", [200.0, 300.0, 440.0])
+    def test_a_close_hint_takes_few_logit_evaluations(self, congested, monkeypatch, tau, off):
+        # a hint within 1e-3 of the root, relative, as the last accepted
+        # p_hat of a converging solve is: at most 4 evaluations, where the
+        # cold search takes 7 to 9
+        params = TcsParams(tau=tau)
+        t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.4))
+        root, _ = _clearing_price(t_car, t_pt, c, params)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return logit_choice(*args)
+
+        monkeypatch.setattr(tcsmfd.equilibrium, "logit_choice", counted)
+        p, psi = _clearing_price(t_car, t_pt, c, params, hint=root * (1.0 + off))
+        assert len(calls) <= 4 and calls[0] == root * (1.0 + off)
+        supply = params.kappa * float(c.sum()) / params.tau
         assert supply * (1.0 - 1e-12) <= float(c @ psi) <= supply
+        calls.clear()
+        _clearing_price(t_car, t_pt, c, params)
+        assert len(calls) >= 7
 
     def test_clearing_price_ignores_the_start_price(self, congested):
         a, b = TcsParams(p0=0.01), TcsParams(p0=0.3)
@@ -820,8 +852,8 @@ class TestSubstitution:
         # still binds
         prices = []
 
-        def clearing(*args):
-            prices.append(_clearing_price(*args))
+        def clearing(*args, **kwargs):
+            prices.append(_clearing_price(*args, **kwargs))
             return prices[-1]
 
         monkeypatch.setattr(tcsmfd.equilibrium, "_clearing_price", clearing)
@@ -849,7 +881,7 @@ class TestSubstitution:
         # cases a rejected step holds the lowest J, and QP steps from such
         # a point cycled on other draws of this kind
         scenario = small_random_scenario(seed, n_groups=2, congestion=congestion)
-        xs, maps = recording_substitution(monkeypatch)
+        xs, maps, hints = recording_substitution(monkeypatch)
         ks = recording_build_qp(monkeypatch)
         starts = []
         build = tcsmfd.equilibrium.build_qp
@@ -859,10 +891,12 @@ class TestSubstitution:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(tcsmfd.equilibrium, "build_qp", starting)
-        rep = equilibrium_solve(scenario, TcsParams(tau=tau, cap_constraint=cap))
+        params = TcsParams(tau=tau, cap_constraint=cap)
+        rep = equilibrium_solve(scenario, params)
         assert rep.converged and rep.state.p == 0.0
         assert ks == list(range(1, len(rep.qp_iterations) + 1)) and ks
-        anchor, omega = replay_substitution(xs, maps, rep.substitution_steps)
+        anchor, omega, *_ = replay_substitution(xs, maps, hints, rep.substitution_steps,
+                                                params, params.cap_weights(scenario.gammas))
         assert omega < tcsmfd.equilibrium._STEP_FLOOR
         assert starts[0].tobytes() == xs[anchor].tobytes()
 
@@ -886,57 +920,164 @@ class TestSubstitution:
 
     @pytest.mark.parametrize("tau", [200.0, 300.0])
     def test_undamped_steps_go_to_the_substitution_map(self, congested, monkeypatch, tau):
-        # where every step passes at omega = 1, each next iterate is the
-        # recorded psi_hat itself, bit for bit, not a blend with omega = 1
-        xs, maps = recording_substitution(monkeypatch)
-        rep = equilibrium_solve(congested, TcsParams(tau=tau))
+        # every step passes at omega = 1: the first goes to the recorded
+        # psi_hat itself, bit for bit, and each later one is a secant step
+        # through the last two accepted points
+        xs, maps, hints = recording_substitution(monkeypatch)
+        params = TcsParams(tau=tau)
+        rep = equilibrium_solve(congested, params)
         assert rep.converged and rep.substitution_steps == rep.iterations - 1 >= 2
         assert len(xs) == rep.iterations and len(maps) == rep.substitution_steps
-        for x, (_, psi_hat) in zip(xs[1:], maps):
-            assert x.tobytes() == psi_hat.tobytes()
-        _, omega = replay_substitution(xs, maps, rep.substitution_steps)
-        assert omega == 1.0
+        assert xs[1].tobytes() == maps[0][1].tobytes()
+        _, omega, secants, _, p = replay_substitution(
+            xs, maps, hints, rep.substitution_steps, params,
+            params.cap_weights(congested.gammas))
+        assert omega == 1.0 and secants == rep.accelerated_steps == rep.substitution_steps - 1
+        assert p == rep.state.p
+
+    @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
+    @pytest.mark.parametrize("tau", [160.0, 200.0, 300.0, 440.0])
+    def test_iterates_stay_in_the_box_and_under_the_cap(self, congested, monkeypatch, tau,
+                                                        cap):
+        # a secant step may leave the segment between two maps' values, so
+        # it is clipped to the box and scaled onto the cap
+        xs, maps, hints = recording_substitution(monkeypatch)
+        params = TcsParams(tau=tau, cap_constraint=cap)
+        rep = equilibrium_solve(congested, params)
+        assert rep.converged
+        c = params.cap_weights(congested.gammas)
+        replay_substitution(xs, maps, hints, rep.substitution_steps, params, c)
+        tol = tcsmfd.equilibrium._cap_tolerance(c, params)
+        for x in xs:
+            assert np.all((x >= 0.0) & (x <= 1.0))
+            assert params.tau * float(c @ x) <= params.kappa * float(c.sum()) + tol
+
+    def test_a_rejected_secant_point_is_retaken_as_a_plain_step(self, congested,
+                                                                 monkeypatch):
+        # at tau = 160 the secant point through the first two iterates
+        # fails to halve the second one's residual; the step is retaken
+        # from the second iterate as a plain step to its psi_hat at
+        # omega = 1, and only when that fails too is omega cut
+        xs, maps, hints = recording_substitution(monkeypatch)
+        params = TcsParams(tau=160.0)
+        rep = equilibrium_solve(congested, params)
+        assert rep.converged and rep.qp_iterations == []
+        residual = [float(np.max(np.abs(psi_hat - x))) for x, (_, psi_hat) in zip(xs, maps)]
+        assert residual[1] <= 0.5 * residual[0] and residual[2] > 0.5 * residual[1]
+        assert xs[3].tobytes() == maps[1][1].tobytes()
+        _, omega, secants, rejected, p = replay_substitution(
+            xs, maps, hints, rep.substitution_steps, params,
+            params.cap_weights(congested.gammas))
+        assert secants == rejected == rep.accelerated_steps == 1
+        assert omega == tcsmfd.equilibrium._STEP_CUT and p == rep.state.p
+
+    def test_secant_step_is_held_to_the_box_and_the_cap(self):
+        # two groups of equal cap weight at tau = 2 kappa: the cap is
+        # x_1 + x_2 <= 1.  Accepted points as the loop stores them,
+        # (x, p, psi, sim, psi_hat, p_hat, residual).  In the first two
+        # cases f halves along group 0, so gamma = -1 and the step goes as
+        # far past psi_hat_1 as psi_hat_1 lies past psi_hat_0
+        def point(x, psi_hat, p_hat):
+            return (np.array(x), 0.0, None, None, np.array(psi_hat), p_hat, 0.0)
+
+        params = TcsParams(tau=200.0, kappa=100.0)
+        c = np.ones(2)
+        step = tcsmfd.equilibrium._secant_step
+        # to (0.9, 0.2) and p = 0.03, which uses 1.1 times the credits:
+        # scaled down onto the cap; without the scheme neither is changed
+        previous = point([0.5, 0.2], [0.7, 0.2], 0.01)
+        anchor = point([0.7, 0.2], [0.8, 0.2], 0.02)
+        x, p = step(previous, anchor, c, params, True)
+        np.testing.assert_allclose(x, np.array([0.9, 0.2]) / 1.1, rtol=1e-12)
+        assert p == pytest.approx(0.03, rel=1e-12)
+        x, p = step(previous, anchor, c, params, False)
+        np.testing.assert_allclose(x, [0.9, 0.2], rtol=1e-12)
+        assert p == 0.02
+        # to (1.1, 0) and p = -0.01: clipped into the box, the price to 0
+        previous = point([0.5, 0.0], [0.8, 0.0], 0.01)
+        anchor = point([0.8, 0.0], [0.95, 0.0], 0.0)
+        x, p = step(previous, anchor, c, params, True)
+        assert x.tolist() == [1.0, 0.0] and p == 0.0
+        # no change in f (exactly, in binary fractions): gamma = 0, the
+        # plain step
+        previous = point([0.125, 0.125], [0.25, 0.25], 0.01)
+        anchor = point([0.25, 0.25], [0.375, 0.375], 0.02)
+        x, p = step(previous, anchor, c, params, True)
+        assert x.tolist() == [0.375, 0.375] and p == 0.02
 
 
 def recording_substitution(monkeypatch):
-    """The shares of each simulation and each clearing price's (p_hat,
-    psi_hat), as the solve makes them."""
-    xs, maps = [], []
+    """The shares of each simulation, and each clearing price's (p_hat,
+    psi_hat) and the hint it was given, as the solve makes them."""
+    xs, maps, hints = [], [], []
 
     def simulating(scenario, x):
         xs.append(np.array(x))
         return simulate(scenario, x)
 
-    def clearing(*args):
-        maps.append(_clearing_price(*args))
+    def clearing(*args, hint):
+        hints.append(hint)
+        maps.append(_clearing_price(*args, hint=hint))
         return maps[-1]
 
     monkeypatch.setattr(tcsmfd.equilibrium, "simulate", simulating)
     monkeypatch.setattr(tcsmfd.equilibrium, "_clearing_price", clearing)
-    return xs, maps
+    return xs, maps, hints
 
 
-def replay_substitution(xs, maps, steps):
-    """Check the step rule on a solve's first ``steps`` substitution steps,
-    recorded by ``recording_substitution``, and return its last accepted
-    iterate and its final omega.  Iterate i + 1 is
-    x_a + omega (psi_hat_a - x_a), a the last accepted iterate (psi_hat_a
-    itself at omega = 1), and each iterate with a clearing price is accepted
-    when its substitution residual is at most (1 - omega / 2) times a's;
-    otherwise omega is cut."""
+def replay_substitution(xs, maps, hints, steps, params, c):
+    """Check the step rule, bit for bit, on a scheme solve's first ``steps``
+    substitution steps, recorded by ``recording_substitution`` with cap
+    weights ``c``.
+
+    Each clearing price is hinted with the last accepted p_hat (0 before
+    the first).  Each iterate with a clearing price is accepted when its
+    substitution residual is at most (1 - omega / 2) times that of the last
+    accepted iterate a.  At omega = 1, with an accepted iterate b before a,
+    iterate i + 1 is the secant step psi_hat_a - gamma (psi_hat_a -
+    psi_hat_b), clipped to the box and scaled onto the cap, with gamma =
+    df'f_a / df'df, f = psi_hat - x and df = f_a - f_b.  A rejected secant
+    point drops b, and the plain step psi_hat_a is retaken at omega = 1;
+    any other rejection cuts omega.  Otherwise iterate i + 1 is
+    x_a + omega (psi_hat_a - x_a) (psi_hat_a itself at omega = 1).
+
+    Returns the last accepted iterate, the final omega, the number of secant
+    steps, the number of them rejected, and the price of iterate ``steps``.
+    """
     cut = tcsmfd.equilibrium._STEP_CUT
+    supply = params.kappa * float(c.sum())
     residual = [float(np.max(np.abs(psi_hat - x))) for x, (_, psi_hat) in zip(xs, maps)]
-    anchor, omega = 0, 1.0
+    assert hints[0] == 0.0
+    anchor, before, omega = 0, None, 1.0
+    secants = rejected = 0
     for i in range(1, steps + 1):
-        psi_hat = maps[anchor][1]
-        want = psi_hat if omega == 1.0 else xs[anchor] + omega * (psi_hat - xs[anchor])
+        p, psi_hat = maps[anchor]
+        secant = omega == 1.0 and before is not None
+        if secant:
+            p_0, psi_hat_0 = maps[before]
+            f_1 = psi_hat - xs[anchor]
+            df = f_1 - (psi_hat_0 - xs[before])
+            dd = float(df @ df)
+            gamma = float(df @ f_1) / dd if dd > 0.0 else 0.0
+            want = np.clip(psi_hat - gamma * (psi_hat - psi_hat_0), 0.0, 1.0)
+            used = params.tau * float(c @ want)
+            if used > supply:
+                want = want * (supply / used)
+            p = max(p - gamma * (p - p_0), 0.0)
+            secants += 1
+        else:
+            want = psi_hat if omega == 1.0 else xs[anchor] + omega * (psi_hat - xs[anchor])
         assert xs[i].tobytes() == want.tobytes(), i
         if i < len(maps):
+            assert hints[i] == maps[anchor][0], i
             if residual[i] <= (1.0 - 0.5 * omega) * residual[anchor]:
-                anchor = i
+                before, anchor = anchor, i
+            elif secant:
+                before = None
+                rejected += 1
             else:
                 omega *= cut
-    return anchor, omega
+    return anchor, omega, secants, rejected, p
 
 
 def test_single_group_price_overshoot_converges():

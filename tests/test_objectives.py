@@ -223,9 +223,9 @@ class TestChargeGradients:
         assert np.isfinite(d_ttt)
 
     @pytest.mark.parametrize("tau, ttt, mixed", [
-        (200.0, -40.62105260889643, -53.82512072160247),
-        (225.0, 10.472774438965999, 1.7406639880272348),
-        (250.0, 66.95272328408561, 60.88898780877169),
+        (200.0, -40.619776982241056, -53.824264165458196),
+        (225.0, 10.475255980965608, 1.7428934356383223),
+        (250.0, 66.95592619788592, 60.892078902030605),
     ])
     def test_pinned_on_congested(self, tau, ttt, mixed):
         # the objective derivatives the charge search steers by, at cold
