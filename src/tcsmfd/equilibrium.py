@@ -17,8 +17,8 @@ Every solve starts with substitution steps.  After simulating x the loop
 evaluates the substitution map at the simulated travel times: with the
 scheme on it finds the price p_hat that clears the market there,
 c'psi(T(x), p_hat) = kappa * sum(c) / tau, or 0 where the cap is slack at
-p = 0 (``_clearing_price``, which starts from the last accepted p_hat);
-without it p_hat is the fixed price.  The map's value is
+p = 0 (``_clearing_price``, which starts from the iterate's own price and
+logit response); without it p_hat is the fixed price.  The map's value is
 psi_hat = psi(T(x), p_hat), and the plain step goes to
 (x + omega * (psi_hat - x), p_hat), exactly psi_hat at omega = 1.  With the
 price eliminated this way the map x -> psi(T(x), p_hat(T(x))) has the
@@ -350,8 +350,8 @@ _STEP_FLOOR = 0.5
 _CLEARING_TOL = 1e-12
 
 
-def _clearing_price(t_car, t_pt, c, params: TcsParams,
-                    hint: float = 0.0) -> tuple[float, np.ndarray]:
+def _clearing_price(t_car, t_pt, c, params: TcsParams, hint: float = 0.0,
+                    psi=None) -> tuple[float, np.ndarray]:
     """The price p_hat that clears the credit market at fixed travel times,
     and the car shares psi(T, p_hat).
 
@@ -365,14 +365,13 @@ def _clearing_price(t_car, t_pt, c, params: TcsParams,
     before the last, is replaced by a bisection (the safeguard of Numerical
     Recipes' rtsafe), or by a doubling while the bracket has no upper end.
 
-    The search starts from ``hint``, the solve's last accepted p_hat, never
-    from ``p_init`` or ``params.p0``.  At hint 0 it evaluates p = 0 and,
-    where the cap binds there, finds the bracket's upper end by doubling
-    from 1 / (theta tau).  At a positive hint it evaluates the hint first:
-    a hint in the band is returned as it is, a hint where the cap is
-    exceeded is the lower end of the bracket [hint, inf), and a hint below
-    the band is the upper end of [0, hint] once p = 0 has been tested for a
-    slack cap.
+    The search starts from ``hint``, never from ``p_init`` or ``params.p0``,
+    and evaluates it unless ``psi``, its logit response, is given.  A start
+    in the band, or at 0 with the cap slack, is returned as it is.  From a
+    start where the cap is exceeded the bracket is [hint, inf), and its
+    doubling runs from 1 / (theta tau) at hint 0.  From a start below the
+    band it is [0, hint], and p = 0 is evaluated only where a step aims at
+    or below it; a slack cap there returns (0, psi(T, 0)).
     """
     supply = params.kappa * float(c.sum()) / params.tau
     band = _CLEARING_TOL * supply
@@ -384,46 +383,32 @@ def _clearing_price(t_car, t_pt, c, params: TcsParams,
         return float(c @ psi) - supply, psi
 
     p = hint
-    f, psi = excess(p)
-    if f > 0.0 and p > 0.0:
-        lo, hi = p, math.inf
-    elif f > 0.0:
-        lo, hi = 0.0, 1.0 / slope
-        f_hi, psi_hi = excess(hi)
-        while f_hi > 0.0:
-            lo, f, psi = hi, f_hi, psi_hi
-            hi *= 2.0
-            f_hi, psi_hi = excess(hi)
-        p = lo
-    elif f >= -band or p == 0.0:
-        return p, psi
-    else:
-        f_0, psi_0 = excess(0.0)
-        if f_0 <= 0.0:
-            return 0.0, psi_0
-        lo, hi, psi_hi = 0.0, p, psi
-    last = before = hi - lo
+    f, psi = excess(p) if psi is None else (float(c @ psi) - supply, psi)
+    # lo: the highest price known to exceed the cap, -inf while none is
+    # known and p = 0 may be slack; hi: the lowest known to hold it
+    lo, hi = -math.inf, math.inf
+    last = before = math.inf
     while True:
+        if f > 0.0:
+            lo = p
+        else:
+            hi, psi_hi = p, psi
+            if f >= -band or p == 0.0:
+                return hi, psi_hi
         # Newton on c'psi = goal from the current point
         d = -slope * float(c @ (psi * (1.0 - psi)))
         newton = p - (f + supply - goal) / d if d < 0.0 else math.nan
         if lo < newton < hi and abs(newton - p) <= 0.5 * before:
-            step = newton
+            step = max(newton, 0.0)
         elif hi == math.inf:
-            step = 2.0 * lo
+            step = 2.0 * lo if lo > 0.0 else 1.0 / slope
         else:
-            step = 0.5 * (lo + hi)
+            step = max(0.5 * (lo + hi), 0.0)
             if not (lo < step < hi):
                 return hi, psi_hi
         last, before = abs(step - p), last
         p = step
         f, psi = excess(p)
-        if f > 0.0:
-            lo = p
-        else:
-            hi, psi_hi = p, psi
-            if f >= -band:
-                return hi, psi_hi
 
 
 def _secant_step(previous, anchor, c, params: TcsParams, tcs: bool):
@@ -435,8 +420,9 @@ def _secant_step(previous, anchor, c, params: TcsParams, tcs: bool):
     gamma = df'f_1 / df'df (0 where df = 0) minimizes ||f_1 - gamma df||,
     and the step goes to psi_hat_1 - gamma (psi_hat_1 - psi_hat_0) and
     p_hat_1 - gamma (p_hat_1 - p_hat_0).  The shares are clipped to the box
-    and, with the scheme, scaled onto the cap, and the price is kept >= 0;
-    without the scheme it stays the fixed price."""
+    and, with the scheme, scaled onto the cap, and the price is kept >= 0.
+    Without the scheme p_hat_0 = p_hat_1 is the fixed price, which the
+    formula returns bit for bit."""
     x_0, _, _, _, psi_hat_0, p_hat_0, _ = previous
     x_1, _, _, _, psi_hat_1, p_hat_1, _ = anchor
     f_1 = psi_hat_1 - x_1
@@ -444,18 +430,15 @@ def _secant_step(previous, anchor, c, params: TcsParams, tcs: bool):
     dd = float(df @ df)
     gamma = float(df @ f_1) / dd if dd > 0.0 else 0.0
     x = np.clip(psi_hat_1 - gamma * (psi_hat_1 - psi_hat_0), 0.0, 1.0)
-    if not tcs:
-        return x, p_hat_1
-    return _onto_cap(x, c, params), max(p_hat_1 - gamma * (p_hat_1 - p_hat_0), 0.0)
+    p = max(p_hat_1 - gamma * (p_hat_1 - p_hat_0), 0.0)
+    return (_onto_cap(x, c, params) if tcs else x), p
 
 
-def _j_value(x, p, psi, gammas, params: TcsParams, tcs: bool = True) -> float:
+def _j_value(x, p, psi, slack: float, params: TcsParams) -> float:
     """Objective J at a point, zero step: equilibrium gap plus the
-    market-clearing product (per unit of cap weight)."""
-    gap = float(0.5 * np.sum((psi - x) ** 2))
-    if not tcs:
-        return gap
-    return gap + params.eta * p * _mean_slack(x, params.cap_weights(gammas), params)
+    market-clearing product, with ``slack`` the credit slack per unit of cap
+    weight (``_mean_slack``; 0 without the scheme, which leaves the gap)."""
+    return float(0.5 * np.sum((psi - x) ** 2)) + params.eta * p * slack
 
 
 @dataclass
@@ -515,8 +498,11 @@ def equilibrium_solve(
     psi_hat, with omega left at 1 and the older point dropped, so the next
     secant step waits for the next accepted point.  ``accelerated_steps``
     counts the secant steps among ``substitution_steps``.  The clearing
-    price search starts from the last accepted p_hat (the first from
-    p = 0), never from ``p_init`` or ``p0``.  The first
+    price search of the first iteration starts from p = 0, never from
+    ``p_init`` or ``p0``; every later one starts from the iterate's own
+    price and logit response, evaluated already: the last accepted p_hat
+    after a plain or damped step, the secant price after a secant step.
+    The first
     time omega falls below ``_STEP_FLOOR``, this step and every later one is
     a QP step, and the first QP step is taken from the last accepted point.
     The k-th QP step has the trust radius 1/k (``build_qp``), k counting QP
@@ -586,11 +572,12 @@ def equilibrium_solve(
     for k in range(1, params.max_iters + 1):
         sim = simulate(scenario, x)
         psi = logit_choice(sim.car_times, scenario.pt_times, p, params)
-        j = _j_value(x, p, psi, gammas, params, tcs=tcs)
+        slack = _mean_slack(x, c, params) if tcs else 0.0
+        j = _j_value(x, p, psi, slack, params)
         res = float(np.max(np.abs(psi - x)))
         j_trace.append(j)
         res_trace.append(res)
-        mcc_trace.append(abs(p * _mean_slack(x, c, params)) if tcs else 0.0)
+        mcc_trace.append(abs(p * slack))
         if best is None or j < best[0]:
             best = (j, x.copy(), float(p), psi.copy(), sim)
         if j < params.j_goal and res < x_tol:
@@ -601,8 +588,9 @@ def equilibrium_solve(
 
         if substituting:
             if tcs:
+                hint, at_hint = (0.0, None) if anchor is None else (p, psi)
                 p_hat, psi_hat = _clearing_price(sim.car_times, scenario.pt_times, c, params,
-                                                 hint=0.0 if anchor is None else anchor[5])
+                                                 hint=hint, psi=at_hint)
             else:
                 p_hat, psi_hat = p, psi
             moved = float(np.max(np.abs(psi_hat - x)))

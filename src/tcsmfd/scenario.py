@@ -212,8 +212,14 @@ class MfdCurve:
         arr = np.asarray(n, dtype=float)
         if np.any(arr < 0) or np.any(~np.isfinite(arr)):
             raise ValueError("accumulation must be finite and >= 0")
-        out = np.maximum(self._raw(arr), self.v_floor)
+        out = self._speed(arr)
         return float(out) if np.isscalar(n) or arr.ndim == 0 else out
+
+    def _speed(self, n):
+        """``speed``'s values at an n that is finite and >= 0, unchecked, for
+        loops whose accumulation is valid by construction
+        (``simulate_car_times``)."""
+        return np.maximum(self._raw(n), self.v_floor)
 
     def dspeed(self, n):
         """dV/dn, exactly 0 wherever the v_floor clamp is active."""

@@ -18,18 +18,19 @@ as compensated (hi, lo) float pairs, which holds every remaining distance
 and accumulation to rounding level however large D grows.  Each pair is
 updated by the error-free TwoSum (Ogita, Rump & Oishi 2005), ``_two_sum``,
 whose three operations the scalar loop writes out inline in the same order.
-What the loop reads of the scenario, the entry order, the trip lengths and
-the sanity horizon, is bound once per scenario (``Scenario._entry_plan``).
+What the loops read of the scenario, the entry order, the departures, the
+trip lengths and the sanity horizon, is bound once per scenario
+(``Scenario._entry_plan``).
 
 ``simulate_car_times`` runs the same loop for many share vectors in
 lockstep: the samples share departures, trip lengths and the entry order,
 and each keeps its own clock, D, accumulation, entry pointer and speed in
 vectors of one entry per sample.  Every step advances each sample by one
 event with the operations of the scalar loop applied elementwise
-(``_two_sum`` on arrays, the same comparisons, one array ``MfdCurve.speed``
-call whose values are ``_scalar_speed``'s bits), so each sample's event
-times, and the exit-minus-entry differences taken of them, are bitwise
-those of ``simulate``.  The road is a pair of (samples x groups) target
+(``_two_sum`` on arrays, the same comparisons, one unchecked array speed
+evaluation, ``MfdCurve._speed``, whose values are ``_scalar_speed``'s
+bits), so each sample's event times, and the exit-minus-entry differences
+taken of them, are bitwise those of ``simulate``.  The road is a pair of (samples x groups) target
 arrays, +inf off the road; the next exit is their lexicographic minimum over
 (target hi, target lo, group id), the order the heap keeps.  A step scans
 those arrays twice, O(S N) for S samples where the heap pays O(S log N), but
@@ -244,16 +245,14 @@ def simulate_car_times(scenario: Scenario, xs) -> np.ndarray:
     if np.any(~np.isfinite(xs)) or np.any(xs < 0) or np.any(xs > 1):
         raise ValueError("shares must be finite and within [0, 1]")
 
-    departs = scenario.departs
+    order, departs, _, horizon = scenario._entry_plan
+    # one past the last entry: group 0 at t = inf, never picked
+    entry_gid = np.array((*order, 0))
+    entry_t = np.array(departs)
     trip_lens = scenario.trip_lens
     gammas = scenario.gammas
-    speed = scenario.mfd.speed
-    horizon = departs.max() + 10.0 * float(trip_lens.max() / scenario.mfd.v_floor)
-
-    order = np.argsort(departs, kind="stable")  # by (depart, id), as simulate
-    # one past the last entry: group 0 at t = inf, never picked
-    entry_gid = np.append(order, 0)
-    entry_t = np.append(departs[order], np.inf)
+    # unchecked: the accumulation below is clamped >= 0 and a finite sum
+    speed = scenario.mfd._speed
 
     s_count = len(xs)
     cells = s_count * n  # flat (sample, group) index s * n + i
@@ -264,7 +263,7 @@ def simulate_car_times(scenario: Scenario, xs) -> np.ndarray:
     hi_rows = tgt_hi.reshape(s_count, n)
     events = np.empty(2 * cells, dtype=np.int32)  # entry events, then exit events
     times = np.empty((s_count, 2 * n))
-    t = np.full(s_count, departs[order[0]])
+    t = np.full(s_count, entry_t[0])
     d_hi = np.zeros(s_count)
     d_lo = np.zeros(s_count)
     n_hi = np.zeros(s_count)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tcsmfd import GeneratorSpec, MfdCurve, Scenario, generate_synthetic, simulate
+from tcsmfd import (GeneratorSpec, MfdCurve, Scenario, TcsParams, generate_synthetic,
+                    simulate)
 
 # verdict lines collected by the acceptance suite; printed after the run so
 # they survive pytest's fd-level output capture
@@ -47,6 +48,45 @@ def small_random_scenario(seed, n_groups=8, congestion=0.6):
         n_jam=150 * n_groups / congestion,
     )
     return generate_synthetic(seed, spec)
+
+
+def probe_draw(i):
+    """Draw i of a seeded probe of small solves: 1 to 8 groups, congestion
+    up to 1.8, either cap variant, the scheme on or off at a fixed price
+    (scenario, params, tcs, p_init)."""
+    rng = np.random.default_rng(i)
+    n = int(rng.integers(1, 9))
+    congestion = rng.uniform(0.3, 1.8)
+    tau = rng.uniform(100.0, 400.0)
+    cap = ("gamma-weighted", "printed")[rng.integers(2)]
+    tcs = bool(rng.integers(2))
+    p_init = None if tcs else float(rng.uniform(0.0, 0.01))
+    return (small_random_scenario(i, n_groups=n, congestion=congestion),
+            TcsParams(tau=tau, cap_constraint=cap), tcs, p_init)
+
+
+# Draw 1 (four groups, congestion 1.726, printed cap, slack at tau = 143.2)
+# runs to max_iters.  Its substitution steps fail at every damping, and the
+# QP steps from its first iterate two-cycle at residual 0.22-0.25, as they
+# did when its solve took QP steps from the start and converged in 48 of the
+# 50 iterations; behind the four substitution steps they run out of them
+PROBE_UNCONVERGED = {1}
+
+
+def two_group_draw(i):
+    """Draw i of a seeded probe of hypercongested two-group solves:
+    congestion U(1.0, 1.8), the charge U(105, 220) and the cap variant,
+    drawn from ``default_rng(i)`` in that order (scenario, params)."""
+    rng = np.random.default_rng(i)
+    congestion = rng.uniform(1.0, 1.8)
+    tau = rng.uniform(105.0, 220.0)
+    cap = ("gamma-weighted", "printed")[rng.integers(2)]
+    return (small_random_scenario(i, n_groups=2, congestion=congestion),
+            TcsParams(tau=tau, cap_constraint=cap))
+
+
+# of the first 3 000 two-group draws, these run to max_iters
+TWO_GROUP_UNCONVERGED = {2888, 2992}
 
 
 # two hypercongested groups, and a charge at which their cap is slack and

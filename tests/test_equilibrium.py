@@ -26,8 +26,8 @@ import tcsmfd.equilibrium
 from tcsmfd.equilibrium import _clearing_price
 from tcsmfd.gradients import _GROW, _ROWS_PER_BLOCK
 
-from conftest import (FALLBACK_TAU, TIED_GROUPS, hypercongested_scenario, make_scenario,
-                      small_random_scenario)
+from conftest import (FALLBACK_TAU, PROBE_UNCONVERGED, TIED_GROUPS, hypercongested_scenario,
+                      make_scenario, probe_draw, small_random_scenario)
 from reference_formulas import identity_layout, logit_gradient, price_column_first
 
 # an x_tol below every nonzero fixed-point residual: a solve given it runs to
@@ -511,8 +511,10 @@ def test_j_value_hand_case():
     # gap = 0.5 (0.01 + 0.0025); slack per traveler = (400*100 - 200*180)/400
     want = 0.5 * 0.0125 + 2.0 * 0.02 * (40000.0 - 36000.0) / 400.0
     j_value = tcsmfd.equilibrium._j_value
-    assert j_value(x, 0.02, psi, gammas, params, tcs=True) == pytest.approx(want, rel=1e-12)
-    assert j_value(x, 0.02, psi, gammas, params, tcs=False) == pytest.approx(0.5 * 0.0125)
+    slack = tcsmfd.equilibrium._mean_slack(x, params.cap_weights(gammas), params)
+    assert j_value(x, 0.02, psi, slack, params) == pytest.approx(want, rel=1e-12)
+    # without the scheme the solve passes a slack of 0, which leaves the gap
+    assert j_value(x, 0.02, psi, 0.0, params) == pytest.approx(0.5 * 0.0125)
 
 
 class TestSingleGroupEquilibrium:
@@ -769,6 +771,18 @@ def clearing_inputs(scenario, params, x):
     return sim.car_times, scenario.pt_times, params.cap_weights(scenario.gammas)
 
 
+def counting_logit(monkeypatch):
+    """The price of each logit evaluation of ``tcsmfd.equilibrium``."""
+    prices = []
+
+    def counted(*args):
+        prices.append(args[2])
+        return logit_choice(*args)
+
+    monkeypatch.setattr(tcsmfd.equilibrium, "logit_choice", counted)
+    return prices
+
+
 def recording_build_qp(monkeypatch):
     """The iteration index k of each build_qp call, as the solve makes them."""
     ks = []
@@ -782,57 +796,102 @@ def recording_build_qp(monkeypatch):
 
 
 class TestSubstitution:
-    def test_clearing_price_is_zero_on_a_slack_cap(self, congested):
+    def test_clearing_price_is_zero_on_a_slack_cap(self, congested, monkeypatch):
         params = TcsParams(tau=120.0)
         t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.5))
         at_zero = logit_choice(t_car, t_pt, 0.0, params)
         assert float(c @ at_zero) < params.kappa * float(c.sum()) / params.tau
+        calls = counting_logit(monkeypatch)
         # hint 0 starts the cold search; 0.006 is a price at which the cap
-        # binds at the other charges of these tests
-        for hint in (0.0, 0.006):
+        # binds at the other charges of these tests, and from which the
+        # Newton step aims below 0, so p = 0 is evaluated next
+        for hint, want in ((0.0, [0.0]), (0.006, [0.006, 0.0])):
+            calls.clear()
             p, psi = _clearing_price(t_car, t_pt, c, params, hint=hint)
-            assert p == 0.0
+            assert p == 0.0 and calls == want
             assert psi.tobytes() == at_zero.tobytes()
 
     @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
     @pytest.mark.parametrize("tau", [160.0, 200.0, 300.0, 440.0])
-    def test_clearing_price_holds_the_cap(self, congested, tau, cap):
+    def test_clearing_price_holds_the_cap(self, congested, monkeypatch, tau, cap):
         params = TcsParams(tau=tau, cap_constraint=cap)
         t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.4))
         supply = params.kappa * float(c.sum()) / params.tau
         root, _ = _clearing_price(t_car, t_pt, c, params)
+        calls = counting_logit(monkeypatch)
         # the cold search (hint 0), then hints below, at and above its root
         for hint in (0.0, 0.5 * root, root, 1.5 * root):
+            calls.clear()
             p, psi = _clearing_price(t_car, t_pt, c, params, hint=hint)
             assert p > 0.0
             assert psi.tobytes() == logit_choice(t_car, t_pt, p, params).tobytes()
             assert supply * (1.0 - 1e-12) <= float(c @ psi) <= supply
+            # where the cap binds, p = 0 is evaluated only from a start there
+            assert (0.0 in calls) == (hint == 0.0)
         # a hint in the band is returned as it is
         assert _clearing_price(t_car, t_pt, c, params, hint=root)[0] == root
 
     @pytest.mark.parametrize("off", [-1e-3, 1e-3])
     @pytest.mark.parametrize("tau", [200.0, 300.0, 440.0])
     def test_a_close_hint_takes_few_logit_evaluations(self, congested, monkeypatch, tau, off):
-        # a hint within 1e-3 of the root, relative, as the last accepted
-        # p_hat of a converging solve is: at most 4 evaluations, where the
-        # cold search takes 7 to 9
+        # a hint within 1e-3 of the root, relative, as the iterate's price
+        # in a converging solve is: at most 4 evaluations, fewer than the
+        # cold search from p = 0 takes
         params = TcsParams(tau=tau)
         t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.4))
         root, _ = _clearing_price(t_car, t_pt, c, params)
-        calls = []
-
-        def counted(*args):
-            calls.append(args[2])
-            return logit_choice(*args)
-
-        monkeypatch.setattr(tcsmfd.equilibrium, "logit_choice", counted)
+        calls = counting_logit(monkeypatch)
         p, psi = _clearing_price(t_car, t_pt, c, params, hint=root * (1.0 + off))
-        assert len(calls) <= 4 and calls[0] == root * (1.0 + off)
+        hinted = len(calls)
+        assert hinted <= 4 and calls[0] == root * (1.0 + off)
         supply = params.kappa * float(c.sum()) / params.tau
         assert supply * (1.0 - 1e-12) <= float(c @ psi) <= supply
         calls.clear()
         _clearing_price(t_car, t_pt, c, params)
-        assert len(calls) >= 7
+        assert calls[0] == 0.0 and len(calls) > hinted
+
+    def test_a_given_response_is_not_evaluated_again(self, congested, monkeypatch):
+        # the solve passes its iterate's price and logit response: a start
+        # in the band costs no evaluation, and one outside it takes the
+        # search of the same start without the response
+        params = TcsParams(tau=200.0)
+        t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.4))
+        root, at_root = _clearing_price(t_car, t_pt, c, params)
+        calls = counting_logit(monkeypatch)
+        p, psi = _clearing_price(t_car, t_pt, c, params, hint=root, psi=at_root)
+        assert calls == [] and p == root and psi is at_root
+        for start in (0.0, 0.5 * root, 1.5 * root):
+            at_start = logit_choice(t_car, t_pt, start, params)
+            calls.clear()
+            want = _clearing_price(t_car, t_pt, c, params, hint=start)
+            searched = calls[1:]
+            calls.clear()
+            p, psi = _clearing_price(t_car, t_pt, c, params, hint=start, psi=at_start)
+            assert calls == searched
+            assert p == want[0] and psi.tobytes() == want[1].tobytes()
+
+    def test_clearing_price_doubles_from_a_saturated_start(self, monkeypatch):
+        # every car share is exactly 1 at p = 0, so Newton has no slope
+        # there and the bracket's upper end is found by doubling from
+        # 1 / (theta tau); the cap admits half of the three groups
+        params = TcsParams(tau=200.0, kappa=100.0)
+        t_car, t_pt, c = np.zeros(3), np.array([9e4, 1e5, 1.1e5]), np.ones(3)
+        assert logit_choice(t_car, t_pt, 0.0, params).tolist() == [1.0, 1.0, 1.0]
+        calls = counting_logit(monkeypatch)
+        p, psi = _clearing_price(t_car, t_pt, c, params)
+        slope = params.theta * params.tau
+        assert calls[:3] == [0.0, 1.0 / slope, 2.0 / slope]
+        assert psi.tobytes() == logit_choice(t_car, t_pt, p, params).tobytes()
+        assert 1.5 * (1.0 - 1e-12) <= float(c @ psi) <= 1.5
+
+    @pytest.mark.parametrize("tau, budget", [(200.0, 19), (300.0, 19), (440.0, 18)])
+    def test_cold_solves_keep_their_logit_budget(self, congested, monkeypatch, tau, budget):
+        # one evaluation per iteration, and the searches of the clearing
+        # price, each started from its iterate's price and response
+        calls = counting_logit(monkeypatch)
+        rep = equilibrium_solve(congested, TcsParams(tau=tau))
+        assert rep.converged and rep.substitution_steps == rep.iterations - 1 == 4
+        assert len(calls) <= budget
 
     def test_clearing_price_ignores_the_start_price(self, congested):
         a, b = TcsParams(p0=0.01), TcsParams(p0=0.3)
@@ -984,12 +1043,15 @@ class TestSubstitution:
         c = np.ones(2)
         step = tcsmfd.equilibrium._secant_step
         # to (0.9, 0.2) and p = 0.03, which uses 1.1 times the credits:
-        # scaled down onto the cap; without the scheme neither is changed
+        # scaled down onto the cap
         previous = point([0.5, 0.2], [0.7, 0.2], 0.01)
         anchor = point([0.7, 0.2], [0.8, 0.2], 0.02)
         x, p = step(previous, anchor, c, params, True)
         np.testing.assert_allclose(x, np.array([0.9, 0.2]) / 1.1, rtol=1e-12)
         assert p == pytest.approx(0.03, rel=1e-12)
+        # without the scheme both p_hat are the fixed price, which the step
+        # keeps bit for bit, and the shares are not scaled
+        previous = point([0.5, 0.2], [0.7, 0.2], 0.02)
         x, p = step(previous, anchor, c, params, False)
         np.testing.assert_allclose(x, [0.9, 0.2], rtol=1e-12)
         assert p == 0.02
@@ -1015,9 +1077,9 @@ def recording_substitution(monkeypatch):
         xs.append(np.array(x))
         return simulate(scenario, x)
 
-    def clearing(*args, hint):
+    def clearing(*args, hint, psi):
         hints.append(hint)
-        maps.append(_clearing_price(*args, hint=hint))
+        maps.append(_clearing_price(*args, hint=hint, psi=psi))
         return maps[-1]
 
     monkeypatch.setattr(tcsmfd.equilibrium, "simulate", simulating)
@@ -1030,12 +1092,12 @@ def replay_substitution(xs, maps, hints, steps, params, c):
     substitution steps, recorded by ``recording_substitution`` with cap
     weights ``c``.
 
-    Each clearing price is hinted with the last accepted p_hat (0 before
-    the first).  Each iterate with a clearing price is accepted when its
-    substitution residual is at most (1 - omega / 2) times that of the last
-    accepted iterate a.  At omega = 1, with an accepted iterate b before a,
-    iterate i + 1 is the secant step psi_hat_a - gamma (psi_hat_a -
-    psi_hat_b), clipped to the box and scaled onto the cap, with gamma =
+    The first clearing price is hinted with 0, each later one with the
+    price of its iterate.  Each iterate with a clearing price is accepted
+    when its substitution residual is at most (1 - omega / 2) times that of
+    the last accepted iterate a.  At omega = 1, with an accepted iterate b
+    before a, iterate i + 1 is the secant step psi_hat_a - gamma (psi_hat_a
+    - psi_hat_b), clipped to the box and scaled onto the cap, with gamma =
     df'f_a / df'df, f = psi_hat - x and df = f_a - f_b.  A rejected secant
     point drops b, and the plain step psi_hat_a is retaken at omega = 1;
     any other rejection cuts omega.  Otherwise iterate i + 1 is
@@ -1069,7 +1131,7 @@ def replay_substitution(xs, maps, hints, steps, params, c):
             want = psi_hat if omega == 1.0 else xs[anchor] + omega * (psi_hat - xs[anchor])
         assert xs[i].tobytes() == want.tobytes(), i
         if i < len(maps):
-            assert hints[i] == maps[anchor][0], i
+            assert hints[i] == p, i
             if residual[i] <= (1.0 - 0.5 * omega) * residual[anchor]:
                 before, anchor = anchor, i
             elif secant:
@@ -1102,32 +1164,9 @@ def test_hypercongested_two_group_draw_converges():
     assert rep.iterations <= 10
 
 
-def probe_draw(i):
-    """Draw i of a seeded probe of small solves: 1 to 8 groups, congestion
-    up to 1.8, either cap variant, the scheme on or off at a fixed price
-    (scenario, params, tcs, p_init)."""
-    rng = np.random.default_rng(i)
-    n = int(rng.integers(1, 9))
-    congestion = rng.uniform(0.3, 1.8)
-    tau = rng.uniform(100.0, 400.0)
-    cap = ("gamma-weighted", "printed")[rng.integers(2)]
-    tcs = bool(rng.integers(2))
-    p_init = None if tcs else float(rng.uniform(0.0, 0.01))
-    return (small_random_scenario(i, n_groups=n, congestion=congestion),
-            TcsParams(tau=tau, cap_constraint=cap), tcs, p_init)
-
-
-# Draw 1 (four groups, congestion 1.726, printed cap, slack at tau = 143.2)
-# runs to max_iters.  Its substitution steps fail at every damping, and the
-# QP steps from its first iterate two-cycle at residual 0.22-0.25, as they
-# did when its solve took QP steps from the start and converged in 48 of the
-# 50 iterations; behind the four substitution steps they run out of them
-PROBE_UNCONVERGED = {1}
-
-
 def test_probe_draws_converge():
     # 0 of the first 2 000 draws were flagged while only binding solves
-    # substituted; now the one above is
+    # substituted; now draw 1 is (``PROBE_UNCONVERGED``)
     flagged = set()
     for i in range(500):
         scenario, params, tcs, p_init = probe_draw(i)
@@ -1241,6 +1280,10 @@ class TestMsa:
     def test_bad_price_rejected(self, small_scenario, bad):
         with pytest.raises(ValueError, match="^p_fixed must be >= 0$"):
             msa_solve(small_scenario, TcsParams(), p_fixed=bad)
+
+    def test_needs_an_iteration(self, small_scenario):
+        with pytest.raises(ValueError, match="^iters must be >= 1$"):
+            msa_solve(small_scenario, TcsParams(), p_fixed=0.0, iters=0)
 
     def test_infinite_price_rejected(self, small_scenario):
         with pytest.raises(ValueError, match="^p_fixed must be finite$"):

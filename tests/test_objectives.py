@@ -224,7 +224,7 @@ class TestChargeGradients:
 
     @pytest.mark.parametrize("tau, ttt, mixed", [
         (200.0, -40.619776982241056, -53.824264165458196),
-        (225.0, 10.475255980965608, 1.7428934356383223),
+        (225.0, 10.475255980973422, 1.7428934356464136),
         (250.0, 66.95592619788592, 60.892078902030605),
     ])
     def test_pinned_on_congested(self, tau, ttt, mixed):

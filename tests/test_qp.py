@@ -135,6 +135,18 @@ class TestSolver:
             sol = solve_qp(P, q, lower, upper)
             assert sol.objective <= 1e-12
 
+    def test_iteration_limit_returns_the_last_iterate_flagged(self):
+        # a seeded instance whose solve takes six passes, stopped after one
+        P, q, lower, upper, a, b = random_instance(np.random.default_rng(5), 12)
+        full = solve_qp(P, q, lower, upper, a, b)
+        assert full.converged and full.iterations == 6
+        sol = solve_qp(P, q, lower, upper, a, b, max_iter=1)
+        assert not sol.converged and sol.iterations == 1 and sol.residual > 0.0
+        check_exact_feasibility(sol.z, lower, upper, a, b)
+        assert np.any(sol.z != 0.0)
+        assert full.objective < sol.objective <= 0.0
+        assert sol.objective == float(0.5 * sol.z @ (P @ sol.z) + q @ sol.z)
+
     def test_rejects_infeasible_zero(self):
         with pytest.raises(ValueError):
             solve_qp(np.eye(2), np.zeros(2), np.array([0.5, -1.0]), np.ones(2))

@@ -53,6 +53,19 @@ class TestMfdCurve:
         with pytest.raises(ScenarioError):
             MfdCurve.piecewise_linear([(5.0, 9.0), (10.0, 5.0)])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: MfdCurve.piecewise_linear([]), r"at least one \(n, v\) point"),
+        (lambda: MfdCurve.piecewise_linear([(0.0, 9.0), (0.0, 5.0)]),
+         "accumulation grid must be strictly increasing"),
+        (lambda: MfdCurve("cubic", ()), "unknown MFD form 'cubic'"),
+        (lambda: MfdCurve.greenshields(15.0, 100.0, 0.0), "v_floor must be finite and > 0"),
+        (lambda: MfdCurve.greenshields(15.0, 100.0, math.nan), "v_floor must be finite"),
+        (lambda: MfdCurve.tabulated([(0.0, 9.0)]), "tabulated form needs at least two samples"),
+    ])
+    def test_malformed_curve_names_the_rule(self, make, message):
+        with pytest.raises(ScenarioError, match=message):
+            make()
+
     def test_constant_curve(self):
         mfd = MfdCurve.constant(7.5)
         for n in (0.0, 10.0, 1e6):
@@ -152,6 +165,16 @@ class TestParams:
     def test_kappa_above_tau_rejected(self):
         with pytest.raises(ValueError):
             TcsParams(kappa=300.0, tau=200.0)
+
+    @pytest.mark.parametrize("changes, message", [
+        # kappa = 0 <= tau passes the allowance check, so tau is named
+        ({"tau": 0.0, "kappa": 0.0}, "^tau must be > 0$"),
+        ({"max_iters": 0}, "^max_iters must be >= 1$"),
+        ({"cap_constraint": "flat"}, "^cap_constraint must be 'gamma-weighted' or 'printed'$"),
+    ])
+    def test_out_of_range_values_name_the_field(self, changes, message):
+        with pytest.raises(ScenarioError, match=message):
+            TcsParams(**changes)
 
     def test_kappa_equal_tau_allowed(self):
         p = TcsParams(kappa=200.0, tau=200.0)
@@ -395,11 +418,31 @@ class TestMalformedFiles:
         pytest.param(scenario_doc(mfd={"form": "piecewise_linear",
                                        "breakpoints_n_v": [[0, 10], ["100", 5]]}),
                      r"mfd 'breakpoints_n_v'\[1\] must be a finite number", id="str-breakpoint"),
+        # a document, a group record or a block of the wrong kind, and an mfd
+        # block without its form tag or the form's parameters
+        pytest.param([scenario_doc()], "scenario document must be a JSON object",
+                     id="list-document"),
+        pytest.param(scenario_doc(groups=[5]), r"groups\[0\] is not an object", id="int-group"),
+        pytest.param(scenario_doc(meta=["label"]), "meta must be an object", id="list-meta"),
+        pytest.param(scenario_doc(mfd={"v_free_ms": 15.0, "n_jam_veh": 5.0}),
+                     "mfd block is missing the 'form' tag", id="no-form"),
+        pytest.param(scenario_doc(mfd={"form": "greenshields", "v_free_ms": 15.0}),
+                     "greenshields mfd is missing 'n_jam_veh'", id="no-n_jam"),
+        pytest.param(scenario_doc(mfd={"form": "cubic"}), "unknown MFD form 'cubic'",
+                     id="unknown-form"),
+        pytest.param(scenario_doc(mfd={"form": "tabulated"}), "tabulated mfd needs 'samples_n_v'",
+                     id="no-samples"),
     ])
     def test_names_the_key(self, tmp_path, doc, key):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ScenarioError, match=key):
+            load_scenario(path)
+
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"mfd": {"form": "greenshields",')
+        with pytest.raises(ScenarioError, match="^scenario file is not valid JSON: "):
             load_scenario(path)
 
     @pytest.mark.parametrize("ident", [0.5, "0"])
@@ -481,6 +524,32 @@ class TestGenerator:
             GeneratorSpec(n_groups=4, total_travelers=10, max_group_size=1,
                           depart_window=(0, 100), n_subwindows=2,
                           trip_len_range=(100, 200))
+
+
+SPEC = dict(n_groups=4, total_travelers=10, max_group_size=5, depart_window=(0.0, 100.0),
+            n_subwindows=2, trip_len_range=(100.0, 200.0))
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"depart_window": (100.0, 100.0)}, "^depart_window is empty$"),
+    ({"trip_len_range": (0.0, 200.0)}, "^trip_len_range is empty or non-positive$"),
+    ({"n_subwindows": 0}, "^n_subwindows and n_od_classes must be >= 1$"),
+    ({"n_od_classes": 0}, "^n_subwindows and n_od_classes must be >= 1$"),
+    ({"frac_boundary": 1.5}, r"^frac_boundary must be in \[0, 1\]$"),
+    ({"pt_speed_boundary": 0.0}, "^pt_speed_boundary must be > 0$"),
+    ({"pt_ratio_range": (1.6, 0.8)}, "^pt_ratio_range is empty or non-positive$"),
+])
+def test_spec_ranges_name_the_field(changes, message):
+    GeneratorSpec(**SPEC)
+    with pytest.raises(ScenarioError, match=message):
+        GeneratorSpec(**{**SPEC, **changes})
+
+
+def test_partition_that_cannot_fit_raises():
+    # more travelers than the groups hold: every size sits at the bound
+    with pytest.raises(ScenarioError, match="^could not partition travelers under "
+                                            "max_group_size$"):
+        _partition_travelers(100, 2, 10, np.random.default_rng(0))
 
 
 @settings(max_examples=40, deadline=None)

@@ -144,15 +144,16 @@ def test_uniqueness_check_simulates_in_one_batch(monkeypatch):
 def test_horizon_overrun_in_any_row_raises(monkeypatch):
     sc = small_random_scenario(1, n_groups=6)
     n_slow = 0.5 * float(simulate(sc, np.ones(sc.n)).n_after.max())
-    real = MfdCurve.speed
+    real = MfdCurve._speed
 
     def crawl(self, n):
         # near-standstill above n_slow: only the full-share row gets there
         v = real(self, np.asarray(n))
         slow = np.asarray(n) > n_slow
-        return np.where(slow, 1e-9, v) if np.ndim(v) else (1e-9 if slow else v)
+        return np.where(slow, 1e-9, v) if np.ndim(v) else (1e-9 if slow else float(v))
 
-    monkeypatch.setattr(MfdCurve, "speed", crawl)
+    # the batch evaluates the speed law unchecked, and speed through it
+    monkeypatch.setattr(MfdCurve, "_speed", crawl)
     # simulate binds the curve's scalar path once per run
     monkeypatch.setattr(MfdCurve, "_scalar_speed",
                         property(lambda self: lambda n: crawl(self, n)))
