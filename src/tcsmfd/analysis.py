@@ -9,7 +9,10 @@ simulated by one lockstep event loop
 (``simulator.simulate_car_times``): every sample advances one event per
 step through the scalar loop's own operations applied elementwise, so the
 travel times, and the dot products built from them, are bitwise those of
-one ``simulate`` call per sample.  Stability linearizes the day-to-day
+one ``simulate`` call per sample.  The pairs are scanned one sample at a
+time against the samples after it, through slices; identical share vectors,
+whose pairs are left out, are found once by sorting the samples
+(``_row_classes``).  Stability linearizes the day-to-day
 adjustment (shares chase the logit response, the price reacts to excess
 credit demand) at an equilibrium and asks every eigenvalue of the Jacobian
 for a negative real part: the solver's own logit Jacobian
@@ -74,12 +77,26 @@ def uniqueness_check(
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
     xs = _latin_hypercube(scenario.n, n_samples, seed)
-    times = simulate_car_times(scenario, xs)
+    # identical share vectors, which have nothing to compare, share a class
+    cls = _row_classes(xs)
+    # shares and car times side by side, so that one subtraction gives both
+    # differences of a block of pairs
+    xt = np.stack([xs, simulate_car_times(scenario, xs)])
 
+    # the (pairs x N) differences are formed one block of pairs at a time:
+    # all at once they take three such arrays for one number per pair
+    g = scenario.gammas
+    block = max(1, _BLOCK_ELEMENTS // scenario.n)
+    dots = []
     n_all = n_samples * (n_samples - 1) // 2
-    if n_all <= max_pairs:
-        pairs = np.column_stack(np.triu_indices(n_samples, k=1))  # i < j, row-major
-        all_pairs = True
+    all_pairs = n_all <= max_pairs
+    if all_pairs:
+        # row i against the rows after it, row-major, through slices
+        for i in range(n_samples - 1):
+            for j in range(i + 1, n_samples, block):
+                dx, dt = xt[:, i, None] - xt[:, j : j + block]
+                dt *= dx
+                dots.append((dt @ g)[cls[i] != cls[j : j + block]])
     else:
         # max_pairs distinct ranks in the row-major order of the pairs i < j,
         # mapped back to (i, j) by where each row ends (row i holds
@@ -88,21 +105,11 @@ def uniqueness_check(
         row_end = np.cumsum(np.arange(n_samples - 1, 0, -1))
         i = np.searchsorted(row_end, ranks, side="right")
         j = ranks - row_end[i] + n_samples
-        pairs = np.column_stack([i, j])
-        all_pairs = False
-
-    # the (pairs x N) differences are formed one block of pairs at a time:
-    # all at once they take three such arrays for one number per pair
-    g = scenario.gammas
-    block = max(1, _BLOCK_ELEMENTS // scenario.n)
-    dots = []
-    for start in range(0, len(pairs), block):
-        a, b = pairs[start : start + block].T
-        dx = xs[a] - xs[b]
-        dt = times[a] - times[b]
-        distinct = np.any(dx != 0.0, axis=1)  # identical share vectors are excluded
-        dt *= dx
-        dots.append((dt @ g)[distinct])
+        for start in range(0, max_pairs, block):
+            a, b = i[start : start + block], j[start : start + block]
+            dx, dt = xt[:, a] - xt[:, b]
+            dt *= dx
+            dots.append((dt @ g)[cls[a] != cls[b]])
     dots = np.concatenate(dots)
 
     qs = (0.0, 1.0, 5.0, 25.0, 50.0, 100.0)
@@ -111,9 +118,23 @@ def uniqueness_check(
         n_pairs=int(len(dots)),
         all_pairs=all_pairs,
         min_dot=float(dots.min()),
-        percentiles={q: float(np.percentile(dots, q)) for q in qs},
+        percentiles=dict(zip(qs, np.percentile(dots, qs).tolist())),
         dots=dots,
     )
+
+
+def _row_classes(xs: np.ndarray) -> np.ndarray:
+    """One integer per row of ``xs``, equal exactly where the rows are equal
+    as floats.  One sort of the rows as byte strings, where ``np.lexsort``
+    would sort once per column, puts equal rows next to each other, and
+    each row that differs from the one sorted before it starts a class."""
+    # C-ordered, and -0.0 + 0.0 is 0.0: rows equal as floats have equal bytes
+    rows = np.add(xs, 0.0, order="C")
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    rows = rows[order]
+    cls = np.empty(len(xs), dtype=np.int64)
+    cls[order] = np.cumsum(np.r_[False, np.any(rows[1:] != rows[:-1], axis=1)])
+    return cls
 
 
 def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:

@@ -27,16 +27,24 @@ lockstep: the samples share departures, trip lengths and the entry order,
 and each keeps its own clock, D, accumulation, entry pointer and speed in
 vectors of one entry per sample.  Every step advances each sample by one
 event with the operations of the scalar loop applied elementwise
-(``_two_sum`` on arrays, the same comparisons, one unchecked array speed
-evaluation, ``MfdCurve._speed``, whose values are ``_scalar_speed``'s
-bits), so each sample's event times, and the exit-minus-entry differences
-taken of them, are bitwise those of ``simulate``.  The road is a pair of (samples x groups) target
-arrays, +inf off the road; the next exit is their lexicographic minimum over
-(target hi, target lo, group id), the order the heap keeps.  A step scans
-those arrays twice, O(S N) for S samples where the heap pays O(S log N), but
-it makes a fixed number of numpy calls for all samples: on the 216-group
-``congested`` preset, 200 samples take about 0.05 s in one batch and 0.08 s
-in 200 ``simulate`` calls (2 CPUs).
+(``_two_sum`` on arrays, D and the accumulation stacked into one (2, S)
+pair, the same comparisons, one unchecked array speed evaluation,
+``MfdCurve._speed``, whose values are ``_scalar_speed``'s bits), so each
+sample's event times, and the exit-minus-entry differences taken of them,
+are bitwise those of ``simulate``.  As in the heap, only the trips on the
+road hold a target: each sample has a row of slots (target hi, target lo,
+group) and a stack of its free slots, an entry takes the slot on top and an
+exit puts its slot back, and every row doubles in width when one fills.
+The width W, 8 at first, ends as the next power of two above the most trips
+any sample had on the road: 32 on the 216-group ``congested`` preset, 256 on
+the 2 163-group ``citywide``.  The next exit is the slot of least hi; where a
+second slot holds the same hi, (lo, group id) decide, the heap's order,
+since slot order is not id order.  A step scans the (S, W) table twice,
+O(S W) where the heap pays O(S log W), and makes a fixed number of numpy
+calls for all samples, so the batch wins once S is large enough to pay
+for the calls: 200 samples take about 0.03 s in one batch against 0.07 s
+in 200 ``simulate`` calls on ``congested``, and about 0.34 s against
+0.74 s on ``citywide``; 50 samples take about as long either way (2 CPUs).
 """
 
 from __future__ import annotations
@@ -236,7 +244,12 @@ def simulate_car_times(scenario: Scenario, xs) -> np.ndarray:
 
     Row s is bitwise ``simulate(scenario, xs[s]).car_times``: one event loop
     steps every sample at once, each through its own event sequence (module
-    docstring).  Raises ``HorizonError`` if any sample overruns the horizon.
+    docstring).  Each of the 2N steps scans the (S, W) table of the trips on
+    the road twice, W the next power of two above the most any sample had on
+    it, and makes a fixed number of numpy calls on length-S vectors: O(S W)
+    work and O(1) calls per event, where S ``simulate`` calls pay
+    O(S log W) work and O(S) interpreted steps.  Raises ``HorizonError`` if
+    any sample overruns the horizon.
     """
     xs = np.asarray(xs, dtype=float)
     n = scenario.n
@@ -249,79 +262,110 @@ def simulate_car_times(scenario: Scenario, xs) -> np.ndarray:
     # one past the last entry: group 0 at t = inf, never picked
     entry_gid = np.array((*order, 0))
     entry_t = np.array(departs)
-    trip_lens = scenario.trip_lens
-    gammas = scenario.gammas
+    entry_len = scenario.trip_lens[entry_gid]
     # unchecked: the accumulation below is clamped >= 0 and a finite sum
     speed = scenario.mfd._speed
 
     s_count = len(xs)
-    cells = s_count * n  # flat (sample, group) index s * n + i
-    rows = np.arange(0, cells, n)
-    x_flat = xs.reshape(-1)
-    tgt_hi = np.full(cells, np.inf)  # exit targets, +inf off the road
-    tgt_lo = np.zeros(cells)
-    hi_rows = tgt_hi.reshape(s_count, n)
-    events = np.empty(2 * cells, dtype=np.int32)  # entry events, then exit events
-    times = np.empty((s_count, 2 * n))
-    t = np.full(s_count, entry_t[0])
-    d_hi = np.zeros(s_count)
-    d_lo = np.zeros(s_count)
-    n_hi = np.zeros(s_count)
-    n_lo = np.zeros(s_count)
+    row_n = np.arange(0, s_count * n, n)  # flat (sample, group) index s * n + i
+    weights = (xs * scenario.gammas).reshape(-1)  # gamma_i * x_i
+    # entry instants, each overwritten at its trip's exit by exit minus entry
+    car = np.zeros(s_count * n)
+
+    # the road: per sample a row of slots, each holding an on-road trip's
+    # exit target (hi, lo) and its flat (sample, group) index, hi = +inf on a
+    # free slot, and a stack of the free slots' flat indices, width - on_road
+    # deep; every row doubles once one is full
+    width = 8
+    hi = np.full((s_count, width), np.inf)
+    lo = np.zeros((s_count, width))
+    trips = np.zeros((s_count, width), dtype=np.int64)
+    free = np.arange(s_count * width).reshape(s_count, width)
+    hi_flat, lo_flat, trips_flat, free_flat = (
+        a.reshape(-1) for a in (hi, lo, trips, free))
+    row_w = np.arange(0, s_count * width, width)
+    top = row_w + (width - 1)  # the stack's top when the road is empty
     on_road = np.zeros(s_count, dtype=np.int64)
+
+    t = np.full(s_count, entry_t[0])
+    # (D, accumulation) as compensated pairs, both summed by one _two_sum
+    acc_hi = np.zeros((2, s_count))
+    acc_lo = np.zeros((2, s_count))
+    step = np.empty((2, s_count))  # an event's increments of the two
     next_entry = np.zeros(s_count, dtype=np.int64)
     v_period = np.full(s_count, speed(0.0))
 
-    for e in range(2 * n):
-        # candidate exit: argmin takes the smallest id among equal hi; rows
-        # where another target has the same hi compare lo, then id
-        cell = rows + hi_rows.argmin(axis=1)
-        exit_hi = tgt_hi[cell]
-        tgt_hi[cell] = np.inf
-        tied = np.flatnonzero(hi_rows.min(axis=1) == exit_hi)
-        tgt_hi[cell] = exit_hi
-        tied = tied[exit_hi[tied] < np.inf]
+    for _ in range(2 * n):
+        # candidate exit: the smallest target hi; where a second slot holds
+        # the same hi, the heap's (lo, id) order decides, as slot order is
+        # not id order
+        cell = row_w + hi.argmin(axis=1)
+        exit_hi = hi_flat[cell]
+        hi_flat[cell] = np.inf
+        tied = np.flatnonzero(hi_flat[row_w + hi.argmin(axis=1)] == exit_hi)
+        hi_flat[cell] = exit_hi
         if tied.size:
-            lo = np.where(hi_rows[tied] == exit_hi[tied, None],
-                          tgt_lo.reshape(s_count, n)[tied], np.inf)
-            cell[tied] = rows[tied] + (lo == lo.min(axis=1)[:, None]).argmax(axis=1)
-        t_exit = t + ((exit_hi - d_hi) + (tgt_lo[cell] - d_lo)) / v_period
+            tied = tied[exit_hi[tied] < np.inf]  # not an empty road
+            same = hi[tied] == exit_hi[tied, None]
+            lo_same = np.where(same, lo[tied], np.inf)
+            same &= lo_same == lo_same.min(axis=1)[:, None]
+            cell[tied] = row_w[tied] + np.where(same, trips[tied], weights.size).argmin(axis=1)
+        t_exit = t + ((exit_hi - acc_hi[0]) + (lo_flat[cell] - acc_lo[0])) / v_period
         t_entry = entry_t[next_entry]  # inf once every group has entered
 
         # exits precede entries on exact time ties
         is_exit = t_exit <= t_entry
-        t_ev = np.where(is_exit, t_exit, t_entry)
-        if t_ev.max() > horizon:
-            raise HorizonError(
-                f"event time {t_ev.max():.1f}s exceeds sanity horizon {horizon:.1f}s"
-            )
-        t_ev = np.maximum(t_ev, t)  # guards float noise, as simulate
-        dt = t_ev - t
+        is_entry = ~is_exit
+        # the earlier of the two, clamped to the clock against float noise,
+        # as simulate
+        t_ev = np.maximum(np.minimum(t_exit, t_entry), t)
+        step[0] = (t_ev - t) * v_period
         t = t_ev
-        d_hi, err = _two_sum(d_hi, dt * v_period)
-        d_lo += err
+        trip = np.where(is_exit, trips_flat[cell], row_n + entry_gid[next_entry])
+        w = weights[trip]
+        step[1] = np.where(is_exit, -w, w)
+        acc_hi, err = _two_sum(acc_hi, step)
+        acc_lo += err
+        car[trip] = t - car[trip]  # car[trip] is 0 until the entry
 
-        entry_gid_e = entry_gid[next_entry]
-        hi, err = _two_sum(d_hi, trip_lens[entry_gid_e])
-        hi, lo = _two_sum(hi, err + d_lo)
-        cell = np.where(is_exit, cell, rows + entry_gid_e)
-        tgt_hi[cell] = np.where(is_exit, np.inf, hi)
-        tgt_lo[cell] = lo  # read only while tgt_hi is finite
-        events[cell + is_exit * cells] = e
-        next_entry += ~is_exit
-        on_road += np.where(is_exit, -1, 1)
+        # an entry's target D + L, renormalized so that the pairs order as
+        # the sums, takes the slot on top of the free stack; an exit pushes
+        # its slot there
+        tgt_hi, err = _two_sum(acc_hi[0], entry_len[next_entry])
+        tgt_hi, tgt_lo = _two_sum(tgt_hi, err + acc_lo[0])
+        stack = top - on_road + is_exit
+        cell = np.where(is_exit, cell, free_flat[stack])
+        free_flat[stack] = cell
+        hi_flat[cell] = np.where(is_exit, np.inf, tgt_hi)
+        lo_flat[cell] = tgt_lo  # read only while hi is finite
+        trips_flat[cell] = trip
+        on_road += is_entry
+        on_road -= is_exit
+        next_entry += is_entry
 
-        w = gammas[cell % n] * x_flat[cell]
-        n_hi, err = _two_sum(n_hi, np.where(is_exit, -w, w))
-        n_lo += err
-        on = on_road > 0
-        n_hi = np.where(on, n_hi, 0.0)
-        n_lo = np.where(on, n_lo, 0.0)
-        v_period = speed(np.maximum(n_hi + n_lo, 0.0))
-        times[:, e] = t
+        if on_road.min() == 0:  # an empty road: n = 0 exactly, as simulate
+            off = on_road == 0
+            np.copyto(acc_hi[1], 0.0, where=off)
+            np.copyto(acc_lo[1], 0.0, where=off)
+        v_period = speed(np.maximum(acc_hi[1] + acc_lo[1], 0.0))
 
-    # exit minus entry, as simulate; flat (sample, event) index s * 2n + e
-    base = np.repeat(2 * rows, n)
-    times = times.reshape(-1)
-    car_times = times[base + events[cells:]] - times[base + events[:cells]]
-    return car_times.reshape(s_count, n)
+        if on_road.max() == width:
+            # a full row: every row doubles, its new slots at the bottom of
+            # its free stack, and a free slot's flat index s * width + k
+            # becomes s * 2 width + k
+            hi = np.hstack([hi, np.full_like(hi, np.inf)])
+            lo = np.hstack([lo, np.zeros_like(lo)])
+            trips = np.hstack([trips, np.zeros_like(trips)])
+            free = np.hstack([2 * row_w[:, None] + np.arange(width, 2 * width),
+                              free + free // width * width])
+            width *= 2
+            hi_flat, lo_flat, trips_flat, free_flat = (
+                a.reshape(-1) for a in (hi, lo, trips, free))
+            row_w = 2 * row_w
+            top = row_w + (width - 1)
+
+    if t.max() > horizon:  # a row's clock ends at its last event
+        raise HorizonError(
+            f"event time {t.max():.1f}s exceeds sanity horizon {horizon:.1f}s"
+        )
+    return car.reshape(s_count, n)

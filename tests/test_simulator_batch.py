@@ -34,7 +34,9 @@ def with_edge_rows(xs):
     return np.vstack([xs, np.zeros(n), np.ones(n), xs[0]])
 
 
-@pytest.mark.parametrize("name,n_samples", [("small", 200), ("congested", 200)])
+# citywide has up to 133 trips on the road at once: the slot table doubles
+# from 8 to 256 while the batch runs
+@pytest.mark.parametrize("name,n_samples", [("small", 200), ("congested", 200), ("citywide", 20)])
 def test_preset_lhs_samples(name, n_samples):
     # the uniqueness check's own samples, plus the corners and a duplicate
     sc = generate_synthetic(0, preset_spec(name))
@@ -99,6 +101,15 @@ TIES = {
         [0.5261680305016215, 0.4643754078940663, 0.2225333387721835,
          0.7564671103596112, 0.11710640805159289, 0.24734122040485584],
     ),
+    # group 0 frees its slot before the pair 2, 3 enters: group 2 takes
+    # that slot and group 3 a lower one, and their targets tie in hi and lo,
+    # so id decides; after the first exit the speed changes and the last
+    # ulp of the second car time shows which of the two left first
+    "equal_targets_lower_id_in_reused_slot": (
+        [(14.0, 0.0, 462.0484255965521, 100.0), (29.0, 0.0, 2870.536144061083, 100.0),
+         (35.0, 82.6, 800.9929223750403, 100.0), (26.0, 82.6, 800.9929223750403, 100.0)],
+        MfdCurve.greenshields(10.0, 200.0, v_floor=0.5), [1.0, 1.0, 1.0, 1.0],
+    ),
     # the pair 1, 2 enters at D = 3e5 m, where trip lengths 64 ulp apart
     # round to one target hi; lo decides, and at the 1 m/s that group 3
     # imposes the shorter trip (group 2) exits about 2 ulp of t earlier
@@ -120,6 +131,8 @@ def test_ties(case):
         assert sim.event_groups.tolist() == [1, 0, 0, 1]
     elif case == "exit_coincides_with_entry":
         assert sim.times[1] == 100.0 and sim.kinds[1] == 1
+    elif case == "equal_targets_lower_id_in_reused_slot":
+        assert sim.event_groups.tolist() == [0, 1, 0, 2, 3, 2, 3, 1]
     elif case == "target_lo_decides":
         assert sim.event_groups.tolist() == [0, 0, 3, 1, 2, 2, 1, 3]
         assert sim.times[sim.exit_index[2]] < sim.times[sim.exit_index[1]]
