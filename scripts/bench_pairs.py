@@ -32,10 +32,13 @@ output files and the net line change.
     python3 scripts/bench_pairs.py --base HEAD --workload all
     python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
 
-The change tree is the working tree this script sits in.  The base tree is
-the committed files of ``--base``, unpacked with ``git archive`` into a
-temporary directory that is removed afterwards: the files a commit is
-benchmarked on, with no worktree left registered.  The script refuses to
+Both trees sit side by side in one temporary directory, removed
+afterwards, under paths of equal length, since where the files sit moves
+``peak_rss_mb``.  The base tree is the committed files of ``--base``,
+unpacked with ``git archive``: the files a commit is benchmarked on, with no
+worktree left registered.  The change tree is a copy of the working tree
+this script sits in, its tracked and untracked files that git does not
+ignore (``git ls-files -co --exclude-standard``).  The script refuses to
 run when the working tree has no change against ``--base``.  Every run uses
 seed 0 and the run length ``run_seconds`` of BENCHMARK.json.  Each tree's
 own ``perfbench/run.py`` measures that tree's ``src/``; this script only
@@ -49,6 +52,7 @@ import io
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -95,6 +99,21 @@ def unpack(rev: str, dest: Path) -> Path:
             tar.extractall(dest, filter="data")
         else:
             tar.extractall(dest)
+    return dest
+
+
+def copy_working_tree(dest: Path) -> Path:
+    """The working tree's files that git does not ignore, copied under
+    ``dest``; a tracked file deleted from the tree is left out."""
+    names = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-files", "-co", "--exclude-standard", "-z"],
+        check=True, capture_output=True, text=True,
+    ).stdout.split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
     return dest
 
 
@@ -240,9 +259,12 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     seconds = spec["run_seconds"]
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        trees = {"base": unpack(args.base, Path(tmp) / "tree"), "change": ROOT}
-        print(f"workloads {' '.join(workloads)}: base {args.base} against change {ROOT}, "
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        # equal-length paths: "base" and "work" (the working tree's copy)
+        trees = {"base": unpack(args.base, Path(tmp) / "base"),
+                 "change": copy_working_tree(Path(tmp) / "work")}
+        print(f"workloads {' '.join(workloads)}: base {args.base} against change {ROOT} "
+              f"(copied to {trees['change']}), "
               f"{args.pairs} pairs each, --seconds {seconds:g} --seed {SEED}",
               flush=True)
         results = {w: {**run_pairs(trees, w, args.pairs, metrics, seconds),

@@ -18,9 +18,15 @@ evaluates the substitution map at the simulated travel times: with the
 scheme on it finds the price p_hat that clears the market there,
 c'psi(T(x), p_hat) = kappa * sum(c) / tau, or 0 where the cap is slack at
 p = 0 (``_clearing_price``, which starts from the iterate's own price and
-logit response); without it p_hat is the fixed price.  The map's value is
-psi_hat = psi(T(x), p_hat), and the plain step goes to
-(x + omega * (psi_hat - x), p_hat), exactly psi_hat at omega = 1.  With the
+logit response); without it p_hat is the fixed price.  The logit's price
+dependence is the one term tau * p of the cost gap, so the search tries
+prices on the iterate's exponentials times one scalar exp
+(``_shifted_shares``) and evaluates the logit exactly only at the price it
+returns: an iteration pays for one libm exp per group at its iterate and
+one more at p_hat, and psi_hat is ``logit_choice``'s value there bit for
+bit.  The map's value is psi_hat = psi(T(x), p_hat), and the plain step
+goes to (x + omega * (psi_hat - x), p_hat), exactly psi_hat at omega = 1.
+With the
 price eliminated this way the map x -> psi(T(x), p_hat(T(x))) has the
 Jacobian P * Psi_x of the stability check's reduced system where the cap
 binds, and Psi_x where the cap is slack or the scheme is off, so it
@@ -55,6 +61,7 @@ substitution step builds no linearization at all.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +111,14 @@ def logit_choice(t_car, t_pt, p, params: TcsParams):
     than every logit evaluation of a policy study together.  ``np.exp`` is
     not: its SIMD path differs from libm's by one ulp on some inputs.
     """
+    out = 1.0 / (1.0 + _logit_exps(t_car, t_pt, p, params))
+    return float(out) if out.ndim == 0 else out
+
+
+def _logit_exps(t_car, t_pt, p, params: TcsParams) -> np.ndarray:
+    """The exponentials exp(theta * gap) of ``logit_choice``, one libm
+    ``exp`` per entry, as an array of the broadcast shape: 1 / (1 + e) is
+    its value bit for bit."""
     t_car = np.asarray(t_car, dtype=float)
     t_pt = np.asarray(t_pt, dtype=float)
     cost_gap = params.alpha * (t_car - t_pt) + params.tau * p  # C_car - C_pt
@@ -113,8 +128,20 @@ def logit_choice(t_car, t_pt, p, params: TcsParams):
         e = np.fromiter(map(math.exp, args), float, count=w.size)
     except OverflowError:
         e = np.fromiter(map(_exp, args), float, count=w.size)
-    out = 1.0 / (1.0 + e.reshape(w.shape))
-    return float(out) if out.ndim == 0 else out
+    return e.reshape(w.shape)
+
+
+def _shifted_shares(exps, base: float, p: float, params: TcsParams) -> np.ndarray:
+    """The car shares at price p from ``exps``, the ``_logit_exps`` of the
+    same travel times at price ``base``: the price enters the exponent as
+    theta * tau * p alone, so exp(theta * gap(p)) = exps * z with the one
+    scalar z = exp(theta * tau * (p - base)).
+
+    Where every entry of ``exps`` and z are normal floats, each share is
+    ``logit_choice``'s to rounding (``_clearing_price`` takes these trials
+    only there), and an overflowing product gives 0.0, expit's limit."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + exps * _exp(params.theta * params.tau * (p - base)))
 
 
 def _exp(v: float) -> float:
@@ -349,11 +376,15 @@ _STEP_FLOOR = 0.5
 # kappa * sum(c) / tau, and not above it
 _CLEARING_TOL = 1e-12
 
+# a trial's scalar factor exp(theta * tau * (p - base)) is taken only within
+# this exponent, where it is a normal float with room to spare
+_SHIFT_LIMIT = 700.0
+
 
 def _clearing_price(t_car, t_pt, c, params: TcsParams, hint: float = 0.0,
-                    psi=None) -> tuple[float, np.ndarray]:
+                    psi=None, exps=None) -> tuple[float, np.ndarray]:
     """The price p_hat that clears the credit market at fixed travel times,
-    and the car shares psi(T, p_hat).
+    and the car shares psi(T, p_hat), bit for bit ``logit_choice``'s.
 
     c'psi(T, p) falls strictly with p, so it meets the supply per car trip,
     s = kappa * sum(c) / tau, at most once.  Where c'psi(T, 0) <= s the cap
@@ -366,24 +397,38 @@ def _clearing_price(t_car, t_pt, c, params: TcsParams, hint: float = 0.0,
     Recipes' rtsafe), or by a doubling while the bracket has no upper end.
 
     The search starts from ``hint``, never from ``p_init`` or ``params.p0``,
-    and evaluates it unless ``psi``, its logit response, is given.  A start
-    in the band, or at 0 with the cap slack, is returned as it is.  From a
-    start where the cap is exceeded the bracket is [hint, inf), and its
-    doubling runs from 1 / (theta tau) at hint 0.  From a start below the
-    band it is [0, hint], and p = 0 is evaluated only where a step aims at
-    or below it; a slack cap there returns (0, psi(T, 0)).
+    and evaluates it unless ``psi``, its logit response, is given with
+    ``exps``, that response's ``_logit_exps``.  A start in the band, or at 0
+    with the cap slack, is returned as it is.  From a start where the cap is
+    exceeded the bracket is [hint, inf), and its doubling runs from
+    1 / (theta tau) at hint 0.  From a start below the band it is [0, hint],
+    and p = 0 is evaluated only where a step aims at or below it; a slack
+    cap there returns (0, psi(T, 0)).
+
+    Every other price the search tries is a trial (``_shifted_shares``): one
+    scalar exp times the exponentials of the last exact evaluation, where
+    those are all normal floats and the shift's exponent is within
+    ``_SHIFT_LIMIT``, and an exact evaluation, whose exponentials the next
+    trials use, elsewhere and at p = 0.  The search ends only at an exact
+    evaluation: where a trial meets an end test, its price is evaluated
+    exactly and tested again, and should that test fail, the search starts
+    over from there on exact evaluations alone.  So a warm search costs one
+    exact evaluation, at the price it returns, and none from a start in the
+    band.
     """
     supply = params.kappa * float(c.sum()) / params.tau
     band = _CLEARING_TOL * supply
     goal = supply - 0.5 * band
     slope = params.theta * params.tau
 
-    def excess(p):
-        psi = logit_choice(t_car, t_pt, p, params)
-        return float(c @ psi) - supply, psi
-
-    p = hint
-    f, psi = excess(p) if psi is None else (float(c @ psi) - supply, psi)
+    p = base = hint
+    if psi is None:
+        exps = _logit_exps(t_car, t_pt, p, params)
+        psi = 1.0 / (1.0 + exps)
+    f = float(c @ psi) - supply
+    exact = True   # psi is logit_choice's at p, not a trial's
+    trials = True  # until a trial's end is overturned by its exact shares
+    kept = None    # whether the exponentials at base give trials, once asked
     # lo: the highest price known to exceed the cap, -inf while none is
     # known and p = 0 may be slack; hi: the lowest known to hold it
     lo, hi = -math.inf, math.inf
@@ -391,24 +436,42 @@ def _clearing_price(t_car, t_pt, c, params: TcsParams, hint: float = 0.0,
     while True:
         if f > 0.0:
             lo = p
+            end = False
         else:
-            hi, psi_hi = p, psi
-            if f >= -band or p == 0.0:
+            hi, psi_hi, exact_hi = p, psi, exact
+            end = f >= -band or p == 0.0
+        if not end:
+            # Newton on c'psi = goal from the current point
+            d = -slope * float(c @ (psi * (1.0 - psi)))
+            newton = p - (f + supply - goal) / d if d < 0.0 else math.nan
+            if lo < newton < hi and abs(newton - p) <= 0.5 * before:
+                step = max(newton, 0.0)
+            elif hi == math.inf:
+                step = 2.0 * lo if lo > 0.0 else 1.0 / slope
+            else:
+                step = max(0.5 * (lo + hi), 0.0)
+                end = not (lo < step < hi)
+        if end:
+            if exact_hi:
                 return hi, psi_hi
-        # Newton on c'psi = goal from the current point
-        d = -slope * float(c @ (psi * (1.0 - psi)))
-        newton = p - (f + supply - goal) / d if d < 0.0 else math.nan
-        if lo < newton < hi and abs(newton - p) <= 0.5 * before:
-            step = max(newton, 0.0)
-        elif hi == math.inf:
-            step = 2.0 * lo if lo > 0.0 else 1.0 / slope
+            # a trial ended the search: its price is tested again on exact
+            # shares, and should that test fail, the search goes on from
+            # there as an exact one, its bracket drawn anew
+            p, lo, hi, trials = hi, -math.inf, math.inf, False
         else:
-            step = max(0.5 * (lo + hi), 0.0)
-            if not (lo < step < hi):
-                return hi, psi_hi
-        last, before = abs(step - p), last
-        p = step
-        f, psi = excess(p)
+            last, before = abs(step - p), last
+            p = step
+        if trials and kept is None:
+            kept = (exps is not None and exps.min() >= sys.float_info.min
+                    and exps.max() < math.inf)
+        if trials and kept and p != 0.0 and abs(slope * (p - base)) <= _SHIFT_LIMIT:
+            psi = _shifted_shares(exps, base, p, params)
+            exact = False
+        else:
+            exps = _logit_exps(t_car, t_pt, p, params)
+            psi = 1.0 / (1.0 + exps)
+            base, exact, kept = p, True, None
+        f = float(c @ psi) - supply
 
 
 def _secant_step(previous, anchor, c, params: TcsParams, tcs: bool):
@@ -499,9 +562,10 @@ def equilibrium_solve(
     secant step waits for the next accepted point.  ``accelerated_steps``
     counts the secant steps among ``substitution_steps``.  The clearing
     price search of the first iteration starts from p = 0, never from
-    ``p_init`` or ``p0``; every later one starts from the iterate's own
-    price and logit response, evaluated already: the last accepted p_hat
-    after a plain or damped step, the secant price after a secant step.
+    ``p_init`` or ``p0``, and evaluates the logit there itself; every later
+    one starts from the iterate's own price, logit response and its
+    exponentials, evaluated already: the last accepted p_hat after a plain
+    or damped step, the secant price after a secant step.
     The first
     time omega falls below ``_STEP_FLOOR``, this step and every later one is
     a QP step, and the first QP step is taken from the last accepted point.
@@ -571,7 +635,8 @@ def equilibrium_solve(
 
     for k in range(1, params.max_iters + 1):
         sim = simulate(scenario, x)
-        psi = logit_choice(sim.car_times, scenario.pt_times, p, params)
+        exps = _logit_exps(sim.car_times, scenario.pt_times, p, params)
+        psi = 1.0 / (1.0 + exps)
         slack = _mean_slack(x, c, params) if tcs else 0.0
         j = _j_value(x, p, psi, slack, params)
         res = float(np.max(np.abs(psi - x)))
@@ -588,9 +653,12 @@ def equilibrium_solve(
 
         if substituting:
             if tcs:
-                hint, at_hint = (0.0, None) if anchor is None else (p, psi)
+                # the first search evaluates p = 0 itself, every later one
+                # starts from the iterate's price, response and exponentials
+                hint, at_hint, kept = (0.0, None, None) if anchor is None else (p, psi, exps)
                 p_hat, psi_hat = _clearing_price(sim.car_times, scenario.pt_times, c, params,
-                                                 hint=hint, psi=at_hint)
+                                                 hint=hint, psi=at_hint, exps=kept)
+                del exps, kept  # dropped before the next simulate
             else:
                 p_hat, psi_hat = p, psi
             moved = float(np.max(np.abs(psi_hat - x)))

@@ -21,7 +21,7 @@ from .equilibrium import (
     _onto_cap,
     equilibrium_solve,
 )
-from .scenario import Scenario, TcsParams
+from .scenario import Scenario, TcsParams, _require_count
 # not called here: perfbench/tracer.py rebinds objectives.simulate and
 # refuses to install without it
 from .simulator import SimResult, simulate  # noqa: F401
@@ -258,18 +258,21 @@ def optimize_charge(
 ) -> OptimizeResult:
     """Dichotomy on the sign of the estimated objective derivative.
 
-    Integer charges only.  A negative derivative (or a slack cap, where the
-    scheme has no bite yet) moves the lower bound up; a positive one moves
-    the upper bound down; the search stops when the bounds meet, after at
-    most ceil(log2(hi - lo)) + 1 equilibrium solves.  Each solve starts on
-    the polynomial through the nearest charges the search has already solved
-    (``_warm_solve``), so its numbers agree with cold solves to the solver's
-    ``x_tol`` and a rerun repeats them exactly.
+    Integer charges only: ``lo`` and ``hi`` must be integers, and any other
+    bound raises ``ValueError`` rather than being truncated.  A negative
+    derivative (or a slack cap, where the scheme has no bite yet) moves the
+    lower bound up; a positive one moves the upper bound down; the search
+    stops when the bounds meet, after at most ceil(log2(hi - lo)) + 1
+    equilibrium solves.  Each solve starts on the polynomial through the
+    nearest charges the search has already solved (``_warm_solve``), so its
+    numbers agree with cold solves to the solver's ``x_tol`` and a rerun
+    repeats them exactly.
     """
     if objective not in ("ttt", "mixed"):
         raise ValueError("objective must be 'ttt' or 'mixed'")
-    lo = int(lo)
-    hi = int(hi)
+    _require_count(lo, "lo")
+    _require_count(hi, "hi")
+    lo, hi = int(lo), int(hi)  # a numpy integer as a Python int
     if not (params.kappa <= lo <= hi):
         raise ValueError("need kappa <= lo <= hi")
 

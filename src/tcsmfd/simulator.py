@@ -20,7 +20,12 @@ updated by the error-free TwoSum (Ogita, Rump & Oishi 2005), ``_two_sum``,
 whose three operations the scalar loop writes out inline in the same order.
 What the loops read of the scenario, the entry order, the departures, the
 trip lengths and the sanity horizon, is bound once per scenario
-(``Scenario._entry_plan``).
+(``Scenario._entry_plan``).  The loop records the event times and
+accumulations; ``simulate`` returns them with the entry and exit indices
+and the car times, and the rest of the event record (``kinds``,
+``event_groups``, ``v_after``, ``durations``) is built from those on first
+read (``SimResult``), so a substitution step, which reads only the car
+times, never builds it.
 
 ``simulate_car_times`` runs the same loop for many share vectors in
 lockstep: the samples share departures, trip lengths and the entry order,
@@ -50,6 +55,7 @@ in 200 ``simulate`` calls on ``congested``, and about 0.34 s against
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +88,13 @@ class SimResult:
     entry instant.  Where consecutive event times lie within a factor 2 of
     each other, each T_e is an exact difference (Sterbenz), the T_e of a
     trip telescope, and its car time is their correctly rounded sum.
+
+    ``kinds``, ``event_groups``, ``v_after`` and ``durations`` may be given
+    as None, as ``simulate`` gives them: each is then built from ``times``,
+    ``n_after`` and the two indices on its first read and kept, so a caller
+    that reads only ``car_times``, as a substitution step does, never pays
+    for them.  ``v_after`` is then ``scenario.mfd._speed(n_after)``, whose
+    values are the event loop's speeds bit for bit.
     """
 
     def __init__(self, scenario, x, times, kinds, event_groups, n_after, v_after,
@@ -89,18 +102,40 @@ class SimResult:
         self.scenario = scenario
         self.x = x
         self.times = times
-        self.kinds = kinds
-        self.event_groups = event_groups
         self.n_after = n_after
-        self.v_after = v_after
-        self.durations = durations
         self.entry_index = entry_index
         self.exit_index = exit_index
         self.car_times = times[exit_index] - times[entry_index]
+        given = {"kinds": kinds, "event_groups": event_groups, "v_after": v_after,
+                 "durations": durations}
+        # a given array shadows the cached property of its name
+        vars(self).update((k, v) for k, v in given.items() if v is not None)
 
     @property
     def n_events(self) -> int:
         return len(self.times)
+
+    @cached_property
+    def kinds(self) -> np.ndarray:
+        kinds = np.full(self.n_events, ENTRY, dtype=np.int8)
+        kinds[self.exit_index] = EXIT
+        return kinds
+
+    @cached_property
+    def event_groups(self) -> np.ndarray:
+        groups = np.empty(self.n_events, dtype=np.int64)
+        groups[self.entry_index] = groups[self.exit_index] = np.arange(len(self.entry_index))
+        return groups
+
+    @cached_property
+    def v_after(self) -> np.ndarray:
+        return self.scenario.mfd._speed(self.n_after)
+
+    @cached_property
+    def durations(self) -> np.ndarray:
+        # each period's dt is the difference of consecutive recorded times;
+        # 0 for the first event, which starts the clock
+        return np.diff(self.times, prepend=self.times[0])
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -139,7 +174,6 @@ def simulate(scenario: Scenario, x) -> SimResult:
 
     times = [0.0] * n_events
     n_after = [0.0] * n_events
-    v_after = [0.0] * n_events
     entry_index = [-1] * n
     exit_index = [-1] * n
 
@@ -220,22 +254,14 @@ def simulate(scenario: Scenario, x) -> SimResult:
 
         times[e] = t_ev
         n_after[e] = n_cur
-        v_after[e] = v_period = speed(n_cur)
+        v_period = speed(n_cur)
         t = t_ev
 
-    times = np.fromiter(times, float, n_events)
-    entry_index = np.fromiter(entry_index, np.int64, n)
-    exit_index = np.fromiter(exit_index, np.int64, n)
-    kinds = np.full(n_events, ENTRY, dtype=np.int8)
-    kinds[exit_index] = EXIT
-    event_groups = np.empty(n_events, dtype=np.int64)
-    event_groups[entry_index] = event_groups[exit_index] = np.arange(n)
-    # each period's dt is the difference of consecutive recorded times; 0
-    # for the first event, which starts the clock
-    durations = np.diff(times, prepend=times[0])
+    # kinds, event_groups, v_after and durations are built on first read
     return SimResult(
-        scenario, x, times, kinds, event_groups, np.fromiter(n_after, float, n_events),
-        np.fromiter(v_after, float, n_events), durations, entry_index, exit_index,
+        scenario, x, np.fromiter(times, float, n_events), None, None,
+        np.fromiter(n_after, float, n_events), None, None,
+        np.fromiter(entry_index, np.int64, n), np.fromiter(exit_index, np.int64, n),
     )
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -772,14 +773,36 @@ def clearing_inputs(scenario, params, x):
 
 
 def counting_logit(monkeypatch):
-    """The price of each logit evaluation of ``tcsmfd.equilibrium``."""
+    """The price of each logit evaluation the clearing-price search makes,
+    exact (``_logit_exps``) or a trial from kept exponentials
+    (``_shifted_shares``).  The solve's own evaluation at each iterate is
+    not the search's and is not recorded (``counting_exact`` counts it)."""
     prices = []
+
+    def counting(fn):
+        def counted(*args):
+            if sys._getframe(1).f_code.co_name == "_clearing_price":
+                prices.append(args[2])
+            return fn(*args)
+        return counted
+
+    for name in ("_logit_exps", "_shifted_shares"):
+        monkeypatch.setattr(tcsmfd.equilibrium, name,
+                            counting(getattr(tcsmfd.equilibrium, name)))
+    return prices
+
+
+def counting_exact(monkeypatch):
+    """The price of each exact logit evaluation of ``tcsmfd.equilibrium``,
+    the solve's and the search's alike: each ``_logit_exps`` call."""
+    prices = []
+    exps = tcsmfd.equilibrium._logit_exps
 
     def counted(*args):
         prices.append(args[2])
-        return logit_choice(*args)
+        return exps(*args)
 
-    monkeypatch.setattr(tcsmfd.equilibrium, "logit_choice", counted)
+    monkeypatch.setattr(tcsmfd.equilibrium, "_logit_exps", counted)
     return prices
 
 
@@ -851,9 +874,9 @@ class TestSubstitution:
         assert calls[0] == 0.0 and len(calls) > hinted
 
     def test_a_given_response_is_not_evaluated_again(self, congested, monkeypatch):
-        # the solve passes its iterate's price and logit response: a start
-        # in the band costs no evaluation, and one outside it takes the
-        # search of the same start without the response
+        # the solve passes its iterate's price, logit response and its
+        # exponentials: a start in the band costs no evaluation, and one
+        # outside it takes the search of the same start without the response
         params = TcsParams(tau=200.0)
         t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.4))
         root, at_root = _clearing_price(t_car, t_pt, c, params)
@@ -861,12 +884,15 @@ class TestSubstitution:
         p, psi = _clearing_price(t_car, t_pt, c, params, hint=root, psi=at_root)
         assert calls == [] and p == root and psi is at_root
         for start in (0.0, 0.5 * root, 1.5 * root):
-            at_start = logit_choice(t_car, t_pt, start, params)
+            exps = tcsmfd.equilibrium._logit_exps(t_car, t_pt, start, params)
+            at_start = 1.0 / (1.0 + exps)
+            assert at_start.tobytes() == logit_choice(t_car, t_pt, start, params).tobytes()
             calls.clear()
             want = _clearing_price(t_car, t_pt, c, params, hint=start)
             searched = calls[1:]
             calls.clear()
-            p, psi = _clearing_price(t_car, t_pt, c, params, hint=start, psi=at_start)
+            p, psi = _clearing_price(t_car, t_pt, c, params, hint=start, psi=at_start,
+                                     exps=exps)
             assert calls == searched
             assert p == want[0] and psi.tobytes() == want[1].tobytes()
 
@@ -884,14 +910,105 @@ class TestSubstitution:
         assert psi.tobytes() == logit_choice(t_car, t_pt, p, params).tobytes()
         assert 1.5 * (1.0 - 1e-12) <= float(c @ psi) <= 1.5
 
+    @pytest.mark.parametrize("tau", [200.0, 300.0, 440.0])
+    def test_trial_shares_agree_with_the_logit(self, congested, tau):
+        # a trial is one scalar exp times the exponentials kept at another
+        # price: from those at 0 and at the root, every price from 0 to
+        # twice the root gives logit_choice's shares to a few ulp of 1
+        params = TcsParams(tau=tau)
+        t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.4))
+        root, _ = _clearing_price(t_car, t_pt, c, params)
+        for base in (0.0, root):
+            exps = tcsmfd.equilibrium._logit_exps(t_car, t_pt, base, params)
+            for p in np.linspace(0.0, 2.0 * root, 41):
+                trial = tcsmfd.equilibrium._shifted_shares(exps, base, p, params)
+                exact = logit_choice(t_car, t_pt, p, params)
+                assert np.max(np.abs(trial - exact)) <= 4 * np.finfo(float).eps
+
+    def test_trial_shares_keep_the_logits_limits(self):
+        # exponents 700, -25 and 1 at the base price 0.1, moved by
+        # theta tau (p - 0.1) = +-20: past log(DBL_MAX) the product
+        # overflows and the share is exactly 0.0, and at -45 it is exactly
+        # 1.0, as logit_choice's
+        params = TcsParams(tau=200.0)
+        w = np.array([700.0, -25.0, 1.0])
+        t_car, t_pt = w / (params.theta * params.alpha) - params.tau * 0.1 / params.alpha, \
+            np.zeros(3)
+        exps = tcsmfd.equilibrium._logit_exps(t_car, t_pt, 0.1, params)
+        assert np.all((exps > 0.0) & (exps < np.inf))
+        for p, edge, limit in ((0.2, 0, 0.0), (0.0, 1, 1.0)):
+            trial = tcsmfd.equilibrium._shifted_shares(exps, 0.1, p, params)
+            exact = logit_choice(t_car, t_pt, p, params)
+            assert trial[edge] == exact[edge] == limit
+            assert np.max(np.abs(trial - exact)) <= 4 * np.finfo(float).eps
+
+    def test_overflowed_exponentials_take_no_trial(self, monkeypatch):
+        # a fourth group whose car share is exactly 0 at p = 0, its
+        # exponential inf: no scalar factor recovers a share from it, so
+        # the search evaluates every price exactly, and nothing is NaN
+        params = TcsParams(tau=200.0, kappa=100.0)
+        t_car, t_pt = np.array([0.0, 0.0, 0.0, 3e5]), np.array([9e4, 1e5, 1.1e5, 0.0])
+        c = np.ones(4)
+        assert logit_choice(t_car, t_pt, 0.0, params).tolist() == [1.0, 1.0, 1.0, 0.0]
+        trials = []
+        shifted = tcsmfd.equilibrium._shifted_shares
+        monkeypatch.setattr(tcsmfd.equilibrium, "_shifted_shares",
+                            lambda *args: trials.append(args[2]) or shifted(*args))
+        p, psi = _clearing_price(t_car, t_pt, c, params)
+        assert trials == []
+        assert psi.tobytes() == logit_choice(t_car, t_pt, p, params).tobytes()
+        assert 2.0 * (1.0 - 1e-12) <= float(c @ psi) <= 2.0
+
+    @pytest.mark.parametrize("bias", [1e-9, -1e-9])
+    def test_an_end_the_exact_shares_overturn_is_searched_exactly(self, congested,
+                                                                  monkeypatch, bias):
+        # trials that read the shares of a price off by ``bias``, relative,
+        # move c'psi by far more than the band: the exact shares at the
+        # price where a trial ends the search overturn it (above the cap
+        # for a positive bias, below the band for a negative one), and the
+        # search goes on with exact evaluations alone to a price whose exact
+        # shares lie in the band
+        params = TcsParams(tau=200.0)
+        t_car, t_pt, c = clearing_inputs(congested, params, np.full(congested.n, 0.4))
+        supply = params.kappa * float(c.sum()) / params.tau
+        gap = params.alpha * (t_car - t_pt)
+        trials = []
+
+        def biased(exps, base, p, params):
+            trials.append(p)
+            return 1.0 / (1.0 + np.exp(params.theta * (gap + params.tau * p * (1.0 + bias))))
+
+        monkeypatch.setattr(tcsmfd.equilibrium, "_shifted_shares", biased)
+        exact = counting_exact(monkeypatch)
+        p, psi = _clearing_price(t_car, t_pt, c, params)
+        # p = 0, the price of the last trial, overturned, then exact steps
+        # alone, the last at the price returned
+        assert exact[:2] == [0.0, trials[-1]] and exact[-1] == p != trials[-1]
+        assert len(exact) <= 4
+        assert psi.tobytes() == logit_choice(t_car, t_pt, p, params).tobytes()
+        assert supply * (1.0 - 1e-12) <= float(c @ psi) <= supply
+
     @pytest.mark.parametrize("tau, budget", [(200.0, 19), (300.0, 19), (440.0, 18)])
     def test_cold_solves_keep_their_logit_budget(self, congested, monkeypatch, tau, budget):
-        # one evaluation per iteration, and the searches of the clearing
-        # price, each started from its iterate's price and response
+        # the searches of the clearing price, trials and exact evaluations
+        # alike, each started from its iterate's price, response and
+        # exponentials
         calls = counting_logit(monkeypatch)
         rep = equilibrium_solve(congested, TcsParams(tau=tau))
         assert rep.converged and rep.substitution_steps == rep.iterations - 1 == 4
         assert len(calls) <= budget
+
+    @pytest.mark.parametrize("tau", [200.0, 300.0, 440.0])
+    def test_cold_solves_make_one_exact_evaluation_per_iteration_and_search(
+            self, congested, monkeypatch, tau):
+        # one at each iterate, one at the price each search returns, and the
+        # first search's own start at p = 0; every other price a search
+        # tries is a trial
+        exact = counting_exact(monkeypatch)
+        rep = equilibrium_solve(congested, TcsParams(tau=tau))
+        assert rep.converged and rep.substitution_steps == rep.iterations - 1 == 4
+        assert len(exact) <= rep.iterations + rep.substitution_steps + 1
+        assert exact[1] == 0.0
 
     def test_clearing_price_ignores_the_start_price(self, congested):
         a, b = TcsParams(p0=0.01), TcsParams(p0=0.3)
@@ -1077,9 +1194,9 @@ def recording_substitution(monkeypatch):
         xs.append(np.array(x))
         return simulate(scenario, x)
 
-    def clearing(*args, hint, psi):
+    def clearing(*args, hint, psi, exps):
         hints.append(hint)
-        maps.append(_clearing_price(*args, hint=hint, psi=psi))
+        maps.append(_clearing_price(*args, hint=hint, psi=psi, exps=exps))
         return maps[-1]
 
     monkeypatch.setattr(tcsmfd.equilibrium, "simulate", simulating)

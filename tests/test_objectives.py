@@ -247,6 +247,13 @@ class TestOptimizeCharge:
             optimize_charge(small_scenario, TcsParams(), objective="speed")
         with pytest.raises(ValueError):
             optimize_charge(small_scenario, TcsParams(), lo=50, hi=500)
+        # a fractional or text bound is refused, not truncated below itself
+        with pytest.raises(ValueError, match="lo must be an integer"):
+            optimize_charge(small_scenario, TcsParams(), objective="ttt", lo=200.9, hi=201.9)
+        with pytest.raises(ValueError, match="lo must be an integer"):
+            optimize_charge(small_scenario, TcsParams(), lo="200")
+        with pytest.raises(ValueError, match="hi must be an integer"):
+            optimize_charge(small_scenario, TcsParams(), lo=200, hi=201.5)
 
     def test_solve_budget_and_bounds(self, small_scenario):
         res = optimize_charge(small_scenario, TcsParams(), objective="ttt",

@@ -251,6 +251,8 @@ def test_car_times_are_exact_telescoped_sums(preset):
 # arrays
 SIM_FIELDS = ("times", "kinds", "event_groups", "n_after", "v_after", "durations",
               "entry_index", "exit_index")
+# the SimResult arrays simulate leaves to be built on first read
+LAZY_FIELDS = ("kinds", "event_groups", "v_after", "durations")
 SIM_DIGESTS = {
     ("small", "random"): "4acc7ff9c531f206920d7f088d259fe0593915935580cf09bb0b92740615b960",
     ("small", "zeros"): "790d825c2fe058d2b56727159ef20d67be96fc603bd01e05af22b9716628fb49",
@@ -328,8 +330,12 @@ def test_simulate_bits_pinned(preset):
           "zeros": np.zeros(sc.n), "ones": np.ones(sc.n)}
     for name, x in xs.items():
         sim = simulate(sc, x)
-        assert digest(sim, SIM_FIELDS) == SIM_DIGESTS[preset, name], name
         assert digest(sim, ("car_times",)) == CAR_TIME_DIGESTS[preset, name], name
+        # the event record past the times, the accumulations and the
+        # indices is built on first read, and then holds the pinned bits
+        assert not set(LAZY_FIELDS) & set(vars(sim)), name
+        assert digest(sim, SIM_FIELDS) == SIM_DIGESTS[preset, name], name
+        assert set(LAZY_FIELDS) <= set(vars(sim)), name
 
 
 def test_scenario_copies_do_not_reuse_a_stale_entry_plan(monkeypatch):

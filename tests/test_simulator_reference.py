@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcsmfd import MfdCurve, generate_synthetic, preset_spec, simulate
+from tcsmfd import MfdCurve, SimResult, generate_synthetic, preset_spec, simulate
 
 from conftest import make_scenario, small_random_scenario
 from reference_simulator import simulate_reference
 from test_acceptance import GRADIENT_CASES
+from test_simulator import LAZY_FIELDS
 
 RTOL = 1e-12
 
@@ -36,6 +37,28 @@ def assert_same_run(scenario, x):
 def test_c01_scenarios(seed, n):
     sc = small_random_scenario(seed, n_groups=n)
     assert_same_run(sc, np.random.default_rng(seed + 1000).uniform(0.2, 0.9, n))
+
+
+def test_an_oracle_result_keeps_the_arrays_it_was_given():
+    # the oracle builds the whole record itself and passes it in: SimResult
+    # stores each array as given and rebuilds none of them from the times
+    sc = generate_synthetic(0, preset_spec("small"))
+    x = np.random.default_rng(3).uniform(0.0, 1.0, sc.n)
+    ref = simulate_reference(sc, x)
+    assert set(LAZY_FIELDS) <= set(vars(ref))
+    given = {name: getattr(ref, name).copy() for name in LAZY_FIELDS}
+    given["durations"][:] = -1.0  # no difference of the times
+    sim = SimResult(sc, x, ref.times, given["kinds"], given["event_groups"], ref.n_after,
+                    given["v_after"], given["durations"], ref.entry_index, ref.exit_index)
+    for name in LAZY_FIELDS:
+        assert getattr(sim, name) is given[name], name
+    # and the record simulate builds on read agrees with the oracle's
+    new = simulate(sc, x)
+    for name in ("kinds", "event_groups"):
+        np.testing.assert_array_equal(getattr(new, name), getattr(ref, name), err_msg=name)
+    for name in ("v_after", "durations"):
+        np.testing.assert_allclose(getattr(new, name), getattr(ref, name), rtol=RTOL,
+                                   atol=1e-9, err_msg=name)
 
 
 @pytest.fixture(scope="module", params=["small", "congested"])
