@@ -5,10 +5,16 @@ Runs ``perfbench/run.py --trace 0`` in two trees, one after the other, and
 swaps which tree goes first in every other pair, so slow drift of a shared
 machine falls on both sides alike.  Prints every run's metrics, then per
 metric each side's median and quartiles and the number of pairs the change
-wins (ties count for neither side).  The same summary follows for each stage
-time the run reports on a ``stage <name> <seconds> s`` line (the workload's
-median per stage, ``stage.uniqueness_s`` and so on; lower is better), so a
-speed claim can name its layer.  After a workload's pairs, three
+wins (ties count for neither side).  Each pair line also gives both runs'
+elapsed time and the CPU time of their processes (``getrusage`` of the
+children, before and after the run), and the pairs holding a run whose
+elapsed/CPU ratio is more than a quarter above the workload's median ratio
+are named after the pairs: outside load that holds the CPUs slows such a
+run without its own work growing, which tells it from a slow change.  The
+same summary follows for each stage time the run reports on a
+``stage <name> <seconds> s`` line (the workload's median per stage,
+``stage.uniqueness_s`` and so on; lower is better), so a speed claim can
+name its layer.  After a workload's pairs, three
 alternating ``--trace 1`` runs in each tree print the median of every
 per-layer metric of the traced pass (``simulator.simulate.calls``,
 ``simulator.simulate.busy_s``, ``simulator.simulate.events_per_s``,
@@ -26,8 +32,8 @@ only one tree wrote.  Then follows the net line change (lines added minus
 lines deleted, from ``git diff --numstat``) of ``src/`` and ``tests/`` in
 the working tree against ``--base``, the number each change reports next to
 its benchmark delta.  The last line is one JSON object with every
-workload's runs, summaries, traced runs and their medians, the differing
-output files and the net line change.
+workload's runs, summaries, disturbed pairs, traced runs and their
+medians, the differing output files and the net line change.
 
     python3 scripts/bench_pairs.py --base HEAD --workload all
     python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
@@ -50,14 +56,17 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import re
+import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +77,9 @@ SEED = 0
 # traced runs per tree and workload: a layer's time from one traced pass
 # moved by tens of percent between runs of the same tree on a shared machine
 TRACED_RUNS = 3
+# a pair is marked as disturbed by outside load when one of its runs took
+# this many times the median elapsed/CPU ratio of the workload's runs
+DISTURBED_RATIO = 1.25
 NET_LINE_DIRS = ("src", "tests")
 STAGE_LINE = re.compile(r"stage (\S+) (\S+) s")
 SCENARIO = "scenario/scenario.json"
@@ -117,16 +129,41 @@ def copy_working_tree(dest: Path) -> Path:
     return dest
 
 
+def child_cpu_s() -> float:
+    """User plus system CPU time of every waited-for child so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: Path, workload: str, seconds: float, trace: int = 0) -> dict:
+    """One run's metrics and stage times, with its elapsed time and the CPU
+    time its process used (``elapsed_s`` and ``cpu_s``)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+    cpu0, t0 = child_cpu_s(), time.perf_counter()
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
+    elapsed, cpu = time.perf_counter() - t0, child_cpu_s() - cpu0
     lines = out.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     values = {k: v["value"] for k, v in result["metrics"].items()}
     stages = {f"stage.{m[1]}": float(m[2])
               for m in map(STAGE_LINE.fullmatch, lines[:-1]) if m}
-    return {"correct": result["correct"], "failed": result["failed"], **values, **stages}
+    return {"correct": result["correct"], "failed": result["failed"], **values, **stages,
+            "elapsed_s": elapsed, "cpu_s": cpu}
+
+
+def wait_ratio(run: dict) -> float:
+    """Elapsed over CPU time of one run: it rises when the run waits for a
+    CPU that outside load holds."""
+    return run["elapsed_s"] / run["cpu_s"] if run["cpu_s"] > 0.0 else math.inf
+
+
+def disturbed_pairs(runs: dict) -> list[int]:
+    """The pairs (numbered from 1) holding a run whose elapsed/CPU ratio is
+    more than ``DISTURBED_RATIO`` times the median ratio of all the runs."""
+    median = statistics.median(wait_ratio(r) for side in runs.values() for r in side)
+    return [i + 1 for i, pair in enumerate(zip(*runs.values()))
+            if any(wait_ratio(r) > DISTURBED_RATIO * median for r in pair)]
 
 
 def traced_layers(trees: dict, workload: str, seconds: float) -> dict:
@@ -218,9 +255,16 @@ def run_pairs(trees: dict, workload: str, pairs: int, metrics: dict, seconds: fl
             f"{m} {runs['base'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}"
             for m in metrics
         )
+        cells += "  " + "  ".join(
+            f"{m} {runs['base'][-1][m]:.2f} -> {runs['change'][-1][m]:.2f}"
+            for m in ("elapsed_s", "cpu_s"))
         ok = runs["base"][-1]["correct"] and runs["change"][-1]["correct"]
         print(f"{workload} pair {i + 1} ({order[0]} first){'' if ok else ' INCORRECT'}: "
               f"{cells}", flush=True)
+    disturbed = disturbed_pairs(runs)
+    print(f"{workload} pairs with a run whose elapsed/CPU ratio exceeds "
+          f"{DISTURBED_RATIO:g} times the median: "
+          f"{', '.join(map(str, disturbed)) or 'none'}", flush=True)
 
     # stages that every run of both sides reported, in the order of the first run
     stages = [k for k in runs["base"][0] if k.startswith("stage.")
@@ -237,7 +281,7 @@ def run_pairs(trees: dict, workload: str, pairs: int, metrics: dict, seconds: fl
         print(f"{workload} {m} ({better} is better): base median {b2:.4g} [{b1:.4g}, {b3:.4g}], "
               f"change median {c2:.4g} [{c1:.4g}, {c3:.4g}], "
               f"change wins {wins} of {len(b)}", flush=True)
-    return {"runs": runs, "summary": summary}
+    return {"runs": runs, "summary": summary, "disturbed_pairs": disturbed}
 
 
 def main(argv=None) -> int:
@@ -282,6 +326,8 @@ def main(argv=None) -> int:
     print(json.dumps({"base": args.base,
                       "runs": {w: res["runs"] for w, res in results.items()},
                       "summary": {w: res["summary"] for w, res in results.items()},
+                      "disturbed_pairs": {w: res["disturbed_pairs"]
+                                          for w, res in results.items()},
                       "traced": {w: res["traced"] for w, res in results.items()},
                       "output_diff": differ,
                       "net_lines": net}))

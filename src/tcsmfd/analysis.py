@@ -10,11 +10,11 @@ simulated by one lockstep event loop
 step through the scalar loop's own operations applied elementwise, so the
 travel times, and the dot products built from them, are bitwise those of
 one ``simulate`` call per sample.  The pairs are scanned one sample at a
-time against the samples after it, through slices; identical share vectors,
-whose pairs are left out, are found once by sorting the samples
-(``_row_classes``).  Stability linearizes the day-to-day
-adjustment (shares chase the logit response, the price reacts to excess
-credit demand) at an equilibrium and asks every eigenvalue of the Jacobian
+time against the samples after it, through slices; no two samples
+coincide, since each lies in its own stratum of every coordinate
+(``_latin_hypercube``).  Stability linearizes the day-to-day adjustment
+(shares chase the logit response, the price reacts to excess credit
+demand) at an equilibrium and asks every eigenvalue of the Jacobian
 for a negative real part: the solver's own logit Jacobian
 (``equilibrium._linearize``), with eigenvalues from LAPACK.
 """
@@ -77,8 +77,6 @@ def uniqueness_check(
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
     xs = _latin_hypercube(scenario.n, n_samples, seed)
-    # identical share vectors, which have nothing to compare, share a class
-    cls = _row_classes(xs)
     # shares and car times side by side, so that one subtraction gives both
     # differences of a block of pairs
     xt = np.stack([xs, simulate_car_times(scenario, xs)])
@@ -96,7 +94,7 @@ def uniqueness_check(
             for j in range(i + 1, n_samples, block):
                 dx, dt = xt[:, i, None] - xt[:, j : j + block]
                 dt *= dx
-                dots.append((dt @ g)[cls[i] != cls[j : j + block]])
+                dots.append(dt @ g)
     else:
         # max_pairs distinct ranks in the row-major order of the pairs i < j,
         # mapped back to (i, j) by where each row ends (row i holds
@@ -109,7 +107,7 @@ def uniqueness_check(
             a, b = i[start : start + block], j[start : start + block]
             dx, dt = xt[:, a] - xt[:, b]
             dt *= dx
-            dots.append((dt @ g)[cls[a] != cls[b]])
+            dots.append(dt @ g)
     dots = np.concatenate(dots)
 
     qs = (0.0, 1.0, 5.0, 25.0, 50.0, 100.0)
@@ -123,34 +121,24 @@ def uniqueness_check(
     )
 
 
-def _row_classes(xs: np.ndarray) -> np.ndarray:
-    """One integer per row of ``xs``, equal exactly where the rows are equal
-    as floats.  One sort of the rows as byte strings, where ``np.lexsort``
-    would sort once per column, puts equal rows next to each other, and
-    each row that differs from the one sorted before it starts a class."""
-    # C-ordered, and -0.0 + 0.0 is 0.0: rows equal as floats have equal bytes
-    rows = np.add(xs, 0.0, order="C")
-    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
-    rows = rows[order]
-    cls = np.empty(len(xs), dtype=np.int64)
-    cls[order] = np.cumsum(np.r_[False, np.any(rows[1:] != rows[:-1], axis=1)])
-    return cls
-
-
 def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
     """n points of a random Latin hypercube in [0, 1)^d, shape (n, d).
 
     Bit for bit ``scipy.stats.qmc.LatinHypercube(d=d, seed=seed).random(n)``
     (its default design: scrambled, strength 1, no optimization), by the
     same draws from the same generator: a uniform offset per cell, then one
-    shuffled row of strata per dimension.  Written out here so that the
-    package never imports scipy.stats, which takes longer to load than the
-    whole diagnostics pass takes to run."""
+    shuffled row of strata per dimension, the rows shuffled in order.
+    Written out here so that the package never imports scipy.stats, which
+    takes longer to load than the whole diagnostics pass takes to run.
+
+    Each column is a permutation of the strata 1, ..., n minus offsets in
+    [0, 1), so two points lie in different strata of every column and do
+    not coincide (short of a rounding tie at a stratum edge, which needs
+    offsets within about n ulps of 0 and of 1 at once)."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=(n, d))
     perms = np.tile(np.arange(1, n + 1), (d, 1))
-    for row in perms:
-        rng.shuffle(row)
+    rng.permuted(perms, axis=1, out=perms)
     return (perms.T - u) / n
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
@@ -223,7 +224,7 @@ def gains_table(scenario, gains) -> list:
 def stability_runs(scenario, params: TcsParams, taus) -> list:
     """(tau, equilibrium report, stability report) per charge.
 
-    Each equilibrium starts on the polynomial through the nearest charges
+    Each equilibrium starts on the prediction from the nearest charges
     solved before it (``objectives._warm_solve``), as in ``sweep_charges``.
     The stability report is None where the cap is slack (zero price).
     """
@@ -367,6 +368,10 @@ def _cmd_gains(args, scenario, params):
 
 def _cmd_study(args, scenario, params):
     taus = parse_taus(args.taus)
+    # both searches run over the integer charges inside the grid
+    lo, hi = math.ceil(min(taus)), math.floor(max(taus))
+    if lo > hi:
+        raise ValueError(f"--taus {args.taus!r} holds no integer charge for the searches")
     g = scenario.gammas
 
     def totals(rep) -> dict:
@@ -382,7 +387,6 @@ def _cmd_study(args, scenario, params):
     solves = list(_warm_solves(scenario, params, taus))
     rows = [_sweep_row(scenario, p_tau, rep) for p_tau, rep in solves]
     runs = [_stability_run(scenario, p_tau, rep) for p_tau, rep in solves]
-    lo, hi = int(min(taus)), int(max(taus))
     best = {objective: optimize_charge(scenario, params, objective=objective,
                                        lo=lo, hi=hi)
             for objective in ("ttt", "mixed")}

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .equilibrium import (
+    _SHIFT_LIMIT,
     EquilibriumReport,
     ModalState,
     _onto_cap,
@@ -209,43 +211,172 @@ def _objective_value(objective: str, ttt_h: float, emission_t: float,
     return ttt_cost + params.gamma_emission * params.p_carbon * emission_t
 
 
+# The warm-start predictor combines the map values of at most this many of
+# the nearest solved charges
+_NODES = 4
+
+# a node's clearing price is accepted once c'psi lies within this fraction
+# of the supply, or after this many trials: the prediction is a start, not
+# an answer
+_NODE_TOL = 1e-6
+_NODE_TRIALS = 50
+
+# the ridge of the Anderson weights' normal equations, relative to their
+# largest diagonal entry
+_RIDGE = 1e-6
+
+# equilibrium_solve's default x_tol, which every solve here uses
+_X_TOL = 1e-4
+
+
+class _Solved(NamedTuple):
+    """What the predictor keeps of one solved charge tau_j: its state, the
+    exponentials exp(theta * gap) of its logit response psi_j at its own
+    charge and price, from which ``_node_maps`` evaluates its substitution
+    map at any other charge, and c'psi_j and c'psi_j(1 - psi_j), the market
+    and its slope there."""
+
+    state: ModalState
+    exps: np.ndarray
+    used: float
+    spread: float
+
+
+def _solved(scenario: Scenario, p_tau: TcsParams, rep: EquilibriumReport) -> _Solved:
+    """The predictor's record of the equilibrium ``rep`` solved at ``p_tau``."""
+    gap = p_tau.alpha * (rep.sim.car_times - scenario.pt_times) + p_tau.tau * rep.state.p
+    with np.errstate(over="ignore"):
+        exps = np.exp(p_tau.theta * gap)
+    psi = 1.0 / (1.0 + exps)
+    c = p_tau.cap_weights(scenario.gammas)
+    used = float(psi @ c)
+    return _Solved(rep.state, exps, used, used - float(psi * psi @ c))
+
+
+def _node_maps(records, base, c, p_tau: TcsParams):
+    """The substitution map of each solved charge in ``records``, evaluated
+    at the charge ``p_tau.tau`` on its own travel times: (the clearing
+    prices q, the car shares psi, one row per node).
+
+    The charge and the price enter node j's exponentials only through the
+    term tau * p of the cost gap, so its shares at price q are
+    1 / (1 + exps_j * z) with the one scalar z = exp(theta * tau *
+    (q - base_j)), its exponent held within ``_SHIFT_LIMIT`` so that no
+    0 * inf makes a NaN; at ``base_j`` z = 1 and the market is the record's
+    own.  Each node's price is 0 where the cap is slack there, and otherwise
+    found by Newton steps on c'psi = kappa * sum(c) / tau from ``base_j``,
+    safeguarded by bisection, to within ``_NODE_TOL`` of the supply.  The
+    nodes take their trials together, one (nodes x N) array each, and no
+    simulation is made."""
+    supply = p_tau.kappa * float(c.sum()) / p_tau.tau
+    slope = p_tau.theta * p_tau.tau
+    exps = np.array([r.exps for r in records])
+    m = len(records)
+    q = list(base)
+    f = [r.used - supply for r in records]
+    d = [-slope * r.spread for r in records]
+    # per node: the highest price known to exceed the cap, the lowest known
+    # to hold it, and whether its price is found
+    lo, hi, done = [-math.inf] * m, [math.inf] * m, [False] * m
+    psi = None
+    for _ in range(_NODE_TRIALS):
+        for j in range(m):
+            if done[j]:
+                continue
+            if abs(f[j]) <= _NODE_TOL * supply or (q[j] == 0.0 and f[j] <= 0.0):
+                done[j] = True
+                continue
+            if f[j] > 0.0:
+                lo[j] = q[j]
+            else:
+                hi[j] = q[j]
+            newton = q[j] - f[j] / d[j] if d[j] < 0.0 else math.nan
+            if lo[j] < newton < hi[j]:
+                step = max(newton, 0.0)
+            elif hi[j] == math.inf:
+                step = 2.0 * lo[j] if lo[j] > 0.0 else 1.0 / slope
+            else:
+                step = max(0.5 * (lo[j] + hi[j]), 0.0)
+            done[j] = step == q[j]   # no float left between the ends
+            q[j] = step
+        # a node found is one that did not move, so psi holds its shares
+        if psi is not None and all(done):
+            break
+        z = np.array([math.exp(min(max(slope * (qj - bj), -_SHIFT_LIMIT), _SHIFT_LIMIT))
+                      for qj, bj in zip(q, base)])
+        psi = exps * z[:, None]
+        psi += 1.0
+        np.divide(1.0, psi, out=psi)
+        used = psi @ c
+        f = (used - supply).tolist()
+        d = ((psi * psi @ c - used) * slope).tolist()   # -slope * c'psi(1 - psi)
+    return np.array(q), psi
+
+
+def _anderson_weights(res: np.ndarray) -> np.ndarray:
+    """Weights a, summing to 1, that minimize ||sum_j a_j res_j|| over the
+    rows of ``res`` (type-II Anderson mixing, Walker & Ni 2011), from the
+    ridge-regularized normal equations; the best row alone where they give
+    no finite weights."""
+    gram = res @ res.T
+    norms = gram.diagonal().copy()
+    gram.flat[::len(res) + 1] += _RIDGE * norms.max()
+    try:
+        w = np.linalg.solve(gram, np.ones(len(res)))
+        a = w / w.sum()
+    except np.linalg.LinAlgError:
+        a = np.full(len(res), math.nan)
+    if not np.all(np.isfinite(a)):
+        a = np.zeros(len(res))
+        a[np.argmin(norms)] = 1.0
+    return a
+
+
 def _predicted_start(scenario: Scenario, p_tau: TcsParams, starts: dict):
     """Start (x, p) for the equilibrium at charge ``p_tau.tau`` from the
-    solved states ``starts`` (tau -> ModalState); (None, None), a cold start,
-    when there are none.
+    solved charges ``starts`` (tau -> ``_Solved``); (None, None), a cold
+    start, when there are none.
 
-    The Lagrange polynomial in tau through up to three of the nearest solved
-    charges (by distance, ties to the lower tau), taken only from the nearest
-    one's cap branch: all binding (p > 0) or all slack, since a slack state
-    does not move with tau.  One solved charge gives its own state.  The
-    shares are clipped to [0, 1], the price to >= 0, and the shares then
-    scaled down onto this charge's cap tau * c'x <= kappa * sum(c) when they
-    exceed it.  The start depends only on the charges already solved, so
-    reruns repeat it.
-    """
+    The nodes are up to ``_NODES`` of the nearest solved charges (by
+    distance, ties to the lower tau).  Each node's substitution map is
+    evaluated at this charge on its known travel times (``_node_maps``),
+    which needs no simulation, and the start is the Anderson combination of
+    those map values: sum_j a_j psi_j and sum_j a_j q_j, with weights a that
+    minimize the combined residual ||sum_j a_j (psi_j - x_j)||
+    (``_anderson_weights``).  The shares are clipped to [0, 1] and scaled
+    down onto this charge's cap tau * c'x <= kappa * sum(c) when they exceed
+    it, and the price kept >= 0.  A node whose map value already lies
+    within ``x_tol`` of its shares is the start itself, (x_j, q_j), scaled
+    onto the cap should it exceed it: a slack cap's equilibrium does not
+    move with tau.  The start depends only on the charges already solved,
+    so reruns repeat it."""
     if not starts:
         return None, None
     tau = p_tau.tau
-    order = sorted(starts, key=lambda t: (abs(t - tau), t))
-    binding = starts[order[0]].p > 0
-    nodes = [t for t in order if (starts[t].p > 0) == binding][:3]
-    x = np.zeros(scenario.n)
-    p = 0.0
-    for tj in nodes:
-        w = math.prod((tau - tm) / (tj - tm) for tm in nodes if tm != tj)
-        x += w * starts[tj].x
-        p += w * starts[tj].p
-    x = _onto_cap(np.clip(x, 0.0, 1.0), p_tau.cap_weights(scenario.gammas), p_tau)
-    return x, max(p, 0.0)
+    nodes = sorted(starts, key=lambda t: (abs(t - tau), t))[:_NODES]
+    records = [starts[t] for t in nodes]
+    # the price at which a node's exponentials hold as they are
+    base = [t * r.state.p / tau for t, r in zip(nodes, records)]
+    c = p_tau.cap_weights(scenario.gammas)
+    with np.errstate(over="ignore"):   # exps * z past DBL_MAX is a zero share
+        qs, psis = _node_maps(records, base, c, p_tau)
+    res = psis - np.array([r.state.x for r in records])
+    met = np.flatnonzero(np.abs(res).max(axis=1) < _X_TOL)
+    if len(met):
+        j = met[0]
+        return _onto_cap(records[j].state.x, c, p_tau), float(qs[j])
+    a = _anderson_weights(res)
+    x = _onto_cap(np.clip(a @ psis, 0.0, 1.0), c, p_tau)
+    return x, max(float(a @ qs), 0.0)
 
 
 def _warm_solve(scenario: Scenario, p_tau: TcsParams, starts: dict) -> EquilibriumReport:
-    """Equilibrium at charge ``p_tau.tau``, started on the polynomial through
-    the nearest charges in ``starts`` (``_predicted_start``), or cold when
-    ``starts`` is empty; the solved state is added to ``starts``."""
+    """Equilibrium at charge ``p_tau.tau``, started on the prediction from
+    the solved charges in ``starts`` (``_predicted_start``), or cold when
+    ``starts`` is empty; the solved charge is added to ``starts``."""
     x, p = _predicted_start(scenario, p_tau, starts)
-    rep = equilibrium_solve(scenario, p_tau, x_init=x, p_init=p)
-    starts[p_tau.tau] = rep.state
+    rep = equilibrium_solve(scenario, p_tau, x_init=x, p_init=p, x_tol=_X_TOL)
+    starts[p_tau.tau] = _solved(scenario, p_tau, rep)
     return rep
 
 
@@ -263,7 +394,7 @@ def optimize_charge(
     derivative (or a slack cap, where the scheme has no bite yet) moves the
     lower bound up; a positive one moves the upper bound down; the search
     stops when the bounds meet, after at most ceil(log2(hi - lo)) + 1
-    equilibrium solves.  Each solve starts on the polynomial through the
+    equilibrium solves.  Each solve starts on the prediction from the
     nearest charges the search has already solved (``_warm_solve``), so its
     numbers agree with cold solves to the solver's ``x_tol`` and a rerun
     repeats them exactly.
@@ -277,7 +408,7 @@ def optimize_charge(
         raise ValueError("need kappa <= lo <= hi")
 
     solved: dict = {}   # tau -> (params at tau, report, TTT in h, CO2 in t)
-    starts: dict = {}   # float(tau) -> its equilibrium state
+    starts: dict = {}   # float(tau) -> its ``_Solved`` record
 
     def solve_at(tau: int):
         """The cached equilibrium at tau, warm-started by ``_warm_solve``,
@@ -357,7 +488,7 @@ def sweep_charges(
 ) -> list[SweepRow]:
     """Equilibrium solves over a list of charges, in the order given.
 
-    Each solve starts on the polynomial through the nearest charges solved
+    Each solve starts on the prediction from the nearest charges solved
     before it in this call (``_warm_solve``; the first one cold), so a row
     agrees with a cold solve at its charge to the solver's ``x_tol`` and a
     rerun repeats it exactly, given the same order of ``taus``.
@@ -375,7 +506,7 @@ def sweep_charges(
 def _warm_solves(scenario: Scenario, params: TcsParams, taus):
     """Yield (params at tau, equilibrium report) for each charge of ``taus``
     in order, each solve started by ``_warm_solve`` from those before it."""
-    starts: dict = {}   # tau -> its equilibrium state, for the later starts
+    starts: dict = {}   # tau -> its ``_Solved`` record, for the later starts
     for tau in taus:
         p_tau = replace(params, tau=float(tau))
         yield p_tau, _warm_solve(scenario, p_tau, starts)

@@ -336,7 +336,7 @@ def test_c08_dichotomy_and_sweep_structure(grid, opt_results, base_params):
 
 
 def test_warm_sweep_matches_cold_grid(grid, congested, base_params):
-    """sweep_charges warm-starts each charge from the nearest one solved; its
+    """sweep_charges warm-starts each charge from the nearest ones solved; its
     rows agree with the cold solves of the grid to the solver's x_tol, with
     fewer outer iterations."""
     rows = sweep_charges(congested, base_params, GRID_TAUS)

@@ -128,7 +128,8 @@ class TestUniqueness:
         assert rep.dots.shape == want.shape
         np.testing.assert_allclose(rep.dots, want, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("d, n, seed", [(216, 200, 0), (216, 200, 7), (2163, 20, 0), (3, 2, 5)])
+    @pytest.mark.parametrize("d, n, seed", [(216, 200, 0), (216, 200, 7), (2163, 20, 0), (3, 2, 5),
+                                            (1, 5, 3)])
     def test_latin_hypercube_is_scipys(self, d, n, seed):
         # the package's own sampler draws scipy's samples bit for bit
         with warnings.catch_warnings():
@@ -137,20 +138,16 @@ class TestUniqueness:
             want = qmc.LatinHypercube(d=d, seed=seed).random(n)
         assert analysis._latin_hypercube(d, n, seed).tobytes() == want.tobytes()
 
-    def test_identical_share_vectors_excluded(self, monkeypatch):
-        # samples 0, 2 and 5 coincide: 3 of the 28 pairs have nothing to compare
-        def repeating(d, n, seed):
-            xs = np.random.default_rng(0).uniform(0.0, 1.0, (n, d))
-            xs[[2, 5]] = xs[0]
-            return xs
-
-        monkeypatch.setattr(analysis, "_latin_hypercube", repeating)
-        monkeypatch.setattr(analysis, "_BLOCK_ELEMENTS", 5 * 4)  # 5 pairs per block
-        sc = small_random_scenario(2, n_groups=4)
-        rep = uniqueness_check(sc, n_samples=8, seed=0)
-        assert rep.all_pairs
-        assert rep.n_pairs == 28 - 3 == len(rep.dots)
-        assert np.all(rep.dots != 0.0)
+    @pytest.mark.parametrize("d, n, seed", [(216, 200, 0), (3, 50, 1), (1, 500, 2)])
+    def test_samples_differ_in_every_column(self, d, n, seed):
+        # each column holds one point per stratum, so no two samples share a
+        # coordinate, let alone a share vector: no pair has nothing to compare
+        xs = analysis._latin_hypercube(d, n, seed)
+        assert xs.shape == (n, d)
+        assert np.all((xs >= 0.0) & (xs < 1.0))
+        for column in xs.T:
+            assert len(np.unique(column)) == n
+            np.testing.assert_array_equal(np.sort(np.floor(column * n)), np.arange(n))
 
 
 class TestStabilityJacobian:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import tcsmfd.analysis
+import tcsmfd.cli
 import tcsmfd.equilibrium
 import tcsmfd.objectives
 from tcsmfd import (
@@ -642,6 +643,34 @@ class TestStudy:
         assert names == sorted(p.name for p in tmp_path.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+    def test_searches_stay_inside_a_fractional_grid(self, scenario_file, tmp_path,
+                                                    monkeypatch):
+        # 150.5, ..., 350.5: the searches run over 151..350, never from 150
+        bounds = []
+
+        class Searched(Exception):
+            pass
+
+        def record(scenario, params, objective, lo, hi):
+            bounds.append((lo, hi))
+            raise Searched
+
+        monkeypatch.setattr(tcsmfd.cli, "optimize_charge", record)
+        with pytest.raises(Searched):
+            main(["study", "--scenario", str(scenario_file), "--taus", "150.5:400:50",
+                  "--samples", "4", "-o", str(tmp_path)])
+        assert bounds == [(151, 350)]
+        assert all(type(b) is int for b in bounds[0])
+
+    def test_grid_without_an_integer_charge_exits_2(self, scenario_file, tmp_path,
+                                                    capsys):
+        rc = main(["study", "--scenario", str(scenario_file), "--taus", "150.2,150.7",
+                   "--samples", "4", "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --taus") and "integer" in err
 
 
 def test_console_script_installed():

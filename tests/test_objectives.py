@@ -25,8 +25,12 @@ from tcsmfd import (
 import tcsmfd.objectives
 from tcsmfd.objectives import (
     _EMISSION_COEFFS,
+    _anderson_weights,
     _charge_derivatives,
+    _node_maps,
     _predicted_start,
+    _Solved,
+    _solved,
     emission_per_distance,
     emission_per_distance_dv,
 )
@@ -312,6 +316,19 @@ class TestWarmStart:
         monkeypatch.setattr(tcsmfd.objectives, "equilibrium_solve", recording)
         return calls
 
+    @staticmethod
+    def solved(scenario, params, taus):
+        """The predictor's records of cold solves at ``taus``."""
+        out = {}
+        for tau in taus:
+            p_tau = replace(params, tau=float(tau))
+            out[float(tau)] = _solved(scenario, p_tau, equilibrium_solve(scenario, p_tau))
+        return out
+
+    @staticmethod
+    def predict(scenario, params, tau, starts):
+        return _predicted_start(scenario, replace(params, tau=float(tau)), starts)
+
     def test_reruns_are_byte_identical(self, small_scenario):
         params = TcsParams()
         taus = [260.0, 150.0, 300.0, 200.0]
@@ -333,126 +350,162 @@ class TestWarmStart:
         assert [t for t, _, _, _ in calls] == [200.0, 300.0, 250.0]
         assert calls[0][1] is None and calls[0][2] is None   # the first solve is cold
         assert calls[0][3].state.p != calls[1][3].state.p
-        # each start is the predictor's over the charges solved before it;
-        # 250 is 50 from both, so 200 leads the fit
+        # each start is the predictor's over the charges solved before it
+        # (250 is 50 from both; test_equidistant_charges_order_to_the_lower
+        # shows the tie broken at the last node)
         solved = {}
         for tau, x_init, p_init, rep in calls:
-            want_x, want_p = _predicted_start(small_scenario,
-                                              replace(params, tau=tau), solved)
+            p_tau = replace(params, tau=tau)
+            want_x, want_p = _predicted_start(small_scenario, p_tau, solved)
             if want_x is None:
                 assert x_init is None and p_init is None
             else:
                 np.testing.assert_array_equal(x_init, want_x)
                 assert p_init == want_p
-            solved[tau] = rep.state
+            solved[tau] = _solved(small_scenario, p_tau, rep)
 
     @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
     def test_cap_scaled_start_is_accepted(self, small_scenario, monkeypatch, cap):
         params = TcsParams(cap_constraint=cap)
         calls = self.record_starts(monkeypatch)
-        rows = sweep_charges(small_scenario, params, [150.0, 400.0])
-        (_, _, _, rep150), (tau, x_init, p_init, _) = calls
+        rows = sweep_charges(small_scenario, params, [150.0, 400.0, 110.0, 250.0, 130.0])
         c = params.cap_weights(small_scenario.gammas)
         supply = params.kappa * float(c.sum())
-        # the start had to be scaled: 150's shares break the cap at 400
-        assert tau * float(c @ rep150.state.x) > supply
-        used = tau * float(c @ rep150.state.x)
-        np.testing.assert_array_equal(x_init, rep150.state.x * (supply / used))
-        np.testing.assert_allclose(tau * float(c @ x_init), supply, rtol=1e-12)
-        assert p_init == rep150.state.p
+        # 150's shares break the cap at 400: every start is held onto it
+        assert 400.0 * float(c @ calls[0][3].state.x) > supply
+        for tau, x_init, p_init, _ in calls[1:]:
+            assert np.all((x_init >= 0.0) & (x_init <= 1.0))
+            assert tau * float(c @ x_init) <= supply * (1.0 + 1e-12), tau
+            assert p_init >= 0.0
         assert all(r.converged for r in rows)
-        assert rows[1].cap_slack >= -1e-9 * supply
+        assert all(r.cap_slack >= -1e-9 * supply for r in rows)
 
-    # _predicted_start on hand-built states.  kappa = 100 with shares below
-    # 0.4 keeps every start under the cap up to tau = 250, so no scaling.
-
-    @staticmethod
-    def path(taus, x_of, p_of):
-        return {float(t): ModalState(x=x_of(t), p=p_of(t)) for t in taus}
-
-    @staticmethod
-    def predict(scenario, tau, starts, kappa=100.0):
-        return _predicted_start(scenario, TcsParams(kappa=kappa, tau=float(tau)), starts)
-
-    def test_reproduces_linear_and_quadratic_paths(self, small_scenario):
-        n = small_scenario.n
-        a, b, c = (np.linspace(lo, hi, n) for lo, hi in
-                   ((0.1, 0.2), (0.05, -0.05), (0.02, -0.03)))
-
-        def x_of(t):
-            u = (t - 150.0) / 100.0
-            return a + b * u + c * u * u
-
-        def p_of(t):
-            u = (t - 150.0) / 100.0
-            return 0.004 + 0.003 * u - 0.001 * u * u
-
-        lines = (lambda t: a + b * (t - 150.0) / 100.0,
-                 lambda t: 0.004 + 0.003 * (t - 150.0) / 100.0)
-        cases = [(self.path([150, 200], *lines), lines),
-                 (self.path([150, 180, 200], *lines), lines),
-                 (self.path([150, 180, 200], x_of, p_of), (x_of, p_of))]
-        for starts, (want_x, want_p) in cases:
-            for tau in (170.0, 230.0, 250.0):   # inside and beyond the nodes
-                x, p = self.predict(small_scenario, tau, starts)
-                np.testing.assert_allclose(x, want_x(tau), rtol=1e-12, atol=1e-15)
-                assert p == pytest.approx(want_p(tau), rel=1e-12)
-
-    def test_clips_shares_and_price(self, small_scenario):
-        n = small_scenario.n
-        lo = np.full(n, 0.5)
-        lo[:2] = (0.2, 0.9)
-        hi = np.full(n, 0.5)
-        hi[:2] = (0.05, 0.95)
-        starts = {100.0: ModalState(x=lo, p=0.002), 200.0: ModalState(x=hi, p=0.001)}
-        # kappa = tau: the cap holds any shares, so only the clipping acts
-        x, p = self.predict(small_scenario, 400.0, starts, kappa=400.0)
-        assert x[0] == 0.0 and x[1] == 1.0      # -0.25 and 1.05 on the line
-        np.testing.assert_allclose(x[2:], 0.5, rtol=1e-12)
-        assert p == 0.0                          # -0.001 on the line
-
-    def test_fits_only_the_nearest_charges_cap_branch(self, small_scenario):
-        n = small_scenario.n
-        slack = np.full(n, 0.35)
-        starts = {160.0: ModalState(x=slack, p=0.0),
-                  180.0: ModalState(x=np.full(n, 0.3), p=0.004),
-                  200.0: ModalState(x=np.full(n, 0.2), p=0.006)}
-        # 180 is nearest and binding: the slack state at 160 stays out
-        x, p = self.predict(small_scenario, 190.0, starts)
-        np.testing.assert_allclose(x, 0.25, rtol=1e-12)
-        assert p == pytest.approx(0.005, rel=1e-12)
-        alone = self.predict(small_scenario, 190.0, {t: starts[t] for t in (180.0, 200.0)})
-        np.testing.assert_array_equal(x, alone[0])
-        assert p == alone[1]
-        # 160 is nearest and slack: the binding states stay out
-        x, p = self.predict(small_scenario, 150.0, starts)
-        np.testing.assert_array_equal(x, slack)
-        assert p == 0.0
-
-    def test_one_solved_charge_is_the_start_and_none_is_cold(self, small_scenario):
-        state = ModalState(x=np.linspace(0.1, 0.3, small_scenario.n), p=0.007)
-        x, p = self.predict(small_scenario, 250.0, {200.0: state})
-        np.testing.assert_array_equal(x, state.x)
-        assert p == state.p
-        assert self.predict(small_scenario, 250.0, {}) == (None, None)
+    def test_one_solved_charge_is_the_start_and_none_is_cold(self, small_scenario,
+                                                             monkeypatch):
+        # the cap is slack from 100 to 130, where the equilibrium does not
+        # move with the charge: a solved slack charge meets x_tol at the next
+        # one and is its start, bit for bit, which the solve accepts at once
+        params = TcsParams()
+        calls = self.record_starts(monkeypatch)
+        rows = sweep_charges(small_scenario, params, [100.0, 120.0, 130.0])
+        for (_, _, _, before), (_, x_init, p_init, rep) in zip(calls, calls[1:]):
+            assert before.state.p == 0.0
+            assert x_init.tobytes() == before.state.x.tobytes()
+            assert p_init == 0.0
+            assert rep.iterations == 1
+            assert rep.state.x.tobytes() == before.state.x.tobytes()
+        assert [r.iterations for r in rows[1:]] == [1, 1]
+        assert self.predict(small_scenario, params, 250.0, {}) == (None, None)
 
     def test_equidistant_charges_order_to_the_lower(self, small_scenario):
-        n = small_scenario.n
-        # not on one quadratic, so the three chosen charges show in the start
-        starts = {t: ModalState(x=np.full(n, s), p=0.001 * s)
-                  for t, s in ((150.0, 0.1), (200.0, 0.3), (300.0, 0.2), (350.0, 0.35))}
-        x, p = self.predict(small_scenario, 250.0, starts)
-        lower = {t: starts[t] for t in (150.0, 200.0, 300.0)}
-        upper = {t: starts[t] for t in (200.0, 300.0, 350.0)}
-        want_x, want_p = self.predict(small_scenario, 250.0, lower)
+        params = TcsParams()
+        # 250 is 20 from 230, 50 from 200 and 300, and 80 from 170 and 330:
+        # the four nodes take 170, not 330
+        solved = self.solved(small_scenario, params, [170, 200, 230, 300, 330])
+        x, p = self.predict(small_scenario, params, 250.0, solved)
+        lower = {t: solved[t] for t in (170.0, 200.0, 230.0, 300.0)}
+        upper = {t: solved[t] for t in (200.0, 230.0, 300.0, 330.0)}
+        want_x, want_p = self.predict(small_scenario, params, 250.0, lower)
         np.testing.assert_array_equal(x, want_x)
         assert p == want_p
-        assert p != self.predict(small_scenario, 250.0, upper)[1]
-        # the nearest charge sets the branch, again ties to the lower
-        tie = {200.0: starts[200.0], 300.0: ModalState(x=np.full(n, 0.2), p=0.0)}
-        x, p = self.predict(small_scenario, 250.0, tie)
-        np.testing.assert_array_equal(x, starts[200.0].x)
-        assert p == starts[200.0].p
+        assert x.tobytes() != self.predict(small_scenario, params, 250.0, upper)[0].tobytes()
+
+    def test_clips_shares_and_price(self, small_scenario):
+        # two hand-built nodes at price 0 with residuals v and 2v: the
+        # Anderson weights 2 and -1 extrapolate out of the box in groups 0
+        # and 1, and to a negative price, as only the second node's cap binds
+        n = small_scenario.n
+        c = TcsParams().cap_weights(small_scenario.gammas)
+        psi_1 = np.full(n, 0.3)
+        psi_1[:2] = (0.9, 0.05)
+        psi_2 = np.full(n, 0.5)
+        # the supply lies just above c'psi_1 and below c'psi_2
+        params = TcsParams(tau=0.99 * 100.0 * float(c.sum()) / float(c @ psi_1))
+
+        def record(x, psi):
+            exps = 1.0 / psi - 1.0
+            used = float(psi @ c)
+            return _Solved(ModalState(x=x, p=0.0), exps, used, used - float(psi * psi @ c))
+
+        nodes = [record(psi_1, psi_1), record(psi_2, psi_2)]
+        qs, psis = _node_maps(nodes, [0.0, 0.0], c, params)
+        assert qs[0] == 0.0 and qs[1] > 0.0
+        v = np.full(n, 0.01)
+        starts = {params.tau - 10.0: record(psis[0] - v, psi_1),
+                  params.tau - 20.0: record(psis[1] - 2.0 * v, psi_2)}
+        x, p = _predicted_start(small_scenario, params, starts)
+        want = 2.0 * psis[0] - psis[1]
+        assert want[0] > 1.0 and want[1] < 0.0
+        assert x[0] == 1.0 and x[1] == 0.0
+        np.testing.assert_allclose(x[2:], want[2:], rtol=1e-5)
+        assert p == 0.0
+
+    def test_predictor_makes_no_simulation(self, small_scenario, monkeypatch):
+        params = TcsParams()
+        solved = self.solved(small_scenario, params, [120, 180, 240, 320])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the predictor simulated")
+
+        monkeypatch.setattr(tcsmfd.equilibrium, "simulate", refuse)
+        monkeypatch.setattr(tcsmfd.objectives, "simulate", refuse)
+        for tau in (150.0, 200.0, 280.0, 450.0):
+            x, p = self.predict(small_scenario, params, tau, solved)
+            assert x.shape == (small_scenario.n,) and p >= 0.0
+
+    @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
+    def test_node_maps_clear_each_market(self, small_scenario, cap):
+        # each node's map value is the logit response on its own travel
+        # times at a price that clears this charge's market, or 0 if slack
+        params = TcsParams(cap_constraint=cap)
+        solved = self.solved(small_scenario, params, [110, 200, 400])
+        nodes = sorted(solved)
+        reports = {t: equilibrium_solve(small_scenario, replace(params, tau=t))
+                   for t in nodes}
+        c = params.cap_weights(small_scenario.gammas)
+        for tau in (120.0, 160.0, 300.0):
+            p_tau = replace(params, tau=tau)
+            base = [t * solved[t].state.p / tau for t in nodes]
+            qs, psis = _node_maps([solved[t] for t in nodes], base, c, p_tau)
+            supply = params.kappa * float(c.sum()) / tau
+            for t, q, psi in zip(nodes, qs, psis):
+                want = logit_choice(reports[t].sim.car_times, small_scenario.pt_times,
+                                    q, p_tau)
+                np.testing.assert_allclose(psi, want, rtol=1e-12, atol=1e-15)
+                if q == 0.0:
+                    assert float(c @ psi) <= supply * (1.0 + 1e-6)
+                else:
+                    assert float(c @ psi) == pytest.approx(supply, rel=1e-6)
+
+    def test_anderson_weights(self):
+        v = np.array([1.0, -2.0, 0.5])
+        # opposite residuals cancel; equal ones split evenly through the
+        # ridge, up to the rounding of a nearly singular system
+        np.testing.assert_allclose(_anderson_weights(np.array([v, -v])), [0.5, 0.5])
+        np.testing.assert_allclose(_anderson_weights(np.array([v, v])), [0.5, 0.5], atol=1e-5)
+        res = np.array([v, 2.0 * v + np.array([0.0, 0.0, 1.0]), -0.5 * v])
+        a = _anderson_weights(res)
+        assert a.sum() == pytest.approx(1.0)
+        assert np.linalg.norm(a @ res) <= 1e-5 * np.linalg.norm(v)   # the ridge's bias
+        # no finite weights: the best row alone
+        np.testing.assert_array_equal(_anderson_weights(np.zeros((3, 3))), [1.0, 0.0, 0.0])
+        bad = np.array([v, [np.inf, 0.0, 0.0], 0.1 * v])
+        np.testing.assert_array_equal(_anderson_weights(bad), [0.0, 0.0, 1.0])
+
+    def test_congested_counts(self):
+        # the acceptance scenario: the C08 grid and both searches over
+        # 100..500, counted in outer iterations (one simulation each)
+        sc = generate_synthetic(0, preset_spec("congested"))
+        params = TcsParams()
+        rows = sweep_charges(sc, params, list(range(100, 501, 20)))
+        assert all(r.converged for r in rows)
+        assert sum(r.iterations for r in rows) <= 60
+        for objective, tau_star in (("ttt", 220.0), ("mixed", 225.0)):
+            res = optimize_charge(sc, params, objective=objective, lo=100, hi=500)
+            assert res.tau_star == tau_star
+            per_charge = {s.tau: s.iterations for s in res.steps}
+            assert len(per_charge) == res.n_solves
+            assert sum(per_charge.values()) <= 21, objective
 
 
 class TestGroupGains:
