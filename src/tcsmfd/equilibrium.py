@@ -583,8 +583,13 @@ def equilibrium_solve(
     Without ``x_init`` the loop starts at the centre of the share box,
     x = 1/2 for every group, scaled down onto the cap when the centre uses
     more credits than the allowance supplies: x = min(1/2, kappa/tau) under
-    either cap variant, and 1/2 with ``tcs=False``.  The price starts at
-    ``p_init``, or ``params.p0`` (0 with ``tcs=False``).
+    either cap variant, and 1/2 with ``tcs=False``.  Where the centre fills
+    the cap (2 kappa <= tau) the scheme's start is instead the market
+    cleared on the free-flow car times L / V(0) (``_clearing_price``, no
+    simulation), if the cap binds there: its shares use no more credits
+    than the centre, given to the groups with the most to gain at free
+    flow.  The price starts at ``p_init``, or ``params.p0`` (0 with
+    ``tcs=False``), whatever the shares.
     """
     n = scenario.n
     gammas = scenario.gammas
@@ -593,6 +598,14 @@ def equilibrium_solve(
         x = np.full(n, 0.5)
         if tcs:
             x = _onto_cap(x, c, params)
+            if 2.0 * params.kappa <= params.tau:
+                # the centre fills the cap: where the cap binds at free-flow
+                # car times, the market cleared there spends the same credits
+                # on the groups with the most to gain
+                t_free = scenario.trip_lens / scenario.mfd.speed(0.0)
+                p_free, psi_free = _clearing_price(t_free, scenario.pt_times, c, params)
+                if p_free > 0.0:
+                    x = psi_free
     else:
         x = np.asarray(x_init, dtype=float).copy()
     if x.shape != (n,) or not np.all((x >= 0) & (x <= 1)):  # NaN fails both

@@ -699,7 +699,8 @@ class TestEquilibriumSolver:
         rep = equilibrium_solve(small_scenario, TcsParams(max_iters=m), x_tol=NEVER)
         assert not rep.converged and rep.iterations == m
         assert rep.substitution_steps == m - 1
-        assert calls == {"_clearing_price": m - 1}
+        # and one more for the start, cleared on free-flow times
+        assert calls == {"_clearing_price": m}
 
     @pytest.mark.parametrize("case", ["converged", "max_iters"])
     def test_qp_counts_per_step(self, monkeypatch, case):
@@ -735,24 +736,78 @@ def congested():
     return generate_synthetic(0, preset_spec("congested"))
 
 
+def cold_start(scenario, params, tcs=True):
+    """The shares a cold solve simulates first: a one-iteration solve
+    returns the iterate it simulated, its start."""
+    rep = equilibrium_solve(scenario, dataclasses.replace(params, max_iters=1), tcs=tcs)
+    return rep.state.x
+
+
+def free_flow_market(scenario, params):
+    """``_clearing_price`` on the free-flow car times L / V(0): (p, psi)."""
+    t_free = scenario.trip_lens / scenario.mfd.speed(0.0)
+    return _clearing_price(t_free, scenario.pt_times, params.cap_weights(scenario.gammas),
+                           params)
+
+
 class TestColdStart:
-    @pytest.mark.parametrize("tau", [150.0, 300.0])
-    @pytest.mark.parametrize("case", ["gamma-weighted", "printed", "no_tcs"])
-    def test_starts_at_the_centre_scaled_onto_the_cap(self, small_scenario, monkeypatch,
-                                                      case, tau):
-        seen = []
-
-        def recording(scenario, x):
-            seen.append(np.array(x))
-            return simulate(scenario, x)
-
-        monkeypatch.setattr(tcsmfd.equilibrium, "simulate", recording)
+    @pytest.mark.parametrize("case, tau", [("gamma-weighted", 150.0), ("printed", 150.0),
+                                           ("no_tcs", 150.0), ("no_tcs", 300.0)])
+    def test_starts_at_the_centre_scaled_onto_the_cap(self, small_scenario, case, tau):
+        # where the centre leaves credits unused (2 kappa > tau), or
+        # without the scheme
         tcs = case != "no_tcs"
         params = TcsParams(tau=tau, cap_constraint=case if tcs else "gamma-weighted")
-        equilibrium_solve(small_scenario, params, tcs=tcs)
         want = min(0.5, params.kappa / tau) if tcs else 0.5
-        np.testing.assert_allclose(seen[0], np.full(small_scenario.n, want),
-                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cold_start(small_scenario, params, tcs),
+                                   np.full(small_scenario.n, want), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("preset", ["small", "congested"])
+    @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
+    @pytest.mark.parametrize("tau", [200.0, 300.0])
+    def test_a_full_centre_starts_from_the_market_at_free_flow(self, congested, preset, cap,
+                                                               tau):
+        # the centre fills the cap (2 kappa <= tau), and the cap binds at
+        # free-flow car times: the start is the market cleared there, bit
+        # for bit
+        scenario = congested if preset == "congested" else generate_synthetic(
+            0, preset_spec(preset))
+        params = TcsParams(tau=tau, cap_constraint=cap)
+        p, psi = free_flow_market(scenario, params)
+        assert p > 0.0
+        assert cold_start(scenario, params).tobytes() == psi.tobytes()
+
+    @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
+    @pytest.mark.parametrize("tau", [200.0, 300.0])
+    def test_a_slack_cap_at_free_flow_keeps_the_centre(self, cap, tau):
+        # public transport beats every car trip even at free flow, so the
+        # market clears at p = 0 there and the start stays the centre
+        scenario = make_scenario([(100.0, 0.0, 3000.0, 60.0), (80.0, 60.0, 4000.0, 90.0),
+                                  (120.0, 90.0, 2500.0, 50.0)])
+        params = TcsParams(tau=tau, cap_constraint=cap)
+        assert free_flow_market(scenario, params)[0] == 0.0
+        np.testing.assert_allclose(cold_start(scenario, params),
+                                   np.full(scenario.n, params.kappa / tau), rtol=1e-12, atol=0)
+
+    def test_citywide_cold_solve_takes_three_iterations(self):
+        # from the centre it took 4: its first simulation landed at a
+        # residual of 0.499, the free-flow start's at 0.118
+        rep = equilibrium_solve(generate_synthetic(0, preset_spec("citywide")),
+                                TcsParams(tau=200.0))
+        assert rep.converged and rep.iterations == 3
+        assert rep.residual_trace[0] < 0.2
+
+    @settings(max_examples=100, deadline=None)
+    @given(draw=st.integers(0, 1999), cap=st.sampled_from(["gamma-weighted", "printed"]),
+           tau=st.floats(100.0, 400.0))  # kappa to 4 kappa
+    def test_start_uses_no_more_credits_than_the_centre(self, draw, cap, tau):
+        scenario = probe_draw(draw)[0]
+        params = TcsParams(tau=tau, cap_constraint=cap)
+        x = cold_start(scenario, params)
+        assert np.all((x >= 0.0) & (x <= 1.0))
+        c = params.cap_weights(scenario.gammas)
+        centre = min(0.5, params.kappa / tau) * float(c.sum())
+        assert tau * float(c @ x) <= tau * centre + tcsmfd.equilibrium._cap_tolerance(c, params)
 
     @pytest.mark.parametrize("tau, tcs", [(120.0, True), (200.0, True), (300.0, True),
                                           (200.0, False)])
@@ -806,6 +861,22 @@ def counting_exact(monkeypatch):
     return prices
 
 
+def search_spans(monkeypatch, calls):
+    """The slice of ``calls`` each clearing-price search made, as (begin,
+    end), one per search in the order the solve makes them."""
+    spans = []
+    clearing = tcsmfd.equilibrium._clearing_price
+
+    def spanned(*args, **kwargs):
+        begin = len(calls)
+        out = clearing(*args, **kwargs)
+        spans.append((begin, len(calls)))
+        return out
+
+    monkeypatch.setattr(tcsmfd.equilibrium, "_clearing_price", spanned)
+    return spans
+
+
 def recording_build_qp(monkeypatch):
     """The iteration index k of each build_qp call, as the solve makes them."""
     ks = []
@@ -816,6 +887,10 @@ def recording_build_qp(monkeypatch):
 
     monkeypatch.setattr(tcsmfd.equilibrium, "build_qp", recording)
     return ks
+
+
+# substitution steps of the cold solves on the congested preset, by charge
+COLD_STEPS = {200.0: 4, 300.0: 3, 440.0: 3}
 
 
 class TestSubstitution:
@@ -992,23 +1067,31 @@ class TestSubstitution:
     def test_cold_solves_keep_their_logit_budget(self, congested, monkeypatch, tau, budget):
         # the searches of the clearing price, trials and exact evaluations
         # alike, each started from its iterate's price, response and
-        # exponentials
+        # exponentials; the start's search on free-flow times comes first,
+        # counted apart
         calls = counting_logit(monkeypatch)
+        spans = search_spans(monkeypatch, calls)
         rep = equilibrium_solve(congested, TcsParams(tau=tau))
-        assert rep.converged and rep.substitution_steps == rep.iterations - 1 == 4
-        assert len(calls) <= budget
+        steps = COLD_STEPS[tau]
+        assert rep.converged and rep.substitution_steps == rep.iterations - 1 == steps
+        assert len(spans) == steps + 1 and spans[0] == (0, 7) and calls[0] == 0.0
+        assert len(calls) - spans[0][1] <= budget
 
     @pytest.mark.parametrize("tau", [200.0, 300.0, 440.0])
     def test_cold_solves_make_one_exact_evaluation_per_iteration_and_search(
             self, congested, monkeypatch, tau):
         # one at each iterate, one at the price each search returns, and the
         # first search's own start at p = 0; every other price a search
-        # tries is a trial
+        # tries is a trial.  The start's search on free-flow times makes two
+        # before the first iterate: at p = 0 and at the price it returns
         exact = counting_exact(monkeypatch)
+        spans = search_spans(monkeypatch, exact)
         rep = equilibrium_solve(congested, TcsParams(tau=tau))
-        assert rep.converged and rep.substitution_steps == rep.iterations - 1 == 4
-        assert len(exact) <= rep.iterations + rep.substitution_steps + 1
-        assert exact[1] == 0.0
+        assert rep.converged and rep.substitution_steps == rep.iterations - 1 == COLD_STEPS[tau]
+        assert len(spans) == COLD_STEPS[tau] + 1
+        assert spans[0] == (0, 2) and exact[0] == 0.0
+        assert len(exact) - 2 <= rep.iterations + rep.substitution_steps + 1
+        assert exact[3] == 0.0
 
     def test_clearing_price_ignores_the_start_price(self, congested):
         a, b = TcsParams(p0=0.01), TcsParams(p0=0.3)
@@ -1187,14 +1270,19 @@ class TestSubstitution:
 
 def recording_substitution(monkeypatch):
     """The shares of each simulation, and each clearing price's (p_hat,
-    psi_hat) and the hint it was given, as the solve makes them."""
+    psi_hat) and the hint it was given, as the solve makes them.  The
+    start's search on free-flow times, the one called without a hint, is
+    not a substitution step's and is not recorded."""
     xs, maps, hints = [], [], []
 
     def simulating(scenario, x):
         xs.append(np.array(x))
         return simulate(scenario, x)
 
-    def clearing(*args, hint, psi, exps):
+    def clearing(*args, **kwargs):
+        if not kwargs:
+            return _clearing_price(*args)
+        hint, psi, exps = kwargs["hint"], kwargs["psi"], kwargs["exps"]
         hints.append(hint)
         maps.append(_clearing_price(*args, hint=hint, psi=psi, exps=exps))
         return maps[-1]

@@ -23,6 +23,7 @@ from tcsmfd import (
     total_travel_time,
 )
 import tcsmfd.objectives
+from tcsmfd.equilibrium import _onto_cap
 from tcsmfd.objectives import (
     _EMISSION_COEFFS,
     _anderson_weights,
@@ -232,12 +233,14 @@ class TestChargeGradients:
         (250.0, 66.95592619788592, 60.892078902030605),
     ])
     def test_pinned_on_congested(self, tau, ttt, mixed):
-        # the objective derivatives the charge search steers by, at cold
-        # solves on congested seed 0 with default parameters; the sign
-        # change between 200 and 250 brackets both searches' optima
+        # the objective derivatives the charge search steers by, at solves
+        # from the centre of the share box scaled onto the cap, on congested
+        # seed 0 with default parameters; the sign change between 200 and
+        # 250 brackets both searches' optima
         sc = generate_synthetic(0, preset_spec("congested"))
         params = TcsParams(tau=tau)
-        rep = equilibrium_solve(sc, params)
+        centre = _onto_cap(np.full(sc.n, 0.5), params.cap_weights(sc.gammas), params)
+        rep = equilibrium_solve(sc, params, x_init=centre)
         d_ttt, d_em = _charge_derivatives(sc, rep, params)
         assert params.alpha * d_ttt == pytest.approx(ttt, rel=1e-12)
         d_mixed = params.alpha * d_ttt
