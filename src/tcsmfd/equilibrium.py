@@ -34,8 +34,10 @@ contracts wherever that matrix is small.  A step is accepted while it cuts
 the substitution residual ||psi_hat - x||_inf to (1 - omega / 2) times its
 value at the last accepted point (a halving at omega = 1).  At omega = 1,
 once two points have been accepted, the step is a secant step through the
-two (``_secant_step``, Anderson acceleration of depth 1); a rejected secant
-point is followed by the plain step from the last accepted point, still at
+two, their Anderson combination (``_anderson_step``, the rule the warm
+starts of ``objectives`` use too), the last accepted point first, so that
+a tie in the weights' fallback goes to it; a rejected secant point is
+followed by the plain step from the last accepted point, still at
 omega = 1.  Any other rejected step is retaken from the last accepted
 point, with its stored psi_hat and p_hat, at omega cut by ``_STEP_CUT``:
 the relaxation of a fixed-point map (Kelley 1995, "Iterative Methods for
@@ -380,6 +382,22 @@ _CLEARING_TOL = 1e-12
 # this exponent, where it is a normal float with room to spare
 _SHIFT_LIMIT = 700.0
 
+# the ridge of the Anderson weights' normal equations, relative to their
+# largest diagonal entry
+_RIDGE = 1e-6
+
+
+def _bracket_step(newton: float, lo: float, hi: float, slope: float) -> float:
+    """The next price of a clearing search on the bracket (lo, hi): the
+    Newton point where it lies inside (a NaN never does), else a doubling
+    from lo (from 1 / ``slope`` at lo <= 0) while there is no upper end, and
+    a bisection once there is one; never below 0."""
+    if lo < newton < hi:
+        return max(newton, 0.0)
+    if hi == math.inf:
+        return 2.0 * lo if lo > 0.0 else 1.0 / slope
+    return max(0.5 * (lo + hi), 0.0)
+
 
 def _clearing_price(t_car, t_pt, c, params: TcsParams, hint: float = 0.0,
                     psi=None, exps=None) -> tuple[float, np.ndarray]:
@@ -444,13 +462,11 @@ def _clearing_price(t_car, t_pt, c, params: TcsParams, hint: float = 0.0,
             # Newton on c'psi = goal from the current point
             d = -slope * float(c @ (psi * (1.0 - psi)))
             newton = p - (f + supply - goal) / d if d < 0.0 else math.nan
-            if lo < newton < hi and abs(newton - p) <= 0.5 * before:
-                step = max(newton, 0.0)
-            elif hi == math.inf:
-                step = 2.0 * lo if lo > 0.0 else 1.0 / slope
-            else:
-                step = max(0.5 * (lo + hi), 0.0)
-                end = not (lo < step < hi)
+            short = abs(newton - p) <= 0.5 * before
+            step = _bracket_step(newton if short else math.nan, lo, hi, slope)
+            # only a bisection ends the search: a doubling that overflows
+            # to inf would end it before any price holding the cap is known
+            end = hi < math.inf and not (lo < step < hi)
         if end:
             if exact_hi:
                 return hi, psi_hi
@@ -474,27 +490,37 @@ def _clearing_price(t_car, t_pt, c, params: TcsParams, hint: float = 0.0,
         f = float(c @ psi) - supply
 
 
-def _secant_step(previous, anchor, c, params: TcsParams, tcs: bool):
-    """The next iterate (x, p) from the last two accepted points by a secant
-    step: Anderson acceleration of depth 1 (Walker & Ni 2011, "Anderson
-    acceleration for fixed-point iterations", SIAM J. Numer. Anal. 49(4)).
+def _anderson_weights(res: np.ndarray) -> np.ndarray:
+    """Weights a, summing to 1, that minimize ||sum_j a_j res_j|| over the
+    rows of ``res`` (type-II Anderson mixing, Walker & Ni 2011), from the
+    ridge-regularized normal equations; the best row alone, the first of
+    equals, where they give no finite weights."""
+    gram = res @ res.T
+    norms = gram.diagonal().copy()
+    gram.flat[::len(res) + 1] += _RIDGE * norms.max()
+    try:
+        w = np.linalg.solve(gram, np.ones(len(res)))
+        a = w / w.sum()
+    except np.linalg.LinAlgError:
+        a = np.full(len(res), math.nan)
+    if not np.all(np.isfinite(a)):
+        a = np.zeros(len(res))
+        a[np.argmin(norms)] = 1.0
+    return a
 
-    With f = psi_hat - x at each point and df = f_1 - f_0, the weight
-    gamma = df'f_1 / df'df (0 where df = 0) minimizes ||f_1 - gamma df||,
-    and the step goes to psi_hat_1 - gamma (psi_hat_1 - psi_hat_0) and
-    p_hat_1 - gamma (p_hat_1 - p_hat_0).  The shares are clipped to the box
-    and, with the scheme, scaled onto the cap, and the price is kept >= 0.
-    Without the scheme p_hat_0 = p_hat_1 is the fixed price, which the
-    formula returns bit for bit."""
-    x_0, _, _, _, psi_hat_0, p_hat_0, _ = previous
-    x_1, _, _, _, psi_hat_1, p_hat_1, _ = anchor
-    f_1 = psi_hat_1 - x_1
-    df = f_1 - (psi_hat_0 - x_0)
-    dd = float(df @ df)
-    gamma = float(df @ f_1) / dd if dd > 0.0 else 0.0
-    x = np.clip(psi_hat_1 - gamma * (psi_hat_1 - psi_hat_0), 0.0, 1.0)
-    p = max(p_hat_1 - gamma * (p_hat_1 - p_hat_0), 0.0)
-    return (_onto_cap(x, c, params) if tcs else x), p
+
+def _anderson_step(xs, psis, prices, c, params: TcsParams, tcs: bool):
+    """The Anderson combination (x, p) of points with shares ``xs``, map
+    values ``psis`` (one row each) and map prices ``prices``: with weights
+    a from ``_anderson_weights`` on the residuals psis - xs, x = a'psis
+    clipped to the box and, with the scheme, scaled onto the cap, and
+    p = a'prices kept >= 0.  Without the scheme every price is the fixed
+    one, which is returned bit for bit (a sums to 1 only to rounding)."""
+    a = _anderson_weights(psis - xs)
+    x = np.clip(a @ psis, 0.0, 1.0)
+    if not tcs:
+        return x, float(prices[0])
+    return _onto_cap(x, c, params), max(float(a @ prices), 0.0)
 
 
 def _j_value(x, p, psi, slack: float, params: TcsParams) -> float:
@@ -556,7 +582,7 @@ def equilibrium_solve(
     residual ||psi_hat - x||_inf to (1 - omega / 2) times its value at the
     last accepted point is retaken from that point with omega cut by
     ``_STEP_CUT``.  While omega is 1, a step from the second accepted point
-    on is a secant step through the last two (``_secant_step``); a rejected
+    on is a secant step through the last two (``_anderson_step``); a rejected
     secant point is retaken as the plain step to the last accepted point's
     psi_hat, with omega left at 1 and the older point dropped, so the next
     secant step waits for the next accepted point.  ``accelerated_steps``
@@ -685,7 +711,9 @@ def equilibrium_solve(
                 x_a, _, _, _, psi_hat, p, _ = anchor
                 secant = omega == 1.0 and previous is not None
                 if secant:
-                    x, p = _secant_step(previous, anchor, c, params, tcs)
+                    x_b, _, _, _, psi_hat_b, p_b, _ = previous
+                    x, p = _anderson_step(np.array([x_a, x_b]), np.array([psi_hat, psi_hat_b]),
+                                          np.array([p, p_b]), c, params, tcs)
                     accelerated_steps += 1
                 else:
                     x = psi_hat if omega == 1.0 else x_a + omega * (psi_hat - x_a)

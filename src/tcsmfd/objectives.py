@@ -5,7 +5,8 @@ fleet-average intensity curve, the dichotomy search for the optimal charge,
 charge sweeps, and the per-group welfare decomposition.  The search steers
 by one private estimate, ``_charge_derivatives``, of the TTT and CO2
 derivatives with respect to the credit charge, read off network aggregates
-of a solved equilibrium.
+of a solved equilibrium.  Sweeps and searches predict warm starts
+(``_predicted_start``) with the solver's logit, bracket and Anderson steps.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .equilibrium import (
     _SHIFT_LIMIT,
     EquilibriumReport,
     ModalState,
+    _anderson_step,
+    _bracket_step,
+    _logit_exps,
     _onto_cap,
     equilibrium_solve,
 )
@@ -221,20 +225,16 @@ _NODES = 4
 _NODE_TOL = 1e-6
 _NODE_TRIALS = 50
 
-# the ridge of the Anderson weights' normal equations, relative to their
-# largest diagonal entry
-_RIDGE = 1e-6
-
 # equilibrium_solve's default x_tol, which every solve here uses
 _X_TOL = 1e-4
 
 
 class _Solved(NamedTuple):
     """What the predictor keeps of one solved charge tau_j: its state, the
-    exponentials exp(theta * gap) of its logit response psi_j at its own
-    charge and price, from which ``_node_maps`` evaluates its substitution
-    map at any other charge, and c'psi_j and c'psi_j(1 - psi_j), the market
-    and its slope there."""
+    exponentials of its logit response psi_j at its own charge and price
+    (the solver's ``_logit_exps``), from which ``_node_maps`` evaluates its
+    substitution map at any other charge, and c'psi_j and
+    c'psi_j(1 - psi_j), the market and its slope there."""
 
     state: ModalState
     exps: np.ndarray
@@ -244,9 +244,7 @@ class _Solved(NamedTuple):
 
 def _solved(scenario: Scenario, p_tau: TcsParams, rep: EquilibriumReport) -> _Solved:
     """The predictor's record of the equilibrium ``rep`` solved at ``p_tau``."""
-    gap = p_tau.alpha * (rep.sim.car_times - scenario.pt_times) + p_tau.tau * rep.state.p
-    with np.errstate(over="ignore"):
-        exps = np.exp(p_tau.theta * gap)
+    exps = _logit_exps(rep.sim.car_times, scenario.pt_times, rep.state.p, p_tau)
     psi = 1.0 / (1.0 + exps)
     c = p_tau.cap_weights(scenario.gammas)
     used = float(psi @ c)
@@ -264,9 +262,10 @@ def _node_maps(records, base, c, p_tau: TcsParams):
     (q - base_j)), its exponent held within ``_SHIFT_LIMIT`` so that no
     0 * inf makes a NaN; at ``base_j`` z = 1 and the market is the record's
     own.  Each node's price is 0 where the cap is slack there, and otherwise
-    found by Newton steps on c'psi = kappa * sum(c) / tau from ``base_j``,
-    safeguarded by bisection, to within ``_NODE_TOL`` of the supply.  The
-    nodes take their trials together, one (nodes x N) array each, and no
+    found from ``base_j`` by the clearing search's step (``_bracket_step``):
+    Newton on c'psi = kappa * sum(c) / tau, doubling or bisecting where it
+    leaves the bracket, to within ``_NODE_TOL`` of the supply.  The nodes
+    take their trials together, one (nodes x N) array each, and no
     simulation is made."""
     supply = p_tau.kappa * float(c.sum()) / p_tau.tau
     slope = p_tau.theta * p_tau.tau
@@ -291,12 +290,7 @@ def _node_maps(records, base, c, p_tau: TcsParams):
             else:
                 hi[j] = q[j]
             newton = q[j] - f[j] / d[j] if d[j] < 0.0 else math.nan
-            if lo[j] < newton < hi[j]:
-                step = max(newton, 0.0)
-            elif hi[j] == math.inf:
-                step = 2.0 * lo[j] if lo[j] > 0.0 else 1.0 / slope
-            else:
-                step = max(0.5 * (lo[j] + hi[j]), 0.0)
+            step = _bracket_step(newton, lo[j], hi[j], slope)
             done[j] = step == q[j]   # no float left between the ends
             q[j] = step
         # a node found is one that did not move, so psi holds its shares
@@ -313,25 +307,6 @@ def _node_maps(records, base, c, p_tau: TcsParams):
     return np.array(q), psi
 
 
-def _anderson_weights(res: np.ndarray) -> np.ndarray:
-    """Weights a, summing to 1, that minimize ||sum_j a_j res_j|| over the
-    rows of ``res`` (type-II Anderson mixing, Walker & Ni 2011), from the
-    ridge-regularized normal equations; the best row alone where they give
-    no finite weights."""
-    gram = res @ res.T
-    norms = gram.diagonal().copy()
-    gram.flat[::len(res) + 1] += _RIDGE * norms.max()
-    try:
-        w = np.linalg.solve(gram, np.ones(len(res)))
-        a = w / w.sum()
-    except np.linalg.LinAlgError:
-        a = np.full(len(res), math.nan)
-    if not np.all(np.isfinite(a)):
-        a = np.zeros(len(res))
-        a[np.argmin(norms)] = 1.0
-    return a
-
-
 def _predicted_start(scenario: Scenario, p_tau: TcsParams, starts: dict):
     """Start (x, p) for the equilibrium at charge ``p_tau.tau`` from the
     solved charges ``starts`` (tau -> ``_Solved``); (None, None), a cold
@@ -341,14 +316,14 @@ def _predicted_start(scenario: Scenario, p_tau: TcsParams, starts: dict):
     distance, ties to the lower tau).  Each node's substitution map is
     evaluated at this charge on its known travel times (``_node_maps``),
     which needs no simulation, and the start is the Anderson combination of
-    those map values: sum_j a_j psi_j and sum_j a_j q_j, with weights a that
-    minimize the combined residual ||sum_j a_j (psi_j - x_j)||
-    (``_anderson_weights``).  The shares are clipped to [0, 1] and scaled
-    down onto this charge's cap tau * c'x <= kappa * sum(c) when they exceed
-    it, and the price kept >= 0.  A node whose map value already lies
-    within ``x_tol`` of its shares is the start itself, (x_j, q_j), scaled
-    onto the cap should it exceed it: a slack cap's equilibrium does not
-    move with tau.  The start depends only on the charges already solved,
+    those map values (``_anderson_step``, the solver's secant step over more
+    points): sum_j a_j psi_j and sum_j a_j q_j, with weights a that minimize
+    the combined residual ||sum_j a_j (psi_j - x_j)||.  The shares are
+    clipped to [0, 1] and scaled down onto this charge's cap
+    tau * c'x <= kappa * sum(c) when they exceed it, and the price kept
+    >= 0.  A node whose map value already lies within ``x_tol`` of its
+    shares is the start itself, (x_j, q_j), scaled onto the cap should it
+    exceed it: a slack cap's equilibrium does not move with tau.  The start depends only on the charges already solved,
     so reruns repeat it."""
     if not starts:
         return None, None
@@ -360,14 +335,12 @@ def _predicted_start(scenario: Scenario, p_tau: TcsParams, starts: dict):
     c = p_tau.cap_weights(scenario.gammas)
     with np.errstate(over="ignore"):   # exps * z past DBL_MAX is a zero share
         qs, psis = _node_maps(records, base, c, p_tau)
-    res = psis - np.array([r.state.x for r in records])
-    met = np.flatnonzero(np.abs(res).max(axis=1) < _X_TOL)
+    xs = np.array([r.state.x for r in records])
+    met = np.flatnonzero(np.abs(psis - xs).max(axis=1) < _X_TOL)
     if len(met):
         j = met[0]
         return _onto_cap(records[j].state.x, c, p_tau), float(qs[j])
-    a = _anderson_weights(res)
-    x = _onto_cap(np.clip(a @ psis, 0.0, 1.0), c, p_tau)
-    return x, max(float(a @ qs), 0.0)
+    return _anderson_step(xs, psis, qs, c, p_tau, True)
 
 
 def _warm_solve(scenario: Scenario, p_tau: TcsParams, starts: dict) -> EquilibriumReport:

@@ -411,10 +411,6 @@ class TcsParams:
         if self.cap_constraint not in ("gamma-weighted", "printed"):
             raise ScenarioError("cap_constraint must be 'gamma-weighted' or 'printed'")
 
-    @property
-    def alpha_eur_per_h(self) -> float:
-        return self.alpha * 3600.0
-
     def cap_weights(self, gammas) -> np.ndarray:
         """Weights c of the credit cap tau * c'x <= kappa * sum(c).
 

@@ -1230,42 +1230,101 @@ class TestSubstitution:
         assert secants == rejected == rep.accelerated_steps == 1
         assert omega == tcsmfd.equilibrium._STEP_CUT and p == rep.state.p
 
+    def test_a_fixed_price_passes_the_secant_steps_unchanged(self, congested):
+        # without the scheme the map's price is the fixed one, which a
+        # secant step keeps bit for bit although its weights sum to 1 only
+        # to rounding
+        rep = equilibrium_solve(congested, TcsParams(), tcs=False, p_init=0.00575)
+        assert rep.converged and rep.accelerated_steps >= 1
+        assert rep.state.p == 0.00575
+
     def test_secant_step_is_held_to_the_box_and_the_cap(self):
         # two groups of equal cap weight at tau = 2 kappa: the cap is
-        # x_1 + x_2 <= 1.  Accepted points as the loop stores them,
-        # (x, p, psi, sim, psi_hat, p_hat, residual).  In the first two
-        # cases f halves along group 0, so gamma = -1 and the step goes as
-        # far past psi_hat_1 as psi_hat_1 lies past psi_hat_0
-        def point(x, psi_hat, p_hat):
-            return (np.array(x), 0.0, None, None, np.array(psi_hat), p_hat, 0.0)
-
+        # x_1 + x_2 <= 1.  The anchor (x_1, psi_hat_1, p_hat_1) comes
+        # first, as in a secant step.  Through two points the ridge-
+        # regularized weights are (1 - gamma, gamma) with gamma =
+        # (df'f_1 + r) / (df'df + 2 r), f = psi_hat - x, df = f_1 - f_0 and
+        # r = _RIDGE * max(|f_0|^2, |f_1|^2).  In the first two cases f
+        # halves along group 0, so gamma is -1 up to the ridge and the step
+        # goes as far past psi_hat_1 as psi_hat_1 lies past psi_hat_0
         params = TcsParams(tau=200.0, kappa=100.0)
         c = np.ones(2)
-        step = tcsmfd.equilibrium._secant_step
+
+        def step(anchor, previous, tcs=True):
+            (x_1, psi_1, p_1), (x_0, psi_0, p_0) = anchor, previous
+            return tcsmfd.equilibrium._anderson_step(
+                np.array([x_1, x_0]), np.array([psi_1, psi_0]), np.array([p_1, p_0]),
+                c, params, tcs)
+
+        def secant(anchor, previous):
+            (x_1, psi_1, p_1), (x_0, psi_0, p_0) = anchor, previous
+            f_1, f_0 = np.subtract(psi_1, x_1), np.subtract(psi_0, x_0)
+            df = f_1 - f_0
+            r = tcsmfd.equilibrium._RIDGE * max(f_0 @ f_0, f_1 @ f_1)
+            gamma = (df @ f_1 + r) / (df @ df + 2.0 * r)
+            return (np.subtract(psi_1, gamma * np.subtract(psi_1, psi_0)),
+                    p_1 - gamma * (p_1 - p_0))
+
         # to (0.9, 0.2) and p = 0.03, which uses 1.1 times the credits:
         # scaled down onto the cap
-        previous = point([0.5, 0.2], [0.7, 0.2], 0.01)
-        anchor = point([0.7, 0.2], [0.8, 0.2], 0.02)
-        x, p = step(previous, anchor, c, params, True)
-        np.testing.assert_allclose(x, np.array([0.9, 0.2]) / 1.1, rtol=1e-12)
-        assert p == pytest.approx(0.03, rel=1e-12)
+        previous = ([0.5, 0.2], [0.7, 0.2], 0.01)
+        anchor = ([0.7, 0.2], [0.8, 0.2], 0.02)
+        want_x, want_p = secant(anchor, previous)
+        np.testing.assert_allclose(want_x, [0.9, 0.2], rtol=2e-6)
+        x, p = step(anchor, previous)
+        np.testing.assert_allclose(x, want_x / want_x.sum(), rtol=1e-12)
+        assert p == pytest.approx(want_p, rel=1e-12)
         # without the scheme both p_hat are the fixed price, which the step
         # keeps bit for bit, and the shares are not scaled
-        previous = point([0.5, 0.2], [0.7, 0.2], 0.02)
-        x, p = step(previous, anchor, c, params, False)
-        np.testing.assert_allclose(x, [0.9, 0.2], rtol=1e-12)
+        previous = ([0.5, 0.2], [0.7, 0.2], 0.02)
+        x, p = step(anchor, previous, tcs=False)
+        np.testing.assert_allclose(x, secant(anchor, previous)[0], rtol=1e-12)
         assert p == 0.02
         # to (1.1, 0) and p = -0.01: clipped into the box, the price to 0
-        previous = point([0.5, 0.0], [0.8, 0.0], 0.01)
-        anchor = point([0.8, 0.0], [0.95, 0.0], 0.0)
-        x, p = step(previous, anchor, c, params, True)
+        previous = ([0.5, 0.0], [0.8, 0.0], 0.01)
+        anchor = ([0.8, 0.0], [0.95, 0.0], 0.0)
+        x, p = step(anchor, previous)
         assert x.tolist() == [1.0, 0.0] and p == 0.0
-        # no change in f (exactly, in binary fractions): gamma = 0, the
-        # plain step
-        previous = point([0.125, 0.125], [0.25, 0.25], 0.01)
-        anchor = point([0.25, 0.25], [0.375, 0.375], 0.02)
-        x, p = step(previous, anchor, c, params, True)
-        assert x.tolist() == [0.375, 0.375] and p == 0.02
+        # no change in f (exactly, in binary fractions): gamma = 1/2, the
+        # midpoint of psi_hat_0 and psi_hat_1, at the mean price, up to the
+        # rounding of normal equations whose condition number is 1 / _RIDGE
+        previous = ([0.125, 0.125], [0.25, 0.25], 0.01)
+        anchor = ([0.25, 0.25], [0.375, 0.375], 0.02)
+        x, p = step(anchor, previous)
+        np.testing.assert_allclose(x, [0.3125, 0.3125], rtol=1e-9)
+        assert p == pytest.approx(0.015, rel=1e-9)
+
+    def test_anderson_weights(self):
+        weights = tcsmfd.equilibrium._anderson_weights
+        v = np.array([1.0, -2.0, 0.5])
+        # opposite residuals cancel; equal ones split evenly through the
+        # ridge, up to the rounding of a nearly singular system
+        np.testing.assert_allclose(weights(np.array([v, -v])), [0.5, 0.5])
+        np.testing.assert_allclose(weights(np.array([v, v])), [0.5, 0.5], atol=1e-5)
+        res = np.array([v, 2.0 * v + np.array([0.0, 0.0, 1.0]), -0.5 * v])
+        a = weights(res)
+        assert a.sum() == pytest.approx(1.0)
+        assert np.linalg.norm(a @ res) <= 1e-5 * np.linalg.norm(v)   # the ridge's bias
+        # no finite weights: the best row alone, the first of equals
+        np.testing.assert_array_equal(weights(np.zeros((3, 3))), [1.0, 0.0, 0.0])
+        bad = np.array([v, [np.inf, 0.0, 0.0], 0.1 * v])
+        np.testing.assert_array_equal(weights(bad), [0.0, 0.0, 1.0])
+
+    def test_bracket_step(self):
+        step = tcsmfd.equilibrium._bracket_step
+        # a Newton point inside the bracket, held at 0 below it
+        assert step(0.3, 0.1, 0.5, 4.0) == 0.3
+        assert step(-0.2, -math.inf, 0.5, 4.0) == 0.0
+        # a NaN or outside Newton point: a bisection of a closed bracket
+        assert step(math.nan, 0.1, 0.5, 4.0) == 0.5 * (0.1 + 0.5)
+        assert step(0.7, 0.1, 0.5, 4.0) == 0.5 * (0.1 + 0.5)
+        # no upper end: a doubling, from 1 / slope while no positive price
+        # exceeds the cap, else from lo
+        assert step(math.nan, -math.inf, math.inf, 4.0) == 0.25
+        assert step(math.nan, 0.0, math.inf, 4.0) == 0.25
+        assert step(0.1, 0.2, math.inf, 4.0) == 0.4
+        # a bisection with no lower end is clamped at 0
+        assert step(math.nan, -math.inf, 0.5, 4.0) == 0.0
 
 
 def recording_substitution(monkeypatch):
@@ -1301,12 +1360,14 @@ def replay_substitution(xs, maps, hints, steps, params, c):
     price of its iterate.  Each iterate with a clearing price is accepted
     when its substitution residual is at most (1 - omega / 2) times that of
     the last accepted iterate a.  At omega = 1, with an accepted iterate b
-    before a, iterate i + 1 is the secant step psi_hat_a - gamma (psi_hat_a
-    - psi_hat_b), clipped to the box and scaled onto the cap, with gamma =
-    df'f_a / df'df, f = psi_hat - x and df = f_a - f_b.  A rejected secant
-    point drops b, and the plain step psi_hat_a is retaken at omega = 1;
-    any other rejection cuts omega.  Otherwise iterate i + 1 is
-    x_a + omega (psi_hat_a - x_a) (psi_hat_a itself at omega = 1).
+    before a, iterate i + 1 is the secant step w_a psi_hat_a + w_b psi_hat_b,
+    clipped to the box and scaled onto the cap, at the price w_a p_hat_a +
+    w_b p_hat_b kept >= 0, with the weights (w_a, w_b) of
+    ``_anderson_weights`` on the residuals psi_hat - x of a and b, a first.
+    A rejected secant point drops b, and the plain step psi_hat_a is
+    retaken at omega = 1; any other rejection cuts omega.  Otherwise
+    iterate i + 1 is x_a + omega (psi_hat_a - x_a) (psi_hat_a itself at
+    omega = 1).
 
     Returns the last accepted iterate, the final omega, the number of secant
     steps, the number of them rejected, and the price of iterate ``steps``.
@@ -1322,15 +1383,13 @@ def replay_substitution(xs, maps, hints, steps, params, c):
         secant = omega == 1.0 and before is not None
         if secant:
             p_0, psi_hat_0 = maps[before]
-            f_1 = psi_hat - xs[anchor]
-            df = f_1 - (psi_hat_0 - xs[before])
-            dd = float(df @ df)
-            gamma = float(df @ f_1) / dd if dd > 0.0 else 0.0
-            want = np.clip(psi_hat - gamma * (psi_hat - psi_hat_0), 0.0, 1.0)
+            psis = np.array([psi_hat, psi_hat_0])
+            a = tcsmfd.equilibrium._anderson_weights(psis - np.array([xs[anchor], xs[before]]))
+            want = np.clip(a @ psis, 0.0, 1.0)
             used = params.tau * float(c @ want)
             if used > supply:
                 want = want * (supply / used)
-            p = max(p - gamma * (p - p_0), 0.0)
+            p = max(float(a @ np.array([p, p_0])), 0.0)
             secants += 1
         else:
             want = psi_hat if omega == 1.0 else xs[anchor] + omega * (psi_hat - xs[anchor])

@@ -160,7 +160,6 @@ class TestParams:
     def test_defaults_valid(self):
         p = TcsParams()
         assert p.kappa <= p.tau
-        assert p.alpha_eur_per_h == pytest.approx(10.8)
 
     def test_kappa_above_tau_rejected(self):
         with pytest.raises(ValueError):
