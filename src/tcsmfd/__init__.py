@@ -5,8 +5,8 @@ an aggregate (MFD) within-day traffic model: travelers choose between car
 and public transport through a logit model whose car disutility includes
 both congested travel time and the market value of the credits a car trip
 consumes.  The equilibrium solver finds mode shares and the credit price
-jointly; on top of it sit charge sweeps, a dichotomy search for optimal
-charges, and stability / uniqueness diagnostics.
+jointly; on top of it sit charge sweeps, a safeguarded secant search for
+optimal charges, and stability / uniqueness diagnostics.
 """
 
 __version__ = "0.1.0"

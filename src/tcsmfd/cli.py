@@ -200,7 +200,8 @@ def sweep_tables(rows) -> dict:
 
 
 def dichotomy_table(res) -> list:
-    """One row per step of a charge search."""
+    """One row per step of a charge search (named for the dichotomy the
+    search began as; the rows and columns are the same)."""
     return [("tau_credits", "lo", "hi", "derivative", "flat_cap", "ttt_h",
              "emission_t", "objective_eur", "converged", "iterations",
              "qp_unconverged", "near_ties")] + [
@@ -507,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("sweep", _cmd_sweep, "equilibria over a range of charges")
     p.add_argument("--taus", required=True, help="start:stop:step or comma list")
 
-    p = command("optimize", _cmd_optimize, "dichotomy search for the optimal charge")
+    p = command("optimize", _cmd_optimize, "safeguarded secant search for the optimal charge")
     p.add_argument("--objective", choices=("ttt", "mixed"), default="mixed")
     p.add_argument("--lo", type=int, default=100)
     p.add_argument("--hi", type=int, default=500)

@@ -1,12 +1,16 @@
 """System objectives and credit-charge optimization.
 
 Total travel time, CO2 accounting on the simulated speed profile with one
-fleet-average intensity curve, the dichotomy search for the optimal charge,
-charge sweeps, and the per-group welfare decomposition.  The search steers
-by one private estimate, ``_charge_derivatives``, of the TTT and CO2
-derivatives with respect to the credit charge, read off network aggregates
-of a solved equilibrium.  Sweeps and searches predict warm starts
-(``_predicted_start``) with the solver's logit, bracket and Anderson steps.
+fleet-average intensity curve, the search for the optimal charge, charge
+sweeps, and the per-group welfare decomposition.  The search brackets the
+sign change of the objective's derivative on integer charges, as the
+paper's dichotomy does, but probes Illinois chord zeros once both ends of
+the bracket are known, held to the dichotomy's solve bound
+(``_charge_search``).  It steers by one private estimate,
+``_charge_derivatives``, of the TTT and CO2 derivatives with respect to the
+credit charge, read off network aggregates of a solved equilibrium.
+Sweeps and searches predict warm starts (``_predicted_start``) with the
+solver's logit, bracket and Anderson steps.
 """
 
 from __future__ import annotations
@@ -215,6 +219,22 @@ def _objective_value(objective: str, ttt_h: float, emission_t: float,
     return ttt_cost + params.gamma_emission * params.p_carbon * emission_t
 
 
+def _objective_derivative(scenario: Scenario, objective: str, p_tau: TcsParams,
+                          rep: EquilibriumReport) -> float:
+    """The estimated derivative of ``objective`` in EUR per credit at the
+    equilibrium ``rep`` solved at ``p_tau``, from ``_charge_derivatives``;
+    -inf where the cap is slack (a zero price): the objective is locally
+    flat in the charge and the scheme has no bite yet, so a search pushes
+    the charge up."""
+    if rep.state.p <= 1e-9:
+        return -math.inf
+    d_ttt, d_em = _charge_derivatives(scenario, rep, p_tau)
+    d = p_tau.alpha * d_ttt
+    if objective == "mixed":
+        d += p_tau.gamma_emission * p_tau.p_carbon * d_em
+    return d
+
+
 # The warm-start predictor combines the map values of at most this many of
 # the nearest solved charges
 _NODES = 4
@@ -353,6 +373,81 @@ def _warm_solve(scenario: Scenario, p_tau: TcsParams, starts: dict) -> Equilibri
     return rep
 
 
+def _widest(budget: int, end_solved: bool) -> int:
+    """The widest bracket [a, a + width] that the integer dichotomy (probe
+    (a + c) // 2) finishes within ``budget`` >= 0 solves, or -1 if none.
+    The dichotomy takes n.bit_length() solves over the bracket's n = width
+    + 1 candidate charges, less the upper end when ``end_solved``."""
+    return 2 ** budget - 2 + end_solved
+
+
+def _solve_bound(width: int) -> int:
+    """The solves a search over [lo, lo + width] may take: ceil(log2(width))
+    + 1, the bound the dichotomy is documented with, which is never below
+    its worst case, (width + 1).bit_length(); one at width 0 and two at 1."""
+    return (width - 1).bit_length() + 1 if width >= 2 else width + 1
+
+
+def _probe(a: int, c: int, end_solved: bool, budget: int, target) -> int:
+    """The charge to probe in the bracket [a, c], a < c, with ``budget``
+    solves left: the integer nearest ``target`` (the midpoint (a + c) // 2
+    when ``target`` is None or not finite), moved toward the midpoint only
+    as far as needed for the dichotomy to finish either outcome, [a, probe]
+    or [probe + 1, c], within the ``budget`` - 1 solves after it.  This is
+    ITP's projection.  The midpoint qualifies whenever the dichotomy could
+    finish [a, c] within ``budget``, so a search that starts within its
+    budget ends within it."""
+    mid = (a + c) // 2
+    if target is None or not math.isfinite(target):
+        return mid
+    lowest = max(a, c - 1 - _widest(budget - 1, end_solved))
+    highest = min(c - 1, a + _widest(budget - 1, True))
+    return min(max(math.floor(target + 0.5), lowest), highest)
+
+
+def _charge_search(derivative, lo: int, hi: int):
+    """The first integer charge in [lo, hi] whose ``derivative`` is >= 0
+    (``hi`` when there is none), if the derivative changes sign once there:
+    (tau*, probes), each probe a (tau, a, c, d) of the charge, the bracket
+    after it and its derivative.
+
+    The bracket [a, c] keeps d(a - 1) < 0 <= d(c) and closes at a == c,
+    where tau* = a.  A probe with d < 0 (-inf for a slack cap) moves a above
+    it and any other moves c onto it.  While an end of the bracket is
+    unprobed or flat, the probe is the midpoint, as in a dichotomy; once
+    both ends have a finite derivative, it is the integer nearest the zero
+    of the chord between them, the Illinois modified regula falsi (Dowell
+    and Jarratt 1971): an end kept through two probes in a row has its
+    derivative halved for the chord.  Each probe is held by ``_probe`` to
+    the dichotomy's solve bound (Oliveira and Takahashi 2020, ITP), so the
+    search, its final solve at tau* included, takes at most
+    ``_solve_bound(hi - lo)`` solves."""
+    budget = _solve_bound(hi - lo)
+    a, c = lo, hi
+    below = above = None   # (tau, chord derivative) at a - 1 and at c
+    kept = None            # the end the last probe kept
+    probes = []
+    while a < c:
+        target = None
+        if below is not None and above is not None and math.isfinite(below[1]):
+            (t0, d0), (t1, d1) = below, above
+            target = t0 - d0 * (t1 - t0) / (d1 - d0)
+        tau = _probe(a, c, above is not None, budget - len(probes), target)
+        d = derivative(tau)
+        if d < 0:
+            a = tau + 1
+            if kept == "above" and above is not None:
+                above = (above[0], above[1] / 2.0)
+            below, kept = (tau, d), "above"
+        else:
+            c = tau
+            if kept == "below" and below is not None:
+                below = (below[0], below[1] / 2.0)
+            above, kept = (tau, d), "below"
+        probes.append((tau, a, c, d))
+    return a, probes
+
+
 def optimize_charge(
     scenario: Scenario,
     params: TcsParams,
@@ -360,17 +455,22 @@ def optimize_charge(
     lo: int = 100,
     hi: int = 500,
 ) -> OptimizeResult:
-    """Dichotomy on the sign of the estimated objective derivative.
+    """The integer charge in [lo, hi] where the estimated objective
+    derivative turns non-negative, by a safeguarded secant search on its
+    sign (``_charge_search``).
 
     Integer charges only: ``lo`` and ``hi`` must be integers, and any other
     bound raises ``ValueError`` rather than being truncated.  A negative
     derivative (or a slack cap, where the scheme has no bite yet) moves the
-    lower bound up; a positive one moves the upper bound down; the search
-    stops when the bounds meet, after at most ceil(log2(hi - lo)) + 1
-    equilibrium solves.  Each solve starts on the prediction from the
-    nearest charges the search has already solved (``_warm_solve``), so its
-    numbers agree with cold solves to the solver's ``x_tol`` and a rerun
-    repeats them exactly.
+    lower bound up; a non-negative one moves the upper bound down; the
+    search stops when the bounds meet.  The probes start at midpoints and go
+    to Illinois chord zeros once both bounds have a finite derivative, each
+    moved toward the midpoint as far as the dichotomy's bound needs, so a
+    search takes at most ceil(log2(hi - lo)) + 1 equilibrium solves (one
+    when hi == lo, two when hi - lo == 1).  Each solve starts on the
+    prediction from the nearest charges the search has already solved
+    (``_warm_solve``), so its numbers agree with cold solves to the
+    solver's ``x_tol`` and a rerun repeats them exactly.
     """
     if objective not in ("ttt", "mixed"):
         raise ValueError("objective must be 'ttt' or 'mixed'")
@@ -393,10 +493,14 @@ def optimize_charge(
                            total_emission(rep.sim))
         return solved[tau]
 
-    def step(tau: int, a: int, c: int, derivative: float, flat_cap: bool):
+    def derivative(tau: int) -> float:
+        p_tau, rep, _, _ = solve_at(tau)
+        return _objective_derivative(scenario, objective, p_tau, rep)
+
+    def step(tau: int, a: int, c: int, d: float):
         _, rep, ttt_h, em_t = solve_at(tau)
         return OptimizeStep(
-            tau=tau, lo=a, hi=c, derivative=derivative, flat_cap=flat_cap,
+            tau=tau, lo=a, hi=c, derivative=d, flat_cap=d == -math.inf,
             ttt_h=ttt_h, emission_t=em_t,
             objective=_objective_value(objective, ttt_h, em_t, params),
             converged=rep.converged,
@@ -405,29 +509,10 @@ def optimize_charge(
             near_ties=rep.near_ties,
         )
 
-    steps: list[OptimizeStep] = []
-    a, c = lo, hi
-    while a < c:
-        mid = (a + c) // 2
-        p_tau, rep, _, _ = solve_at(mid)
-        # a zero price means a slack cap: the objective is locally flat in
-        # the charge and the scheme has no bite yet, so push the charge up
-        flat = rep.state.p <= 1e-9
-        if flat:
-            d = -math.inf
-        else:
-            d_ttt, d_em = _charge_derivatives(scenario, rep, p_tau)
-            d = params.alpha * d_ttt
-            if objective == "mixed":
-                d += params.gamma_emission * params.p_carbon * d_em
-        if d < 0:
-            a = mid + 1
-        else:
-            c = mid
-        steps.append(step(mid, a, c, d, flat))
-    tau_star = a
+    tau_star, probes = _charge_search(derivative, lo, hi)
+    steps = [step(*probe) for probe in probes]
     if not steps or steps[-1].tau != tau_star:
-        steps.append(step(tau_star, a, c, float("nan"), False))
+        steps.append(step(tau_star, tau_star, tau_star, float("nan")))
     return OptimizeResult(
         tau_star=float(tau_star),
         objective=objective,

@@ -8,15 +8,22 @@ and the stability Jacobian assembled from it.  ``build_qp`` reads such an
 N x (N+1) array as ``price_column_first`` copies it, under
 ``identity_layout``.  ``project_box_halfspace`` is the QP solver's
 projection with its inputs checked, for the tests that build their own
-projections and KKT residuals.
+projections and KKT residuals.  ``dichotomy_charge`` is the plain integer
+dichotomy the charge search started as, on the library's own warm solves
+and objective derivative, for the tests that hold the search to its answer
+and its solve count.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
-from tcsmfd import analysis, qp
+from tcsmfd import analysis, objectives, qp
 from tcsmfd.gradients import Layout
 
 __all__ = [
+    "dichotomy",
+    "dichotomy_charge",
     "identity_layout",
     "logit_gradient",
     "price_column_first",
@@ -80,3 +87,33 @@ def project_box_halfspace(y, lower, upper, a=None, b=None):
     if a is not None and a @ lower > b:
         raise ValueError("box and half-space do not intersect")
     return qp._project(y, lower, upper, a, b)[0]
+
+
+def dichotomy(derivative, lo, hi):
+    """(tau*, probes) of the plain integer dichotomy over [lo, hi]: probe
+    (a + c) // 2, move a above it where ``derivative`` is < 0 and c onto it
+    otherwise, until a == c; tau* = a.  ``probes`` lists the probed charges
+    in order."""
+    a, c, probes = lo, hi, []
+    while a < c:
+        mid = (a + c) // 2
+        probes.append(mid)
+        if derivative(mid) < 0:
+            a = mid + 1
+        else:
+            c = mid
+    return a, probes
+
+
+def dichotomy_charge(scenario, params, objective, lo, hi):
+    """tau* of ``dichotomy`` on the objective derivative of
+    ``optimize_charge``, each solve warm-started from the ones before it, as
+    ``optimize_charge`` does."""
+    starts = {}
+
+    def derivative(tau):
+        p_tau = replace(params, tau=float(tau))
+        rep = objectives._warm_solve(scenario, p_tau, starts)
+        return objectives._objective_derivative(scenario, objective, p_tau, rep)
+
+    return dichotomy(derivative, lo, hi)[0]

@@ -1,7 +1,9 @@
 """System objectives: emission curve, TTT, charge derivatives, charge search, gains."""
 
+import math
 from dataclasses import replace
 from decimal import Decimal
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,15 +29,20 @@ from tcsmfd.equilibrium import _onto_cap
 from tcsmfd.objectives import (
     _EMISSION_COEFFS,
     _charge_derivatives,
+    _charge_search,
     _node_maps,
     _predicted_start,
+    _probe,
+    _solve_bound,
     _Solved,
     _solved,
+    _widest,
     emission_per_distance,
     emission_per_distance_dv,
 )
 
 from conftest import make_scenario
+from reference_formulas import dichotomy, dichotomy_charge
 
 
 def decimal_rate(v):
@@ -48,6 +55,11 @@ def decimal_rate(v):
     a1 = c4 + c2 * c0 ** 2
     a0 = c5 + (c3 / 3) * c0 ** 2 + (c1 / 5) * c0 ** 4
     return a4 * v ** 4 + a3 * v ** 3 + a2 * v ** 2 + a1 * v + a0
+
+
+@lru_cache(maxsize=None)
+def preset_scenario(preset, seed):
+    return generate_synthetic(seed, preset_spec(preset))
 
 
 class TestEmissionCurve:
@@ -226,11 +238,12 @@ class TestChargeGradients:
         assert d_em < 0
         assert np.isfinite(d_ttt)
 
+    # ids by the charge alone, so that a re-pin keeps the tests' names
     @pytest.mark.parametrize("tau, ttt, mixed", [
         (200.0, -40.61977699212992, -53.824264216668006),
         (225.0, 10.475256086122682, 1.7428935240778856),
         (250.0, 66.95592639862372, 60.892079093007965),
-    ])
+    ], ids=["200", "225", "250"])
     def test_pinned_on_congested(self, tau, ttt, mixed):
         # the objective derivatives the charge search steers by, at solves
         # from the centre of the share box scaled onto the cap, on congested
@@ -270,6 +283,20 @@ class TestOptimizeCharge:
         assert res.steps
         assert np.isfinite(res.final_objective)
 
+    @pytest.mark.parametrize("lo, hi", [(100, 500), (151, 350)])
+    @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
+    @pytest.mark.parametrize("objective", ["ttt", "mixed"])
+    @pytest.mark.parametrize("preset, seed", [("small", 0), ("small", 1),
+                                              ("congested", 0), ("congested", 1)])
+    def test_meets_the_dichotomy(self, preset, seed, objective, cap, lo, hi):
+        # the search lands where the plain dichotomy on the same derivative
+        # does, within the documented solve bound
+        sc = preset_scenario(preset, seed)
+        params = TcsParams(cap_constraint=cap)
+        res = optimize_charge(sc, params, objective=objective, lo=lo, hi=hi)
+        assert res.tau_star == dichotomy_charge(sc, params, objective, lo, hi)
+        assert res.n_solves <= solve_bound(hi - lo)
+
     def test_flat_cap_pushes_up(self):
         # PT dominant: the cap never binds on this range, search climbs to hi
         sc = make_scenario(
@@ -280,6 +307,127 @@ class TestOptimizeCharge:
         assert res.tau_star == 116.0
         assert all(s.flat_cap for s in res.steps if np.isfinite(s.derivative) is False)
         assert all(s.derivative == -np.inf for s in res.steps[:-1])
+
+
+def solve_bound(width):
+    """The documented bound on a charge search's solves over
+    [lo, lo + width]: ceil(log2(width)) + 1, and one and two at widths 0
+    and 1."""
+    return width + 1 if width < 2 else math.ceil(math.log2(width)) + 1
+
+
+@lru_cache(maxsize=None)
+def dichotomy_solves(width, end_solved):
+    """The most solves the reference dichotomy takes over [100, 100 + width]
+    across every answer: its probes, plus the solve at tau* when no probe
+    made it and it is not an upper end solved before the search."""
+    worst = 0
+    for z in range(100, 100 + width + 2):
+        tau_star, probes = dichotomy(scripted("step", z), 100, 100 + width)
+        unsolved = tau_star not in probes and not (end_solved and tau_star == 100 + width)
+        worst = max(worst, len(probes) + unsolved)
+    return worst
+
+
+def scripted(kind, z):
+    """A derivative over integer charges whose first charge with d >= 0 is
+    ``z``: a unit step, a steep tanh through z - 0.3, a line through z
+    (d(z) is exactly 0), or -inf (a slack cap) below the midpoint of 100
+    and z, a steep cubic above it."""
+    if kind == "step":
+        return lambda t: -1.0 if t < z else 1.0
+    if kind == "tanh":
+        return lambda t: math.tanh((t - z + 0.3) / 0.2)
+    if kind == "zero":
+        return lambda t: float(t - z)
+    flat_below = (100 + z) // 2
+    return lambda t: -math.inf if t < flat_below else (t - z + 0.5) ** 3
+
+
+class TestChargeSearch:
+    """``_charge_search`` and its probe rule on scripted derivatives."""
+
+    WIDTHS = list(range(65)) + [400]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_solve_bound_covers_the_dichotomys_worst_case(self, width):
+        assert _solve_bound(width) == solve_bound(width) >= dichotomy_solves(width, False)
+
+    @pytest.mark.parametrize("end_solved", [False, True])
+    def test_widest_bracket_within_a_budget(self, end_solved):
+        for budget in range(7):
+            fits = [w for w in range(130) if dichotomy_solves(w, end_solved) <= budget]
+            assert _widest(budget, end_solved) == max(fits, default=-1)
+
+    @pytest.mark.parametrize("kind", ["step", "tanh", "zero", "flat"])
+    def test_first_nonnegative_charge_within_the_bound(self, kind):
+        zeros = 0
+        for width in self.WIDTHS:
+            lo, hi = 100, 100 + width
+            for z in range(lo, hi + 2):
+                d = scripted(kind, z)
+                tau_star, probes = _charge_search(d, lo, hi)
+                assert tau_star == next((t for t in range(lo, hi + 1) if d(t) >= 0), hi)
+                a, c = lo, hi
+                for tau, a_next, c_next, d_tau in probes:
+                    assert a <= tau < c
+                    assert d_tau == d(tau)
+                    assert (a_next, c_next) == ((tau + 1, c) if d_tau < 0 else (a, tau))
+                    a, c = a_next, c_next
+                    zeros += d_tau == 0.0
+                assert a == c == tau_star
+                taus = [p[0] for p in probes]
+                assert len(taus) + (tau_star not in taus) <= solve_bound(width)
+        if kind == "zero":
+            assert zeros
+
+    def test_chord_steps_save_solves(self):
+        # on a line, over every answer in [100, 500], the chord probes take
+        # 2104 solves where the dichotomy takes 3508
+        chord = plain = 0
+        for z in range(100, 502):
+            tau_star, probes = _charge_search(scripted("zero", z), 100, 500)
+            taus = [p[0] for p in probes]
+            chord += len(taus) + (tau_star not in taus)
+            tau_star, taus = dichotomy(scripted("zero", z), 100, 500)
+            plain += len(taus) + (tau_star not in taus)
+        assert chord <= 2 * plain / 3
+
+    @pytest.mark.parametrize("derivative, tau_star, taus", [
+        # convex: midpoints 132 and 116 while an end is unprobed, then the
+        # chord to 121 keeps the upper end 132 a second time; halved, the
+        # next chord lands on 125 (123.3 without the halving)
+        (lambda t: math.exp((t - 124.5) / 10) - 1, 125, [132, 116, 121, 125, 124]),
+        # concave: midpoints 132 and 148, then the chord to 140 keeps the
+        # lower end 132 a second time; halved, the next chord lands on 136
+        # (137.0 without the halving)
+        (lambda t: 1 - math.exp(-(t - 135.5) / 5), 136, [132, 148, 140, 136, 135]),
+    ], ids=["upper", "lower"])
+    def test_an_end_kept_twice_is_halved(self, derivative, tau_star, taus):
+        found, probes = _charge_search(derivative, 100, 164)
+        assert found == tau_star
+        assert [p[0] for p in probes] == taus
+
+    @pytest.mark.parametrize("end_solved", [False, True])
+    def test_probe_moves_only_as_far_as_the_bound_needs(self, end_solved):
+        def cost(a, c, m):
+            return 1 + max(dichotomy_solves(m - a, True),
+                           dichotomy_solves(c - m - 1, end_solved))
+
+        assert _probe(100, 500, end_solved, 10, None) == 300
+        assert _probe(100, 500, end_solved, 10, math.nan) == 300
+        for width in range(1, 40):
+            a, c = 100, 100 + width
+            budget = dichotomy_solves(width, end_solved)
+            for target in np.arange(a - 3.0, c + 3.0, 0.25):
+                m = _probe(a, c, end_solved, budget, target)
+                assert a <= m < c
+                assert cost(a, c, m) <= budget
+                nearest = min(max(math.floor(target + 0.5), a), c - 1)
+                if m != nearest:
+                    # one charge nearer the target would break the bound
+                    toward = m + (1 if nearest > m else -1)
+                    assert cost(a, c, toward) > budget
 
 
 class TestSweep:
@@ -492,7 +640,7 @@ class TestWarmStart:
             assert res.tau_star == tau_star
             per_charge = {s.tau: s.iterations for s in res.steps}
             assert len(per_charge) == res.n_solves
-            assert sum(per_charge.values()) <= 21, objective
+            assert sum(per_charge.values()) <= 14, objective
 
 
 class TestGroupGains:
