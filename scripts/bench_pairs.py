@@ -23,7 +23,7 @@ per-layer metric of the traced pass (``simulator.simulate.calls``,
 figures) of the two trees side by side.  ``--workload`` takes one or more
 workloads, or ``all``; they run one after the other, each with its own
 summary.  Then the script runs the command line in each tree on the
-``congested`` seed-0 scenario it generates there: ``equilibrium`` (with and
+``congested`` scenario it generates there: ``equilibrium`` (with and
 without the scheme), ``msa``, ``sweep``, ``optimize`` (both objectives),
 ``stability``, ``uniqueness``, ``gains`` and ``study`` (``OUTPUT_RUNS``),
 under the same relative paths in both trees, so the manifests compare too.
@@ -37,6 +37,7 @@ medians, the differing output files and the net line change.
 
     python3 scripts/bench_pairs.py --base HEAD --workload all
     python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
+    python3 scripts/bench_pairs.py --base HEAD --workload congested_policy --scenario-seed 1
 
 Both trees sit side by side in one temporary directory, removed
 afterwards, under paths of equal length, since where the files sit moves
@@ -46,7 +47,11 @@ worktree left registered.  The change tree is a copy of the working tree
 this script sits in, its tracked and untracked files that git does not
 ignore (``git ls-files -co --exclude-standard``).  The script refuses to
 run when the working tree has no change against ``--base``.  Every run uses
-seed 0 and the run length ``run_seconds`` of BENCHMARK.json.  Each tree's
+seed 0 for the uniqueness samples, the generator seed ``--scenario-seed``
+(0 by default) for the scenario of every ``perfbench/run.py`` run and of the
+command-line outputs, and the run length ``run_seconds`` of BENCHMARK.json.
+The workloads' reference values hold only for scenario seed 0, and
+``perfbench/run.py`` checks them only there.  Each tree's
 own ``perfbench/run.py`` measures that tree's ``src/``; this script only
 starts it and reads its last output line.
 """
@@ -135,11 +140,13 @@ def child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def run_once(tree: Path, workload: str, seconds: float, trace: int = 0) -> dict:
+def run_once(tree: Path, workload: str, seconds: float, scenario_seed: int,
+             trace: int = 0) -> dict:
     """One run's metrics and stage times, with its elapsed time and the CPU
     time its process used (``elapsed_s`` and ``cpu_s``)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(SEED), "--scenario-seed", str(scenario_seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
     cpu0, t0 = child_cpu_s(), time.perf_counter()
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
     elapsed, cpu = time.perf_counter() - t0, child_cpu_s() - cpu0
@@ -166,7 +173,7 @@ def disturbed_pairs(runs: dict) -> list[int]:
             if any(wait_ratio(r) > DISTURBED_RATIO * median for r in pair)]
 
 
-def traced_layers(trees: dict, workload: str, seconds: float) -> dict:
+def traced_layers(trees: dict, workload: str, seconds: float, scenario_seed: int) -> dict:
     """``TRACED_RUNS`` ``--trace 1`` runs in each tree, alternating which
     tree goes first; prints the median of each per-layer metric of the
     base and the change side by side and returns every run and the
@@ -174,7 +181,8 @@ def traced_layers(trees: dict, workload: str, seconds: float) -> dict:
     runs = {side: [] for side in trees}
     for i in range(TRACED_RUNS):
         for side in (tuple(trees) if i % 2 == 0 else tuple(reversed(trees))):
-            runs[side].append(run_once(trees[side], workload, seconds, trace=1))
+            runs[side].append(run_once(trees[side], workload, seconds, scenario_seed,
+                                       trace=1))
     ok = all(r["correct"] for side in runs.values() for r in side)
     # a metric missing from some run of a side has no median on that side
     medians = {side: {m: statistics.median(r[m] for r in side_runs)
@@ -190,11 +198,12 @@ def traced_layers(trees: dict, workload: str, seconds: float) -> dict:
     return {"runs": runs, "medians": medians}
 
 
-def cli_outputs(tree: Path, work: Path) -> dict:
+def cli_outputs(tree: Path, work: Path, scenario_seed: int) -> dict:
     """Bytes of every file the command line of ``tree`` writes under ``work``
-    (generate, then OUTPUT_RUNS), by path relative to ``work``."""
+    (generate with ``scenario_seed``, then OUTPUT_RUNS), by path relative to
+    ``work``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    runs = [["generate", "--preset", "congested", "--seed", "0", "-o",
+    runs = [["generate", "--preset", "congested", "--seed", str(scenario_seed), "-o",
              str(Path(SCENARIO).parent)]]
     runs += [[*args, "--scenario", SCENARIO, "-o", out] for out, args in OUTPUT_RUNS.items()]
     for args in runs:
@@ -204,14 +213,14 @@ def cli_outputs(tree: Path, work: Path) -> dict:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
-def output_diff(trees: dict, tmp: Path) -> list[str]:
+def output_diff(trees: dict, tmp: Path, scenario_seed: int) -> list[str]:
     """Output files that differ between the two trees' command lines, or
     that only one of them wrote; prints each."""
     outputs = {}
     for side, tree in trees.items():
         work = tmp / f"outputs-{side}"
         work.mkdir()
-        outputs[side] = cli_outputs(tree, work)
+        outputs[side] = cli_outputs(tree, work, scenario_seed)
     base, change = outputs["base"], outputs["change"]
     differ = sorted(name for name in base.keys() | change.keys()
                     if base.get(name) != change.get(name))
@@ -244,13 +253,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def run_pairs(trees: dict, workload: str, pairs: int, metrics: dict, seconds: float) -> dict:
+def run_pairs(trees: dict, workload: str, pairs: int, metrics: dict, seconds: float,
+              scenario_seed: int) -> dict:
     """Alternating pairs of one workload; prints each pair and the summary."""
     runs = {"base": [], "change": []}
     for i in range(pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            runs[side].append(run_once(trees[side], workload, seconds))
+            runs[side].append(run_once(trees[side], workload, seconds, scenario_seed))
         cells = "  ".join(
             f"{m} {runs['base'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}"
             for m in metrics
@@ -284,12 +294,20 @@ def run_pairs(trees: dict, workload: str, pairs: int, metrics: dict, seconds: fl
     return {"runs": runs, "summary": summary, "disturbed_pairs": disturbed}
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, nargs="+", choices=WORKLOADS + ("all",),
                     help="one or more workloads, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--base", required=True, help="git revision of the base tree")
+    ap.add_argument("--scenario-seed", type=int, default=0,
+                    help="generator seed of every run's scenario and of the "
+                    "command-line outputs' scenario, for a held-out check")
+    return ap
+
+
+def main(argv=None) -> int:
+    ap = build_parser()
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -309,11 +327,12 @@ def main(argv=None) -> int:
                  "change": copy_working_tree(Path(tmp) / "work")}
         print(f"workloads {' '.join(workloads)}: base {args.base} against change {ROOT} "
               f"(copied to {trees['change']}), "
-              f"{args.pairs} pairs each, --seconds {seconds:g} --seed {SEED}",
-              flush=True)
-        results = {w: {**run_pairs(trees, w, args.pairs, metrics, seconds),
-                       "traced": traced_layers(trees, w, seconds)} for w in workloads}
-        differ = output_diff(trees, Path(tmp))
+              f"{args.pairs} pairs each, --seconds {seconds:g} --seed {SEED} "
+              f"--scenario-seed {args.scenario_seed}", flush=True)
+        results = {w: {**run_pairs(trees, w, args.pairs, metrics, seconds, args.scenario_seed),
+                       "traced": traced_layers(trees, w, seconds, args.scenario_seed)}
+                   for w in workloads}
+        differ = output_diff(trees, Path(tmp), args.scenario_seed)
 
     all_correct = all(r["correct"] for w in results.values()
                       for side in w["runs"].values() for r in side)
@@ -323,7 +342,7 @@ def main(argv=None) -> int:
     net = net_lines(args.base)
     print("net line change against " + args.base + ": "
           + ", ".join(f"{d}/ {n:+d}" for d, n in net.items()))
-    print(json.dumps({"base": args.base,
+    print(json.dumps({"base": args.base, "scenario_seed": args.scenario_seed,
                       "runs": {w: res["runs"] for w, res in results.items()},
                       "summary": {w: res["summary"] for w, res in results.items()},
                       "disturbed_pairs": {w: res["disturbed_pairs"]

@@ -29,8 +29,8 @@ from . import __version__
 from .analysis import _stability_at, histogram_rows, uniqueness_check
 from .equilibrium import equilibrium_solve, msa_solve
 from .objectives import (
+    _SolvedCharges,
     _sweep_row,
-    _warm_solves,
     group_gains,
     optimize_charge,
     sweep_charges,
@@ -225,15 +225,16 @@ def gains_table(scenario, gains) -> list:
 def stability_runs(scenario, params: TcsParams, taus) -> list:
     """(tau, equilibrium report, stability report) per charge.
 
-    Each equilibrium starts on the prediction from the nearest charges
-    solved before it (``objectives._warm_solve``), as in ``sweep_charges``.
-    The stability report is None where the cap is slack (zero price).
+    Each distinct charge is solved once, in one ``objectives._SolvedCharges``
+    as in ``sweep_charges``.  The stability report is None where the cap is
+    slack (zero price).
     """
-    return [_stability_run(scenario, p_tau, rep)
-            for p_tau, rep in _warm_solves(scenario, params, taus)]
+    charges = _SolvedCharges(scenario, params)
+    return [_stability_run(scenario, charges[tau]) for tau in taus]
 
 
-def _stability_run(scenario, p_tau: TcsParams, rep) -> tuple:
+def _stability_run(scenario, held) -> tuple:
+    p_tau, rep, *_ = held
     st = _stability_at(scenario, p_tau, rep.sim, rep.psis) if rep.state.p > 0 else None
     return p_tau.tau, rep, st
 
@@ -383,11 +384,10 @@ def _cmd_study(args, scenario, params):
     eq = equilibrium_solve(scenario, params)
     # the averaging benchmark at the market price, a sanity check only
     msa = msa_solve(scenario, params, p_fixed=eq.state.p)
-    # one warm-started pass over the grid feeds both the sweep and the
-    # stability tables
-    solves = list(_warm_solves(scenario, params, taus))
-    rows = [_sweep_row(scenario, p_tau, rep) for p_tau, rep in solves]
-    runs = [_stability_run(scenario, p_tau, rep) for p_tau, rep in solves]
+    # one pass over the grid feeds both the sweep and the stability tables
+    grid = _SolvedCharges(scenario, params)
+    rows = [_sweep_row(scenario, grid[tau]) for tau in taus]
+    runs = [_stability_run(scenario, grid[tau]) for tau in taus]
     best = {objective: optimize_charge(scenario, params, objective=objective,
                                        lo=lo, hi=hi)
             for objective in ("ttt", "mixed")}
@@ -400,14 +400,13 @@ def _cmd_study(args, scenario, params):
     base = totals(ref)
     optima = {}
     for objective, res in best.items():
-        at_star = totals(res.report)
+        at_star = res.steps[-1]   # a search's last step is at its tau*
         optima[objective] = {
             "tau_star": res.tau_star,
             "price_eur_per_credit": res.report.state.p,
-            **at_star,
-            "ttt_saving": (base["ttt_h"] - at_star["ttt_h"]) / base["ttt_h"],
-            "emission_saving":
-                (base["emission_t"] - at_star["emission_t"]) / base["emission_t"],
+            "ttt_h": at_star.ttt_h, "emission_t": at_star.emission_t,
+            "ttt_saving": (base["ttt_h"] - at_star.ttt_h) / base["ttt_h"],
+            "emission_saving": (base["emission_t"] - at_star.emission_t) / base["emission_t"],
         }
     summary = {
         "reference": {"car_share": float(g @ ref.state.x / g.sum()), **base},

@@ -9,8 +9,9 @@ the bracket are known, held to the dichotomy's solve bound
 (``_charge_search``).  It steers by one private estimate,
 ``_charge_derivatives``, of the TTT and CO2 derivatives with respect to the
 credit charge, read off network aggregates of a solved equilibrium.
-Sweeps and searches predict warm starts (``_predicted_start``) with the
-solver's logit, bracket and Anderson steps.
+Sweeps and searches solve each charge once, in one cache per call
+(``_SolvedCharges``) that predicts warm starts (``_predicted_start``) with
+the solver's logit, bracket and Anderson steps.
 """
 
 from __future__ import annotations
@@ -363,14 +364,25 @@ def _predicted_start(scenario: Scenario, p_tau: TcsParams, starts: dict):
     return _anderson_step(xs, psis, qs, c, p_tau, True)
 
 
-def _warm_solve(scenario: Scenario, p_tau: TcsParams, starts: dict) -> EquilibriumReport:
-    """Equilibrium at charge ``p_tau.tau``, started on the prediction from
-    the solved charges in ``starts`` (``_predicted_start``), or cold when
-    ``starts`` is empty; the solved charge is added to ``starts``."""
-    x, p = _predicted_start(scenario, p_tau, starts)
-    rep = equilibrium_solve(scenario, p_tau, x_init=x, p_init=p, x_tol=_X_TOL)
-    starts[p_tau.tau] = _solved(scenario, p_tau, rep)
-    return rep
+class _SolvedCharges(dict):
+    """float(tau) -> (params at tau, equilibrium report, its TTT in h, its
+    CO2 in t, the predictor's ``_Solved`` record) for the charges one call
+    looks up, for ``scenario`` under ``params``.  Each is solved once, on
+    its first lookup, from the prediction over the charges held then
+    (``_predicted_start``; the first one cold).  The starts depend only on
+    the charges looked up and their order, so a rerun repeats them."""
+
+    def __init__(self, scenario: Scenario, params: TcsParams):
+        super().__init__()
+        self.scenario, self.params = scenario, params
+
+    def __missing__(self, tau) -> tuple:
+        sc, p_tau = self.scenario, replace(self.params, tau=float(tau))
+        x, p = _predicted_start(sc, p_tau, {t: held[-1] for t, held in self.items()})
+        rep = equilibrium_solve(sc, p_tau, x_init=x, p_init=p, x_tol=_X_TOL)
+        held = self[p_tau.tau] = (p_tau, rep, total_travel_time(sc, rep.state, rep.sim),
+                                  total_emission(rep.sim), _solved(sc, p_tau, rep))
+        return held
 
 
 def _widest(budget: int, end_solved: bool) -> int:
@@ -467,10 +479,10 @@ def optimize_charge(
     to Illinois chord zeros once both bounds have a finite derivative, each
     moved toward the midpoint as far as the dichotomy's bound needs, so a
     search takes at most ceil(log2(hi - lo)) + 1 equilibrium solves (one
-    when hi == lo, two when hi - lo == 1).  Each solve starts on the
-    prediction from the nearest charges the search has already solved
-    (``_warm_solve``), so its numbers agree with cold solves to the
-    solver's ``x_tol`` and a rerun repeats them exactly.
+    when hi == lo, two when hi - lo == 1).  Each charge is solved once, in
+    the search's ``_SolvedCharges`` (``n_solves`` counts them), warm-started
+    from the nearest ones already solved, so its numbers agree with cold
+    solves to the solver's ``x_tol`` and a rerun repeats them exactly.
     """
     if objective not in ("ttt", "mixed"):
         raise ValueError("objective must be 'ttt' or 'mixed'")
@@ -480,25 +492,14 @@ def optimize_charge(
     if not (params.kappa <= lo <= hi):
         raise ValueError("need kappa <= lo <= hi")
 
-    solved: dict = {}   # tau -> (params at tau, report, TTT in h, CO2 in t)
-    starts: dict = {}   # float(tau) -> its ``_Solved`` record
-
-    def solve_at(tau: int):
-        """The cached equilibrium at tau, warm-started by ``_warm_solve``,
-        with both totals read off the report's own simulation."""
-        if tau not in solved:
-            p_tau = replace(params, tau=float(tau))
-            rep = _warm_solve(scenario, p_tau, starts)
-            solved[tau] = (p_tau, rep, total_travel_time(scenario, rep.state, rep.sim),
-                           total_emission(rep.sim))
-        return solved[tau]
+    charges = _SolvedCharges(scenario, params)
 
     def derivative(tau: int) -> float:
-        p_tau, rep, _, _ = solve_at(tau)
+        p_tau, rep, *_ = charges[tau]
         return _objective_derivative(scenario, objective, p_tau, rep)
 
     def step(tau: int, a: int, c: int, d: float):
-        _, rep, ttt_h, em_t = solve_at(tau)
+        _, rep, ttt_h, em_t, _ = charges[tau]
         return OptimizeStep(
             tau=tau, lo=a, hi=c, derivative=d, flat_cap=d == -math.inf,
             ttt_h=ttt_h, emission_t=em_t,
@@ -517,8 +518,8 @@ def optimize_charge(
         tau_star=float(tau_star),
         objective=objective,
         steps=steps,
-        n_solves=len(solved),
-        report=solve_at(tau_star)[1],
+        n_solves=len(charges),
+        report=charges[tau_star][1],
     )
 
 
@@ -546,34 +547,24 @@ def sweep_charges(
 ) -> list[SweepRow]:
     """Equilibrium solves over a list of charges, in the order given.
 
-    Each solve starts on the prediction from the nearest charges solved
-    before it in this call (``_warm_solve``; the first one cold), so a row
-    agrees with a cold solve at its charge to the solver's ``x_tol`` and a
-    rerun repeats it exactly, given the same order of ``taus``.
-    Rows keep the order of ``taus``; a non-converged solve is flagged in its
-    row and the sweep continues.
+    Each distinct charge is solved once, in the call's ``_SolvedCharges``,
+    warm-started from the nearest ones solved before it (the first cold), so
+    a row agrees with a cold solve to the solver's ``x_tol`` and a rerun
+    repeats it exactly, given the same order of ``taus``.  Rows keep that
+    order, a repeated charge repeating its row; a non-converged solve is
+    flagged in its row and the sweep continues.
     """
     taus = [float(t) for t in taus]
     for t in taus:
         if t < params.kappa:
             raise ValueError(f"tau={t} is below kappa={params.kappa}")
-    return [_sweep_row(scenario, p_tau, rep)
-            for p_tau, rep in _warm_solves(scenario, params, taus)]
+    charges = _SolvedCharges(scenario, params)
+    return [_sweep_row(scenario, charges[tau]) for tau in taus]
 
 
-def _warm_solves(scenario: Scenario, params: TcsParams, taus):
-    """Yield (params at tau, equilibrium report) for each charge of ``taus``
-    in order, each solve started by ``_warm_solve`` from those before it."""
-    starts: dict = {}   # tau -> its ``_Solved`` record, for the later starts
-    for tau in taus:
-        p_tau = replace(params, tau=float(tau))
-        yield p_tau, _warm_solve(scenario, p_tau, starts)
-
-
-def _sweep_row(scenario: Scenario, p_tau: TcsParams, rep: EquilibriumReport) -> SweepRow:
-    """The sweep row of ``rep``, the equilibrium solved at ``p_tau``."""
-    ttt_h = total_travel_time(scenario, rep.state, rep.sim)
-    em_t = total_emission(rep.sim)
+def _sweep_row(scenario: Scenario, held: tuple) -> SweepRow:
+    """The sweep row of ``held``, a charge of ``_SolvedCharges``."""
+    p_tau, rep, ttt_h, em_t, _ = held
     g = scenario.gammas
     car_users = float(g @ rep.state.x)
     len_total_km = float(g @ (rep.state.x * scenario.trip_lens)) * M_TO_KM

@@ -14,8 +14,6 @@ and objective derivative, for the tests that hold the search to its answer
 and its solve count.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from tcsmfd import analysis, objectives, qp
@@ -107,13 +105,12 @@ def dichotomy(derivative, lo, hi):
 
 def dichotomy_charge(scenario, params, objective, lo, hi):
     """tau* of ``dichotomy`` on the objective derivative of
-    ``optimize_charge``, each solve warm-started from the ones before it, as
-    ``optimize_charge`` does."""
-    starts = {}
+    ``optimize_charge``, each solve warm-started from the ones before it in
+    one ``_SolvedCharges``, as ``optimize_charge`` does."""
+    charges = objectives._SolvedCharges(scenario, params)
 
     def derivative(tau):
-        p_tau = replace(params, tau=float(tau))
-        rep = objectives._warm_solve(scenario, p_tau, starts)
+        p_tau, rep, *_ = charges[tau]
         return objectives._objective_derivative(scenario, objective, p_tau, rep)
 
     return dichotomy(derivative, lo, hi)[0]

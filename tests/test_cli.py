@@ -647,6 +647,18 @@ class TestStudy:
         for name, cli_name in shared.items():
             assert (study / name).read_bytes() == (tmp_path / cli_name).read_bytes(), name
 
+    def test_optima_are_the_searches_last_rows(self, study_run):
+        # each search ends on its tau*, so its last row holds the totals
+        # the summary reports there
+        _, study = study_run
+        optima = read_json(study / "summary.json")["optima"]
+        for objective, at_star in optima.items():
+            rows = (study / f"dichotomy_{objective}.csv").read_text().splitlines()
+            last = dict(zip(rows[0].split(","), rows[-1].split(",")))
+            assert float(last["tau_credits"]) == at_star["tau_star"]
+            assert float(last["ttt_h"]) == at_star["ttt_h"]
+            assert float(last["emission_t"]) == at_star["emission_t"]
+
     def test_reruns_byte_identical(self, study_run, tmp_path):
         scenario, first = study_run
         assert main(["study", "--scenario", scenario, *STUDY_ARGS,

@@ -1428,6 +1428,22 @@ def test_hypercongested_two_group_draw_converges():
     assert rep.iterations <= 10
 
 
+@pytest.mark.parametrize("tau, qp_steps", [(160.0, True), (200.0, False)])
+def test_hypercongested_preset_converges(tau, qp_steps):
+    # the congested preset at 0.9 of its jam accumulation (n_jam 4 500),
+    # where the sampled monotonicity still holds: tau = 160 converges at a
+    # zero price through QP steps (11 iterations, 5 of them QP steps) and
+    # tau = 200 by substitution steps alone (8 iterations)
+    spec = preset_spec("congested")
+    spec = dataclasses.replace(spec, n_jam=0.9 * spec.n_jam)
+    assert spec.n_jam == 4500.0
+    rep = equilibrium_solve(generate_synthetic(0, spec), TcsParams(tau=tau))
+    assert rep.converged and rep.residual_final < 1e-4
+    assert rep.qp_unconverged == 0
+    assert bool(rep.qp_iterations) == qp_steps
+    assert (rep.state.p == 0.0) == qp_steps
+
+
 def test_probe_draws_converge():
     # 0 of the first 2 000 draws were flagged while only binding solves
     # substituted; now draw 1 is (``PROBE_UNCONVERGED``)

@@ -514,6 +514,41 @@ class TestWarmStart:
                 assert p_init == want_p
             solved[tau] = _solved(small_scenario, p_tau, rep)
 
+    def test_a_repeated_charge_is_solved_once(self, small_scenario, monkeypatch):
+        params = TcsParams()
+        calls = self.record_starts(monkeypatch)
+        rows = sweep_charges(small_scenario, params, [200.0, 300, 200, 250.0, 300.0])
+        assert [t for t, _, _, _ in calls] == [200.0, 300.0, 250.0]
+        assert rows[2] == rows[0] and rows[4] == rows[1]
+        # the repeats leave the later charges' starts as they were
+        once = sweep_charges(small_scenario, params, [200.0, 300.0, 250.0])
+        assert repr([rows[0], rows[1], rows[3]]) == repr(once)
+
+    def test_a_repeated_stability_charge_is_solved_once(self, small_scenario,
+                                                        monkeypatch):
+        from tcsmfd.cli import stability_runs, stability_table
+
+        calls = self.record_starts(monkeypatch)
+        runs = stability_runs(small_scenario, TcsParams(), [200.0, 300.0, 200.0])
+        assert [t for t, _, _, _ in calls] == [200.0, 300.0]
+        assert runs[2][1] is runs[0][1] is calls[0][3]
+        table = stability_table(runs)
+        assert table[3] == table[1]
+
+    def test_n_solves_counts_the_searchs_solves(self, small_scenario, monkeypatch):
+        calls = self.record_starts(monkeypatch)
+        res = optimize_charge(small_scenario, TcsParams(), objective="mixed",
+                              lo=150, hi=300)
+        solved = {t: rep for t, _, _, rep in calls}
+        assert res.n_solves == len(calls) == len(solved)
+        assert {float(s.tau) for s in res.steps} == set(solved)
+        assert res.report is solved[res.tau_star]
+        # each step's totals are its report's own
+        for s in res.steps:
+            rep = solved[s.tau]
+            assert s.ttt_h == total_travel_time(small_scenario, rep.state, rep.sim)
+            assert s.emission_t == total_emission(rep.sim)
+
     @pytest.mark.parametrize("cap", ["gamma-weighted", "printed"])
     def test_cap_scaled_start_is_accepted(self, small_scenario, monkeypatch, cap):
         params = TcsParams(cap_constraint=cap)
