@@ -38,6 +38,7 @@ medians, the differing output files and the net line change.
     python3 scripts/bench_pairs.py --base HEAD --workload all
     python3 scripts/bench_pairs.py --base HEAD~1 --workload citywide_equilibrium congested_policy
     python3 scripts/bench_pairs.py --base HEAD --workload congested_policy --scenario-seed 1
+    python3 scripts/bench_pairs.py --base HEAD --workload congested_diagnostics --seed 1
 
 Both trees sit side by side in one temporary directory, removed
 afterwards, under paths of equal length, since where the files sit moves
@@ -47,9 +48,12 @@ worktree left registered.  The change tree is a copy of the working tree
 this script sits in, its tracked and untracked files that git does not
 ignore (``git ls-files -co --exclude-standard``).  The script refuses to
 run when the working tree has no change against ``--base``.  Every run uses
-seed 0 for the uniqueness samples, the generator seed ``--scenario-seed``
+the seed ``--seed`` (0 by default) for the uniqueness samples, in each
+``perfbench/run.py`` run and in the ``uniqueness`` and ``study`` outputs
+(the only subcommands that sample), the generator seed ``--scenario-seed``
 (0 by default) for the scenario of every ``perfbench/run.py`` run and of the
-command-line outputs, and the run length ``run_seconds`` of BENCHMARK.json.
+command-line outputs, and the run length ``run_seconds`` of BENCHMARK.json;
+either seed other than 0 rechecks a claim on held-out samples or scenarios.
 The workloads' reference values hold only for scenario seed 0, and
 ``perfbench/run.py`` checks them only there.  Each tree's
 own ``perfbench/run.py`` measures that tree's ``src/``; this script only
@@ -77,8 +81,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("citywide_equilibrium", "congested_policy", "congested_diagnostics")
 
-
-SEED = 0
 # traced runs per tree and workload: a layer's time from one traced pass
 # moved by tens of percent between runs of the same tree on a shared machine
 TRACED_RUNS = 3
@@ -88,6 +90,8 @@ DISTURBED_RATIO = 1.25
 NET_LINE_DIRS = ("src", "tests")
 STAGE_LINE = re.compile(r"stage (\S+) (\S+) s")
 SCENARIO = "scenario/scenario.json"
+# the subcommands whose --seed draws the uniqueness samples
+SAMPLED_OUTPUTS = ("uniqueness", "study")
 # output directory -> the subcommand and its options, run on SCENARIO
 OUTPUT_RUNS = {
     "equilibrium": ["equilibrium"],
@@ -140,12 +144,12 @@ def child_cpu_s() -> float:
     return usage.ru_utime + usage.ru_stime
 
 
-def run_once(tree: Path, workload: str, seconds: float, scenario_seed: int,
+def run_once(tree: Path, workload: str, seconds: float, scenario_seed: int, seed: int,
              trace: int = 0) -> dict:
     """One run's metrics and stage times, with its elapsed time and the CPU
     time its process used (``elapsed_s`` and ``cpu_s``)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--scenario-seed", str(scenario_seed),
+           "--seed", str(seed), "--scenario-seed", str(scenario_seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     cpu0, t0 = child_cpu_s(), time.perf_counter()
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True)
@@ -173,7 +177,8 @@ def disturbed_pairs(runs: dict) -> list[int]:
             if any(wait_ratio(r) > DISTURBED_RATIO * median for r in pair)]
 
 
-def traced_layers(trees: dict, workload: str, seconds: float, scenario_seed: int) -> dict:
+def traced_layers(trees: dict, workload: str, seconds: float, scenario_seed: int,
+                  seed: int) -> dict:
     """``TRACED_RUNS`` ``--trace 1`` runs in each tree, alternating which
     tree goes first; prints the median of each per-layer metric of the
     base and the change side by side and returns every run and the
@@ -181,7 +186,7 @@ def traced_layers(trees: dict, workload: str, seconds: float, scenario_seed: int
     runs = {side: [] for side in trees}
     for i in range(TRACED_RUNS):
         for side in (tuple(trees) if i % 2 == 0 else tuple(reversed(trees))):
-            runs[side].append(run_once(trees[side], workload, seconds, scenario_seed,
+            runs[side].append(run_once(trees[side], workload, seconds, scenario_seed, seed,
                                        trace=1))
     ok = all(r["correct"] for side in runs.values() for r in side)
     # a metric missing from some run of a side has no median on that side
@@ -198,14 +203,15 @@ def traced_layers(trees: dict, workload: str, seconds: float, scenario_seed: int
     return {"runs": runs, "medians": medians}
 
 
-def cli_outputs(tree: Path, work: Path, scenario_seed: int) -> dict:
+def cli_outputs(tree: Path, work: Path, scenario_seed: int, seed: int) -> dict:
     """Bytes of every file the command line of ``tree`` writes under ``work``
-    (generate with ``scenario_seed``, then OUTPUT_RUNS), by path relative to
-    ``work``."""
+    (generate with ``scenario_seed``, then OUTPUT_RUNS, the sampling ones
+    with ``seed``), by path relative to ``work``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     runs = [["generate", "--preset", "congested", "--seed", str(scenario_seed), "-o",
              str(Path(SCENARIO).parent)]]
-    runs += [[*args, "--scenario", SCENARIO, "-o", out] for out, args in OUTPUT_RUNS.items()]
+    runs += [[*args, *(["--seed", str(seed)] if args[0] in SAMPLED_OUTPUTS else []),
+              "--scenario", SCENARIO, "-o", out] for out, args in OUTPUT_RUNS.items()]
     for args in runs:
         subprocess.run([sys.executable, "-m", "tcsmfd", *args], cwd=work, env=env,
                        check=True, capture_output=True)
@@ -213,14 +219,14 @@ def cli_outputs(tree: Path, work: Path, scenario_seed: int) -> dict:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
-def output_diff(trees: dict, tmp: Path, scenario_seed: int) -> list[str]:
+def output_diff(trees: dict, tmp: Path, scenario_seed: int, seed: int) -> list[str]:
     """Output files that differ between the two trees' command lines, or
     that only one of them wrote; prints each."""
     outputs = {}
     for side, tree in trees.items():
         work = tmp / f"outputs-{side}"
         work.mkdir()
-        outputs[side] = cli_outputs(tree, work, scenario_seed)
+        outputs[side] = cli_outputs(tree, work, scenario_seed, seed)
     base, change = outputs["base"], outputs["change"]
     differ = sorted(name for name in base.keys() | change.keys()
                     if base.get(name) != change.get(name))
@@ -254,13 +260,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def run_pairs(trees: dict, workload: str, pairs: int, metrics: dict, seconds: float,
-              scenario_seed: int) -> dict:
+              scenario_seed: int, seed: int) -> dict:
     """Alternating pairs of one workload; prints each pair and the summary."""
     runs = {"base": [], "change": []}
     for i in range(pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            runs[side].append(run_once(trees[side], workload, seconds, scenario_seed))
+            runs[side].append(run_once(trees[side], workload, seconds, scenario_seed, seed))
         cells = "  ".join(
             f"{m} {runs['base'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}"
             for m in metrics
@@ -303,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--scenario-seed", type=int, default=0,
                     help="generator seed of every run's scenario and of the "
                     "command-line outputs' scenario, for a held-out check")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of the uniqueness samples of every run and of the "
+                    "uniqueness and study outputs, for a held-out check")
     return ap
 
 
@@ -327,12 +336,14 @@ def main(argv=None) -> int:
                  "change": copy_working_tree(Path(tmp) / "work")}
         print(f"workloads {' '.join(workloads)}: base {args.base} against change {ROOT} "
               f"(copied to {trees['change']}), "
-              f"{args.pairs} pairs each, --seconds {seconds:g} --seed {SEED} "
+              f"{args.pairs} pairs each, --seconds {seconds:g} --seed {args.seed} "
               f"--scenario-seed {args.scenario_seed}", flush=True)
-        results = {w: {**run_pairs(trees, w, args.pairs, metrics, seconds, args.scenario_seed),
-                       "traced": traced_layers(trees, w, seconds, args.scenario_seed)}
+        results = {w: {**run_pairs(trees, w, args.pairs, metrics, seconds,
+                                   args.scenario_seed, args.seed),
+                       "traced": traced_layers(trees, w, seconds, args.scenario_seed,
+                                               args.seed)}
                    for w in workloads}
-        differ = output_diff(trees, Path(tmp), args.scenario_seed)
+        differ = output_diff(trees, Path(tmp), args.scenario_seed, args.seed)
 
     all_correct = all(r["correct"] for w in results.values()
                       for side in w["runs"].values() for r in side)
@@ -343,6 +354,7 @@ def main(argv=None) -> int:
     print("net line change against " + args.base + ": "
           + ", ".join(f"{d}/ {n:+d}" for d, n in net.items()))
     print(json.dumps({"base": args.base, "scenario_seed": args.scenario_seed,
+                      "seed": args.seed,
                       "runs": {w: res["runs"] for w, res in results.items()},
                       "summary": {w: res["summary"] for w, res in results.items()},
                       "disturbed_pairs": {w: res["disturbed_pairs"]

@@ -12,11 +12,21 @@ travel times, and the dot products built from them, are bitwise those of
 one ``simulate`` call per sample.  The pairs are scanned one sample at a
 time against the samples after it, through slices; no two samples
 coincide, since each lies in its own stratum of every coordinate
-(``_latin_hypercube``).  Stability linearizes the day-to-day adjustment
-(shares chase the logit response, the price reacts to excess credit
-demand) at an equilibrium and asks every eigenvalue of the Jacobian
-for a negative real part: the solver's own logit Jacobian
-(``equilibrium._linearize``), with eigenvalues from LAPACK.
+(``_latin_hypercube``).  A check holds the samples, their car times, the
+dots and the difference buffers of one block of pairs, allocated once per
+call: each block's share and car-time differences are written into the
+buffers and its dots straight into their place by one matmul over the
+block's rows (the row count decides BLAS's rounding, so it stays
+``_BLOCK_ELEMENTS // N``).  A subsample writes the differences of each
+block's gathered rows into the same buffers.  The percentiles are
+``np.percentile``'s, computed without it (``_percentiles``), so the check
+imports no ``numpy.ma`` (numpy 1.x imports it with numpy itself).
+
+Stability linearizes the day-to-day adjustment (shares chase the logit
+response, the price reacts to excess credit demand) at an equilibrium and
+asks every eigenvalue of the Jacobian for a negative real part: the
+solver's own logit Jacobian (``equilibrium._linearize``), with eigenvalues
+from LAPACK.
 """
 
 from __future__ import annotations
@@ -41,6 +51,7 @@ __all__ = [
 ]
 
 _BLOCK_ELEMENTS = 1 << 16  # pair differences per block in uniqueness_check
+_QS = (0.0, 1.0, 5.0, 25.0, 50.0, 100.0)  # the percentiles a report holds
 
 
 @dataclass
@@ -77,24 +88,29 @@ def uniqueness_check(
     if max_pairs < 1:
         raise ValueError("max_pairs must be >= 1")
     xs = _latin_hypercube(scenario.n, n_samples, seed)
-    # shares and car times side by side, so that one subtraction gives both
-    # differences of a block of pairs
-    xt = np.stack([xs, simulate_car_times(scenario, xs)])
+    ts = simulate_car_times(scenario, xs)
 
-    # the (pairs x N) differences are formed one block of pairs at a time:
-    # all at once they take three such arrays for one number per pair
+    # the (pairs x N) differences are formed one block of pairs at a time,
+    # in two buffers allocated once, and each block's dots are written
+    # straight into their place in `dots` by one matmul over the block
     g = scenario.gammas
     block = max(1, _BLOCK_ELEMENTS // scenario.n)
-    dots = []
     n_all = n_samples * (n_samples - 1) // 2
     all_pairs = n_all <= max_pairs
+    dots = np.empty(n_all if all_pairs else max_pairs)
+    rows = min(block, n_samples - 1 if all_pairs else max_pairs)
+    dx, dt = np.empty((2, rows, scenario.n))  # one allocation, two views
     if all_pairs:
         # row i against the rows after it, row-major, through slices
+        k = 0
         for i in range(n_samples - 1):
             for j in range(i + 1, n_samples, block):
-                dx, dt = xt[:, i, None] - xt[:, j : j + block]
-                dt *= dx
-                dots.append(dt @ g)
+                m = min(block, n_samples - j)
+                np.subtract(xs[i], xs[j : j + m], out=dx[:m])
+                np.subtract(ts[i], ts[j : j + m], out=dt[:m])
+                dt[:m] *= dx[:m]
+                np.matmul(dt[:m], g, out=dots[k : k + m])
+                k += m
     else:
         # max_pairs distinct ranks in the row-major order of the pairs i < j,
         # mapped back to (i, j) by where each row ends (row i holds
@@ -105,20 +121,47 @@ def uniqueness_check(
         j = ranks - row_end[i] + n_samples
         for start in range(0, max_pairs, block):
             a, b = i[start : start + block], j[start : start + block]
-            dx, dt = xt[:, a] - xt[:, b]
-            dt *= dx
-            dots.append(dt @ g)
-    dots = np.concatenate(dots)
+            m = len(a)
+            np.subtract(xs[a], xs[b], out=dx[:m])
+            np.subtract(ts[a], ts[b], out=dt[:m])
+            dt[:m] *= dx[:m]
+            np.matmul(dt[:m], g, out=dots[start : start + m])
 
-    qs = (0.0, 1.0, 5.0, 25.0, 50.0, 100.0)
     return UniquenessReport(
         n_samples=n_samples,
         n_pairs=int(len(dots)),
         all_pairs=all_pairs,
         min_dot=float(dots.min()),
-        percentiles=dict(zip(qs, np.percentile(dots, qs).tolist())),
+        percentiles=dict(zip(_QS, _percentiles(dots, _QS))),
         dots=dots,
     )
+
+
+def _percentiles(values: np.ndarray, qs) -> list:
+    """``np.percentile(values, qs).tolist()`` (linear interpolation) bit for
+    bit, signed zeros included, without the ``np.unique`` call by which
+    numpy deduplicates its partition indexes and which imports
+    ``numpy.ma``.  The same steps as numpy's ``_quantile``: the virtual
+    index (n - 1) q / 100, a copy partitioned at the same sorted set of
+    indexes (which ties land where depends on it), and ``_lerp``'s two-sided
+    interpolation; a NaN, sorted last, makes every percentile NaN."""
+    n = len(values)
+    virtual = (n - 1) * np.true_divide(qs, 100)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= n - 1
+    prev[top] = nxt[top] = -1
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    part = values.copy()
+    part.partition(sorted({0, -1, *prev.tolist(), *nxt.tolist()}))
+    a, b = part[prev], part[nxt]
+    t = virtual - prev
+    diff = b - a
+    out = np.add(a, diff * t)
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(part[-1]):
+        out[:] = part[-1]
+    return out.tolist()
 
 
 def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
@@ -139,7 +182,9 @@ def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
     u = rng.uniform(size=(n, d))
     perms = np.tile(np.arange(1, n + 1), (d, 1))
     rng.permuted(perms, axis=1, out=perms)
-    return (perms.T - u) / n
+    np.subtract(perms.T, u, out=u)
+    u /= n
+    return u
 
 
 def _distinct_ranks(rng, n: int, k: int) -> np.ndarray:

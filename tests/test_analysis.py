@@ -1,5 +1,6 @@
 """Uniqueness sampling and day-to-day stability diagnostics."""
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -7,17 +8,21 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import qmc
 
 from tcsmfd import analysis
+from tcsmfd.simulator import simulate_car_times
 from tcsmfd import (
     MfdCurve,
     ModalState,
     TcsParams,
     eig_values,
     equilibrium_solve,
+    generate_synthetic,
     histogram_rows,
     logit_choice,
+    preset_spec,
     simulate,
     stability_check,
     travel_time_gradient,
@@ -27,6 +32,42 @@ from tcsmfd import (
 from conftest import make_scenario, small_random_scenario
 from reference_formulas import logit_gradient, stability_jacobian
 from test_gradient_reference import memory_case
+
+QS = (0.0, 1.0, 5.0, 25.0, 50.0, 100.0)  # the percentiles a report holds
+# sha256 of the dots' bytes and of the six percentiles' bytes, for
+# uniqueness_check(congested seed 0, n_samples=200, seed=0, max_pairs=...)
+PINNED_DIGESTS = {
+    1_000_000: ("7fb250bc62056391dfdbcee77605a1842ca86782a9309be1ebac9056d469484a",
+                "496f004fb2f64d6f9f279c66105e38ad569a57d56c6f37e4b8a0f480051566c0"),
+    300: ("c4d9109c2c3205becce69e714ce25bb07500f9b10ffb1012d93513484a679d3c",
+          "41befc9f58392e31a1cfe2afb24c22c111666e5ca0a3f9e409181e63fba357e0"),
+}
+
+
+def sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
+
+
+def row_block_dots(sc, n_samples, seed, max_pairs):
+    """The pair dots as fresh difference arrays per block of pairs, each
+    block one ``@``: the pairs of one sample against the samples after it,
+    at most ``_BLOCK_ELEMENTS // N`` at a time, or blocks of that many drawn
+    pairs.  The same BLAS calls on the same shapes as ``uniqueness_check``."""
+    xs = analysis._latin_hypercube(sc.n, n_samples, seed)
+    ts = simulate_car_times(sc, xs)
+    block = max(1, analysis._BLOCK_ELEMENTS // sc.n)
+    n_all = n_samples * (n_samples - 1) // 2
+    if n_all <= max_pairs:
+        blocks = [(np.full(len(js), i), js) for i in range(n_samples - 1)
+                  for js in np.array_split(np.arange(i + 1, n_samples),
+                                           range(block, n_samples - 1 - i, block))]
+    else:
+        pairs = np.array(list(combinations(range(n_samples), 2)))
+        pairs = pairs[analysis._distinct_ranks(np.random.default_rng(seed), n_all, max_pairs)]
+        blocks = [(pairs[s:s + block, 0], pairs[s:s + block, 1])
+                  for s in range(0, max_pairs, block)]
+    return np.concatenate([((ts[a] - ts[b]) * (xs[a] - xs[b])) @ sc.gammas
+                           for a, b in blocks])
 
 
 class TestUniqueness:
@@ -105,7 +146,9 @@ class TestUniqueness:
     @pytest.mark.parametrize("max_pairs", [1_000_000, 300])
     def test_blocked_dots_match_full_formula(self, monkeypatch, block_elements, max_pairs):
         # the full formula forms every pair difference at once; the blocked
-        # one may round differently (BLAS blocking), never by more than 1e-12
+        # one may round differently (BLAS blocking), never by more than 1e-12.
+        # Each block's dots come from one BLAS call over the same rows as
+        # fresh difference arrays per block give, so those agree bit for bit
         if block_elements is not None:  # 7 pairs per block on 8 groups
             monkeypatch.setattr(analysis, "_BLOCK_ELEMENTS", block_elements)
         sc = small_random_scenario(0)
@@ -127,6 +170,44 @@ class TestUniqueness:
         assert rep.all_pairs == all_pairs
         assert rep.dots.shape == want.shape
         np.testing.assert_allclose(rep.dots, want, rtol=1e-12, atol=0.0)
+        blocked = row_block_dots(sc, n_samples, seed, max_pairs)
+        assert rep.dots.tobytes() == blocked.tobytes()
+        assert sha256(list(rep.percentiles.values())) == sha256(np.percentile(blocked, QS))
+
+    @pytest.mark.parametrize("max_pairs", [1_000_000, 300])
+    def test_pinned_bytes(self, max_pairs):
+        # every pair dot and percentile of the congested check, as sha256
+        # digests.  They hold for the BLAS kernel they were taken with; one
+        # whose dot products sum in another order rounds the row-block
+        # formula differently too, and there only that formula is checked
+        sc = generate_synthetic(0, preset_spec("congested"))
+        rep = uniqueness_check(sc, n_samples=200, seed=0, max_pairs=max_pairs)
+        want = row_block_dots(sc, 200, 0, max_pairs)
+        assert rep.dots.tobytes() == want.tobytes()
+        digests = (sha256(rep.dots), sha256(list(rep.percentiles.values())))
+        assert digests[1] == sha256(np.percentile(want, QS))
+        if sha256(want) != PINNED_DIGESTS[max_pairs][0]:
+            pytest.skip("this BLAS rounds the row-block dots differently")
+        assert digests == PINNED_DIGESTS[max_pairs]
+
+    def test_peak_memory_is_the_working_set(self):
+        # one call holds the samples, their car times, the dots and one
+        # block's two difference buffers, and little more: no stacked copy
+        # of the samples and car times, no fresh arrays per block
+        sc = generate_synthetic(0, preset_spec("congested"))
+        n_samples = 200
+        rows = min(max(1, analysis._BLOCK_ELEMENTS // sc.n), n_samples - 1)
+        n_pairs = n_samples * (n_samples - 1) // 2
+        held = 8 * (2 * n_samples * sc.n + n_pairs + 2 * rows * sc.n)
+        uniqueness_check(sc, n_samples=2)  # first-call caches do not count
+        tracemalloc.start()
+        try:
+            rep = uniqueness_check(sc, n_samples=n_samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.n_pairs == n_pairs
+        assert peak <= 1.15 * held, (peak, held)
 
     @pytest.mark.parametrize("d, n, seed", [(216, 200, 0), (216, 200, 7), (2163, 20, 0), (3, 2, 5),
                                             (1, 5, 3)])
@@ -148,6 +229,41 @@ class TestUniqueness:
         for column in xs.T:
             assert len(np.unique(column)) == n
             np.testing.assert_array_equal(np.sort(np.floor(column * n)), np.arange(n))
+
+
+class TestPercentiles:
+    """``analysis._percentiles`` is ``np.percentile`` bit for bit."""
+
+    @staticmethod
+    def check(values):
+        with np.errstate(all="ignore"):  # inf - inf, as numpy computes it
+            want = np.percentile(values, QS)
+            got = analysis._percentiles(values, QS)
+        assert np.array(got).tobytes() == want.tobytes(), (got, want.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.one_of(st.integers(1, 100), st.just(19_900)), seed=st.integers(0, 2**32 - 1),
+           decimals=st.integers(-1, 2), zeros=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    def test_rounded_values_with_ties_and_signed_zeros(self, n, seed, decimals, zeros):
+        # rounding makes ties, and rounding a small negative value gives -0.0;
+        # a share of the values is then replaced by a random mix of +-0.0,
+        # which compare equal, so which one a percentile reads depends on
+        # where the partition puts the ties
+        rng = np.random.default_rng(seed)
+        values = np.round(rng.normal(0.0, 10.0, n), decimals)
+        signed = rng.uniform(size=n) < zeros
+        values[signed] = np.where(rng.uniform(size=int(signed.sum())) < 0.5, -0.0, 0.0)
+        self.check(values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=100))
+    def test_any_floats(self, values):
+        # infinities and NaNs included: a NaN makes every percentile NaN
+        self.check(np.array(values, dtype=float))
+
+    def test_every_size_of_distinct_values(self):
+        for n in range(1, 101):
+            self.check(np.random.default_rng(n).permutation(n) - n / 3.0)
 
 
 class TestStabilityJacobian:
